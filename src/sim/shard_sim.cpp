@@ -167,6 +167,7 @@ class ShardEngine {
     wheel_.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
     budget_ = cfg_.cache_budget_bytes;
     cache_bytes_.assign(s, 0);
+    if (budget_ > 0) resident_.resize(s);
 
     // Flash-crowd placement: with the knob on, a share of clients starts
     // packed into the hot tiles so that each hot tile holds ~multiplier×
@@ -280,6 +281,8 @@ class ShardEngine {
   void detach_from(ClientId c, ServerId sid, int t, std::int32_t reason);
   void cache_store(ServerId sid, ClientId c, int new_prefix, int t);
   int admit(ServerId sid, ClientId c, int old_prefix, int want, int t);
+  void raise_prefix(ServerId sid, ClientId c, CacheEntry& entry, int p);
+  void erase_entry(ServerId sid, ClientId c, int prefix);
   void schedule_expiry(ServerId sid, ClientId c, int expire);
   void expire_entries(int t);
   void finish_interval(int t);
@@ -332,6 +335,12 @@ class ShardEngine {
   // so budget_ > 0 never touches Phase A.
   Bytes budget_ = 0;
   std::vector<Bytes> cache_bytes_;
+  // Per tile, the sorted ids of the entries holding bytes (prefix > 0) —
+  // the only possible eviction victims. Zero-prefix TTL placeholders and
+  // attached owners fill most of a tile's table, so admit() walks this
+  // index instead of the table. Every prefix change goes through
+  // raise_prefix()/erase_entry(), which keep it and cache_bytes_ exact.
+  std::vector<std::vector<ClientId>> resident_;
   std::vector<std::pair<std::uint16_t, ClientId>> evict_scratch_;
 
   // Attach-time lookup tables, filled once at construction: the cold-start
@@ -728,17 +737,39 @@ void ShardEngine::cache_store(ServerId sid, ClientId c, int new_prefix,
   }
   auto& entry = cache_[si][c];
   if (p > entry.prefix) {
-    const Bytes added = w_.prefix_bytes[static_cast<std::size_t>(p)] -
-                        w_.prefix_bytes[entry.prefix];
     journal({.interval = t,
              .kind = obs::JournalEventKind::kCacheStore,
              .client = c,
              .server = sid,
-             .bytes = added,
+             .bytes = w_.prefix_bytes[static_cast<std::size_t>(p)] -
+                      w_.prefix_bytes[entry.prefix],
              .aux = p - entry.prefix});
-    entry.prefix = static_cast<std::uint16_t>(p);
-    if (budget_ > 0) cache_bytes_[si] += added;
+    raise_prefix(sid, c, entry, p);
   }
+}
+
+void ShardEngine::raise_prefix(ServerId sid, ClientId c, CacheEntry& entry,
+                               int p) {
+  if (budget_ > 0) {
+    const auto si = static_cast<std::size_t>(sid);
+    cache_bytes_[si] += w_.prefix_bytes[static_cast<std::size_t>(p)] -
+                        w_.prefix_bytes[entry.prefix];
+    if (entry.prefix == 0) {
+      auto& ids = resident_[si];
+      ids.insert(std::lower_bound(ids.begin(), ids.end(), c), c);
+    }
+  }
+  entry.prefix = static_cast<std::uint16_t>(p);
+}
+
+void ShardEngine::erase_entry(ServerId sid, ClientId c, int prefix) {
+  const auto si = static_cast<std::size_t>(sid);
+  if (budget_ > 0 && prefix > 0) {
+    cache_bytes_[si] -= w_.prefix_bytes[static_cast<std::size_t>(prefix)];
+    auto& ids = resident_[si];
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), c));
+  }
+  cache_[si].erase(c);
 }
 
 int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
@@ -755,18 +786,17 @@ int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
                      w_.prefix_bytes[static_cast<std::size_t>(old_prefix)];
   if (cache_bytes_[si] + need > budget_) {
     evict_scratch_.clear();
-    cache_[si].for_each([&](ClientId vc, const CacheEntry& entry) {
-      if (vc == c || entry.prefix == 0) return;
-      if (server_[static_cast<std::size_t>(vc)] == sid) return;  // attached
-      evict_scratch_.emplace_back(entry.prefix, vc);
-    });
+    for (const ClientId vc : resident_[si]) {
+      if (vc == c) continue;
+      if (server_[static_cast<std::size_t>(vc)] == sid) continue;  // attached
+      evict_scratch_.emplace_back(cache_[si].find(vc)->prefix, vc);
+    }
     std::sort(evict_scratch_.begin(), evict_scratch_.end(),
               [](const auto& a, const auto& b) { return b < a; });
     for (const auto& [vprefix, vc] : evict_scratch_) {
       if (cache_bytes_[si] + need <= budget_) break;
       const Bytes vbytes = w_.prefix_bytes[static_cast<std::size_t>(vprefix)];
-      cache_[si].erase(vc);
-      cache_bytes_[si] -= vbytes;
+      erase_entry(sid, vc, vprefix);
       ++metrics_.cache_evictions;
       ++acc_[si].cache_evictions;
       journal({.interval = t,
@@ -777,12 +807,15 @@ int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
                .aux = vprefix});
     }
   }
-  int p = want;
-  while (p > old_prefix &&
-         cache_bytes_[si] + w_.prefix_bytes[static_cast<std::size_t>(p)] -
-                 w_.prefix_bytes[static_cast<std::size_t>(old_prefix)] >
-             budget_)
-    --p;
+  // Longest admissible prefix: prefix_bytes is non-decreasing, so the
+  // prefixes in (old_prefix, want] that fit the remaining room form a
+  // leading run, and its end is one binary search away.
+  const auto& bytes = w_.prefix_bytes;
+  const Bytes room = budget_ - cache_bytes_[si] +
+                     bytes[static_cast<std::size_t>(old_prefix)];
+  const auto fit_end = std::upper_bound(bytes.begin() + old_prefix + 1,
+                                        bytes.begin() + want + 1, room);
+  const int p = static_cast<int>(fit_end - bytes.begin()) - 1;
   if (p < want) {
     ++metrics_.cache_partial_stores;
     ++acc_[si].cache_partial_stores;
@@ -886,33 +919,8 @@ void ShardEngine::apply_event(const Event& e, int t) {
       }
       const CacheEntry* cur =
           cache_[static_cast<std::size_t>(e.peer)].find(e.client);
-      const int old_prefix = cur != nullptr ? cur->prefix : 0;
-      int p = e.p_end;
-      if (budget_ > 0 && p > old_prefix)
-        p = admit(e.peer, e.client, old_prefix, p, t);
-      auto& entry = cache_[static_cast<std::size_t>(e.peer)][e.client];
-      const Bytes bytes =
-          p > old_prefix
-              ? w_.prefix_bytes[static_cast<std::size_t>(p)] -
-                    w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]
-              : 0;
-      if (p > entry.prefix) {
-        entry.prefix = static_cast<std::uint16_t>(p);
-        if (budget_ > 0)
-          cache_bytes_[static_cast<std::size_t>(e.peer)] += bytes;
-      }
-      schedule_expiry(e.peer, e.client, t + cfg_.ttl_intervals);
-      acc_[static_cast<std::size_t>(e.server)].uplink += bytes;
-      acc_[static_cast<std::size_t>(e.server)].orders += 1;
-      acc_[static_cast<std::size_t>(e.peer)].downlink += bytes;
-      metrics_.total_migrated_bytes += bytes;
-      journal({.interval = t,
-               .kind = obs::JournalEventKind::kMigrationPushed,
-               .client = e.client,
-               .server = e.server,
-               .peer = e.peer,
-               .bytes = bytes,
-               .aux = std::max(0, p - old_prefix)});
+      deliver_push(e.client, e.server, e.peer,
+                   cur != nullptr ? cur->prefix : 0, e.p_end, t);
       break;
     }
     default:
@@ -1029,7 +1037,10 @@ void ShardEngine::fault_step(int t) {
                        .aux = prefix});
       }
       entries.clear();
-      if (budget_ > 0) cache_bytes_[static_cast<std::size_t>(sid)] = 0;
+      if (budget_ > 0) {
+        cache_bytes_[static_cast<std::size_t>(sid)] = 0;
+        resident_[static_cast<std::size_t>(sid)].clear();
+      }
       for (const ClientId c : dropped[i]) {
         detach_from(c, sid, t, obs::kDetachCrash);
         ++metrics_.failure_evictions;
@@ -1256,10 +1267,7 @@ void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
           ? w_.prefix_bytes[static_cast<std::size_t>(p)] -
                 w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]
           : 0;
-  if (p > entry.prefix) {
-    entry.prefix = static_cast<std::uint16_t>(p);
-    if (budget_ > 0) cache_bytes_[static_cast<std::size_t>(target)] += bytes;
-  }
+  if (p > entry.prefix) raise_prefix(target, c, entry, p);
   schedule_expiry(target, c, t + cfg_.ttl_intervals);
   acc_[static_cast<std::size_t>(source)].uplink += bytes;
   acc_[static_cast<std::size_t>(source)].orders += 1;
@@ -1399,8 +1407,7 @@ void ShardEngine::expire_entries(int t) {
   std::sort(slot.begin(), slot.end());
   slot.erase(std::unique(slot.begin(), slot.end()), slot.end());
   for (const auto& [sid, c] : slot) {
-    auto& entries = cache_[static_cast<std::size_t>(sid)];
-    const CacheEntry* entry = entries.find(c);
+    const CacheEntry* entry = cache_[static_cast<std::size_t>(sid)].find(c);
     if (entry == nullptr) continue;
     if (server_[static_cast<std::size_t>(c)] == sid) continue;  // kept alive
     if (entry->expire > t) continue;  // refreshed since queued
@@ -1409,10 +1416,7 @@ void ShardEngine::expire_entries(int t) {
              .client = c,
              .server = sid,
              .aux = entry->prefix});
-    if (budget_ > 0)
-      cache_bytes_[static_cast<std::size_t>(sid)] -=
-          w_.prefix_bytes[entry->prefix];
-    entries.erase(c);
+    erase_entry(sid, c, entry->prefix);
   }
   slot.clear();
 }
@@ -1432,9 +1436,24 @@ void ShardEngine::finish_interval(int t) {
   for (int s = 0; s < num_servers; ++s) {
     const RowAcc& acc = acc_[static_cast<std::size_t>(s)];
     if (budget_ > 0) {
-      PERDNN_CHECK_MSG(cache_bytes_[static_cast<std::size_t>(s)] <= budget_,
+      const auto si = static_cast<std::size_t>(s);
+      PERDNN_CHECK_MSG(cache_bytes_[si] <= budget_,
                        "cache budget invariant violated on server " << s);
-      resident_total += cache_bytes_[static_cast<std::size_t>(s)];
+      // The resident index is exact: each id names a live entry holding
+      // bytes, and together they hold the tile's resident bytes.
+      Bytes indexed = 0;
+      for (const ClientId c : resident_[si]) {
+        const CacheEntry* entry = cache_[si].find(c);
+        PERDNN_CHECK_MSG(entry != nullptr && entry->prefix > 0,
+                         "resident index names client "
+                             << c << " without cached bytes on server " << s);
+        indexed += w_.prefix_bytes[entry->prefix];
+      }
+      PERDNN_CHECK_MSG(indexed == cache_bytes_[si],
+                       "resident index holds " << indexed << " bytes, cache "
+                                               << cache_bytes_[si]
+                                               << " on server " << s);
+      resident_total += cache_bytes_[si];
     }
     const double up_mbps = bytes_to_mbps(static_cast<double>(acc.uplink),
                                          cfg_.interval_s);
@@ -1549,7 +1568,12 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
   }
 
   for (auto& entries : cache_) entries.clear();
+  for (auto& ids : resident_) ids.clear();
   for (auto& slot : wheel_) slot.clear();
+  // Resident bytes and the resident index are a pure function of the
+  // restored prefixes — rebuilt rather than stored, so pre-v5 checkpoints
+  // restore exactly too.
+  std::fill(cache_bytes_.begin(), cache_bytes_.end(), 0);
   const int start = snap.next_interval;
   for (std::size_t i = 0; i < s.entry_server.size(); ++i) {
     const auto sid = s.entry_server[i];
@@ -1557,23 +1581,20 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
     if (sid < 0 || sid >= cfg_.num_servers() || c < 0 ||
         c >= cfg_.num_clients)
       throw snapshot::SnapshotError("snapshot: cache entry out of range");
-    CacheEntry entry;
-    entry.prefix = static_cast<std::uint16_t>(s.entry_prefix[i]);
-    entry.expire = s.entry_expire[i];
-    if (entry.prefix > K_)
+    if (i > 0 && std::pair(sid, c) <= std::pair(s.entry_server[i - 1],
+                                                s.entry_client[i - 1]))
+      throw snapshot::SnapshotError(
+          "snapshot: cache entries not in (server, client) order");
+    if (s.entry_prefix[i] > static_cast<std::uint32_t>(K_))
       throw snapshot::SnapshotError("snapshot: cache prefix out of range");
-    cache_[static_cast<std::size_t>(sid)][c] = entry;
+    const auto prefix = static_cast<int>(s.entry_prefix[i]);
+    CacheEntry& entry = cache_[static_cast<std::size_t>(sid)][c];
+    entry.expire = s.entry_expire[i];
+    if (prefix > 0) raise_prefix(sid, c, entry, prefix);
     if (server_[static_cast<std::size_t>(c)] != sid && entry.expire >= start)
       wheel_[static_cast<std::size_t>(entry.expire) % wheel_.size()]
           .push_back({sid, c});
   }
-  // Resident bytes are a pure function of the restored prefixes — recomputed
-  // rather than stored, so pre-v5 checkpoints restore exactly too.
-  std::fill(cache_bytes_.begin(), cache_bytes_.end(), 0);
-  if (budget_ > 0)
-    for (std::size_t i = 0; i < s.entry_server.size(); ++i)
-      cache_bytes_[static_cast<std::size_t>(s.entry_server[i])] +=
-          w_.prefix_bytes[static_cast<std::size_t>(s.entry_prefix[i])];
 
   peak_up_ = s.peak_uplink_mbps;
   peak_down_ = s.peak_downlink_mbps;

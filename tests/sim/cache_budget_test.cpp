@@ -10,13 +10,18 @@
 //     no journal event.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/wire.hpp"
+#include "faults/fault_plan.hpp"
 #include "mobility/trace_gen.hpp"
 #include "obs/journal.hpp"
 #include "obs/timeseries.hpp"
@@ -58,6 +63,15 @@ std::vector<long long> csv_column(const std::string& csv,
     out.push_back(std::stoll(field));
   }
   return out;
+}
+
+/// FNV-1a of an output stream as 16 hex digits.
+std::string digest(const std::string& bytes) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(
+                    wire::fnv1a(bytes.data(), bytes.size())));
+  return buf;
 }
 
 // ---------------------------------------------------------------------------
@@ -242,12 +256,15 @@ class ShardCacheBudgetTest : public ::testing::Test {
     par::set_num_threads(0);
   }
 
-  static std::string ts_path() {
-    return ::testing::TempDir() + "budget_ts.csv";
+  // Output files are named per test case: ctest runs each case as its own
+  // process, so one shared name would race under `ctest -j`.
+  static std::string case_path(const char* suffix) {
+    return ::testing::TempDir() +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           suffix;
   }
-  static std::string jr_path() {
-    return ::testing::TempDir() + "budget_jr.jsonl";
-  }
+  static std::string ts_path() { return case_path("_budget_ts.csv"); }
+  static std::string jr_path() { return case_path("_budget_jr.jsonl"); }
 
   struct RunResult {
     std::string metrics;
@@ -351,6 +368,133 @@ TEST_F(ShardCacheBudgetTest, BudgetedResumeAfterKillConvergesByteIdentical) {
   EXPECT_EQ(full.metrics, snapshot::metrics_to_json(resumed));
   EXPECT_EQ(full.timeseries, slurp(ts_path()));
   EXPECT_EQ(full.journal, slurp(jr_path()));
+}
+
+TEST_F(ShardCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
+  // One small scenario that reaches every change to a budgeted tile cache:
+  // a one-prefix budget (evictions and trims on most pushes), short TTLs so
+  // detached entries expire, a scripted crash wiping the busiest tile, a
+  // backhaul degrade that clips pushes to partial deliveries, and a full
+  // outage that parks them for retry, under a flash crowd behind an
+  // admission cap. The matrices above only compare the engine with itself;
+  // these digests pin its bytes to the reference outputs of the full-scan
+  // admission, for a straight run and for a stop/resume split alike.
+  ShardWorldConfig config = base_config();
+  config.num_clients = 40;
+  config.offline_probability = 0.05;
+  config.offline_intervals = 2;
+  config.ttl_intervals = 1;
+  config.flash_crowd_tiles = 2;
+  config.flash_crowd_multiplier = 8.0;
+  config.admission_max_attached = 5;
+  config.retry_queue_cap = 16;
+  config.backhaul_bytes_per_sec = mbps_to_bytes_per_sec(2.0);
+  const ShardWorld probe = build_shard_world(config);
+  config.cache_budget_bytes = probe.prefix_bytes.back();
+  ASSERT_FALSE(probe.flash_crowd_hot_tiles.empty());
+  std::vector<FaultEvent> events;
+  events.push_back({.kind = FaultKind::kServerCrash,
+                    .at_interval = 4,
+                    .duration_intervals = 2,
+                    .server = probe.flash_crowd_hot_tiles.front()});
+  for (int s = 0; s < config.num_servers(); ++s) {
+    events.push_back({.kind = FaultKind::kBackhaulDegrade,
+                      .at_interval = 1,
+                      .duration_intervals = 2,
+                      .server = s,
+                      .severity = 0.6});
+    events.push_back({.kind = FaultKind::kBackhaulDegrade,
+                      .at_interval = 6,
+                      .duration_intervals = 1,
+                      .server = s,
+                      .severity = 1.0});
+  }
+  config.fault_plan = FaultPlan(std::move(events));
+  const ShardWorld world = build_shard_world(config);
+
+  par::set_num_threads(2);
+  ShardRunOptions options;
+  options.num_shards = 4;
+  options.timeseries_path = ts_path();
+  options.journal_path = jr_path();
+  const SimulationMetrics metrics = run_sharded_simulation(world, options);
+  par::set_num_threads(0);
+  // Not vacuous: every pressure and fault path fired, and both the TTL
+  // expiry and the crash wipe removed entries that held bytes.
+  EXPECT_GT(metrics.cache_evictions, 0);
+  EXPECT_GT(metrics.cache_partial_stores, 0);
+  EXPECT_GT(metrics.server_failures, 0);
+  EXPECT_GT(metrics.migration_retries, 0);
+  EXPECT_GT(metrics.attaches_shed, 0);
+  const std::string journal = slurp(jr_path());
+  int resident_expiries = 0;
+  int resident_wipes = 0;
+  for (const obs::JournalEvent& e : obs::journal_from_jsonl(journal)) {
+    if (e.aux <= 0) continue;
+    if (e.kind == obs::JournalEventKind::kCacheExpire) ++resident_expiries;
+    if (e.kind == obs::JournalEventKind::kCacheEvict && e.bytes == 0)
+      ++resident_wipes;
+  }
+  EXPECT_GT(resident_expiries, 0);
+  EXPECT_GT(resident_wipes, 0);
+
+  constexpr const char* kMetrics = "d4827423d09db98c";
+  constexpr const char* kTimeseries = "19cffd89b2eda160";
+  constexpr const char* kJournal = "d36aa846a9d450e5";
+  EXPECT_EQ(digest(snapshot::metrics_to_json(metrics)), kMetrics);
+  EXPECT_EQ(digest(slurp(ts_path())), kTimeseries);
+  EXPECT_EQ(digest(journal), kJournal);
+
+  snapshot::SimSnapshot snap;
+  {
+    ShardRunOptions first = options;
+    first.num_shards = 16;
+    first.stop_after_interval = 4;
+    first.capture_out = &snap;
+    run_sharded_simulation(world, first);
+  }
+  const snapshot::SimSnapshot decoded =
+      snapshot::decode(snapshot::encode(snap));
+  ShardRunOptions second = options;
+  second.num_shards = 1;
+  second.resume_from = &decoded;
+  const SimulationMetrics resumed = run_sharded_simulation(world, second);
+  EXPECT_EQ(digest(snapshot::metrics_to_json(resumed)), kMetrics);
+  EXPECT_EQ(digest(slurp(ts_path())), kTimeseries);
+  EXPECT_EQ(digest(slurp(jr_path())), kJournal);
+}
+
+TEST_F(ShardCacheBudgetTest, ResumeRejectsMisorderedCacheEntries) {
+  // Restore rebuilds each tile's sorted resident index from the snapshot
+  // entries, so a checkpoint whose entries are not strictly ascending in
+  // (server, client) — swapped or duplicated — is malformed input.
+  par::set_num_threads(1);
+  snapshot::SimSnapshot snap;
+  ShardRunOptions options;
+  options.stop_after_interval = 4;
+  options.capture_out = &snap;
+  run_sharded_simulation(*world_, options);
+  ASSERT_GE(snap.shard.entry_server.size(), 2u);
+
+  const auto resume_throws = [&](const snapshot::SimSnapshot& bad) {
+    ShardRunOptions resume;
+    resume.resume_from = &bad;
+    EXPECT_THROW(run_sharded_simulation(*world_, resume),
+                 snapshot::SnapshotError);
+  };
+  snapshot::SimSnapshot swapped = snap;
+  snapshot::ShardSimState& sw = swapped.shard;
+  std::swap(sw.entry_server[0], sw.entry_server[1]);
+  std::swap(sw.entry_client[0], sw.entry_client[1]);
+  std::swap(sw.entry_expire[0], sw.entry_expire[1]);
+  std::swap(sw.entry_prefix[0], sw.entry_prefix[1]);
+  resume_throws(swapped);
+  snapshot::SimSnapshot duplicated = snap;
+  snapshot::ShardSimState& dup = duplicated.shard;
+  dup.entry_server[1] = dup.entry_server[0];
+  dup.entry_client[1] = dup.entry_client[0];
+  resume_throws(duplicated);
+  par::set_num_threads(0);
 }
 
 TEST_F(ShardCacheBudgetTest, UnbudgetedShardRunKeepsSchema2) {

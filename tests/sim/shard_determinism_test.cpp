@@ -116,10 +116,15 @@ class ShardDeterminismTest : public ::testing::Test {
     par::set_num_threads(0);
   }
 
-  static std::string ts_path() { return ::testing::TempDir() + "shard_ts.csv"; }
-  static std::string jr_path() {
-    return ::testing::TempDir() + "shard_jr.jsonl";
+  // Output files are named per test case: ctest runs each case as its own
+  // process, so one shared name would race under `ctest -j`.
+  static std::string case_path(const char* suffix) {
+    return ::testing::TempDir() +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           suffix;
   }
+  static std::string ts_path() { return case_path("_shard_ts.csv"); }
+  static std::string jr_path() { return case_path("_shard_jr.jsonl"); }
 
   static RunResult run_at(const ShardWorld& world, int threads, int shards) {
     par::set_num_threads(threads);

@@ -187,12 +187,15 @@ class ShardFaultDeterminismTest : public ::testing::Test {
     par::set_num_threads(0);
   }
 
-  static std::string ts_path() {
-    return ::testing::TempDir() + "shard_fault_ts.csv";
+  // Output files are named per test case: ctest runs each case as its own
+  // process, so one shared name would race under `ctest -j`.
+  static std::string case_path(const char* suffix) {
+    return ::testing::TempDir() +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           suffix;
   }
-  static std::string jr_path() {
-    return ::testing::TempDir() + "shard_fault_jr.jsonl";
-  }
+  static std::string ts_path() { return case_path("_shard_fault_ts.csv"); }
+  static std::string jr_path() { return case_path("_shard_fault_jr.jsonl"); }
 
   static RunResult run_at(const ShardWorld& world, int threads, int shards) {
     par::set_num_threads(threads);

@@ -49,7 +49,11 @@
 #   * the 1x/1-prefix scenario's peak_cache_bytes must stay within its own
 #     budget_bytes (the budget invariant, visible in the artifact itself);
 #   * the 1x/1-prefix backhaul_bytes must stay <= 150% of baseline (the
-#     budget must keep throttling proactive traffic).
+#     budget must keep throttling proactive traffic);
+#   * the 3x/1-prefix run_wall_s must stay <= 3x the 3x/unbudgeted
+#     run_wall_s of the same file (budgeted admission must cost about the
+#     resident entries, not a scan of every tile's table). Both walls come
+#     from one run on one machine, so the ratio holds on any hardware.
 # Without BENCH_CACHE_JSON the cache gate is skipped with a note.
 #
 # Usage: tools/check_bench_regression.sh [--update] [path/to/bench_micro]
@@ -286,10 +290,12 @@ else
   t_servers="$(json_field "$BENCH_CACHE_JSON" servers)"
   cur_bh="$(chaos_scenario_field "$BENCH_CACHE_JSON" 1x/1-prefix backhaul_bytes)"
   base_bh="$(chaos_scenario_field "$CACHE_BASELINE" 1x/1-prefix backhaul_bytes)"
+  dense_wall="$(chaos_scenario_field "$BENCH_CACHE_JSON" 3x/1-prefix run_wall_s)"
+  dense_free_wall="$(chaos_scenario_field "$BENCH_CACHE_JSON" 3x/unbudgeted run_wall_s)"
   if [ -z "$ub_evict" ] || [ -z "$ub_partial" ] || [ -z "$t_peak" ] || \
      [ -z "$t_budget" ] || [ -z "$t_servers" ] || [ -z "$cur_bh" ] || \
-     [ -z "$base_bh" ]; then
-    echo "error: could not parse 1x/unbudgeted and 1x/1-prefix scenarios from cache JSON" >&2
+     [ -z "$base_bh" ] || [ -z "$dense_wall" ] || [ -z "$dense_free_wall" ]; then
+    echo "error: could not parse the 1x/unbudgeted, 1x/1-prefix, 3x/unbudgeted and 3x/1-prefix scenarios from cache JSON" >&2
     exit 2
   fi
   # With no budget set the budget machinery must be inert — absolute floor.
@@ -312,6 +318,12 @@ else
     fail=1
   else
     echo "ok: 1-prefix backhaul ${cur_bh} bytes (baseline ${base_bh})"
+  fi
+  if awk -v b="$dense_wall" -v u="$dense_free_wall" 'BEGIN { exit !(b > 3 * u) }'; then
+    echo "REGRESSION: 3x/1-prefix run ${dense_wall}s exceeds 3x the 3x/unbudgeted run ${dense_free_wall}s"
+    fail=1
+  else
+    echo "ok: 3x/1-prefix run ${dense_wall}s within 3x the 3x/unbudgeted run ${dense_free_wall}s"
   fi
 fi
 
