@@ -8,15 +8,13 @@
 // <prefix>_<dataset>_<model>_<policy>.csv, so each bar of the figure can be
 // decomposed interval by interval.
 //
-// `--no-fastpath` disables the single-query fast path (flattened-forest
-// estimator, memoised estimates, incremental upload scoring) so the
-// end-to-end wall-clock printed at exit can be compared fast path on vs
-// off; the figures themselves are byte-identical either way.
-//
 // `--journal-out PREFIX` journals every policy run to
 // <prefix>_<dataset>_<model>_<policy>.journal.jsonl (tools/perdnn_obs reads
 // them). Comparing total wall-clock with and without the flag measures the
 // journaling overhead on the paper's largest workload.
+//
+// Unknown flags, a flag missing its value and a second output prefix are
+// hard errors (exit 2).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -25,7 +23,6 @@
 #include <sstream>
 #include <string>
 
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "datasets.hpp"
@@ -143,6 +140,13 @@ void run_dataset(const DatasetPair& data, const char* out_prefix,
   }
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: bench_fig9_large_scale [prefix] [--journal-out PREFIX] "
+               "[--threads N]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -150,12 +154,14 @@ int main(int argc, char** argv) {
   const char* out_prefix = nullptr;
   const char* journal_prefix = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-fastpath") == 0)
-      perdnn::fastpath::set_enabled(false);
-    else if (std::strcmp(argv[i], "--journal-out") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--journal-out") == 0) {
+      if (i + 1 >= argc) return usage();
       journal_prefix = argv[++i];
-    else
+    } else if (std::strncmp(argv[i], "--", 2) == 0 || out_prefix != nullptr) {
+      return usage();
+    } else {
       out_prefix = argv[i];
+    }
   }
   std::printf("=== Fig 9: executed queries and hit ratios during the "
               "large-scale simulation ===\n");
@@ -168,8 +174,7 @@ int main(int argc, char** argv) {
   run_dataset(geolife_like(), out_prefix, journal_prefix);
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
-  std::printf("\ntotal wall-clock %.3fs (fast path %s, %d threads)\n",
-              elapsed.count(), perdnn::fastpath::enabled() ? "on" : "off",
+  std::printf("\ntotal wall-clock %.3fs (%d threads)\n", elapsed.count(),
               par::num_threads());
   return 0;
 }

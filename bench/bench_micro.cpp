@@ -6,12 +6,13 @@
 // it times the simulator, random-forest training, and the profiler sweep
 // once serially (--threads 1) and once with the configured pool
 // ("benches", the BENCH_parallel.json shape), then times the single-query
-// fast path against its reference implementations ("fastpath", the
-// BENCH_fastpath.json artifact): flattened-forest estimator batches vs
-// pointer-walking ensembles, and incremental upload-order scoring vs the
-// full-replan reference. `--threads N` / PERDNN_THREADS pick the pool size
-// for the parallel leg; the fast-path legs always run serially so the
-// numbers isolate the algorithmic change. The harness finishes with an
+// fast path against its baselines ("fastpath", the BENCH_fastpath.json
+// artifact): batched estimate_model vs a per-layer estimate() loop,
+// incremental upload-order scoring vs the full-replan oracle
+// plan_upload_order_reference, and the AVX2 forest kernel vs scalar.
+// `--threads N` / PERDNN_THREADS pick the pool size for the parallel leg;
+// the fast-path legs always run serially so the numbers isolate the
+// algorithmic change. The harness finishes with an
 // allocation audit ("allocations"): a global operator-new counter times two
 // simulator runs at different horizons, and the difference per extra
 // interval is the steady-state heap-allocation rate — the number the
@@ -28,7 +29,6 @@
 #include <new>
 #include <string>
 
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "core/perdnn.hpp"
@@ -272,12 +272,12 @@ int run_parallel_bench(const char* json_path, int threads) {
   }
 
   // --------------------------------- single-query fast-path comparison
-  // Baseline legs run the reference implementations (pointer-walking
-  // ensembles, full-replan upload scoring); fast legs run the fast path
-  // (FlatForest, incremental DP scoring). Both serial, so the ratio is the
-  // algorithmic speedup alone (docs: "Single-query fast path" in DESIGN.md).
+  // Baseline legs run the slower formulation each fast path replaced
+  // (per-layer estimate() calls, a full replan per upload candidate); fast
+  // legs run what production calls (batched estimate_model, incremental DP
+  // scoring). Both serial, so the ratio is the algorithmic speedup alone
+  // (docs: "Single-query fast path" in DESIGN.md).
   par::set_num_threads(1);
-  const bool fastpath_was_enabled = fastpath::enabled();
 
   RandomForestEstimator estimator;
   {
@@ -293,24 +293,32 @@ int run_parallel_bench(const char* json_path, int threads) {
   const PartitionPlan plan = compute_best_plan(context);
 
   // Distinct GpuStats per repetition so no cache could short-circuit the
-  // sweep: this measures the estimator itself, not memoisation.
-  const auto estimate_sweep = [&] {
+  // sweep. The baseline estimates one layer per call; the fast leg is the
+  // batched estimate_model every plan-building call site uses.
+  const auto estimate_sweep = [&](bool batched) {
     GpuStats stats;
     double sink = 0.0;
     for (int i = 0; i < 200; ++i) {
       stats.num_clients = i % 8 + 1;
       stats.kernel_util = 0.1 + 0.001 * i;
-      for (const Seconds s : estimator.estimate_model(inception, stats))
-        sink += s;
+      if (batched) {
+        for (const Seconds s : estimator.estimate_model(inception, stats))
+          sink += s;
+      } else {
+        for (LayerId id = 0; id < inception.num_layers(); ++id)
+          sink += estimator.estimate(inception.layer(id),
+                                     inception.input_bytes(id), stats);
+      }
     }
     benchmark::DoNotOptimize(sink);
   };
-  const auto upload_sweep = [&](UploadEnumeration enumeration,
-                                UploadScoring scoring) {
+  using UploadPlanner = UploadSchedule (*)(
+      const PartitionContext&, const PartitionPlan&, UploadPlannerConfig);
+  const auto upload_sweep = [&](UploadPlanner planner,
+                                UploadEnumeration enumeration) {
     for (int i = 0; i < 3; ++i)
-      benchmark::DoNotOptimize(plan_upload_order(
-          context, plan,
-          {.enumeration = enumeration, .scoring = scoring}));
+      benchmark::DoNotOptimize(
+          planner(context, plan, {.enumeration = enumeration}));
   };
 
   // Batched-forest kernel: the same FlatForest over the same row block,
@@ -359,30 +367,19 @@ int run_parallel_bench(const char* json_path, int threads) {
     std::function<void()> fast;
   };
   const FastBench fast_benches[] = {
-      {"estimator_batch",
-       [&] {
-         fastpath::set_enabled(false);
-         estimate_sweep();
-       },
-       [&] {
-         fastpath::set_enabled(true);
-         estimate_sweep();
-       }},
+      {"estimator_batch", [&] { estimate_sweep(false); },
+       [&] { estimate_sweep(true); }},
       {"upload_order_exact",
        [&] {
-         upload_sweep(UploadEnumeration::kExact, UploadScoring::kReference);
+         upload_sweep(plan_upload_order_reference, UploadEnumeration::kExact);
        },
-       [&] {
-         upload_sweep(UploadEnumeration::kExact, UploadScoring::kIncremental);
-       }},
+       [&] { upload_sweep(plan_upload_order, UploadEnumeration::kExact); }},
       {"upload_order_anchored",
        [&] {
-         upload_sweep(UploadEnumeration::kAnchored, UploadScoring::kReference);
+         upload_sweep(plan_upload_order_reference,
+                      UploadEnumeration::kAnchored);
        },
-       [&] {
-         upload_sweep(UploadEnumeration::kAnchored,
-                      UploadScoring::kIncremental);
-       }},
+       [&] { upload_sweep(plan_upload_order, UploadEnumeration::kAnchored); }},
       {"forest_batch",
        [&] {
          simd::set_enabled(false);
@@ -417,7 +414,6 @@ int run_parallel_bench(const char* json_path, int threads) {
                 baseline_s, fast_s, speedup);
     first = false;
   }
-  fastpath::set_enabled(fastpath_was_enabled);
   simd::set_enabled(simd_was_enabled);
 
   // ------------------------------------- steady-state allocation audit

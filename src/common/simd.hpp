@@ -13,15 +13,14 @@
 //
 // Every vector kernel is required to be *bit-identical* to its scalar
 // fallback — same comparisons, same per-tree accumulation order, no FMA
-// contraction — so the toggle, like the fastpath flag and the thread count,
-// is byte-identity-neutral. tests/ml/flat_forest_simd_test.cpp enforces the
+// contraction — so the toggle, like the thread count, is
+// byte-identity-neutral. tests/ml/flat_forest_simd_test.cpp enforces the
 // kernel contract and tests/sim/shard_determinism_test.cpp the end-to-end
 // one.
 //
-// Resolution mirrors common/fastpath.hpp: PERDNN_NO_SIMD (any non-empty
-// value other than "0") disables the vector paths at startup; set_enabled()
-// overrides either way but can never enable what the hardware or build
-// lacks. Reads are lock-free; toggling while kernels are running in
+// Resolution: PERDNN_NO_SIMD (any non-empty value other than "0") disables
+// the vector paths at startup; set_enabled() overrides either way but can
+// never enable what the hardware or build lacks. Reads are lock-free; toggling while kernels are running in
 // parallel regions is not supported.
 #pragma once
 

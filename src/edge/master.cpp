@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/fastpath.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -36,13 +35,8 @@ ClientId MasterServer::register_client(DnnModel model, DnnProfile profile) {
                    "profile layer count does not match the model");
   const auto id = static_cast<ClientId>(clients_.size());
   clients_.push_back({std::move(model), std::move(profile), {}});
-  // Growing the table may reallocate every ClientRecord, and the estimate
-  // cache keys entries by model address.
-  estimate_cache_.invalidate();
   return id;
 }
-
-void MasterServer::invalidate_estimates() { estimate_cache_.invalidate(); }
 
 void MasterServer::set_fallback_estimator(
     std::shared_ptr<const LayerTimeEstimator> fallback) {
@@ -85,19 +79,7 @@ PartitionContext MasterServer::context_for(const ClientRecord& rec,
   context.model = &rec.model;
   context.client_profile = &rec.profile;
   context.net = config_.wireless;
-  if (fastpath::enabled()) {
-    // Memoised batch estimate: bit-identical to the serial loop below
-    // (estimate() is positional and deterministic), but repeated plans for
-    // the same (model, stats) pair skip the estimator entirely.
-    context.server_time =
-        estimate_cache_.estimates(*estimator, rec.model, stats);
-  } else {
-    context.server_time.reserve(
-        static_cast<std::size_t>(rec.model.num_layers()));
-    for (LayerId id = 0; id < rec.model.num_layers(); ++id)
-      context.server_time.push_back(estimator->estimate(
-          rec.model.layer(id), rec.model.input_bytes(id), stats));
-  }
+  context.server_time = estimator->estimate_model(rec.model, stats);
   return context;
 }
 

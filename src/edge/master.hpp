@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "estimation/estimate_cache.hpp"
 #include "estimation/estimator.hpp"
 #include "geo/server_map.hpp"
 #include "mobility/predictor.hpp"
@@ -105,21 +104,13 @@ class MasterServer {
 
   /// Installs the load-free estimator used when a server's GPU telemetry is
   /// stale or missing (see Config::max_stats_age_intervals). Pass nullptr to
-  /// remove it. Invalidate-free: the estimate cache keys by estimator
-  /// identity, so switching routes can never serve a stale vector.
+  /// remove it.
   void set_fallback_estimator(
       std::shared_ptr<const LayerTimeEstimator> fallback);
 
   /// Number of plans built in degraded mode (stale telemetry routed to the
   /// fallback estimator) since construction.
   std::uint64_t degraded_estimates() const { return degraded_estimates_; }
-
-  /// Drops the memoised layer estimates. Call when a statistics interval
-  /// rolls over (stale GpuStats keys would only waste cache space — exact
-  /// keying already prevents stale hits) or after retraining the estimator
-  /// in place. register_client() invalidates internally because growing the
-  /// client table can reallocate the models the cache keys by address.
-  void invalidate_estimates();
 
  private:
   struct ClientRecord {
@@ -139,11 +130,6 @@ class MasterServer {
   Config config_;
   mutable std::uint64_t degraded_estimates_ = 0;
   std::vector<ClientRecord> clients_;
-  /// Memoised estimator output, shared by every planning entry point (they
-  /// are all const). Co-located candidate servers and repeated pings within
-  /// one statistics interval report identical GpuStats, so select_server and
-  /// plan_migrations hit instead of re-running the estimator per layer.
-  mutable EstimateCache estimate_cache_;
 };
 
 }  // namespace perdnn

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
@@ -104,7 +103,6 @@ std::vector<Seconds> LayerTimeEstimator::estimate_model(
 void NeurosurgeonEstimator::train(const std::vector<ProfileRecord>& records,
                                   Rng& /*rng*/) {
   PERDNN_CHECK(!records.empty());
-  bump_generation();
   models_.clear();
   kind_fallback_.clear();
   count_index_.clear();
@@ -178,7 +176,6 @@ Seconds NeurosurgeonEstimator::estimate(const LayerSpec& layer,
 void LoadAwareLinearEstimator::train(const std::vector<ProfileRecord>& records,
                                      Rng& /*rng*/) {
   PERDNN_CHECK(!records.empty());
-  bump_generation();
   models_.clear();
 
   std::map<LayerKind, ml::Dataset> buckets;
@@ -222,9 +219,8 @@ void RandomForestEstimator::train(const std::vector<ProfileRecord>& records,
   PERDNN_SPAN("estimator.train");
   obs::count("estimator.train_records", static_cast<double>(records.size()));
   PERDNN_CHECK(!records.empty());
-  bump_generation();
-  models_.clear();
   flat_.clear();
+  importance_.clear();
 
   std::map<LayerKind, ml::Dataset> buckets;
   ml::Dataset all;
@@ -239,7 +235,7 @@ void RandomForestEstimator::train(const std::vector<ProfileRecord>& records,
     ml::RandomForest forest(config_.forest);
     forest.fit(data, rng);
     flat_.emplace(kind, ml::FlatForest::compile(forest));
-    models_.emplace(kind, std::move(forest));
+    importance_.emplace(kind, forest.feature_importance());
   }
   const ml::RidgeConfig linear_config{.ridge = 1e-4, .log_features = true};
   global_ = std::make_unique<ml::RidgeRegression>(linear_config);
@@ -253,13 +249,8 @@ Seconds RandomForestEstimator::estimate(const LayerSpec& layer,
   PERDNN_CHECK_MSG(global_ != nullptr, "estimate() before train()");
   Vector& feats = feature_scratch();
   combined_features_into(layer, input_bytes, stats, feats);
-  if (fastpath::enabled()) {
-    const auto it = flat_.find(layer.kind);
-    if (it != flat_.end()) return clamp_estimate(it->second.predict(feats));
-  } else {
-    const auto it = models_.find(layer.kind);
-    if (it != models_.end()) return clamp_estimate(it->second.predict(feats));
-  }
+  const auto it = flat_.find(layer.kind);
+  if (it != flat_.end()) return clamp_estimate(it->second.predict(feats));
   return clamp_estimate(global_->predict(feats));
 }
 
@@ -267,19 +258,15 @@ void RandomForestEstimator::estimate_model_into(const DnnModel& model,
                                                 const GpuStats& stats,
                                                 Seconds* out) const {
   PERDNN_CHECK_MSG(global_ != nullptr, "estimate_model() before train()");
-  if (!fastpath::enabled()) {
-    LayerTimeEstimator::estimate_model_into(model, stats, out);
-    return;
-  }
   // One count per layer, matching the per-call counter in estimate().
   obs::count("estimator.estimates", static_cast<double>(model.num_layers()));
   forest_estimate_model_into(flat_, *global_, model, stats, out);
 }
 
 Vector RandomForestEstimator::feature_importance(LayerKind kind) const {
-  const auto it = models_.find(kind);
-  if (it == models_.end()) return {};
-  return it->second.feature_importance();
+  const auto it = importance_.find(kind);
+  if (it == importance_.end()) return {};
+  return it->second;
 }
 
 // ---------------------------------------------------------------- GBT+load
@@ -290,8 +277,6 @@ GradientBoostedEstimator::GradientBoostedEstimator(ml::GbtConfig config)
 void GradientBoostedEstimator::train(const std::vector<ProfileRecord>& records,
                                      Rng& rng) {
   PERDNN_CHECK(!records.empty());
-  bump_generation();
-  models_.clear();
   flat_.clear();
 
   std::map<LayerKind, ml::Dataset> buckets;
@@ -307,7 +292,6 @@ void GradientBoostedEstimator::train(const std::vector<ProfileRecord>& records,
     ml::GradientBoostedTrees model(config_);
     model.fit(data, rng);
     flat_.emplace(kind, ml::FlatForest::compile(model));
-    models_.emplace(kind, std::move(model));
   }
   const ml::RidgeConfig linear_config{.ridge = 1e-4, .log_features = true};
   global_ = std::make_unique<ml::RidgeRegression>(linear_config);
@@ -320,13 +304,8 @@ Seconds GradientBoostedEstimator::estimate(const LayerSpec& layer,
   PERDNN_CHECK_MSG(global_ != nullptr, "estimate() before train()");
   Vector& feats = feature_scratch();
   combined_features_into(layer, input_bytes, stats, feats);
-  if (fastpath::enabled()) {
-    const auto it = flat_.find(layer.kind);
-    if (it != flat_.end()) return clamp_estimate(it->second.predict(feats));
-  } else {
-    const auto it = models_.find(layer.kind);
-    if (it != models_.end()) return clamp_estimate(it->second.predict(feats));
-  }
+  const auto it = flat_.find(layer.kind);
+  if (it != flat_.end()) return clamp_estimate(it->second.predict(feats));
   return clamp_estimate(global_->predict(feats));
 }
 
@@ -334,10 +313,6 @@ void GradientBoostedEstimator::estimate_model_into(const DnnModel& model,
                                                    const GpuStats& stats,
                                                    Seconds* out) const {
   PERDNN_CHECK_MSG(global_ != nullptr, "estimate_model() before train()");
-  if (!fastpath::enabled()) {
-    LayerTimeEstimator::estimate_model_into(model, stats, out);
-    return;
-  }
   forest_estimate_model_into(flat_, *global_, model, stats, out);
 }
 

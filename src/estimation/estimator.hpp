@@ -59,17 +59,6 @@ class LayerTimeEstimator {
                                    const GpuStats& stats, Seconds* out) const;
 
   virtual std::string name() const = 0;
-
-  /// Monotonic train() counter. EstimateCache keys include it, so entries
-  /// computed before a retrain become unreachable without an explicit flush.
-  /// Every train() implementation must call bump_generation().
-  std::uint64_t generation() const { return generation_; }
-
- protected:
-  void bump_generation() { ++generation_; }
-
- private:
-  std::uint64_t generation_ = 0;
 };
 
 /// NeuroSurgeon-style baseline: per (layer kind, #clients) linear/log model
@@ -130,10 +119,12 @@ class RandomForestEstimator : public LayerTimeEstimator {
 
  private:
   RandomForestEstimatorConfig config_;
-  std::map<LayerKind, ml::RandomForest> models_;
-  /// Forests compiled to the SoA layout at train time; estimate() walks
-  /// these when the fast path is enabled (bit-identical predictions).
+  /// Per-kind forests compiled to the SoA layout at train time (predictions
+  /// bit-identical to the source forests, which are not kept).
   std::map<LayerKind, ml::FlatForest> flat_;
+  /// Impurity importances of each source forest, captured before it is
+  /// discarded.
+  std::map<LayerKind, Vector> importance_;
   std::unique_ptr<ml::RidgeRegression> global_;
 };
 
@@ -152,8 +143,7 @@ class GradientBoostedEstimator : public LayerTimeEstimator {
 
  private:
   ml::GbtConfig config_;
-  std::map<LayerKind, ml::GradientBoostedTrees> models_;
-  std::map<LayerKind, ml::FlatForest> flat_;  // fast-path compiled ensembles
+  std::map<LayerKind, ml::FlatForest> flat_;  // compiled per-kind ensembles
   std::unique_ptr<ml::RidgeRegression> global_;
 };
 

@@ -7,7 +7,7 @@
 //
 // Determinism contract: every record() call sits on the serial control path
 // of the simulation (worker threads never record), so the journal is
-// byte-identical across thread counts and the fastpath toggle, and its
+// byte-identical across thread counts and SIMD settings, and its
 // state travels through checkpoints so a resumed run reproduces the
 // uninterrupted journal exactly. Checkpoint save/resume markers would break
 // that identity (an uninterrupted run has no resume marker), so they live

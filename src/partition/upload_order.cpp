@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/fastpath.hpp"
 #include "obs/metrics.hpp"
 
 namespace perdnn {
@@ -96,9 +95,13 @@ std::vector<Run> collect_runs(const PartitionPlan& target) {
   return runs;
 }
 
+}  // namespace
+
 UploadSchedule plan_upload_order_reference(const PartitionContext& context,
                                            const PartitionPlan& target,
-                                           const UploadPlannerConfig& config) {
+                                           UploadPlannerConfig config) {
+  PERDNN_CHECK(target.location.size() ==
+               static_cast<std::size_t>(context.model->num_layers()));
   const DnnModel& model = *context.model;
   const auto n = static_cast<std::size_t>(model.num_layers());
 
@@ -170,6 +173,8 @@ UploadSchedule plan_upload_order_reference(const PartitionContext& context,
   return schedule;
 }
 
+namespace {
+
 /// One candidate as scored by the O(1) incremental sweep of pass 1, in the
 /// exact enumeration order of the reference implementation.
 struct ApproxCandidate {
@@ -178,6 +183,8 @@ struct ApproxCandidate {
   Bytes bytes;
   Seconds approx_benefit;
 };
+
+}  // namespace
 
 // Incremental scorer. Per greedy round it refreshes, in O(layers):
 //   * the forward DP rows Fc/Fs under the committed mask (plan_forward_dp);
@@ -196,9 +203,11 @@ struct ApproxCandidate {
 // the reference's own plan_latency call, in the reference's enumeration
 // order, under the reference's comparison. The committed schedule is
 // therefore byte-identical to plan_upload_order_reference.
-UploadSchedule plan_upload_order_incremental(
-    const PartitionContext& context, const PartitionPlan& target,
-    const UploadPlannerConfig& config) {
+UploadSchedule plan_upload_order(const PartitionContext& context,
+                                 const PartitionPlan& target,
+                                 UploadPlannerConfig config) {
+  PERDNN_CHECK(target.location.size() ==
+               static_cast<std::size_t>(context.model->num_layers()));
   const DnnModel& model = *context.model;
   const auto n = static_cast<std::size_t>(model.num_layers());
 
@@ -411,22 +420,6 @@ UploadSchedule plan_upload_order_incremental(
   PERDNN_CHECK(schedule.order.size() ==
                static_cast<std::size_t>(target.num_server_layers()));
   return schedule;
-}
-
-}  // namespace
-
-UploadSchedule plan_upload_order(const PartitionContext& context,
-                                 const PartitionPlan& target,
-                                 UploadPlannerConfig config) {
-  PERDNN_CHECK(target.location.size() ==
-               static_cast<std::size_t>(context.model->num_layers()));
-  UploadScoring scoring = config.scoring;
-  if (scoring == UploadScoring::kAuto)
-    scoring = fastpath::enabled() ? UploadScoring::kIncremental
-                                  : UploadScoring::kReference;
-  if (scoring == UploadScoring::kIncremental)
-    return plan_upload_order_incremental(context, target, config);
-  return plan_upload_order_reference(context, target, config);
 }
 
 }  // namespace perdnn

@@ -29,24 +29,8 @@ enum class UploadEnumeration {
   kAnchored,
 };
 
-/// How candidates are scored in each greedy round.
-enum class UploadScoring {
-  /// Follow the global fast-path toggle (fastpath::enabled()).
-  kAuto,
-  /// A full forward DP (`plan_latency`) per candidate — the original
-  /// O(layers) cost per candidate.
-  kReference,
-  /// Forward/backward DP decomposition: the forward and backward rows are
-  /// refreshed once per greedy round (O(layers)) and each candidate is then
-  /// approximated in O(1); near-best contenders are exactly re-scored with
-  /// `plan_latency`, so the committed schedule is byte-identical to
-  /// kReference (see DESIGN.md, "Single-query fast path").
-  kIncremental,
-};
-
 struct UploadPlannerConfig {
   UploadEnumeration enumeration = UploadEnumeration::kExact;
-  UploadScoring scoring = UploadScoring::kAuto;
 };
 
 /// The committed upload order plus byte bookkeeping.
@@ -81,9 +65,23 @@ struct UploadSchedule {
 };
 
 /// Computes the greedy efficiency-ordered schedule for the server-side
-/// layers of `target` under the given context.
+/// layers of `target` under the given context. Candidates are scored
+/// incrementally: the forward and backward DP rows are refreshed once per
+/// greedy round (O(layers)), each candidate is then approximated in O(1),
+/// and near-best contenders are exactly re-scored with `plan_latency`, so
+/// the committed schedule is byte-identical to
+/// plan_upload_order_reference() (see DESIGN.md, "Single-query fast path").
 UploadSchedule plan_upload_order(const PartitionContext& context,
                                  const PartitionPlan& target,
                                  UploadPlannerConfig config = {});
+
+/// Test oracle for plan_upload_order(): the same greedy loop scoring every
+/// candidate with a full forward DP (`plan_latency`), the original
+/// O(layers) cost per candidate. Kept for the equivalence tests and the
+/// `bench_micro` speed-up baseline; production callers use
+/// plan_upload_order().
+UploadSchedule plan_upload_order_reference(const PartitionContext& context,
+                                           const PartitionPlan& target,
+                                           UploadPlannerConfig config = {});
 
 }  // namespace perdnn

@@ -23,8 +23,8 @@
 //   anyway; double accumulations happen only here, in one fixed order.
 //
 // Consequence: metrics, the streamed timeseries CSV and the streamed
-// journal JSONL are byte-identical across thread counts, shard counts, the
-// fastpath toggle, and checkpoint/resume splits — the determinism matrix
+// journal JSONL are byte-identical across thread counts, shard counts, SIMD
+// settings, and checkpoint/resume splits — the determinism matrix
 // tests/sim/shard_determinism_test.cpp enforces.
 //
 // Output is streamed: timeseries rows and journal events go to disk as they

@@ -7,11 +7,9 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "common/fastpath.hpp"
 #include "common/rng.hpp"
 #include "common/wire.hpp"
 #include "device/profiler.hpp"
-#include "estimation/estimate_cache.hpp"
 
 namespace perdnn {
 
@@ -113,47 +111,20 @@ ShardWorld build_shard_world(const ShardWorldConfig& config) {
 
   // Per-level planning tables. Each level's GPU statistics come from a
   // dedicated seeded stream (never from a shared sequential RNG), so the
-  // table is identical no matter what was built before it. The estimator
-  // fill goes through the fastpath estimate cache when enabled — required
-  // to be bit-identical to the direct loop, so the fastpath toggle cannot
-  // change the tables.
-  EstimateCache estimate_cache;
+  // table is identical no matter what was built before it.
   const auto n = static_cast<std::size_t>(w.model.num_layers());
   w.levels.resize(static_cast<std::size_t>(config.max_load_level));
-  // Every level's GPU statistics first, then one batched cache probe for
-  // the whole block — the misses run through the estimators' batched
-  // predict path. Hit/miss sequence and values match per-level estimates()
-  // calls exactly, so the tables stay bit-identical.
   for (int load = 1; load <= config.max_load_level; ++load) {
+    ShardLoadLevel& lvl = w.levels[static_cast<std::size_t>(load - 1)];
     std::uint64_t state =
         config.seed ^ (0x1e7e1ed5ULL * static_cast<std::uint64_t>(load + 1));
     Rng level_rng(splitmix64(state));
-    w.levels[static_cast<std::size_t>(load - 1)].stats =
+    lvl.stats =
         w.gpu->stats_for_load(load, static_cast<double>(load), level_rng);
-  }
-  std::vector<const std::vector<Seconds>*> level_estimates;
-  if (fastpath::enabled()) {
-    std::vector<GpuStats> level_stats;
-    level_stats.reserve(w.levels.size());
-    for (const ShardLoadLevel& lvl : w.levels) level_stats.push_back(lvl.stats);
-    estimate_cache.estimates_batch(*w.estimator, w.model, level_stats,
-                                   level_estimates);
-  }
-  for (int load = 1; load <= config.max_load_level; ++load) {
-    ShardLoadLevel& lvl = w.levels[static_cast<std::size_t>(load - 1)];
-    std::vector<Seconds> estimated;
-    if (fastpath::enabled()) {
-      estimated = *level_estimates[static_cast<std::size_t>(load - 1)];
-    } else {
-      estimated.reserve(n);
-      for (LayerId id = 0; id < w.model.num_layers(); ++id)
-        estimated.push_back(w.estimator->estimate(
-            w.model.layer(id), w.model.input_bytes(id), lvl.stats));
-    }
     PartitionContext context;
     context.model = &w.model;
     context.client_profile = &w.client_profile;
-    context.server_time = std::move(estimated);
+    context.server_time = w.estimator->estimate_model(w.model, lvl.stats);
     context.net = config.wireless;
     if (load == 1) {
       // The canonical upload order every client follows: the uncontended
@@ -209,9 +180,7 @@ ShardWorld build_shard_world(const ShardWorldConfig& config) {
   // stale statistics, mirroring degraded_level() of the trace-replay engine.
   // Trained last with a fresh fork — every pre-existing stream draws exactly
   // what it always did — and only when the plan actually scripts a dropout,
-  // so fault-free builds do no extra work at all. The estimates are filled
-  // with a direct loop on both fastpath settings: the table must not depend
-  // on a toggle the fingerprint ignores.
+  // so fault-free builds do no extra work at all.
   bool has_dropout = false;
   for (const FaultEvent& e : config.fault_plan.events())
     if (e.kind == FaultKind::kTelemetryDropout) has_dropout = true;
@@ -222,16 +191,10 @@ ShardWorld build_shard_world(const ShardWorldConfig& config) {
     for (ShardLoadLevel& lvl : w.levels) {
       GpuStats stale = lvl.stats;
       stale.age_intervals = 1;  // telemetry stopped arriving: snapshot stale
-      std::vector<Seconds> estimated;
-      estimated.reserve(n);
-      for (LayerId id = 0; id < w.model.num_layers(); ++id)
-        estimated.push_back(
-            fallback.estimate(w.model.layer(id), w.model.input_bytes(id),
-                              stale));
       PartitionContext context;
       context.model = &w.model;
       context.client_profile = &w.client_profile;
-      context.server_time = std::move(estimated);
+      context.server_time = fallback.estimate_model(w.model, stale);
       context.net = config.wireless;
       lvl.degraded_latency_by_prefix.resize(w.canonical_order.size() + 1);
       std::vector<bool> uploadable(n, false);

@@ -21,8 +21,7 @@
 //     merges become commutative prefix maxima, which is what makes the
 //     cross-shard event exchange order-independent.
 //   * Per load level (1..max_load_level): GPU statistics drawn from a
-//     per-level seeded stream, estimator outputs (through the fastpath
-//     estimate cache when enabled — bit-identical either way), and the
+//     per-level seeded stream, the estimator's batched outputs, and the
 //     cold-window latency table latency_by_prefix[p] = plan latency when
 //     the first p canonical layers are server-resident. The hot loop never
 //     touches the estimator or the partition DP.
@@ -150,7 +149,7 @@ struct ShardWorld {
 
 /// Builds the world: trains the estimator on a profiling sweep (the same
 /// offline pipeline build_world uses) and fills every per-level table.
-/// Deterministic for a given config, including across the fastpath toggle.
+/// Deterministic for a given config, including across SIMD settings.
 ShardWorld build_shard_world(const ShardWorldConfig& config);
 
 /// Hash of every simulation-affecting ShardWorldConfig knob. Stored in

@@ -6,10 +6,8 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "device/device_profile.hpp"
-#include "estimation/estimate_cache.hpp"
 #include "faults/fault_timeline.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -410,11 +408,6 @@ class SimulatorImpl {
   /// Lazily computed per-query latency of fully local execution (< 0 until
   /// first needed; fault-only path, so clean runs never compute it).
   Seconds local_latency_ = -1.0;
-  /// Interval-scoped estimator memo behind levels_: invalidated every
-  /// interval, so its counters expose how often one interval re-requests the
-  /// same (model, stats) estimate. levels_ persists across intervals, so
-  /// misses here are rare once the load levels are warm.
-  EstimateCache estimate_cache_;
   // Scratch buffers for the per-interval proactive-migration sweep. The
   // sweep runs for every attached client every interval; growing into these
   // instead of allocating fresh vectors keeps the steady-state path
@@ -448,37 +441,20 @@ namespace {
 struct LevelFiller {
   const SimulationConfig& config;
   const SimulationWorld& world;
-  EstimateCache& estimate_cache;
 
   void fill(LoadLevelCache& lvl, int load) const {
     const DnnModel& model = world.model;
-    // Per-layer estimator and ground-truth fills are independent; fan them
-    // out. Each index writes only its own slot, so the cache is identical
-    // at any thread count.
+    // The ground-truth layers are independent, so their fill fans out. Each
+    // index writes only its own slot, so the cache is identical at any
+    // thread count.
     const auto n = static_cast<std::size_t>(model.num_layers());
-    lvl.estimated.resize(n);
+    lvl.estimated = world.estimator->estimate_model(model, lvl.stats);
     lvl.true_time.resize(n);
-    if (fastpath::enabled()) {
-      // Memoised batch estimate (bit-identical to the per-index fill
-      // below); the ground-truth fill stays a private parallel loop.
-      lvl.estimated =
-          estimate_cache.estimates(*world.estimator, model, lvl.stats);
-      par::parallel_for(n, [&](std::size_t i) {
-        const auto id = static_cast<LayerId>(i);
-        lvl.true_time[i] = world.gpu->expected_layer_time(
-            model.layer(id), model.input_bytes(id),
-            static_cast<double>(load));
-      });
-    } else {
-      par::parallel_for(n, [&](std::size_t i) {
-        const auto id = static_cast<LayerId>(i);
-        const Bytes in_bytes = model.input_bytes(id);
-        lvl.estimated[i] =
-            world.estimator->estimate(model.layer(id), in_bytes, lvl.stats);
-        lvl.true_time[i] = world.gpu->expected_layer_time(
-            model.layer(id), in_bytes, static_cast<double>(load));
-      });
-    }
+    par::parallel_for(n, [&](std::size_t i) {
+      const auto id = static_cast<LayerId>(i);
+      lvl.true_time[i] = world.gpu->expected_layer_time(
+          model.layer(id), model.input_bytes(id), static_cast<double>(load));
+    });
     PartitionContext context;
     context.model = &model;
     context.client_profile = &world.client_profile;
@@ -498,14 +474,14 @@ const LoadLevelCache& SimulatorImpl::level(int load) {
   LoadLevelCache lvl;
   lvl.stats = world_.gpu->stats_for_load(
       load, static_cast<double>(load), rng_);
-  LevelFiller{config_, world_, estimate_cache_}.fill(lvl, load);
+  LevelFiller{config_, world_}.fill(lvl, load);
   return levels_.emplace(load, std::move(lvl)).first->second;
 }
 
 void SimulatorImpl::rebuild_level(int load, const GpuStats& stats) {
   LoadLevelCache lvl;
   lvl.stats = stats;
-  LevelFiller{config_, world_, estimate_cache_}.fill(lvl, load);
+  LevelFiller{config_, world_}.fill(lvl, load);
   levels_.emplace(load, std::move(lvl));
 }
 
@@ -527,15 +503,7 @@ const LoadLevelCache& SimulatorImpl::degraded_level(int load) {
           ? static_cast<const LayerTimeEstimator&>(*world_.fallback_estimator)
           : static_cast<const LayerTimeEstimator&>(*world_.estimator);
   const DnnModel& model = world_.model;
-  if (fastpath::enabled()) {
-    lvl.estimated = estimate_cache_.estimates(fallback, model, lvl.stats);
-  } else {
-    lvl.estimated.reserve(static_cast<std::size_t>(model.num_layers()));
-    for (LayerId id = 0; id < model.num_layers(); ++id)
-      lvl.estimated.push_back(
-          fallback.estimate(model.layer(id), model.input_bytes(id),
-                            lvl.stats));
-  }
+  lvl.estimated = fallback.estimate_model(model, lvl.stats);
   PartitionContext context;
   context.model = &model;
   context.client_profile = &world_.client_profile;
@@ -1290,8 +1258,6 @@ snapshot::SimSnapshot SimulatorImpl::capture(int next_interval) const {
     snap.degraded_levels.push_back({.load = load, .stats = lvl.stats});
   std::sort(snap.degraded_levels.begin(), snap.degraded_levels.end(),
             [](const auto& a, const auto& b) { return a.load < b.load; });
-  snap.estimate_cache_hits = estimate_cache_.hits();
-  snap.estimate_cache_misses = estimate_cache_.misses();
   snap.metrics = metrics_;
   if (timeseries_ != nullptr) {
     snap.has_timeseries = true;
@@ -1337,8 +1303,7 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
   // Rebuild the level caches from the checkpointed GPU statistics: base
   // levels first (degraded ones read their ground truth from them). Neither
   // rebuild touches rng_ — the stats are the only draw, and they came from
-  // the snapshot. The estimate-cache counters are restored afterwards
-  // because the rebuilds go through the cache and would inflate them.
+  // the snapshot.
   levels_.clear();
   degraded_levels_.clear();
   for (const snapshot::LoadLevelSnapshot& lvl : snap.levels)
@@ -1349,9 +1314,6 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
           "snapshot: degraded level without its base level");
     degraded_level(lvl.load);
   }
-  estimate_cache_.invalidate();
-  estimate_cache_.set_counters(snap.estimate_cache_hits,
-                               snap.estimate_cache_misses);
   metrics_ = snap.metrics;
   start_interval_ = snap.next_interval;
   if (journal_ != nullptr && snap.has_journal) journal_->restore(snap.journal);
@@ -1384,9 +1346,6 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
     const int interval_index = static_cast<int>(k);
     traffic_.begin_interval();
     if (timeseries_ != nullptr) timeseries_->begin_interval(interval_index);
-    // The estimate memo is scoped to one statistics interval; levels_ keeps
-    // the long-lived per-load results.
-    estimate_cache_.invalidate();
 
     // 0) Scripted fault windows open (crashed servers lose caches and
     //    clients, disconnecting clients detach).

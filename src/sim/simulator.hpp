@@ -279,7 +279,7 @@ SimulationMetrics run_simulation(const SimulationConfig& config,
 /// Checkpoint/resume controls for run_simulation. Snapshots are captured at
 /// interval boundaries (after interval k fully finishes, before k+1 starts)
 /// and a resumed run is byte-identical — metrics, timeseries, traffic — to
-/// the uninterrupted one, at any thread count and fastpath setting.
+/// the uninterrupted one, at any thread count.
 struct SimulationRunOptions {
   /// Resume from this snapshot instead of interval 0. The snapshot's config
   /// fingerprint must match (config, world); snapshot::SnapshotError
@@ -299,7 +299,7 @@ struct SimulationRunOptions {
   snapshot::SimSnapshot* capture_out = nullptr;
   /// Structured event journal (obs/journal.hpp). Every event is recorded on
   /// the serial control path, so the journal is byte-identical across
-  /// thread counts, the fastpath toggle, and a checkpoint/resume split
+  /// thread counts and a checkpoint/resume split
   /// (journal state travels through snapshots). nullptr disables journaling
   /// and is byte-identical to a build without it.
   obs::Journal* journal = nullptr;

@@ -416,7 +416,7 @@ std::uint64_t config_fingerprint(const SimulationConfig& config,
                                  const SimulationWorld& world) {
   // Chained splitmix64 over every knob that can change the simulation's
   // byte-level behaviour, plus the world's shape. Thread count and the
-  // fastpath toggle are excluded on purpose: both are proven
+  // SIMD kernel are excluded on purpose: both are proven
   // byte-identity-neutral by the tier-1 determinism gate, so a checkpoint
   // moves freely across them.
   FingerprintHasher h;
@@ -524,8 +524,6 @@ std::string encode(const SimSnapshot& snap) {
 
   write_levels(payload, snap.levels);
   write_levels(payload, snap.degraded_levels);
-  payload.u64(snap.estimate_cache_hits);
-  payload.u64(snap.estimate_cache_misses);
   write_metrics(payload, snap.metrics);
 
   payload.boolean(snap.has_timeseries);
@@ -545,14 +543,15 @@ std::string encode(const SimSnapshot& snap) {
 SimSnapshot decode(const std::string& bytes) try {
   // Accept the current version plus version 2 (pre-shard files, their shard
   // section is absent), version 3 (pre-retry-queue files, their retry
-  // arrays are empty), and version 4 (pre-budgeted-cache files, their
-  // per-entry byte counts are recomputed on restore). Unknown versions fall
-  // through to unframe()'s version-mismatch error.
+  // arrays are empty), version 4 (pre-budgeted-cache files, their
+  // per-entry byte counts are recomputed on restore), and version 5 (the
+  // last to carry the estimate-memo tallies, skipped here). Unknown
+  // versions fall through to unframe()'s version-mismatch error.
   std::uint32_t version = kSnapshotVersion;
   if (bytes.size() >= 12) {
     Reader vr(bytes.data() + 8, 4);
     const std::uint32_t declared = vr.u32();
-    if (declared == 2 || declared == 3 || declared == 4) version = declared;
+    if (declared >= 2 && declared <= 5) version = declared;
   }
   Reader r = wire::unframe(bytes, kMagic, version, "snapshot");
   SimSnapshot snap;
@@ -615,8 +614,10 @@ SimSnapshot decode(const std::string& bytes) try {
 
   snap.levels = read_levels(r);
   snap.degraded_levels = read_levels(r);
-  snap.estimate_cache_hits = r.u64();
-  snap.estimate_cache_misses = r.u64();
+  if (version <= 5) {
+    r.u64();  // estimate-memo hits, dropped in version 6
+    r.u64();  // estimate-memo misses
+  }
   snap.metrics = read_metrics(r, version);
 
   snap.has_timeseries = r.boolean();

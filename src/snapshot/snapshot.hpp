@@ -8,8 +8,8 @@
 // client attachment/upload state, the TrafficAccountant histories, the
 // per-load GPU statistics behind the level caches (the only RNG-derived
 // planning state — estimates and plans are rebuilt deterministically on
-// resume), the EstimateCache hit/miss tallies, the accumulated
-// SimulationMetrics, and (optionally) the finished SimTimeseries rows.
+// resume), the accumulated SimulationMetrics, and (optionally) the
+// finished SimTimeseries rows.
 //
 // Wire format (little-endian, fixed-width):
 //
@@ -27,7 +27,7 @@
 //
 // A config fingerprint (hash of the SimulationConfig knobs that affect the
 // simulation plus the world's shape) is embedded so a snapshot cannot be
-// resumed against a different scenario. Thread count and the fastpath toggle
+// resumed against a different scenario. Thread count and the SIMD kernel
 // are deliberately excluded: both are byte-identity-neutral, so a checkpoint
 // taken at 8 threads resumes fine at 1 (and vice versa).
 #pragma once
@@ -64,7 +64,9 @@ namespace perdnn::snapshot {
 /// timeseries-row columns; decode still accepts versions 2–4 (their byte
 /// counts are recomputed from the cost model on restore and the new
 /// metrics/row fields default to zero).
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// Version 6 dropped the two estimate-memo hit/miss tallies that followed
+/// the level statistics; decode still accepts versions 2–5 and skips them.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Thrown for every malformed-snapshot condition: bad magic, unknown
 /// version, truncation, checksum mismatch, out-of-range lengths, fingerprint
@@ -144,8 +146,6 @@ struct SimSnapshot {
   std::vector<ClientSnapshot> clients;
   std::vector<LoadLevelSnapshot> levels;           // sorted by load
   std::vector<LoadLevelSnapshot> degraded_levels;  // sorted by load
-  std::uint64_t estimate_cache_hits = 0;
-  std::uint64_t estimate_cache_misses = 0;
   SimulationMetrics metrics;
   /// Timeseries rows finished before the checkpoint. has_timeseries marks
   /// whether the checkpointed run recorded at all — resuming a recorded run

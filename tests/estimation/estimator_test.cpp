@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "nn/model_zoo.hpp"
 
 namespace perdnn {
@@ -153,6 +155,50 @@ TEST_F(EstimatorTest, GradientBoostingCompetitiveWithForestUnderLoad) {
   NeurosurgeonEstimator ll;
   ll.train(*train_, rng);
   EXPECT_LT(gbt_mae, estimator_mae(ll, *test_, /*num_clients=*/8));
+}
+
+TEST_F(EstimatorTest, BatchedEstimateModelEqualsPerLayerEstimate) {
+  // estimate_model() pushes each layer-kind group through its compiled
+  // forest's batch kernel; it must equal the per-layer estimate() loop bit
+  // for bit. MobileNet's depthwise convolutions never appear in the toy
+  // sweep, so those layers take the global-ridge fallback.
+  const DnnModel mobilenet = build_mobilenet_v1();
+  const auto trained = [&](LayerKind kind) {
+    return std::any_of(
+        train_->begin(), train_->end(),
+        [&](const ProfileRecord& r) { return r.layer.kind == kind; });
+  };
+  bool has_untrained_kind = false;
+  for (LayerId id = 0; id < mobilenet.num_layers(); ++id)
+    if (!trained(mobilenet.layer(id).kind)) has_untrained_kind = true;
+  ASSERT_TRUE(has_untrained_kind);
+
+  Rng rng(9);
+  RandomForestEstimator rf;
+  GradientBoostedEstimator gbt;
+  rf.train(*train_, rng);
+  gbt.train(*train_, rng);
+  for (int i = 0; i < 4; ++i) {
+    GpuStats stats;
+    stats.num_clients = 1 + 3 * i;
+    stats.kernel_util = 10.0 + 25.0 * i;
+    stats.mem_util = 5.0 + 12.5 * i;
+    stats.mem_usage_mb = 800.0 + 1500.0 * i;
+    stats.temperature_c = 40.0 + 8.0 * i;
+    for (const LayerTimeEstimator* estimator :
+         {static_cast<const LayerTimeEstimator*>(&rf),
+          static_cast<const LayerTimeEstimator*>(&gbt)}) {
+      const std::vector<Seconds> batched =
+          estimator->estimate_model(mobilenet, stats);
+      ASSERT_EQ(batched.size(),
+                static_cast<std::size_t>(mobilenet.num_layers()));
+      for (LayerId id = 0; id < mobilenet.num_layers(); ++id)
+        EXPECT_EQ(batched[static_cast<std::size_t>(id)],
+                  estimator->estimate(mobilenet.layer(id),
+                                      mobilenet.input_bytes(id), stats))
+            << estimator->name() << " layer " << id << " stats #" << i;
+    }
+  }
 }
 
 TEST(EstimatorFeatures, NamesAlignWithVectors) {

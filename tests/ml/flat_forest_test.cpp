@@ -1,6 +1,6 @@
-// FlatForest must reproduce the pointer-walking ensembles bit for bit —
-// the estimator fast path substitutes it silently, so any ULP drift would
-// break the fastpath-on/off byte-identical guarantee downstream.
+// FlatForest must reproduce the pointer-walking ensembles bit for bit: the
+// estimators keep only the compiled forests, so these ensembles are its
+// test oracle, and any ULP drift would change every plan downstream.
 #include "ml/flat_forest.hpp"
 
 #include <gtest/gtest.h>

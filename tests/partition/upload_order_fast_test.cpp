@@ -1,5 +1,6 @@
-// The incremental upload-order scorer must commit *exactly* the schedule the
-// reference scorer commits — order and cumulative bytes — for any model,
+// plan_upload_order() (incremental scoring) must commit *exactly* the
+// schedule the full-replan oracle plan_upload_order_reference() commits —
+// order, cumulative bytes and per-layer latency reduction — for any model,
 // network condition, and target mask. The greedy loop amplifies any
 // divergence (one differing pick reshapes every later round), so equality
 // here is the strongest cheap check of the fast path's determinism story.
@@ -45,6 +46,8 @@ void expect_identical(const UploadSchedule& a, const UploadSchedule& b) {
   ASSERT_EQ(a.order.size(), b.order.size());
   EXPECT_EQ(a.order, b.order);
   EXPECT_EQ(a.cumulative_bytes, b.cumulative_bytes);
+  // Budgeted caches price entries from this, so it must match bit for bit.
+  EXPECT_EQ(a.latency_reduction, b.latency_reduction);
 }
 
 class UploadOrderFastTest
@@ -54,12 +57,10 @@ TEST_P(UploadOrderFastTest, MatchesReferenceOnDerivedPlan) {
   for (int width : {2, 4, 6}) {
     Fixture f(build_toy_model(width));
     const PartitionPlan target = compute_best_plan(f.context);
-    const UploadSchedule ref = plan_upload_order(
-        f.context, target,
-        {.enumeration = GetParam(), .scoring = UploadScoring::kReference});
+    const UploadSchedule ref = plan_upload_order_reference(
+        f.context, target, {.enumeration = GetParam()});
     const UploadSchedule fast = plan_upload_order(
-        f.context, target,
-        {.enumeration = GetParam(), .scoring = UploadScoring::kIncremental});
+        f.context, target, {.enumeration = GetParam()});
     expect_identical(ref, fast);
   }
 }
@@ -76,12 +77,10 @@ TEST_P(UploadOrderFastTest, MatchesReferenceOnRandomMasks) {
     f.context.net.downlink_bytes_per_sec =
         mbps_to_bytes_per_sec(rng.uniform(2.0, 200.0));
     f.context.net.rtt = rng.uniform(1e-4, 2e-2);
-    const UploadSchedule ref = plan_upload_order(
-        f.context, target,
-        {.enumeration = GetParam(), .scoring = UploadScoring::kReference});
+    const UploadSchedule ref = plan_upload_order_reference(
+        f.context, target, {.enumeration = GetParam()});
     const UploadSchedule fast = plan_upload_order(
-        f.context, target,
-        {.enumeration = GetParam(), .scoring = UploadScoring::kIncremental});
+        f.context, target, {.enumeration = GetParam()});
     expect_identical(ref, fast);
   }
 }
@@ -97,12 +96,10 @@ TEST_P(UploadOrderFastTest, MatchesReferenceOnRandomServerTimes) {
       f.context.server_time[i] = base[i] * rng.uniform(0.05, 20.0);
     const PartitionPlan target =
         random_target(f.model, rng, rng.uniform(0.3, 1.0));
-    const UploadSchedule ref = plan_upload_order(
-        f.context, target,
-        {.enumeration = GetParam(), .scoring = UploadScoring::kReference});
+    const UploadSchedule ref = plan_upload_order_reference(
+        f.context, target, {.enumeration = GetParam()});
     const UploadSchedule fast = plan_upload_order(
-        f.context, target,
-        {.enumeration = GetParam(), .scoring = UploadScoring::kIncremental});
+        f.context, target, {.enumeration = GetParam()});
     expect_identical(ref, fast);
   }
 }
@@ -110,12 +107,10 @@ TEST_P(UploadOrderFastTest, MatchesReferenceOnRandomServerTimes) {
 TEST_P(UploadOrderFastTest, MatchesReferenceOnInception) {
   Fixture f(build_inception21k());
   const PartitionPlan target = compute_best_plan(f.context);
-  const UploadSchedule ref = plan_upload_order(
-      f.context, target,
-      {.enumeration = GetParam(), .scoring = UploadScoring::kReference});
+  const UploadSchedule ref = plan_upload_order_reference(
+      f.context, target, {.enumeration = GetParam()});
   const UploadSchedule fast = plan_upload_order(
-      f.context, target,
-      {.enumeration = GetParam(), .scoring = UploadScoring::kIncremental});
+      f.context, target, {.enumeration = GetParam()});
   expect_identical(ref, fast);
 }
 

@@ -1,7 +1,7 @@
 // Tier-1 determinism gate for the event journal: the same seeded simulation
-// must journal byte-identical event streams at --threads 1, 2 and 8, with
-// the single-query fast path on or off, and across a checkpoint/resume
-// split — and enabling the journal must not perturb the simulation itself.
+// must journal byte-identical event streams at --threads 1, 2 and 8 and
+// across a checkpoint/resume split — and enabling the journal must not
+// perturb the simulation itself.
 // Also covers the causal-chain contract: every chain reconstructs a
 // client's full attach -> plan -> upload -> serve/fallback path, asserted
 // against one known scripted-fault scenario.
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "faults/fault_plan.hpp"
 #include "mobility/trace_gen.hpp"
@@ -28,14 +27,6 @@ namespace {
 using obs::Journal;
 using obs::JournalEvent;
 using obs::JournalEventKind;
-
-struct FastPathGuard {
-  explicit FastPathGuard(bool enable) : previous(fastpath::enabled()) {
-    fastpath::set_enabled(enable);
-  }
-  ~FastPathGuard() { fastpath::set_enabled(previous); }
-  bool previous;
-};
 
 class JournalDeterminismTest : public ::testing::Test {
  protected:
@@ -124,11 +115,8 @@ TEST_F(JournalDeterminismTest, ByteIdenticalAcrossThreadsAndFastpath) {
   const std::string reference = journal_jsonl(*config_, 1);
   ASSERT_FALSE(reference.empty());
   for (const int threads : {1, 2, 8}) {
-    for (const bool fast : {true, false}) {
-      FastPathGuard guard(fast);
-      EXPECT_EQ(journal_jsonl(*config_, threads), reference)
-          << "threads=" << threads << " fastpath=" << fast;
-    }
+    EXPECT_EQ(journal_jsonl(*config_, threads), reference)
+        << "threads=" << threads;
   }
 }
 
@@ -140,11 +128,6 @@ TEST_F(JournalDeterminismTest, FaultPlanJournalIsDeterministic) {
     EXPECT_EQ(journal_jsonl(config, threads), reference)
         << "threads=" << threads;
   }
-  const std::string off = [&] {
-    FastPathGuard guard(false);
-    return journal_jsonl(config, 8);
-  }();
-  EXPECT_EQ(off, reference);
 }
 
 TEST_F(JournalDeterminismTest, ResumeSplitJournalEqualsUninterrupted) {
@@ -166,26 +149,22 @@ TEST_F(JournalDeterminismTest, ResumeSplitJournalEqualsUninterrupted) {
     ASSERT_GT(snap.journal.events.size(), 0u);
   }
 
-  // Second leg: resume into a fresh journal at every thread count and
-  // fastpath setting; the final stream must match byte for byte.
+  // Second leg: resume into a fresh journal at every thread count; the
+  // final stream must match byte for byte.
   for (const int threads : {1, 2, 8}) {
-    for (const bool fast : {true, false}) {
-      FastPathGuard guard(fast);
-      par::set_num_threads(threads);
-      Journal journal;
-      SimulationRunOptions options;
-      options.journal = &journal;
-      options.resume_from = &snap;
-      run_simulation(config, *world_, nullptr, options);
-      std::ostringstream out;
-      journal.write_jsonl(out);
-      EXPECT_EQ(out.str(), reference)
-          << "threads=" << threads << " fastpath=" << fast;
-      // The resume marker lands in the meta stream, not the journal.
-      const std::vector<JournalEvent> meta = journal.meta_events();
-      ASSERT_FALSE(meta.empty());
-      EXPECT_EQ(meta.front().kind, JournalEventKind::kCheckpointResume);
-    }
+    par::set_num_threads(threads);
+    Journal journal;
+    SimulationRunOptions options;
+    options.journal = &journal;
+    options.resume_from = &snap;
+    run_simulation(config, *world_, nullptr, options);
+    std::ostringstream out;
+    journal.write_jsonl(out);
+    EXPECT_EQ(out.str(), reference) << "threads=" << threads;
+    // The resume marker lands in the meta stream, not the journal.
+    const std::vector<JournalEvent> meta = journal.meta_events();
+    ASSERT_FALSE(meta.empty());
+    EXPECT_EQ(meta.front().kind, JournalEventKind::kCheckpointResume);
   }
 }
 

@@ -1,16 +1,13 @@
 // Tier-1 determinism gate for the parallel runtime: the same seeded
 // simulation must produce byte-identical metrics and per-interval
-// timeseries at --threads 1, 2 and 8 — and with the single-query fast path
-// on or off. Both the thread count and the fast path are pure performance
-// knobs (docs: "Parallel runtime" and "Single-query fast path" in
-// DESIGN.md).
+// timeseries at --threads 1, 2 and 8. The thread count is a pure
+// performance knob (docs: "Parallel runtime" in DESIGN.md).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <sstream>
 #include <string>
 
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "faults/fault_plan.hpp"
 #include "mobility/trace_gen.hpp"
@@ -75,15 +72,6 @@ std::string metrics_fingerprint(const SimulationMetrics& m) {
   }
   return out;
 }
-
-/// Restores the fast-path toggle even when an EXPECT fails mid-test.
-struct FastPathGuard {
-  explicit FastPathGuard(bool enable) : previous(fastpath::enabled()) {
-    fastpath::set_enabled(enable);
-  }
-  ~FastPathGuard() { fastpath::set_enabled(previous); }
-  bool previous;
-};
 
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
@@ -211,31 +199,10 @@ TEST_F(ParallelDeterminismTest, RepeatedParallelRunsAreStable) {
   EXPECT_EQ(a.timeseries_csv, b.timeseries_csv);
 }
 
-TEST_F(ParallelDeterminismTest, FastPathOffMatchesOnAt1And8Threads) {
-  RunResult on1, on8, off1, off8;
-  {
-    FastPathGuard guard(true);
-    on1 = run_at(1);
-    on8 = run_at(8);
-  }
-  {
-    FastPathGuard guard(false);
-    off1 = run_at(1);
-    off8 = run_at(8);
-  }
-  ASSERT_FALSE(on1.metrics.empty());
-  EXPECT_EQ(on1.metrics, off1.metrics);
-  EXPECT_EQ(on1.metrics, off8.metrics);
-  EXPECT_EQ(on1.metrics, on8.metrics);
-  EXPECT_EQ(on1.timeseries_csv, off1.timeseries_csv);
-  EXPECT_EQ(on1.timeseries_csv, off8.timeseries_csv);
-  EXPECT_EQ(on1.timeseries_csv, on8.timeseries_csv);
-}
-
 TEST_F(ParallelDeterminismTest, FaultPlanRunsAreDeterministicAcrossThreads) {
   // The robustness machinery (scripted faults, retry queue, degraded-mode
   // estimation, local fallback) sits under the same determinism gate as the
-  // clean path: byte-identical at 1/2/8 threads and with the fast path off.
+  // clean path: byte-identical at 1/2/8 threads.
   const SimulationConfig config = faulted_config();
   const RunResult serial = run_config_at(config, 1);
   const RunResult two = run_config_at(config, 2);
@@ -246,36 +213,10 @@ TEST_F(ParallelDeterminismTest, FaultPlanRunsAreDeterministicAcrossThreads) {
   EXPECT_EQ(serial.timeseries_csv, two.timeseries_csv);
   EXPECT_EQ(serial.timeseries_csv, eight.timeseries_csv);
 
-  const RunResult off = [&] {
-    FastPathGuard guard(false);
-    return run_config_at(config, 8);
-  }();
-  EXPECT_EQ(serial.metrics, off.metrics);
-  EXPECT_EQ(serial.timeseries_csv, off.timeseries_csv);
-
   // The plan actually bit: this is not vacuous determinism.
   EXPECT_NE(serial.metrics.find("server_failures=1"), std::string::npos);
   EXPECT_NE(serial.metrics.find("client_disconnect_events=1"),
             std::string::npos);
-}
-
-TEST_F(ParallelDeterminismTest, WorldBuildIdenticalWithFastPathOff) {
-  // build_world trains the estimator and derives the canonical upload
-  // schedule through plan_upload_order — the two pieces the fast path
-  // replaces (flattened trees, incremental scoring). The resulting world
-  // must be indistinguishable.
-  SimulationWorld off_world = [&] {
-    FastPathGuard guard(false);
-    return build_world(*config_, generate_campus_traces(train_trace_config()),
-                       generate_campus_traces(test_trace_config()));
-  }();
-  ASSERT_FALSE(world_->canonical_schedule.order.empty());
-  EXPECT_EQ(world_->canonical_schedule.order,
-            off_world.canonical_schedule.order);
-  EXPECT_EQ(world_->canonical_schedule.cumulative_bytes,
-            off_world.canonical_schedule.cumulative_bytes);
-  EXPECT_EQ(world_->client_profile.client_time,
-            off_world.client_profile.client_time);
 }
 
 }  // namespace

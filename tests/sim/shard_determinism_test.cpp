@@ -2,7 +2,7 @@
 // seeded ShardWorld must produce byte-identical metrics, streamed
 // timeseries CSV and streamed journal JSONL across
 //
-//   threads x shards x fastpath x checkpoint/resume
+//   threads x shards x simd x checkpoint/resume
 //
 // per the contract in sim/shard_sim.hpp. The resume leg also emulates a
 // kill -9 mid-write (garbage appended past the checkpoint offset) — the
@@ -15,7 +15,6 @@
 #include <sstream>
 #include <string>
 
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "sim/shard_sim.hpp"
@@ -66,14 +65,6 @@ std::string slurp(const std::string& path) {
   ss << in.rdbuf();
   return ss.str();
 }
-
-struct FastPathGuard {
-  explicit FastPathGuard(bool enable) : previous(fastpath::enabled()) {
-    fastpath::set_enabled(enable);
-  }
-  ~FastPathGuard() { fastpath::set_enabled(previous); }
-  bool previous;
-};
 
 struct SimdGuard {
   explicit SimdGuard(bool enable) : previous(simd::enabled()) {
@@ -169,23 +160,6 @@ TEST_F(ShardDeterminismTest, MatrixByteIdenticalAcrossThreadsAndShards) {
             std::string::npos);
   EXPECT_EQ(baseline.metrics.find("offline_client_intervals=0\n"),
             std::string::npos);
-}
-
-TEST_F(ShardDeterminismTest, FastPathOffWorldProducesIdenticalRun) {
-  const RunResult on = run_at(*world_, 2, 4);
-  const ShardWorld off_world = [] {
-    FastPathGuard guard(false);
-    return build_shard_world(small_config());
-  }();
-  ASSERT_EQ(world_->canonical_order, off_world.canonical_order);
-  ASSERT_EQ(world_->prefix_bytes, off_world.prefix_bytes);
-  const RunResult off = [&] {
-    FastPathGuard guard(false);
-    return run_at(off_world, 8, 16);
-  }();
-  EXPECT_EQ(on.metrics, off.metrics);
-  EXPECT_EQ(on.timeseries, off.timeseries);
-  EXPECT_EQ(on.journal, off.journal);
 }
 
 TEST_F(ShardDeterminismTest, SimdOffWorldProducesIdenticalRun) {

@@ -3,7 +3,7 @@
 // per-server admission control, must produce byte-identical metrics,
 // timeseries CSV and journal JSONL across
 //
-//   threads x shards x simd x fastpath x checkpoint/resume
+//   threads x shards x simd x checkpoint/resume
 //
 // — the same contract as the fault-free ShardDeterminism suite, now with
 // crashes wiping caches, backhaul outages parking migrations in the retry
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "faults/fault_plan.hpp"
@@ -83,14 +82,6 @@ std::string slurp(const std::string& path) {
   ss << in.rdbuf();
   return ss.str();
 }
-
-struct FastPathGuard {
-  explicit FastPathGuard(bool enable) : previous(fastpath::enabled()) {
-    fastpath::set_enabled(enable);
-  }
-  ~FastPathGuard() { fastpath::set_enabled(previous); }
-  bool previous;
-};
 
 struct SimdGuard {
   explicit SimdGuard(bool enable) : previous(simd::enabled()) {
@@ -258,21 +249,6 @@ TEST_F(ShardFaultDeterminismTest, MatrixByteIdenticalAcrossThreadsAndShards) {
   EXPECT_NE(baseline.journal.find("\"migration_retried\""),
             std::string::npos);
   EXPECT_NE(baseline.journal.find("\"fault_applied\""), std::string::npos);
-}
-
-TEST_F(ShardFaultDeterminismTest, FastPathOffWorldProducesIdenticalRun) {
-  const RunResult on = run_at(*world_, 2, 4);
-  const ShardWorld off_world = [] {
-    FastPathGuard guard(false);
-    return build_shard_world(faulted_config());
-  }();
-  const RunResult off = [&] {
-    FastPathGuard guard(false);
-    return run_at(off_world, 8, 16);
-  }();
-  EXPECT_EQ(on.metrics, off.metrics);
-  EXPECT_EQ(on.timeseries, off.timeseries);
-  EXPECT_EQ(on.journal, off.journal);
 }
 
 TEST_F(ShardFaultDeterminismTest, SimdOffWorldProducesIdenticalRun) {

@@ -1,7 +1,7 @@
 // Tier-1 coverage for the checkpoint/resume subsystem: byte-identity of a
-// resumed run against the uninterrupted one (across thread counts, the
-// fastpath toggle, and fault plans), wire-format round-trips, and strict
-// rejection of corrupted/truncated/mismatched snapshots.
+// resumed run against the uninterrupted one (across thread counts and
+// fault plans), wire-format round-trips, and strict rejection of
+// corrupted/truncated/mismatched snapshots.
 #include "snapshot/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fastpath.hpp"
 #include "common/parallel.hpp"
 #include "faults/fault_plan.hpp"
 #include "mobility/trace_gen.hpp"
@@ -26,15 +25,6 @@ namespace {
 struct RunResult {
   std::string metrics_json;
   std::string timeseries_csv;
-};
-
-/// Restores the fast-path toggle even when an EXPECT fails mid-test.
-struct FastPathGuard {
-  explicit FastPathGuard(bool enable) : previous(fastpath::enabled()) {
-    fastpath::set_enabled(enable);
-  }
-  ~FastPathGuard() { fastpath::set_enabled(previous); }
-  bool previous;
 };
 
 class SnapshotTest : public ::testing::Test {
@@ -152,14 +142,11 @@ TEST_F(SnapshotTest, ResumeIsByteIdenticalAcrossThreadsAndFastpath) {
   ASSERT_TRUE(snap.has_timeseries);
 
   for (const int threads : {1, 2, 8}) {
-    for (const bool fast : {true, false}) {
-      FastPathGuard guard(fast);
-      const RunResult resumed = resume_from(*config_, snap, threads);
-      EXPECT_EQ(resumed.metrics_json, reference.metrics_json)
-          << "threads=" << threads << " fastpath=" << fast;
-      EXPECT_EQ(resumed.timeseries_csv, reference.timeseries_csv)
-          << "threads=" << threads << " fastpath=" << fast;
-    }
+    const RunResult resumed = resume_from(*config_, snap, threads);
+    EXPECT_EQ(resumed.metrics_json, reference.metrics_json)
+        << "threads=" << threads;
+    EXPECT_EQ(resumed.timeseries_csv, reference.timeseries_csv)
+        << "threads=" << threads;
   }
 }
 
@@ -187,12 +174,6 @@ TEST_F(SnapshotTest, ResumeUnderFaultPlanIsByteIdentical) {
     EXPECT_EQ(resumed.timeseries_csv, reference.timeseries_csv)
         << "threads=" << threads;
   }
-  const RunResult no_fast = [&] {
-    FastPathGuard guard(false);
-    return resume_from(config, snap, 8);
-  }();
-  EXPECT_EQ(no_fast.metrics_json, reference.metrics_json);
-  EXPECT_EQ(no_fast.timeseries_csv, reference.timeseries_csv);
 }
 
 TEST_F(SnapshotTest, EveryCheckpointIntervalResumesIdentically) {
@@ -224,7 +205,6 @@ TEST_F(SnapshotTest, WireFormatRoundTripsExactly) {
   EXPECT_EQ(decoded.caches, snap.caches);
   EXPECT_EQ(decoded.attached, snap.attached);
   EXPECT_EQ(decoded.dispatcher.queue.size(), snap.dispatcher.queue.size());
-  EXPECT_EQ(decoded.estimate_cache_hits, snap.estimate_cache_hits);
   EXPECT_EQ(decoded.timeseries_rows.size(), snap.timeseries_rows.size());
   // ...and the strong form: re-encoding reproduces the exact bytes.
   EXPECT_EQ(snapshot::encode(decoded), bytes);
@@ -391,6 +371,30 @@ TEST_F(SnapshotTest, GoldenVersion4FixturesStillDecode) {
   EXPECT_NO_THROW(snapshot::decode(snapshot::encode(shard)));
 }
 
+TEST_F(SnapshotTest, GoldenVersion5FixtureStillDecodes) {
+  // Written from a budgeted classic run, so the per-entry byte counts and
+  // budgeted-cache counters are live, followed by the two estimate-memo
+  // tallies (misses > 0) that version 6 dropped.
+  const std::string bytes = read_fixture("v5_classic.snap");
+  ASSERT_EQ(declared_version(bytes), 5u);
+  const snapshot::SimSnapshot snap = snapshot::decode(bytes);
+  EXPECT_GT(snap.next_interval, 0);
+  EXPECT_FALSE(snap.has_shard);
+  EXPECT_TRUE(snap.has_journal);
+  EXPECT_FALSE(snap.journal.events.empty());
+  EXPECT_GT(snap.metrics.cache_partial_stores, 0);
+  bool any_entry_bytes = false;
+  for (const auto& server_cache : snap.caches)
+    for (const auto& entry : server_cache)
+      if (entry.bytes > 0) any_entry_bytes = true;
+  EXPECT_TRUE(any_entry_bytes);
+  // Re-encoding drops exactly the two u64 tallies and nothing else.
+  const std::string reencoded = snapshot::encode(snap);
+  EXPECT_EQ(declared_version(reencoded), snapshot::kSnapshotVersion);
+  EXPECT_EQ(reencoded.size() + 2 * sizeof(std::uint64_t), bytes.size());
+  EXPECT_EQ(snapshot::encode(snapshot::decode(reencoded)), reencoded);
+}
+
 TEST_F(SnapshotTest, FingerprintMismatchIsRejectedOnResume) {
   const snapshot::SimSnapshot snap = checkpoint_at(*config_, 2, 1);
   SimulationConfig other = *config_;
@@ -405,16 +409,11 @@ TEST_F(SnapshotTest, FingerprintMismatchIsRejectedOnResume) {
 }
 
 TEST_F(SnapshotTest, FingerprintIgnoresPerformanceKnobs) {
-  // Thread count and the fastpath toggle are byte-identity-neutral, so they
-  // must not be part of the fingerprint: a checkpoint taken at 8 threads
-  // with the fastpath on resumes at 1 thread with it off.
+  // Thread count is byte-identity-neutral, so it must not be part of the
+  // fingerprint: a checkpoint taken at 8 threads resumes at 1.
   const std::uint64_t fp = snapshot::config_fingerprint(*config_, *world_);
   par::set_num_threads(8);
   EXPECT_EQ(snapshot::config_fingerprint(*config_, *world_), fp);
-  {
-    FastPathGuard guard(false);
-    EXPECT_EQ(snapshot::config_fingerprint(*config_, *world_), fp);
-  }
   SimulationConfig tweaked = *config_;
   tweaked.ttl_intervals += 1;
   EXPECT_NE(snapshot::config_fingerprint(tweaked, *world_), fp);

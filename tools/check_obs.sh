@@ -4,8 +4,7 @@
 #   * journal/metrics/trace/timeseries unit tests and the journal
 #     determinism gate run clean under the sanitizers;
 #   * one seeded faulted simulation journals BYTE-IDENTICAL JSONL across
-#     --threads 1/2/8, with the single-query fast path on and off
-#     (PERDNN_NO_FASTPATH=1), and across a checkpoint/resume split;
+#     --threads 1/2/8 and across a checkpoint/resume split;
 #   * the binary (.jnl) encoding decodes to the same event stream;
 #   * every journal parses through the bundled JSON parser
 #     (perdnn_obs validate) and the scripted-fault chain reconstructs;
@@ -46,24 +45,20 @@ EOF
 SIM_ARGS=(simulate mobilenet campus perdnn --users 6 --minutes 20 --seed 5
           --fault-plan "$WORK/plan.json")
 
-# Reference journal: serial, fast path on.
+# Reference journal: serial.
 "$CLI" "${SIM_ARGS[@]}" --threads 1 --journal-out "$WORK/ref.jsonl" > /dev/null
 test -s "$WORK/ref.jsonl"
 
-# Determinism matrix: threads x fastpath, byte-compared against the
-# reference.
+# Determinism matrix: threads, byte-compared against the reference.
 for threads in 1 2 8; do
-  for nofast in 0 1; do
-    out="$WORK/t${threads}_f${nofast}.jsonl"
-    PERDNN_NO_FASTPATH="$nofast" \
-      "$CLI" "${SIM_ARGS[@]}" --threads "$threads" --journal-out "$out" \
-      > /dev/null
-    if ! cmp -s "$WORK/ref.jsonl" "$out"; then
-      echo "error: journal differs at threads=$threads nofast=$nofast" >&2
-      "$OBS" diff "$WORK/ref.jsonl" "$out" >&2 || true
-      exit 1
-    fi
-  done
+  out="$WORK/t${threads}.jsonl"
+  "$CLI" "${SIM_ARGS[@]}" --threads "$threads" --journal-out "$out" \
+    > /dev/null
+  if ! cmp -s "$WORK/ref.jsonl" "$out"; then
+    echo "error: journal differs at threads=$threads" >&2
+    "$OBS" diff "$WORK/ref.jsonl" "$out" >&2 || true
+    exit 1
+  fi
 done
 
 # Checkpoint/resume split: stop after interval 4, resume, and the final
@@ -99,6 +94,6 @@ cmake -B "$SCALAR_DIR" -S . -DPERDNN_SANITIZE=address -DPERDNN_SIMD=OFF
 cmake --build "$SCALAR_DIR" -j"$(nproc)" \
   --target test_ml test_estimation test_sim
 ctest --test-dir "$SCALAR_DIR" --output-on-failure \
-  -R 'FlatForest|Estimator|EstimateCache|ShardDeterminism'
+  -R 'FlatForest|Estimator|ShardDeterminism'
 
 echo "Observability check passed (build dirs: $BUILD_DIR, $SCALAR_DIR)"

@@ -4,8 +4,7 @@
 # Proves, end-to-end through the real binaries, that
 #   1. a run checkpointed at interval K and resumed reproduces the
 #      uninterrupted run's timeseries CSV and SimulationMetrics JSON
-#      byte-for-byte — at 1/2/8 threads, with the fastpath disabled, and
-#      under a scripted fault plan;
+#      byte-for-byte — at 1/2/8 threads, and under a scripted fault plan;
 #   2. a sharded sweep killed mid-flight (SIGKILL to the whole process
 #      group) and re-run produces merged outputs byte-identical to an
 #      uninterrupted sweep;
@@ -50,25 +49,17 @@ for variant in clean faulted; do
   "$PERDNN" simulate "${SIM_ARGS[@]}" "${EXTRA[@]}" --threads 2 \
     --snapshot-save "$variant.ckpt" --snapshot-at 6 > /dev/null \
     || fail "$variant: checkpoint run failed"
-  for resume_opts in "--threads 1" "--threads 2" "--threads 8" \
-                     "NOFP --threads 2"; do
-    env=()
-    opts="$resume_opts"
-    if [ "${resume_opts%% *}" = NOFP ]; then
-      env=(PERDNN_NO_FASTPATH=1)
-      opts="${resume_opts#NOFP }"
-    fi
-    # shellcheck disable=SC2086
-    env "${env[@]}" "$PERDNN" simulate "${SIM_ARGS[@]}" "${EXTRA[@]}" $opts \
+  for threads in 1 2 8; do
+    "$PERDNN" simulate "${SIM_ARGS[@]}" "${EXTRA[@]}" --threads "$threads" \
       --snapshot-resume "$variant.ckpt" \
       --timeseries-out r.csv --sim-metrics-out r.json > /dev/null \
-      || fail "$variant [$resume_opts]: resumed run failed"
+      || fail "$variant [--threads $threads]: resumed run failed"
     cmp -s "full_$variant.csv" r.csv \
-      || fail "$variant [$resume_opts]: resumed timeseries differs"
+      || fail "$variant [--threads $threads]: resumed timeseries differs"
     cmp -s "full_$variant.json" r.json \
-      || fail "$variant [$resume_opts]: resumed metrics differ"
+      || fail "$variant [--threads $threads]: resumed metrics differ"
   done
-  echo "ok: CLI resume byte-identical ($variant, 1/2/8 threads + no-fastpath)"
+  echo "ok: CLI resume byte-identical ($variant, 1/2/8 threads)"
 done
 
 # Periodic checkpointing must not perturb the run it rides along with.

@@ -33,6 +33,6 @@ cmake -B "$SCALAR_DIR" -S . -DPERDNN_SANITIZE=thread -DPERDNN_SIMD=OFF
 cmake --build "$SCALAR_DIR" -j"$(nproc)" \
   --target test_ml test_estimation test_sim
 ctest --test-dir "$SCALAR_DIR" --output-on-failure \
-  -R 'FlatForest|Estimator|EstimateCache|ShardDeterminism'
+  -R 'FlatForest|Estimator|ShardDeterminism'
 
 echo "TSan check passed (build dirs: $BUILD_DIR, $SCALAR_DIR)"
