@@ -275,7 +275,6 @@ class SimulatorImpl {
           world.servers.num_servers(), num_intervals_, config.seed);
     timeline_ = FaultTimeline(plan, world.servers.num_servers(),
                               static_cast<int>(clients_.size()));
-    fault_plan_ = std::move(plan);
     if (journal_ != nullptr) {
       dispatcher_.set_journal(journal_);
       for (ServerId s = 0; s < world.servers.num_servers(); ++s)
@@ -333,10 +332,10 @@ class SimulatorImpl {
   void flush_cold_jobs(int interval_index);
   void advance_uploads(int interval_index);
   void proactive_migration(int interval_index);
-  /// Opens this interval's scripted fault windows: crashes wipe caches and
-  /// drop clients, disconnects detach their client.
+  /// Moves the fault timeline to this interval and opens its scripted
+  /// fault windows: crashes wipe caches and drop clients, disconnects
+  /// detach their client.
   void apply_faults(int interval_index);
-  bool is_down(ServerId sid, int interval_index) const;
   /// Outcome of one attempted layer push across the (possibly degraded)
   /// backhaul.
   struct PushResult {
@@ -363,7 +362,7 @@ class SimulatorImpl {
   /// Server the client should use at `pos`, honouring the selection policy
   /// and skipping crashed servers; kNoServer if nothing is reachable.
   /// `current` enables switching hysteresis under kBestVisible.
-  ServerId choose_server(Point pos, ServerId current, int interval_index);
+  ServerId choose_server(Point pos, ServerId current);
   /// Predicted next location per the configured predictor kind.
   std::optional<Point> predict_next(const ClientState& client,
                                     std::size_t history,
@@ -374,8 +373,7 @@ class SimulatorImpl {
   ColdResult cold_window_queries(const ColdJob& job) const;
   /// Per-query latency of offloading to the previous server through the
   /// backhaul; kInfSeconds when unavailable.
-  Seconds routed_path_latency(ClientId c, ServerId previous,
-                              int interval_index);
+  Seconds routed_path_latency(ClientId c, ServerId previous);
   void sort_canonical(std::vector<LayerId>& layers) const;
   std::vector<LayerId> order_by_canonical(std::vector<LayerId> layers) const;
 
@@ -383,9 +381,6 @@ class SimulatorImpl {
   const SimulationWorld& world_;
   obs::SimTimeseries* timeseries_;  // may be null (recording disabled)
   obs::Journal* journal_;           // may be null (journaling disabled)
-  /// The effective fault schedule (scripted plan or compiled legacy
-  /// crashes), kept for journaling fault apply/clear events.
-  FaultPlan fault_plan_;
   Rng rng_;
   Rng link_rng_;  // dedicated stream: jitter draws must not shift the
                   // stats/plan caches of non-jittered runs
@@ -402,9 +397,6 @@ class SimulatorImpl {
   /// Degraded twins of levels_ (telemetry-dropout planning); same stability
   /// guarantees (ColdJob keeps pointers into the map values).
   std::unordered_map<int, LoadLevelCache> degraded_levels_;
-  /// Bytes already shipped per degraded link this interval (capacity caps).
-  /// Only populated while a backhaul fault is active; cleared per interval.
-  std::unordered_map<std::uint64_t, Bytes> link_used_;
   /// Lazily computed per-query latency of fully local execution (< 0 until
   /// first needed; fault-only path, so clean runs never compute it).
   Seconds local_latency_ = -1.0;
@@ -532,10 +524,9 @@ std::vector<LayerId> SimulatorImpl::order_by_canonical(
   return layers;
 }
 
-Seconds SimulatorImpl::routed_path_latency(ClientId c, ServerId previous,
-                                           int interval_index) {
+Seconds SimulatorImpl::routed_path_latency(ClientId c, ServerId previous) {
   if (!config_.routing_fallback || previous == kNoServer ||
-      is_down(previous, interval_index))
+      timeline_.server_down(previous))
     return kInfSeconds;
   caches_[static_cast<std::size_t>(previous)].mask_into(c, world_.model,
                                                         lookup_mask_scratch_);
@@ -675,7 +666,7 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
 
   // Telemetry dropout at this server: the master plans blind, through the
   // load-free fallback estimator over the stale snapshot.
-  const bool degraded = timeline_.telemetry_down(sid, interval_index);
+  const bool degraded = timeline_.telemetry_down(sid);
   const LoadLevelCache& lvl =
       degraded ? degraded_level(attached_[static_cast<std::size_t>(sid)])
                : level(attached_[static_cast<std::size_t>(sid)]);
@@ -745,8 +736,7 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
                         .lvl = &lvl,
                         .initial_mask = std::move(available),
                         .pending = client.pending,
-                        .routed_latency =
-                            routed_path_latency(c, previous, interval_index),
+                        .routed_latency = routed_path_latency(c, previous),
                         .link_factor = client.link_factor});
 }
 
@@ -776,35 +766,13 @@ void SimulatorImpl::advance_uploads(int interval_index) {
   }
 }
 
-bool SimulatorImpl::is_down(ServerId sid, int interval_index) const {
-  return timeline_.server_down(sid, interval_index);
-}
-
 void SimulatorImpl::apply_faults(int interval_index) {
   if (timeline_.empty()) return;
-  if (journal_ != nullptr) {
-    // The plan is sorted by (at_interval, ...); its size is tiny relative
-    // to the interval count, so a linear scan per interval is fine.
-    for (const FaultEvent& ev : fault_plan_.events()) {
-      const auto code = static_cast<std::int32_t>(ev.kind);
-      if (ev.at_interval == interval_index)
-        journal_->record({.interval = interval_index,
-                          .kind = obs::JournalEventKind::kFaultApplied,
-                          .client = ev.client,
-                          .server = ev.server,
-                          .peer = ev.peer,
-                          .detail = code,
-                          .aux = ev.duration_intervals,
-                          .value = ev.severity});
-      if (ev.at_interval + ev.duration_intervals == interval_index)
-        journal_->record({.interval = interval_index,
-                          .kind = obs::JournalEventKind::kFaultCleared,
-                          .client = ev.client,
-                          .server = ev.server,
-                          .peer = ev.peer,
-                          .detail = code});
-    }
-  }
+  timeline_.advance(interval_index);
+  if (journal_ != nullptr)
+    for (const obs::JournalEvent& e :
+         timeline_.boundary_events(interval_index))
+      journal_->record(e);
   for (ServerId s : timeline_.crashes_starting_at(interval_index)) {
     ++metrics_.server_failures;
     obs::count("sim.fault.server_crashes");
@@ -846,27 +814,12 @@ void SimulatorImpl::apply_faults(int interval_index) {
   }
 }
 
-namespace {
-/// Unordered link id: the capacity of a degraded backhaul link is shared by
-/// both directions.
-std::uint64_t link_key(ServerId a, ServerId b) {
-  const auto lo =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::min(a, b)));
-  const auto hi =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::max(a, b)));
-  return (hi << 32) | lo;
-}
-}  // namespace
-
 SimulatorImpl::PushResult SimulatorImpl::push_layers(
     ClientId c, ServerId source, ServerId target,
     std::vector<LayerId> layers, int interval_index) {
   const DnnModel& model = world_.model;
   LayerCache& target_cache = caches_[static_cast<std::size_t>(target)];
-  const double factor =
-      timeline_.any_backhaul_fault(interval_index)
-          ? timeline_.backhaul_factor(source, target, interval_index)
-          : 1.0;
+  const double factor = timeline_.backhaul_factor(source, target);
   PushResult result;
   if (factor <= 0.0) {
     // Outage: no packet crosses — not even a TTL-refresh order.
@@ -884,7 +837,7 @@ SimulatorImpl::PushResult SimulatorImpl::push_layers(
     const std::vector<bool>& present = push_mask_scratch_;
     const Bytes cap = static_cast<Bytes>(
         factor * config_.backhaul_bytes_per_sec * world_.interval);
-    Bytes& used = link_used_[link_key(source, target)];
+    Bytes& used = timeline_.link_used(source, target);
     bool full = false;
     for (LayerId id : layers) {
       const Bytes w = present[static_cast<std::size_t>(id)]
@@ -939,8 +892,8 @@ void SimulatorImpl::retry_deferred_migrations(int interval_index) {
   for (DeferredMigration& order : dispatcher_.due(interval_index)) {
     // A crashed endpoint can't take part: the target lost its radio, the
     // source lost the cache it was supposed to ship from.
-    if (timeline_.server_down(order.source, interval_index) ||
-        timeline_.server_down(order.target, interval_index)) {
+    if (timeline_.server_down(order.source) ||
+        timeline_.server_down(order.target)) {
       dispatcher_.fail(std::move(order), interval_index);
       continue;
     }
@@ -1033,18 +986,17 @@ void SimulatorImpl::run_local_fallback(ClientId c, Point pos,
   }
 }
 
-ServerId SimulatorImpl::choose_server(Point pos, ServerId current,
-                                      int interval_index) {
+ServerId SimulatorImpl::choose_server(Point pos, ServerId current) {
   const double fallback_radius = world_.servers.grid().cell_radius() * 64.0;
   if (config_.selection == ServerSelection::kCurrentCell) {
     ServerId sid = world_.servers.server_at(pos);
     if (sid == kNoServer)
       sid = world_.servers.nearest_server(pos, fallback_radius);
-    if (sid != kNoServer && !is_down(sid, interval_index)) return sid;
+    if (sid != kNoServer && !timeline_.server_down(sid)) return sid;
     // Cell server down (or missing): any live neighbour within Wi-Fi range.
     for (ServerId candidate :
          world_.servers.servers_within(pos, config_.visibility_radius_m))
-      if (!is_down(candidate, interval_index)) return candidate;
+      if (!timeline_.server_down(candidate)) return candidate;
     return kNoServer;
   }
 
@@ -1062,16 +1014,15 @@ ServerId SimulatorImpl::choose_server(Point pos, ServerId current,
   Seconds current_latency = kInfSeconds;
   bool current_visible = false;
   for (ServerId candidate : candidates) {
-    if (is_down(candidate, interval_index)) continue;
+    if (timeline_.server_down(candidate)) continue;
     // For the already-attached server the client's own load is included.
     const int extra = candidate == current ? 0 : 1;
     const int load = attached_[static_cast<std::size_t>(candidate)] + extra;
     // The master compares the latencies it can *predict*: a telemetry-dark
     // candidate is judged by its degraded (load-free) plan.
     const Seconds latency =
-        (timeline_.telemetry_down(candidate, interval_index)
-             ? degraded_level(load)
-             : level(load))
+        (timeline_.telemetry_down(candidate) ? degraded_level(load)
+                                             : level(load))
             .plan.latency;
     if (candidate == current) {
       current_visible = true;
@@ -1144,12 +1095,11 @@ void SimulatorImpl::proactive_migration(int interval_index) {
 
     for (ServerId target : targets_scratch_) {
       if (target == client.current) continue;  // futile for migration
-      if (is_down(target, interval_index)) continue;
+      if (timeline_.server_down(target)) continue;
       const int load = attached_[static_cast<std::size_t>(target)] + 1;
       const LoadLevelCache& lvl =
-          timeline_.telemetry_down(target, interval_index)
-              ? degraded_level(load)
-              : level(load);
+          timeline_.telemetry_down(target) ? degraded_level(load)
+                                           : level(load);
 
       // Send what the future plan needs and the source actually has.
       // Candidates accumulate in a scratch vector so the (common) futile
@@ -1316,6 +1266,7 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
   }
   metrics_ = snap.metrics;
   start_interval_ = snap.next_interval;
+  timeline_.seek(start_interval_);
   if (journal_ != nullptr && snap.has_journal) journal_->restore(snap.journal);
 }
 
@@ -1369,14 +1320,14 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
         }
         continue;
       }
-      if (timeline_.client_offline(c, interval_index)) {
+      if (timeline_.client_offline(c)) {
         // Scripted disconnect: radio off, nothing happens this interval
         // (apply_faults already detached the client at the window start).
         ++metrics_.offline_client_intervals;
         continue;
       }
       const Point pos = client.trace->points[k];
-      const ServerId sid = choose_server(pos, client.current, interval_index);
+      const ServerId sid = choose_server(pos, client.current);
       if (sid == kNoServer) {
         // No reachable live server (outage): graceful degradation to fully
         // local execution for this interval.
@@ -1409,7 +1360,6 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
     // 3) Parked migration orders retry first (oldest backlog gets freed
     //    capacity), then prediction + proactive migration.
     if (config_.policy == MigrationPolicy::kProactive) {
-      link_used_.clear();
       retry_deferred_migrations(interval_index);
       proactive_migration(interval_index);
     }
