@@ -1,6 +1,8 @@
 #include "edge/migration_dispatcher.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/check.hpp"
 #include "obs/journal.hpp"
@@ -21,15 +23,16 @@ MigrationDispatcher::MigrationDispatcher(MigrationRetryConfig config)
       "migration max_backoff_intervals must be >= the initial backoff");
 }
 
-int MigrationDispatcher::backoff_after(int attempts) const {
+int retry_deadline(const MigrationRetryConfig& config, int attempts,
+                   int now) {
   // attempts = deliveries already tried; first retry (attempts == 1) waits
   // the initial backoff, each further failure doubles it up to the cap.
-  std::int64_t backoff = config_.initial_backoff_intervals;
-  for (int i = 1; i < attempts && backoff < config_.max_backoff_intervals;
-       ++i)
+  std::int64_t backoff = config.initial_backoff_intervals;
+  for (int i = 1; i < attempts && backoff < config.max_backoff_intervals; ++i)
     backoff *= 2;
-  return static_cast<int>(
-      std::min<std::int64_t>(backoff, config_.max_backoff_intervals));
+  backoff = std::min<std::int64_t>(backoff, config.max_backoff_intervals);
+  return static_cast<int>(std::min<std::int64_t>(
+      std::int64_t{now} + backoff, std::numeric_limits<int>::max()));
 }
 
 void MigrationDispatcher::defer(ClientId client, ServerId source,
@@ -43,7 +46,7 @@ void MigrationDispatcher::defer(ClientId client, ServerId source,
   order.layers = std::move(layers);
   order.bytes = bytes;
   order.attempts = 1;
-  order.next_attempt_interval = now_interval + backoff_after(1);
+  order.next_attempt_interval = retry_deadline(config_, 1, now_interval);
   backlog_bytes_ += bytes;
   total_deferred_bytes_ += bytes;
   ++deferred_orders_;
@@ -151,7 +154,8 @@ bool MigrationDispatcher::fail(DeferredMigration order, int now_interval) {
                         .aux = obs::kDropRetryBudget});
     return false;
   }
-  order.next_attempt_interval = now_interval + backoff_after(order.attempts);
+  order.next_attempt_interval =
+      retry_deadline(config_, order.attempts, now_interval);
   backlog_bytes_ += order.bytes;
   if (journal_ != nullptr)
     journal_->record({.interval = now_interval,

@@ -39,6 +39,12 @@ struct MigrationRetryConfig {
   int max_backoff_intervals = 16;
 };
 
+/// Interval of the next delivery attempt for an order that has made
+/// `attempts` failed deliveries by interval `now`: the initial backoff
+/// doubled per prior attempt, capped at max_backoff_intervals. Computed in
+/// 64 bits and saturated at INT_MAX (an order that far out never comes due).
+int retry_deadline(const MigrationRetryConfig& config, int attempts, int now);
+
 /// One parked migration order. `attempts` counts deliveries already tried.
 struct DeferredMigration {
   ClientId client = -1;
@@ -107,8 +113,6 @@ class MigrationDispatcher {
   void restore(const State& state);
 
  private:
-  int backoff_after(int attempts) const;
-
   MigrationRetryConfig config_;
   obs::Journal* journal_ = nullptr;
   std::deque<DeferredMigration> queue_;

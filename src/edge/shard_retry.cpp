@@ -1,7 +1,5 @@
 #include "edge/shard_retry.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace perdnn {
@@ -17,14 +15,6 @@ ShardRetryQueue::ShardRetryQueue(const MigrationRetryConfig& config,
       "max_backoff_intervals must be >= initial_backoff_intervals");
   PERDNN_CHECK_MSG(per_server_cap >= 1, "per_server_cap must be >= 1");
   queues_.resize(static_cast<std::size_t>(num_servers));
-}
-
-int ShardRetryQueue::backoff_after(int attempts) const {
-  int backoff = config_.initial_backoff_intervals;
-  for (int i = 1; i < attempts && backoff < config_.max_backoff_intervals;
-       ++i)
-    backoff *= 2;
-  return std::min(backoff, config_.max_backoff_intervals);
 }
 
 bool ShardRetryQueue::full(ServerId server) const {

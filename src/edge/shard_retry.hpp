@@ -44,10 +44,6 @@ class ShardRetryQueue {
   ShardRetryQueue(const MigrationRetryConfig& config, int num_servers,
                   int per_server_cap);
 
-  /// Backoff before attempt (attempts + 1): initial_backoff doubled per
-  /// prior attempt, capped at max_backoff. Mirrors MigrationDispatcher.
-  int backoff_after(int attempts) const;
-
   /// True when an order with this many attempts has no retry budget left.
   bool budget_spent(int attempts) const {
     return attempts >= config_.max_attempts;
@@ -55,8 +51,8 @@ class ShardRetryQueue {
   /// True when `server`'s queue is at the per-server cap.
   bool full(ServerId server) const;
 
-  /// Parks `order` (caller already stamped next_attempt_interval and
-  /// checked budget_spent()/full()).
+  /// Parks `order` (caller already stamped next_attempt_interval with
+  /// retry_deadline() and checked budget_spent()/full()).
   void park(ShardRetryOrder order);
 
   /// Removes and returns every order due at `now`, in (source server, FIFO

@@ -1,6 +1,8 @@
 #include "faults/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "common/check.hpp"
@@ -40,6 +42,12 @@ void validate_event(const FaultEvent& event) {
   PERDNN_CHECK_MSG(event.duration_intervals >= 1,
                    "fault event needs duration_intervals >= 1 (got "
                        << event.duration_intervals << ")");
+  PERDNN_CHECK_MSG(event.duration_intervals <=
+                       std::numeric_limits<int>::max() - event.at_interval,
+                   "fault event window ends past the last representable "
+                   "interval (at="
+                       << event.at_interval
+                       << ", duration=" << event.duration_intervals << ")");
   switch (event.kind) {
     case FaultKind::kServerCrash:
     case FaultKind::kTelemetryDropout:
@@ -72,6 +80,20 @@ void validate_event(const FaultEvent& event) {
 }
 
 namespace {
+
+/// An integral JSON number that fits an int. Anything else is rejected
+/// before the cast: converting an out-of-range double is undefined, and a
+/// fractional one would silently truncate.
+int json_int(const obs::JsonValue& value, const std::string& key) {
+  const double v = value.as_number();
+  PERDNN_CHECK_MSG(
+      v == std::trunc(v) &&
+          v >= static_cast<double>(std::numeric_limits<int>::min()) &&
+          v <= static_cast<double>(std::numeric_limits<int>::max()),
+      "fault plan event member '" << key << "' must be an integer in int "
+                                  << "range (got " << v << ")");
+  return static_cast<int>(v);
+}
 
 /// Sort key making plans canonical: time first, then kind and entity ids so
 /// equal event sets compare equal after construction.
@@ -284,15 +306,15 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
         e.kind = fault_kind_from_name(value.as_string());
         saw_kind = true;
       } else if (key == "at") {
-        e.at_interval = static_cast<int>(value.as_number());
+        e.at_interval = json_int(value, key);
       } else if (key == "duration") {
-        e.duration_intervals = static_cast<int>(value.as_number());
+        e.duration_intervals = json_int(value, key);
       } else if (key == "server") {
-        e.server = static_cast<ServerId>(value.as_number());
+        e.server = json_int(value, key);
       } else if (key == "peer") {
-        e.peer = static_cast<ServerId>(value.as_number());
+        e.peer = json_int(value, key);
       } else if (key == "client") {
-        e.client = static_cast<ClientId>(value.as_number());
+        e.client = json_int(value, key);
       } else if (key == "severity") {
         e.severity = value.as_number();
       } else {

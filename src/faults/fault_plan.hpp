@@ -111,7 +111,8 @@ class FaultPlan {
 
   /// JSON spec: {"events":[{"kind":"server_crash","at":3,"duration":4,
   /// "server":2}, ...]}. Optional members take their defaults; unknown
-  /// members or kinds are hard errors.
+  /// members or kinds, and ids or intervals that are not integers in int
+  /// range, are hard errors.
   static FaultPlan from_json(const std::string& text);
   std::string to_json() const;
 
@@ -127,8 +128,9 @@ class FaultPlan {
   std::vector<FaultEvent> events_;
 };
 
-/// Structural validation of one event (durations >= 1, severity in [0, 1],
-/// required ids present for the kind). Throws std::logic_error.
+/// Structural validation of one event (durations >= 1, a window that ends
+/// at or before INT_MAX, severity in [0, 1], required ids present for the
+/// kind). Throws std::logic_error.
 void validate_event(const FaultEvent& event);
 
 }  // namespace perdnn

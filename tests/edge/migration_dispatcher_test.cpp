@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace perdnn {
@@ -97,6 +98,18 @@ TEST(MigrationDispatcherTest, DueIsFifoStable) {
   EXPECT_EQ(due[0].client, 0);
   EXPECT_EQ(due[1].client, 1);
   EXPECT_EQ(due[2].client, 2);
+}
+
+TEST(MigrationDispatcherTest, DeadlineSaturatesAtIntMax) {
+  // Accepted by validation, yet now + backoff no longer fits an int.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  MigrationDispatcher dispatcher({.max_attempts = 3,
+                                  .initial_backoff_intervals = kMax,
+                                  .max_backoff_intervals = kMax});
+  dispatcher.defer(0, 0, 1, {2}, /*bytes=*/50, /*now_interval=*/5);
+  ASSERT_EQ(dispatcher.state().queue.size(), 1u);
+  EXPECT_EQ(dispatcher.state().queue[0].next_attempt_interval, kMax);
+  EXPECT_TRUE(dispatcher.due(kMax - 1).empty());
 }
 
 }  // namespace

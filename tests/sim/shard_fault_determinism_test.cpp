@@ -12,6 +12,8 @@
 // the deferred-migration queue survives a kill -9 byte-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -319,6 +321,93 @@ TEST_F(ShardFaultDeterminismTest, ResumeMidBackoffRestoresRetryQueue) {
   EXPECT_EQ(full.metrics, metrics_fingerprint(resumed));
   EXPECT_EQ(full.timeseries, slurp(ts_path()));
   EXPECT_EQ(full.journal, slurp(jr_path()));
+}
+
+TEST_F(ShardFaultDeterminismTest, FractionsWithin100MbpsCountBothDirections) {
+  // A server counts as within 100 Mbps only while its uplink and its
+  // downlink both stay within it (the classic engine's definition).
+  // Recompute both fractions from the streamed per-server bytes. Inception's
+  // larger prefixes on 80 clients push some servers' downlink past 100 Mbps
+  // while their uplink stays within it, which is where the two definitions
+  // part.
+  ShardWorldConfig config = faulted_config();
+  config.model = ModelName::kInception;
+  config.num_clients = 80;
+  par::set_num_threads(2);
+  const ShardWorld world = build_shard_world(config);
+  ShardRunOptions options;
+  options.num_shards = 4;
+  options.timeseries_path = ts_path();
+  const SimulationMetrics m = run_sharded_simulation(world, options);
+  par::set_num_threads(0);
+
+  const auto servers = static_cast<std::size_t>(config.num_servers());
+  const auto intervals = static_cast<std::size_t>(config.num_intervals);
+  std::vector<std::vector<std::int64_t>> up(
+      intervals, std::vector<std::int64_t>(servers, 0));
+  std::vector<std::vector<std::int64_t>> down = up;
+  std::istringstream csv(slurp(ts_path()));
+  std::string line;
+  std::vector<std::string> header;
+  const auto split = [](const std::string& text) {
+    std::vector<std::string> cells;
+    std::stringstream ss(text);
+    for (std::string cell; std::getline(ss, cell, ',');) cells.push_back(cell);
+    return cells;
+  };
+  const auto column = [&header](const char* name) {
+    const auto it = std::find(header.begin(), header.end(), name);
+    EXPECT_NE(it, header.end()) << name;
+    return static_cast<std::size_t>(it - header.begin());
+  };
+  std::size_t rows = 0;
+  while (std::getline(csv, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (header.empty()) {
+      header = split(line);
+      continue;
+    }
+    const std::vector<std::string> cells = split(line);
+    const auto t = std::stoul(cells[column("interval")]);
+    const auto s = std::stoul(cells[column("server")]);
+    up[t][s] = std::stoll(cells[column("uplink_bytes")]);
+    down[t][s] = std::stoll(cells[column("downlink_bytes")]);
+    ++rows;
+  }
+  ASSERT_EQ(rows, intervals * servers);
+
+  const auto mbps = [&config](std::int64_t bytes) {
+    return bytes_to_mbps(static_cast<double>(bytes), config.interval_s);
+  };
+  std::vector<double> peak_up(servers, 0.0), peak_down(servers, 0.0);
+  std::size_t busiest = 0;
+  std::int64_t busiest_bytes = -1;
+  for (std::size_t t = 0; t < intervals; ++t) {
+    std::int64_t total = 0;
+    for (std::size_t s = 0; s < servers; ++s) {
+      peak_up[s] = std::max(peak_up[s], mbps(up[t][s]));
+      peak_down[s] = std::max(peak_down[s], mbps(down[t][s]));
+      total += up[t][s];
+    }
+    if (total > busiest_bytes) {
+      busiest_bytes = total;
+      busiest = t;
+    }
+  }
+  int within = 0, within_at_peak = 0, downlink_only = 0;
+  for (std::size_t s = 0; s < servers; ++s) {
+    if (peak_up[s] <= 100.0 && peak_down[s] <= 100.0) ++within;
+    if (mbps(up[busiest][s]) <= 100.0 && mbps(down[busiest][s]) <= 100.0)
+      ++within_at_peak;
+    if (peak_up[s] <= 100.0 && peak_down[s] > 100.0) ++downlink_only;
+  }
+  ASSERT_GT(downlink_only, 0)
+      << "no server's downlink alone exceeds 100 Mbps — the check is vacuous";
+  EXPECT_EQ(m.fraction_servers_within_100mbps,
+            static_cast<double>(within) / static_cast<double>(servers));
+  EXPECT_EQ(m.fraction_servers_within_100mbps_at_peak,
+            static_cast<double>(within_at_peak) /
+                static_cast<double>(servers));
 }
 
 }  // namespace

@@ -8,6 +8,11 @@
 # sharded fault suite so the scalar kernels get the same sanitizer coverage
 # as the vector ones. Any sanitizer report fails the script.
 #
+# The fault-plan decoder leg feeds `perdnn simulate --fault-plan` malformed
+# plans (out-of-range and fractional numbers, a window ending past INT_MAX,
+# broken JSON, an unknown kind, an entity outside the world) and requires a
+# clean exit 2 for each under the sanitizers, and exit 0 for a valid plan.
+#
 # The budgeted-cache leg rides along: the CacheBudget suites (which include
 # the crash-mid-pressure kill -9 resume byte-identity gate and per-interval
 # budget-invariant checks) run under the sanitizers in both legs, plus a
@@ -21,7 +26,7 @@ BUILD_DIR="${1:-build-chaos}"
 
 cmake -B "$BUILD_DIR" -S . -DPERDNN_SANITIZE=address -DPERDNN_SIMD=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target test_faults test_edge test_sim bench_chaos bench_cache
+  --target test_faults test_edge test_sim bench_chaos bench_cache perdnn_cli
 
 export PERDNN_THREADS=4
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
@@ -64,6 +69,39 @@ if "$BUILD_DIR"/bench/bench_cache --definitely-not-a-flag 2> /dev/null; then
   echo "error: bench_cache accepted an unknown flag" >&2
   exit 1
 fi
+
+# Fault-plan decoder: every malformed plan is refused with exit 2.
+PROBE_DIR="$BUILD_DIR/fault-plan-probes"
+mkdir -p "$PROBE_DIR"
+plan_probe() {  # name, expected exit status, plan JSON
+  printf '%s\n' "$3" > "$PROBE_DIR/$1.json"
+  local status=0
+  "$BUILD_DIR"/tools/perdnn simulate mobilenet campus perdnn --users 3 \
+    --minutes 5 --fault-plan "$PROBE_DIR/$1.json" > /dev/null 2>&1 ||
+    status=$?
+  if [ "$status" -ne "$2" ]; then
+    echo "error: fault plan probe '$1' exited $status, expected $2" >&2
+    exit 1
+  fi
+}
+plan_probe at-out-of-range 2 \
+  '{"events":[{"kind":"server_crash","at":1e300,"duration":2,"server":0}]}'
+plan_probe duration-out-of-range 2 \
+  '{"events":[{"kind":"server_crash","at":1,"duration":-1e12,"server":0}]}'
+plan_probe fractional-at 2 \
+  '{"events":[{"kind":"server_crash","at":2.9,"duration":2,"server":1}]}'
+plan_probe fractional-server 2 \
+  '{"events":[{"kind":"server_crash","at":2,"duration":2,"server":1.5}]}'
+plan_probe window-past-int-max 2 \
+  '{"events":[{"kind":"server_crash","at":2147483646,"duration":5,"server":0}]}'
+plan_probe bad-json 2 '{"events":[{"kind":'
+plan_probe unknown-kind 2 \
+  '{"events":[{"kind":"meteor_strike","at":0,"server":0}]}'
+plan_probe server-outside-world 2 \
+  '{"events":[{"kind":"server_crash","at":0,"duration":2,"server":100000}]}'
+plan_probe valid 0 \
+  '{"events":[{"kind":"server_crash","at":1,"duration":2,"server":0},
+    {"kind":"backhaul_degrade","at":0,"duration":3,"server":1,"severity":0.5}]}'
 
 # ---- scalar leg: same sanitizer coverage with the SIMD kernels off --------
 SCALAR_DIR="${BUILD_DIR}-scalar"
