@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.hpp"
 
@@ -15,164 +14,120 @@ NetworkCondition lab_wifi() {
   return net;
 }
 
+TrafficAccountant::State::State(std::size_t num_servers)
+    : peak_uplink(num_servers, 0),
+      peak_downlink(num_servers, 0),
+      busiest_uplink(num_servers, 0),
+      busiest_downlink(num_servers, 0) {}
+
+void TrafficAccountant::State::fold(const std::vector<Bytes>& uplink,
+                                    const std::vector<Bytes>& downlink) {
+  PERDNN_CHECK(uplink.size() == peak_uplink.size() &&
+               downlink.size() == peak_downlink.size());
+  Bytes total = 0;
+  for (std::size_t s = 0; s < uplink.size(); ++s) {
+    peak_uplink[s] = std::max(peak_uplink[s], uplink[s]);
+    peak_downlink[s] = std::max(peak_downlink[s], downlink[s]);
+    total += uplink[s];
+  }
+  if (total > busiest_total) {
+    busiest_total = total;
+    busiest_uplink = uplink;
+    busiest_downlink = downlink;
+  }
+}
+
+bool TrafficAccountant::State::has_width(std::size_t num_servers) const {
+  return peak_uplink.size() == num_servers &&
+         peak_downlink.size() == num_servers &&
+         busiest_uplink.size() == num_servers &&
+         busiest_downlink.size() == num_servers;
+}
+
 TrafficAccountant::TrafficAccountant(int num_servers, Seconds interval_length)
     : num_servers_(num_servers),
       interval_length_(interval_length),
-      uplink_current_(static_cast<std::size_t>(num_servers), 0),
-      downlink_current_(static_cast<std::size_t>(num_servers), 0),
-      uplink_peak_(static_cast<std::size_t>(num_servers), 0),
-      downlink_peak_(static_cast<std::size_t>(num_servers), 0) {
+      uplink_(static_cast<std::size_t>(num_servers), 0),
+      downlink_(uplink_.size(), 0),
+      summary_(uplink_.size()) {
   PERDNN_CHECK(num_servers >= 1);
   PERDNN_CHECK(interval_length > 0);
 }
 
-void TrafficAccountant::begin_interval() {
-  if (interval_open_) finish();
-  interval_open_ = true;
-}
-
 void TrafficAccountant::record_transfer(ServerId from, ServerId to,
                                         Bytes bytes) {
-  PERDNN_CHECK(interval_open_);
   PERDNN_CHECK(from >= 0 && from < num_servers_);
   PERDNN_CHECK(to >= 0 && to < num_servers_);
   PERDNN_CHECK(bytes >= 0);
   if (from == to || bytes == 0) return;
-  uplink_current_[static_cast<std::size_t>(from)] += bytes;
-  downlink_current_[static_cast<std::size_t>(to)] += bytes;
-  total_bytes_ += bytes;
+  uplink_[static_cast<std::size_t>(from)] += bytes;
+  downlink_[static_cast<std::size_t>(to)] += bytes;
 }
 
-void TrafficAccountant::finish() {
-  if (!interval_open_) return;
-  for (std::size_t s = 0; s < uplink_current_.size(); ++s) {
-    uplink_peak_[s] = std::max(uplink_peak_[s], uplink_current_[s]);
-    downlink_peak_[s] = std::max(downlink_peak_[s], downlink_current_[s]);
-  }
-  uplink_history_.push_back(uplink_current_);
-  downlink_history_.push_back(downlink_current_);
-  std::fill(uplink_current_.begin(), uplink_current_.end(), 0);
-  std::fill(downlink_current_.begin(), downlink_current_.end(), 0);
-  interval_open_ = false;
+Bytes TrafficAccountant::uplink_bytes(ServerId server) const {
+  PERDNN_CHECK(server >= 0 && server < num_servers_);
+  return uplink_[static_cast<std::size_t>(server)];
+}
+
+Bytes TrafficAccountant::downlink_bytes(ServerId server) const {
+  PERDNN_CHECK(server >= 0 && server < num_servers_);
+  return downlink_[static_cast<std::size_t>(server)];
+}
+
+void TrafficAccountant::end_interval() {
+  summary_.fold(uplink_, downlink_);
+  std::fill(uplink_.begin(), uplink_.end(), 0);
+  std::fill(downlink_.begin(), downlink_.end(), 0);
+}
+
+double TrafficAccountant::to_mbps(Bytes bytes) const {
+  return bytes_to_mbps(static_cast<double>(bytes), interval_length_);
 }
 
 double TrafficAccountant::peak_uplink_mbps(ServerId server) const {
   PERDNN_CHECK(server >= 0 && server < num_servers_);
-  return bytes_to_mbps(
-      static_cast<double>(uplink_peak_[static_cast<std::size_t>(server)]),
-      interval_length_);
+  return to_mbps(summary_.peak_uplink[static_cast<std::size_t>(server)]);
 }
 
 double TrafficAccountant::peak_downlink_mbps(ServerId server) const {
   PERDNN_CHECK(server >= 0 && server < num_servers_);
-  return bytes_to_mbps(
-      static_cast<double>(downlink_peak_[static_cast<std::size_t>(server)]),
-      interval_length_);
+  return to_mbps(summary_.peak_downlink[static_cast<std::size_t>(server)]);
 }
 
 double TrafficAccountant::global_peak_uplink_mbps() const {
-  double peak = 0.0;
-  for (ServerId s = 0; s < num_servers_; ++s)
-    peak = std::max(peak, peak_uplink_mbps(s));
-  return peak;
+  return to_mbps(*std::max_element(summary_.peak_uplink.begin(),
+                                   summary_.peak_uplink.end()));
 }
 
 double TrafficAccountant::global_peak_downlink_mbps() const {
-  double peak = 0.0;
-  for (ServerId s = 0; s < num_servers_; ++s)
-    peak = std::max(peak, peak_downlink_mbps(s));
-  return peak;
+  return to_mbps(*std::max_element(summary_.peak_downlink.begin(),
+                                   summary_.peak_downlink.end()));
+}
+
+double TrafficAccountant::fraction_within(const std::vector<Bytes>& uplink,
+                                          const std::vector<Bytes>& downlink,
+                                          double limit) const {
+  int within = 0;
+  for (std::size_t s = 0; s < uplink.size(); ++s)
+    if (to_mbps(uplink[s]) <= limit && to_mbps(downlink[s]) <= limit) ++within;
+  return static_cast<double>(within) / static_cast<double>(uplink.size());
 }
 
 double TrafficAccountant::fraction_servers_within(double mbps) const {
-  int within = 0;
-  for (ServerId s = 0; s < num_servers_; ++s)
-    if (peak_uplink_mbps(s) <= mbps && peak_downlink_mbps(s) <= mbps)
-      ++within;
-  return static_cast<double>(within) / num_servers_;
-}
-
-int TrafficAccountant::busiest_interval() const {
-  int best = -1;
-  Bytes best_total = -1;
-  for (int k = 0; k < num_intervals(); ++k) {
-    Bytes total = 0;
-    for (ServerId s = 0; s < num_servers_; ++s)
-      total += uplink_history_[static_cast<std::size_t>(k)]
-                              [static_cast<std::size_t>(s)];
-    if (total > best_total) {
-      best_total = total;
-      best = k;
-    }
-  }
-  return best;
+  return fraction_within(summary_.peak_uplink, summary_.peak_downlink, mbps);
 }
 
 double TrafficAccountant::fraction_servers_within_at_peak(double mbps) const {
-  const int k = busiest_interval();
-  if (k < 0) return 1.0;
-  int within = 0;
-  for (ServerId s = 0; s < num_servers_; ++s) {
-    const double up = bytes_to_mbps(
-        static_cast<double>(uplink_history_[static_cast<std::size_t>(k)]
-                                           [static_cast<std::size_t>(s)]),
-        interval_length_);
-    const double down = bytes_to_mbps(
-        static_cast<double>(downlink_history_[static_cast<std::size_t>(k)]
-                                             [static_cast<std::size_t>(s)]),
-        interval_length_);
-    if (up <= mbps && down <= mbps) ++within;
-  }
-  return static_cast<double>(within) / num_servers_;
-}
-
-TrafficAccountant::State TrafficAccountant::state() const {
-  State st;
-  st.uplink_history = uplink_history_;
-  st.downlink_history = downlink_history_;
-  st.uplink_current = uplink_current_;
-  st.downlink_current = downlink_current_;
-  st.interval_open = interval_open_;
-  st.total_bytes = total_bytes_;
-  return st;
+  if (summary_.busiest_total < 0) return 1.0;
+  return fraction_within(summary_.busiest_uplink, summary_.busiest_downlink,
+                         mbps);
 }
 
 void TrafficAccountant::restore(const State& state) {
-  const auto servers = static_cast<std::size_t>(num_servers_);
-  PERDNN_CHECK(state.uplink_current.size() == servers);
-  PERDNN_CHECK(state.downlink_current.size() == servers);
-  PERDNN_CHECK(state.uplink_history.size() == state.downlink_history.size());
-  uplink_history_ = state.uplink_history;
-  downlink_history_ = state.downlink_history;
-  uplink_current_ = state.uplink_current;
-  downlink_current_ = state.downlink_current;
-  interval_open_ = state.interval_open;
-  total_bytes_ = state.total_bytes;
-  std::fill(uplink_peak_.begin(), uplink_peak_.end(), 0);
-  std::fill(downlink_peak_.begin(), downlink_peak_.end(), 0);
-  for (std::size_t k = 0; k < uplink_history_.size(); ++k) {
-    PERDNN_CHECK(uplink_history_[k].size() == servers);
-    PERDNN_CHECK(downlink_history_[k].size() == servers);
-    for (std::size_t s = 0; s < servers; ++s) {
-      uplink_peak_[s] = std::max(uplink_peak_[s], uplink_history_[k][s]);
-      downlink_peak_[s] = std::max(downlink_peak_[s], downlink_history_[k][s]);
-    }
-  }
-}
-
-std::vector<ServerId> TrafficAccountant::servers_by_peak_uplink() const {
-  std::vector<ServerId> order(static_cast<std::size_t>(num_servers_));
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> peaks(order.size());
-  for (ServerId s = 0; s < num_servers_; ++s)
-    peaks[static_cast<std::size_t>(s)] = peak_uplink_mbps(s);
-  std::sort(order.begin(), order.end(), [&](ServerId a, ServerId b) {
-    const double pa = peaks[static_cast<std::size_t>(a)];
-    const double pb = peaks[static_cast<std::size_t>(b)];
-    if (pa != pb) return pa > pb;
-    return a < b;
-  });
-  return order;
+  PERDNN_CHECK(state.has_width(static_cast<std::size_t>(num_servers_)));
+  summary_ = state;
+  std::fill(uplink_.begin(), uplink_.end(), 0);
+  std::fill(downlink_.begin(), downlink_.end(), 0);
 }
 
 }  // namespace perdnn

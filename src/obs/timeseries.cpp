@@ -71,9 +71,7 @@ void SimTimeseries::start(int num_servers, double interval_length_s) {
   std::lock_guard<std::mutex> lock(mu_);
   num_servers_ = num_servers;
   interval_length_s_ = interval_length_s;
-  current_interval_ = -1;
-  interval_open_ = false;
-  current_.clear();
+  next_interval_ = 0;
   rows_.clear();
 }
 
@@ -88,9 +86,7 @@ void SimTimeseries::restore(int num_servers, double interval_length_s,
   std::lock_guard<std::mutex> lock(mu_);
   num_servers_ = num_servers;
   interval_length_s_ = interval_length_s;
-  current_interval_ = next_interval - 1;
-  interval_open_ = false;
-  current_.clear();
+  next_interval_ = next_interval;
   rows_ = std::move(rows);
 }
 
@@ -104,96 +100,17 @@ std::string SimTimeseries::model() const {
   return model_;
 }
 
-void SimTimeseries::begin_interval(int interval_index) {
+void SimTimeseries::append_interval(const std::vector<TimeseriesRow>& rows) {
   std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK_MSG(!interval_open_, "previous interval still open");
-  PERDNN_CHECK_MSG(interval_index == current_interval_ + 1,
-                   "intervals must be recorded in order");
-  current_interval_ = interval_index;
-  interval_open_ = true;
-  current_.assign(static_cast<std::size_t>(num_servers_), TimeseriesRow{});
-  for (int s = 0; s < num_servers_; ++s) {
-    current_[static_cast<std::size_t>(s)].interval = interval_index;
-    current_[static_cast<std::size_t>(s)].server = s;
-  }
-}
-
-namespace {
-TimeseriesRow& row_for(std::vector<TimeseriesRow>& current, int server) {
-  PERDNN_CHECK_MSG(
-      server >= 0 && server < static_cast<int>(current.size()),
-      "timeseries server id " << server << " out of range");
-  return current[static_cast<std::size_t>(server)];
-}
-}  // namespace
-
-void SimTimeseries::record_attach(int server, int hits, int partials,
-                                  int misses) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  TimeseriesRow& row = row_for(current_, server);
-  row.hits += hits;
-  row.partials += partials;
-  row.misses += misses;
-}
-
-void SimTimeseries::record_cold_queries(int server, long long queries,
-                                        double latency_sum_s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  TimeseriesRow& row = row_for(current_, server);
-  row.cold_window_queries += queries;
-  row.cold_latency_sum_s += latency_sum_s;
-}
-
-void SimTimeseries::record_migration(int from, int to, std::int64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  PERDNN_CHECK(bytes >= 0);
-  row_for(current_, from).migration_orders += 1;
-  row_for(current_, from).uplink_bytes += bytes;
-  row_for(current_, to).downlink_bytes += bytes;
-}
-
-void SimTimeseries::record_predictor_sample(int server, double abs_error_m) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  TimeseriesRow& row = row_for(current_, server);
-  row.predictor_samples += 1;
-  row.predictor_error_sum_m += abs_error_m;
-}
-
-void SimTimeseries::record_local_queries(int server, long long queries,
-                                         double latency_sum_s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  TimeseriesRow& row = row_for(current_, server);
-  row.local_queries += queries;
-  row.local_latency_sum_s += latency_sum_s;
-}
-
-void SimTimeseries::record_deferred(int server, std::int64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  PERDNN_CHECK(bytes >= 0);
-  row_for(current_, server).deferred_bytes += bytes;
-}
-
-void SimTimeseries::record_degraded(int server) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  row_for(current_, server).degraded += 1;
-}
-
-void SimTimeseries::record_cache(int server, std::int64_t bytes,
-                                 int evictions, int partial_stores) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  PERDNN_CHECK(bytes >= 0);
-  TimeseriesRow& row = row_for(current_, server);
-  row.cache_bytes = bytes;
-  row.cache_evictions += evictions;
-  row.cache_partial_stores += partial_stores;
+  PERDNN_CHECK_MSG(rows.size() == static_cast<std::size_t>(num_servers_),
+                   "an interval needs one row per server");
+  for (std::size_t s = 0; s < rows.size(); ++s)
+    PERDNN_CHECK_MSG(rows[s].interval == next_interval_ &&
+                         rows[s].server == static_cast<int>(s),
+                     "intervals must be appended in order, one row per "
+                     "server in server order");
+  rows_.insert(rows_.end(), rows.begin(), rows.end());
+  ++next_interval_;
 }
 
 void SimTimeseries::enable_cache_columns() {
@@ -209,24 +126,6 @@ bool SimTimeseries::cache_columns_enabled() const {
 int SimTimeseries::csv_schema() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_columns_ ? kCsvCacheSchemaVersion : kCsvSchemaVersion;
-}
-
-void SimTimeseries::set_attached(const std::vector<int>& attached_per_server) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  PERDNN_CHECK(attached_per_server.size() ==
-               static_cast<std::size_t>(num_servers_));
-  for (int s = 0; s < num_servers_; ++s)
-    current_[static_cast<std::size_t>(s)].attached =
-        attached_per_server[static_cast<std::size_t>(s)];
-}
-
-void SimTimeseries::end_interval() {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERDNN_CHECK(interval_open_);
-  interval_open_ = false;
-  rows_.insert(rows_.end(), current_.begin(), current_.end());
-  current_.clear();
 }
 
 int SimTimeseries::num_servers() const {

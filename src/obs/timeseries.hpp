@@ -2,11 +2,11 @@
 // paper's Fig 9 / Fig 10 / Table II readings, before it is collapsed into
 // the flat SimulationMetrics aggregate).
 //
-// The simulator drives the recorder through begin_interval()/end_interval()
-// and the record_* hooks; after the run, rows() holds exactly
-// num_intervals * num_servers rows (including all-zero rows, so consumers
-// can reshape into a dense [interval][server] matrix), and the exports
-// reconcile with SimulationMetrics:
+// The engine builds each interval's rows itself, one per server, and hands
+// them over with append_interval() when the interval closes; after the run,
+// rows() holds exactly num_intervals * num_servers rows (including all-zero
+// rows, so consumers can reshape into a dense [interval][server] matrix),
+// and the exports reconcile with SimulationMetrics:
 //
 //   sum(hits/partials/misses)        == metrics.hits/partials/misses
 //   sum(cold_window_queries)         == metrics.cold_window_queries
@@ -22,8 +22,8 @@
 //   JSON — {"schema","model","interval_length_s","num_servers",
 //          "num_intervals","rows":[...]} with the same ordering.
 //
-// Thread-safe: the record hooks take an internal mutex (the simulator is
-// single-threaded today, but benches may parallelise policy runs).
+// Thread-safe: every member takes an internal mutex, so exports may be read
+// while another thread appends.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,7 @@ struct TimeseriesRow {
   /// Summed end-to-end latency of those queries (seconds).
   double cold_latency_sum_s = 0.0;
   /// Backhaul bytes sent from / received by this server (proactive
-  /// migration), attributed like TrafficAccountant.
+  /// migration), copied from the engine's TrafficAccountant.
   std::int64_t uplink_bytes = 0;
   std::int64_t downlink_bytes = 0;
   /// Migration orders issued with this server as the source (including
@@ -112,31 +112,10 @@ class SimTimeseries {
   void restore(int num_servers, double interval_length_s,
                std::vector<TimeseriesRow> rows, int next_interval);
 
-  void begin_interval(int interval_index);
-  void record_attach(int server, int hits, int partials, int misses);
-  void record_cold_queries(int server, long long queries,
-                           double latency_sum_s);
-  /// One migration order from `from` to `to`; `bytes` may be 0 when the
-  /// receiver already held every layer (TTL refresh only).
-  void record_migration(int from, int to, std::int64_t bytes);
-  void record_predictor_sample(int server, double abs_error_m);
-  /// Local-execution fallback queries by a client whose nearest server is
-  /// `server` (unreachable this interval).
-  void record_local_queries(int server, long long queries,
-                            double latency_sum_s);
-  /// Migration bytes deferred into the retry queue, attributed to `server`
-  /// as the transfer source.
-  void record_deferred(int server, std::int64_t bytes);
-  /// One attach whose plan was built in degraded (stale-telemetry) mode.
-  void record_degraded(int server);
-  /// Budgeted-cache state for `server` this interval: resident bytes at the
-  /// snapshot point plus eviction / partial-store counts since the previous
-  /// interval. Only meaningful after enable_cache_columns().
-  void record_cache(int server, std::int64_t bytes, int evictions,
-                    int partial_stores);
-  /// Attached-client counts at the end of the open interval.
-  void set_attached(const std::vector<int>& attached_per_server);
-  void end_interval();
+  /// Appends one finished interval: `rows` holds one row per server, in
+  /// server order, all stamped with the interval after the last one
+  /// appended (or restored).
+  void append_interval(const std::vector<TimeseriesRow>& rows);
 
   /// Switches exports to the schema-3 layout with the budgeted-cache
   /// columns. Called once by the engine when a cache byte budget is set;
@@ -188,10 +167,8 @@ class SimTimeseries {
   bool cache_columns_ = false;  // sticky, like model_
   int num_servers_ = 0;
   double interval_length_s_ = 0.0;
-  int current_interval_ = -1;
-  bool interval_open_ = false;
-  std::vector<TimeseriesRow> current_;  // one per server
-  std::vector<TimeseriesRow> rows_;     // finished, (interval, server) order
+  int next_interval_ = 0;
+  std::vector<TimeseriesRow> rows_;  // finished, (interval, server) order
 };
 
 }  // namespace perdnn::obs

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -114,25 +115,13 @@ struct CacheEntry {
   std::int32_t expire = 0;  ///< meaningful only while the owner is detached
 };
 
-/// Per-server per-interval accumulator behind the timeseries row.
-struct RowAcc {
-  int hits = 0, partials = 0, misses = 0;
-  long long cold_queries = 0;
-  double cold_latency = 0.0;
-  std::int64_t uplink = 0, downlink = 0;
-  int orders = 0;
-  long long local_queries = 0;
-  double local_latency = 0.0;
-  std::int64_t deferred = 0;
-  int degraded = 0;
-  int cache_evictions = 0;
-  int cache_partial_stores = 0;
-};
-
 class ShardEngine {
  public:
   ShardEngine(const ShardWorld& world, const ShardRunOptions& options)
-      : w_(world), cfg_(world.config), opt_(options) {
+      : w_(world),
+        cfg_(world.config),
+        opt_(options),
+        traffic_(world.config.num_servers(), world.config.interval_s) {
     const auto n = static_cast<std::size_t>(cfg_.num_clients);
     const auto s = static_cast<std::size_t>(cfg_.num_servers());
     K_ = static_cast<int>(w_.canonical_order.size());
@@ -150,9 +139,7 @@ class ShardEngine {
     tile_.assign(n, 0);
     cache_.resize(s);
     attached_.assign(s, 0);
-    acc_.resize(s);
-    peak_up_.assign(s, 0.0);
-    peak_down_.assign(s, 0.0);
+    rows_.resize(s);
     wheel_.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
     budget_ = cfg_.cache_budget_bytes;
     cache_bytes_.assign(s, 0);
@@ -354,11 +341,10 @@ class ShardEngine {
   // Clients refused by admission control this interval (sorted by id).
   std::vector<ClientId> shed_;
 
-  // Per-interval accounting.
-  std::vector<RowAcc> acc_;
-  std::vector<double> peak_up_, peak_down_;
-  std::int64_t best_interval_bytes_ = -1;
-  double best_interval_fraction_ = 1.0;
+  // Per-interval accounting: the open interval's timeseries rows (one per
+  // server) and the backhaul ledger.
+  std::vector<obs::TimeseriesRow> rows_;
+  TrafficAccountant traffic_;
   SimulationMetrics metrics_;
 
   std::unique_ptr<obs::TimeseriesStreamWriter> ts_;
@@ -770,7 +756,7 @@ int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
       const Bytes vbytes = w_.prefix_bytes[static_cast<std::size_t>(vprefix)];
       erase_entry(sid, vc, vprefix);
       ++metrics_.cache_evictions;
-      ++acc_[si].cache_evictions;
+      ++rows_[si].cache_evictions;
       journal({.interval = t,
                .kind = obs::JournalEventKind::kCacheEvict,
                .client = vc,
@@ -790,7 +776,7 @@ int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
   const int p = static_cast<int>(fit_end - bytes.begin()) - 1;
   if (p < want) {
     ++metrics_.cache_partial_stores;
-    ++acc_[si].cache_partial_stores;
+    ++rows_[si].cache_partial_stores;
     journal({.interval = t,
              .kind = obs::JournalEventKind::kCachePartial,
              .client = c,
@@ -813,7 +799,7 @@ void ShardEngine::apply_event(const Event& e, int t) {
       ++attached_[static_cast<std::size_t>(e.server)];
       ++total_attached_;
       ++metrics_.server_changes;
-      RowAcc& row = acc_[static_cast<std::size_t>(e.server)];
+      obs::TimeseriesRow& row = rows_[static_cast<std::size_t>(e.server)];
       if (e.cls == 0) {
         ++metrics_.hits;
         ++row.hits;
@@ -825,8 +811,8 @@ void ShardEngine::apply_event(const Event& e, int t) {
         ++row.misses;
       }
       metrics_.cold_window_queries += e.queries;
-      row.cold_queries += e.queries;
-      row.cold_latency += e.latency_sum;
+      row.cold_window_queries += e.queries;
+      row.cold_latency_sum_s += e.latency_sum;
       const bool degraded = (e.flags & kFlagDegraded) != 0;
       if (degraded) {
         ++metrics_.degraded_attaches;
@@ -871,9 +857,9 @@ void ShardEngine::apply_event(const Event& e, int t) {
       ++metrics_.unreachable_client_intervals;
       metrics_.local_fallback_queries += e.queries;
       metrics_.local_latency_sum_s += e.latency_sum;
-      RowAcc& row = acc_[static_cast<std::size_t>(e.server)];
+      obs::TimeseriesRow& row = rows_[static_cast<std::size_t>(e.server)];
       row.local_queries += e.queries;
-      row.local_latency += e.latency_sum;
+      row.local_latency_sum_s += e.latency_sum;
       if (e.queries > 0)
         journal({.interval = t,
                  .kind = obs::JournalEventKind::kLocalFallback,
@@ -1065,9 +1051,9 @@ void ShardEngine::apply_shed(const Event& e, int t) {
   ++metrics_.unreachable_client_intervals;
   metrics_.local_fallback_queries += local_queries_;
   metrics_.local_latency_sum_s += local_latency_sum_;
-  RowAcc& row = acc_[static_cast<std::size_t>(e.server)];
+  obs::TimeseriesRow& row = rows_[static_cast<std::size_t>(e.server)];
   row.local_queries += local_queries_;
-  row.local_latency += local_latency_sum_;
+  row.local_latency_sum_s += local_latency_sum_;
   if (jr_ != nullptr) {
     const std::uint64_t chain = jr_->begin_chain(e.client);
     jr_->record({.interval = t,
@@ -1157,9 +1143,8 @@ void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
           : 0;
   if (p > entry.prefix) raise_prefix(target, c, entry, p);
   schedule_expiry(target, c, t + cfg_.ttl_intervals);
-  acc_[static_cast<std::size_t>(source)].uplink += bytes;
-  acc_[static_cast<std::size_t>(source)].orders += 1;
-  acc_[static_cast<std::size_t>(target)].downlink += bytes;
+  traffic_.record_transfer(source, target, bytes);
+  ++rows_[static_cast<std::size_t>(source)].migration_orders;
   metrics_.total_migrated_bytes += bytes;
   journal({.interval = t,
            .kind = obs::JournalEventKind::kMigrationPushed,
@@ -1181,7 +1166,7 @@ void ShardEngine::defer_push(ClientId c, ServerId source, ServerId target,
   if (park_or_drop(order, t)) {
     ++metrics_.migrations_deferred;
     metrics_.deferred_migration_bytes += bytes;
-    acc_[static_cast<std::size_t>(source)].deferred += bytes;
+    rows_[static_cast<std::size_t>(source)].deferred_bytes += bytes;
   }
 }
 
@@ -1302,14 +1287,11 @@ void ShardEngine::finish_interval(int t) {
   }
   metrics_.attached_client_intervals += total_attached_;
 
-  const int num_servers = cfg_.num_servers();
-  std::int64_t interval_total = 0;
-  int under_100 = 0;
   Bytes resident_total = 0;
-  for (int s = 0; s < num_servers; ++s) {
-    const RowAcc& acc = acc_[static_cast<std::size_t>(s)];
+  for (int s = 0; s < cfg_.num_servers(); ++s) {
+    const auto si = static_cast<std::size_t>(s);
+    obs::TimeseriesRow& row = rows_[si];
     if (budget_ > 0) {
-      const auto si = static_cast<std::size_t>(s);
       PERDNN_CHECK_MSG(cache_bytes_[si] <= budget_,
                        "cache budget invariant violated on server " << s);
       // The resident index is exact: each id names a live entry holding
@@ -1327,53 +1309,20 @@ void ShardEngine::finish_interval(int t) {
                                                << cache_bytes_[si]
                                                << " on server " << s);
       resident_total += cache_bytes_[si];
+      row.cache_bytes = cache_bytes_[si];
     }
-    const double up_mbps = bytes_to_mbps(static_cast<double>(acc.uplink),
-                                         cfg_.interval_s);
-    const double down_mbps = bytes_to_mbps(static_cast<double>(acc.downlink),
-                                           cfg_.interval_s);
-    peak_up_[static_cast<std::size_t>(s)] =
-        std::max(peak_up_[static_cast<std::size_t>(s)], up_mbps);
-    peak_down_[static_cast<std::size_t>(s)] =
-        std::max(peak_down_[static_cast<std::size_t>(s)], down_mbps);
-    interval_total += acc.uplink;
-    if (up_mbps <= 100.0 && down_mbps <= 100.0) ++under_100;
-    if (ts_ != nullptr) {
-      obs::TimeseriesRow row;
-      row.interval = t;
-      row.server = s;
-      row.attached = attached_[static_cast<std::size_t>(s)];
-      row.hits = acc.hits;
-      row.partials = acc.partials;
-      row.misses = acc.misses;
-      row.cold_window_queries = acc.cold_queries;
-      row.cold_latency_sum_s = acc.cold_latency;
-      row.uplink_bytes = acc.uplink;
-      row.downlink_bytes = acc.downlink;
-      row.migration_orders = acc.orders;
-      row.local_queries = acc.local_queries;
-      row.local_latency_sum_s = acc.local_latency;
-      row.deferred_bytes = acc.deferred;
-      row.degraded = acc.degraded;
-      if (budget_ > 0) {
-        row.cache_bytes = cache_bytes_[static_cast<std::size_t>(s)];
-        row.cache_evictions = acc.cache_evictions;
-        row.cache_partial_stores = acc.cache_partial_stores;
-      }
-      ts_->append(row);
-    }
+    row.attached = attached_[si];
+    row.uplink_bytes = traffic_.uplink_bytes(s);
+    row.downlink_bytes = traffic_.downlink_bytes(s);
+    if (ts_ != nullptr) ts_->append(row);
   }
+  traffic_.end_interval();
   if (budget_ > 0)
     metrics_.peak_cache_bytes =
         std::max(metrics_.peak_cache_bytes, resident_total);
   if (!ft_.empty())
     metrics_.peak_deferred_backlog_bytes = std::max(
         metrics_.peak_deferred_backlog_bytes, retry_.backlog_bytes());
-  if (interval_total > best_interval_bytes_) {
-    best_interval_bytes_ = interval_total;
-    best_interval_fraction_ =
-        static_cast<double>(under_100) / static_cast<double>(num_servers);
-  }
 }
 
 void ShardEngine::open_writers_fresh() {
@@ -1388,6 +1337,12 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
   if (!snap.has_shard)
     throw snapshot::SnapshotError(
         "snapshot: not a sharded-world checkpoint");
+  if (snap.version < 7)
+    throw snapshot::SnapshotError(
+        "snapshot: version " + std::to_string(snap.version) +
+        " sharded checkpoint cannot resume: it keeps backhaul peaks in Mbps "
+        "and the busiest interval only as a 100 Mbps share, and the version "
+        "7 traffic summary needs per-server bytes");
   if (snap.config_fingerprint != shard_config_fingerprint(cfg_))
     throw snapshot::SnapshotError(
         "snapshot: config fingerprint mismatch (different scenario)");
@@ -1403,11 +1358,9 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
       s.entry_server.size() != s.entry_expire.size() ||
       s.entry_server.size() != s.entry_prefix.size())
     throw snapshot::SnapshotError("snapshot: cache entry arrays misaligned");
-  if (s.peak_uplink_mbps.size() !=
-          static_cast<std::size_t>(cfg_.num_servers()) ||
-      s.peak_downlink_mbps.size() !=
-          static_cast<std::size_t>(cfg_.num_servers()))
-    throw snapshot::SnapshotError("snapshot: server array size mismatch");
+  if (!snap.traffic.has_width(static_cast<std::size_t>(cfg_.num_servers())))
+    throw snapshot::SnapshotError(
+        "snapshot: traffic summary width does not match the server count");
   if (!opt_.timeseries_path.empty() != snap.has_timeseries)
     throw snapshot::SnapshotError(
         "snapshot: timeseries recording mismatch between checkpointed and "
@@ -1469,10 +1422,7 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
           .push_back({sid, c});
   }
 
-  peak_up_ = s.peak_uplink_mbps;
-  peak_down_ = s.peak_downlink_mbps;
-  best_interval_bytes_ = s.best_interval_bytes;
-  best_interval_fraction_ = s.best_interval_fraction;
+  traffic_.restore(snap.traffic);
   metrics_ = snap.metrics;
   start_interval_ = snap.next_interval;
 
@@ -1557,10 +1507,7 @@ snapshot::SimSnapshot ShardEngine::capture(int next_interval) {
       s.entry_prefix.push_back(entry.prefix);
     }
   }
-  s.peak_uplink_mbps = peak_up_;
-  s.peak_downlink_mbps = peak_down_;
-  s.best_interval_bytes = best_interval_bytes_;
-  s.best_interval_fraction = best_interval_fraction_;
+  snap.traffic = traffic_.state();
   for (const ShardRetryOrder& order : retry_.flatten()) {
     s.retry_client.push_back(order.client);
     s.retry_source.push_back(order.source);
@@ -1634,7 +1581,8 @@ SimulationMetrics ShardEngine::run() {
     tm_phase_a += secs(t1, t2);
 
     // Phase B: canonical-order exchange and every shared-state mutation.
-    for (auto& acc : acc_) acc = RowAcc{};
+    for (int s = 0; s < cfg_.num_servers(); ++s)
+      rows_[static_cast<std::size_t>(s)] = {.interval = t, .server = s};
     for (const ShardBuf& buf : bufs_)
       metrics_.client_disconnect_events += buf.disconnects;
     compute_shed();
@@ -1664,23 +1612,7 @@ SimulationMetrics ShardEngine::run() {
                  "finish=%.2fs\n",
                  tm_bucket, tm_phase_a, tm_apply, tm_finish);
 
-  metrics_.peak_uplink_mbps =
-      peak_up_.empty() ? 0.0 : *std::max_element(peak_up_.begin(),
-                                                 peak_up_.end());
-  metrics_.peak_downlink_mbps =
-      peak_down_.empty() ? 0.0
-                         : *std::max_element(peak_down_.begin(),
-                                             peak_down_.end());
-  int under_100 = 0;
-  for (std::size_t s = 0; s < peak_up_.size(); ++s)
-    if (peak_up_[s] <= 100.0 && peak_down_[s] <= 100.0) ++under_100;
-  metrics_.fraction_servers_within_100mbps =
-      peak_up_.empty() ? 0.0
-                       : static_cast<double>(under_100) /
-                             static_cast<double>(peak_up_.size());
-  metrics_.fraction_servers_within_100mbps_at_peak =
-      best_interval_bytes_ >= 0 ? best_interval_fraction_ : 1.0;
-  metrics_.server_peak_uplink_mbps = peak_up_;
+  metrics_.set_backhaul(traffic_);
   metrics_.num_servers = cfg_.num_servers();
   metrics_.num_clients = cfg_.num_clients;
   metrics_.num_intervals = cfg_.num_intervals;

@@ -35,6 +35,19 @@ double SimulationMetrics::offload_ratio() const {
   return denom > 0 ? static_cast<double>(cold_window_queries) / denom : 1.0;
 }
 
+void SimulationMetrics::set_backhaul(const TrafficAccountant& traffic) {
+  peak_uplink_mbps = traffic.global_peak_uplink_mbps();
+  peak_downlink_mbps = traffic.global_peak_downlink_mbps();
+  fraction_servers_within_100mbps = traffic.fraction_servers_within(100.0);
+  fraction_servers_within_100mbps_at_peak =
+      traffic.fraction_servers_within_at_peak(100.0);
+  server_peak_uplink_mbps.resize(
+      static_cast<std::size_t>(traffic.num_servers()));
+  for (ServerId s = 0; s < traffic.num_servers(); ++s)
+    server_peak_uplink_mbps[static_cast<std::size_t>(s)] =
+        traffic.peak_uplink_mbps(s);
+}
+
 void SimulationConfig::validate() const {
   PERDNN_CHECK_MSG(ttl_intervals >= 1,
                    "ttl_intervals must be >= 1 (got " << ttl_intervals << ")");
@@ -254,6 +267,7 @@ class SimulatorImpl {
         static_cast<std::size_t>(world.servers.num_servers()), 0);
     attached_.assign(static_cast<std::size_t>(world.servers.num_servers()),
                      0);
+    rows_.resize(static_cast<std::size_t>(world.servers.num_servers()));
     clients_.reserve(world.test_traces.size());
     for (const auto& trace : world.test_traces)
       clients_.push_back({.trace = &trace,
@@ -376,6 +390,9 @@ class SimulatorImpl {
   Seconds routed_path_latency(ClientId c, ServerId previous);
   void sort_canonical(std::vector<LayerId>& layers) const;
   std::vector<LayerId> order_by_canonical(std::vector<LayerId> layers) const;
+  obs::TimeseriesRow& row(ServerId server) {
+    return rows_[static_cast<std::size_t>(server)];
+  }
 
   const SimulationConfig& config_;
   const SimulationWorld& world_;
@@ -391,6 +408,8 @@ class SimulatorImpl {
   int num_intervals_ = 0;
   std::vector<LayerCache> caches_;
   std::vector<int> attached_;
+  /// The open interval's timeseries rows, one per server.
+  std::vector<obs::TimeseriesRow> rows_;
   std::vector<ClientState> clients_;
   std::vector<int> order_rank_;
   std::unordered_map<int, LoadLevelCache> levels_;
@@ -608,9 +627,9 @@ void SimulatorImpl::flush_cold_jobs(int interval_index) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     metrics_.cold_window_queries += results[i].queries;
     metrics_.routed_queries += results[i].routed;
-    if (timeseries_ != nullptr)
-      timeseries_->record_cold_queries(cold_jobs_[i].sid, results[i].queries,
-                                       results[i].latency_sum);
+    obs::TimeseriesRow& r = row(cold_jobs_[i].sid);
+    r.cold_window_queries += results[i].queries;
+    r.cold_latency_sum_s += results[i].latency_sum;
     if (journal_ != nullptr)
       journal_->record({.interval = interval_index,
                         .kind = obs::JournalEventKind::kColdServe,
@@ -673,7 +692,7 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
   if (degraded) {
     ++metrics_.degraded_attaches;
     obs::count("sim.attach.degraded");
-    if (timeseries_ != nullptr) timeseries_->record_degraded(sid);
+    ++row(sid).degraded;
   }
   const DnnModel& model = world_.model;
 
@@ -697,18 +716,17 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
   const bool is_miss = !is_hit && present == 0;
   if (is_hit) {
     ++metrics_.hits;
+    ++row(sid).hits;
     obs::count("sim.attach.hits");
   } else if (is_miss) {
     ++metrics_.misses;
+    ++row(sid).misses;
     obs::count("sim.attach.misses");
   } else {
     ++metrics_.partials;
+    ++row(sid).partials;
     obs::count("sim.attach.partials");
   }
-  if (timeseries_ != nullptr)
-    timeseries_->record_attach(sid, is_hit ? 1 : 0,
-                               (!is_hit && !is_miss) ? 1 : 0,
-                               is_miss ? 1 : 0);
 
   client.pending = order_by_canonical(std::move(missing));
   if (journal_ != nullptr) {
@@ -883,7 +901,7 @@ void SimulatorImpl::defer_layers(ClientId c, ServerId source, ServerId target,
                                  int interval_index) {
   Bytes bytes = 0;
   for (LayerId id : layers) bytes += world_.model.layer(id).weight_bytes;
-  if (timeseries_ != nullptr) timeseries_->record_deferred(source, bytes);
+  row(source).deferred_bytes += bytes;
   dispatcher_.defer(c, source, target, std::move(layers), bytes,
                     interval_index);
 }
@@ -927,9 +945,7 @@ void SimulatorImpl::retry_deferred_migrations(int interval_index) {
     }
     dispatcher_.succeed(order);
     obs::count("sim.migration.orders");
-    if (timeseries_ != nullptr)
-      timeseries_->record_migration(order.source, order.target,
-                                    result.sent_bytes);
+    ++row(order.source).migration_orders;
     if (!result.overflow.empty())
       defer_layers(order.client, order.source, order.target,
                    std::move(result.overflow), interval_index);
@@ -974,8 +990,8 @@ void SimulatorImpl::run_local_fallback(ClientId c, Point pos,
           pos, world_.servers.grid().cell_radius() * 64.0);
     }
     if (sid == kNoServer) sid = 0;
-    if (timeseries_ != nullptr)
-      timeseries_->record_local_queries(sid, queries, latency_sum);
+    row(sid).local_queries += queries;
+    row(sid).local_latency_sum_s += latency_sum;
     if (journal_ != nullptr)
       journal_->record({.interval = interval_index,
                         .kind = obs::JournalEventKind::kLocalFallback,
@@ -1082,8 +1098,8 @@ void SimulatorImpl::proactive_migration(int interval_index) {
       const double error_m = distance(
           *predicted, points[static_cast<std::size_t>(interval_index) + 1]);
       obs::observe("sim.predictor.abs_error_m", error_m);
-      if (timeseries_ != nullptr)
-        timeseries_->record_predictor_sample(client.current, error_m);
+      ++row(client.current).predictor_samples;
+      row(client.current).predictor_error_sum_m += error_m;
     }
     world_.servers.servers_within_into(*predicted, config_.migration_radius_m,
                                        cells_scratch_, targets_scratch_);
@@ -1169,11 +1185,9 @@ void SimulatorImpl::proactive_migration(int interval_index) {
         defer_layers(c, client.current, target, std::move(result.overflow),
                      interval_index);
       obs::count("sim.migration.orders");
-      // Recorded even when fully deduplicated (bytes == 0): the order was
-      // still issued, only the transfer was suppressed.
-      if (timeseries_ != nullptr)
-        timeseries_->record_migration(client.current, target,
-                                      result.sent_bytes);
+      // Counted even when fully deduplicated (0 bytes): the order was still
+      // issued, only the transfer was suppressed.
+      ++row(client.current).migration_orders;
     }
   }
 }
@@ -1232,6 +1246,41 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
       snap.clients.size() != clients_.size())
     throw snapshot::SnapshotError(
         "snapshot: state shape does not match the world");
+  // Every index the run will follow must name something in this world.
+  const auto server_ok = [&](ServerId s) {
+    return s >= 0 && s < world_.servers.num_servers();
+  };
+  const auto client_ok = [&](ClientId c) {
+    return c >= 0 && c < static_cast<ClientId>(clients_.size());
+  };
+  const auto layers_ok = [&](const std::vector<LayerId>& layers) {
+    return std::all_of(layers.begin(), layers.end(), [&](LayerId id) {
+      return id >= 0 && id < world_.model.num_layers();
+    });
+  };
+  for (const auto& entries : snap.caches)
+    for (const LayerCache::EntrySnapshot& entry : entries)
+      if (!client_ok(entry.client) || !layers_ok(entry.layers))
+        throw snapshot::SnapshotError("snapshot: cache entry out of range");
+  for (const DeferredMigration& order : snap.dispatcher.queue)
+    if (!client_ok(order.client) || !server_ok(order.source) ||
+        !server_ok(order.target) || !layers_ok(order.layers))
+      throw snapshot::SnapshotError(
+          "snapshot: parked migration order out of range");
+  for (const snapshot::ClientSnapshot& cs : snap.clients) {
+    if (cs.current != kNoServer && !server_ok(cs.current))
+      throw snapshot::SnapshotError(
+          "snapshot: client attached to an out-of-range server");
+    if (!layers_ok(cs.pending))
+      throw snapshot::SnapshotError(
+          "snapshot: pending layer id out of range");
+  }
+  if (!snap.traffic.has_width(servers))
+    throw snapshot::SnapshotError(
+        "snapshot: traffic summary width does not match the server count");
+  if (snap.timeseries_rows.size() % servers != 0)
+    throw snapshot::SnapshotError(
+        "snapshot: timeseries rows do not cover whole intervals");
   rng_.restore(snap.rng);
   link_rng_.restore(snap.link_rng);
   for (std::size_t s = 0; s < servers; ++s)
@@ -1241,10 +1290,6 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
   attached_ = snap.attached;
   for (std::size_t c = 0; c < clients_.size(); ++c) {
     const snapshot::ClientSnapshot& cs = snap.clients[c];
-    if (cs.current != kNoServer &&
-        (cs.current < 0 || cs.current >= world_.servers.num_servers()))
-      throw snapshot::SnapshotError(
-          "snapshot: client attached to an out-of-range server");
     clients_[c].current = cs.current;
     clients_[c].pending = cs.pending;
     clients_[c].carry_bytes = cs.carry_bytes;
@@ -1295,8 +1340,8 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
        k < num_intervals; ++k) {
     PERDNN_SPAN("sim.interval");
     const int interval_index = static_cast<int>(k);
-    traffic_.begin_interval();
-    if (timeseries_ != nullptr) timeseries_->begin_interval(interval_index);
+    for (ServerId s = 0; s < world_.servers.num_servers(); ++s)
+      row(s) = {.interval = interval_index, .server = s};
 
     // 0) Scripted fault windows open (crashed servers lose caches and
     //    clients, disconnecting clients detach).
@@ -1390,11 +1435,9 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
           obs::count("sim.cache.evictions", static_cast<double>(dev));
         if (dps > 0)
           obs::count("sim.cache.partial_stores", static_cast<double>(dps));
-        if (timeseries_ != nullptr)
-          timeseries_->record_cache(s,
-                                    static_cast<std::int64_t>(cache.total_bytes()),
-                                    static_cast<int>(dev),
-                                    static_cast<int>(dps));
+        row(s).cache_bytes = cache.total_bytes();
+        row(s).cache_evictions = static_cast<int>(dev);
+        row(s).cache_partial_stores = static_cast<int>(dps);
       }
       metrics_.peak_cache_bytes =
           std::max(metrics_.peak_cache_bytes, resident);
@@ -1402,14 +1445,17 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
 
     metrics_.peak_deferred_backlog_bytes = std::max(
         metrics_.peak_deferred_backlog_bytes, dispatcher_.backlog_bytes());
-    if (timeseries_ != nullptr) {
-      timeseries_->set_attached(attached_);
-      timeseries_->end_interval();
+    for (ServerId s = 0; s < world_.servers.num_servers(); ++s) {
+      row(s).attached = attached_[static_cast<std::size_t>(s)];
+      row(s).uplink_bytes = traffic_.uplink_bytes(s);
+      row(s).downlink_bytes = traffic_.downlink_bytes(s);
     }
+    if (timeseries_ != nullptr) timeseries_->append_interval(rows_);
+    traffic_.end_interval();
 
     // Interval boundary: the checkpoint hook. Everything transient is
-    // settled here (cold_jobs_ flushed, the timeseries interval closed), so
-    // a snapshot taken now resumes byte-identically.
+    // settled here (cold_jobs_ flushed, the interval's rows and traffic
+    // closed), so a snapshot taken now resumes byte-identically.
     const int next_interval = interval_index + 1;
     const bool stop_here = options.stop_after_interval == interval_index;
     const bool periodic = options.checkpoint_every > 0 &&
@@ -1429,7 +1475,6 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
     }
     if (stop_here) return metrics_;  // partial: caller resumes later
   }
-  traffic_.finish();
 
   metrics_.migrations_deferred = dispatcher_.deferred_orders();
   metrics_.migration_retries = dispatcher_.retries();
@@ -1437,17 +1482,7 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
   metrics_.deferred_migration_bytes = dispatcher_.total_deferred_bytes();
   metrics_.abandoned_migration_bytes = dispatcher_.abandoned_bytes();
 
-  metrics_.peak_uplink_mbps = traffic_.global_peak_uplink_mbps();
-  metrics_.peak_downlink_mbps = traffic_.global_peak_downlink_mbps();
-  metrics_.fraction_servers_within_100mbps =
-      traffic_.fraction_servers_within(100.0);
-  metrics_.fraction_servers_within_100mbps_at_peak =
-      traffic_.fraction_servers_within_at_peak(100.0);
-  metrics_.server_peak_uplink_mbps.resize(
-      static_cast<std::size_t>(world_.servers.num_servers()));
-  for (ServerId s = 0; s < world_.servers.num_servers(); ++s)
-    metrics_.server_peak_uplink_mbps[static_cast<std::size_t>(s)] =
-        traffic_.peak_uplink_mbps(s);
+  metrics_.set_backhaul(traffic_);
   metrics_.num_servers = world_.servers.num_servers();
   metrics_.num_clients = static_cast<int>(clients_.size());
   metrics_.num_intervals = static_cast<int>(num_intervals);

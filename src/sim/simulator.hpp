@@ -225,6 +225,9 @@ struct SimulationMetrics {
   Bytes total_migrated_bytes = 0;
   /// Per-server peak uplink Mbps, for picking crowded servers.
   std::vector<double> server_peak_uplink_mbps;
+  /// Fills the backhaul fields above, except total_migrated_bytes, from the
+  /// run's accountant.
+  void set_backhaul(const TrafficAccountant& traffic);
 
   int num_servers = 0;
   int num_clients = 0;

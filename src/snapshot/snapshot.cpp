@@ -208,22 +208,61 @@ obs::TimeseriesRow read_row(Reader& r, std::uint32_t version) {
   return row;
 }
 
-void write_bytes_matrix(Writer& w,
-                        const std::vector<std::vector<Bytes>>& matrix) {
-  w.count(matrix.size());
-  for (const auto& row : matrix) {
-    w.count(row.size());
-    for (Bytes b : row) w.i64(b);
-  }
+void write_bytes(Writer& w, const std::vector<Bytes>& bytes) {
+  w.count(bytes.size());
+  for (Bytes b : bytes) w.i64(b);
 }
 
-std::vector<std::vector<Bytes>> read_bytes_matrix(Reader& r) {
-  std::vector<std::vector<Bytes>> matrix(r.count(8));
-  for (auto& row : matrix) {
-    row.resize(r.count(8));
-    for (Bytes& b : row) b = r.i64();
-  }
-  return matrix;
+std::vector<Bytes> read_bytes(Reader& r) {
+  std::vector<Bytes> bytes(r.count(8));
+  for (Bytes& b : bytes) b = r.i64();
+  return bytes;
+}
+
+void write_traffic(Writer& w, const TrafficAccountant::State& t) {
+  write_bytes(w, t.peak_uplink);
+  write_bytes(w, t.peak_downlink);
+  w.i64(t.busiest_total);
+  write_bytes(w, t.busiest_uplink);
+  write_bytes(w, t.busiest_downlink);
+}
+
+TrafficAccountant::State read_traffic(Reader& r) {
+  TrafficAccountant::State t;
+  t.peak_uplink = read_bytes(r);
+  t.peak_downlink = read_bytes(r);
+  t.busiest_total = r.i64();
+  t.busiest_uplink = read_bytes(r);
+  t.busiest_downlink = read_bytes(r);
+  return t;
+}
+
+/// Versions 2–6 stored the classic engine's per-interval byte history plus
+/// the interval open at the checkpoint, which was complete by then. Folding
+/// both yields exactly the summary a version 7 writer stores. A sharded
+/// file's copy of this section is empty and folds to an empty summary.
+TrafficAccountant::State read_traffic_history(Reader& r) {
+  std::vector<std::vector<Bytes>> uplink(r.count(8));
+  for (auto& interval : uplink) interval = read_bytes(r);
+  std::vector<std::vector<Bytes>> downlink(r.count(8));
+  for (auto& interval : downlink) interval = read_bytes(r);
+  const std::vector<Bytes> open_uplink = read_bytes(r);
+  const std::vector<Bytes> open_downlink = read_bytes(r);
+  const bool interval_open = r.boolean();
+  r.i64();  // total bytes sent, never part of the summary
+  if (uplink.size() != downlink.size())
+    throw SnapshotError("snapshot: traffic histories disagree on length");
+  TrafficAccountant::State t(open_uplink.size());
+  const auto fold = [&t](const std::vector<Bytes>& up,
+                         const std::vector<Bytes>& down) {
+    if (up.size() != t.peak_uplink.size() ||
+        down.size() != t.peak_uplink.size())
+      throw SnapshotError("snapshot: traffic history widths disagree");
+    t.fold(up, down);
+  };
+  for (std::size_t k = 0; k < uplink.size(); ++k) fold(uplink[k], downlink[k]);
+  if (interval_open) fold(open_uplink, open_downlink);
+  return t;
 }
 
 void write_journal(Writer& w, const obs::JournalState& j) {
@@ -303,10 +342,6 @@ void write_shard(Writer& w, const ShardSimState& s) {
   write_i32s(s.entry_client);
   write_i32s(s.entry_expire);
   write_u32s(s.entry_prefix);
-  write_f64s(s.peak_uplink_mbps);
-  write_f64s(s.peak_downlink_mbps);
-  w.i64(s.best_interval_bytes);
-  w.f64(s.best_interval_fraction);
   w.u64(s.timeseries_bytes);
   w.u64(s.timeseries_rows);
   w.u64(s.journal_bytes);
@@ -354,10 +389,14 @@ ShardSimState read_shard(Reader& r, std::uint32_t version) {
   read_i32s(s.entry_client);
   read_i32s(s.entry_expire);
   read_u32s(s.entry_prefix);
-  read_f64s(s.peak_uplink_mbps);
-  read_f64s(s.peak_downlink_mbps);
-  s.best_interval_bytes = r.i64();
-  s.best_interval_fraction = r.f64();
+  if (version <= 6) {
+    // Mbps peaks and the busiest-interval record, dropped in version 7.
+    std::vector<double> dropped;
+    read_f64s(dropped);
+    read_f64s(dropped);
+    r.i64();
+    r.f64();
+  }
   s.timeseries_bytes = r.u64();
   s.timeseries_rows = r.u64();
   s.journal_bytes = r.u64();
@@ -501,14 +540,7 @@ std::string encode(const SimSnapshot& snap) {
   payload.i32(snap.dispatcher.abandoned_orders);
   payload.i32(snap.dispatcher.retries);
 
-  write_bytes_matrix(payload, snap.traffic.uplink_history);
-  write_bytes_matrix(payload, snap.traffic.downlink_history);
-  payload.count(snap.traffic.uplink_current.size());
-  for (Bytes b : snap.traffic.uplink_current) payload.i64(b);
-  payload.count(snap.traffic.downlink_current.size());
-  for (Bytes b : snap.traffic.downlink_current) payload.i64(b);
-  payload.boolean(snap.traffic.interval_open);
-  payload.i64(snap.traffic.total_bytes);
+  write_traffic(payload, snap.traffic);
 
   payload.count(snap.attached.size());
   for (int a : snap.attached) payload.i32(a);
@@ -544,17 +576,19 @@ SimSnapshot decode(const std::string& bytes) try {
   // Accept the current version plus version 2 (pre-shard files, their shard
   // section is absent), version 3 (pre-retry-queue files, their retry
   // arrays are empty), version 4 (pre-budgeted-cache files, their
-  // per-entry byte counts are recomputed on restore), and version 5 (the
-  // last to carry the estimate-memo tallies, skipped here). Unknown
-  // versions fall through to unframe()'s version-mismatch error.
+  // per-entry byte counts are recomputed on restore), version 5 (the last
+  // to carry the estimate-memo tallies, skipped here) and version 6 (the
+  // last to carry traffic histories, folded here). Unknown versions fall
+  // through to unframe()'s version-mismatch error.
   std::uint32_t version = kSnapshotVersion;
   if (bytes.size() >= 12) {
     Reader vr(bytes.data() + 8, 4);
     const std::uint32_t declared = vr.u32();
-    if (declared >= 2 && declared <= 5) version = declared;
+    if (declared >= 2 && declared <= 6) version = declared;
   }
   Reader r = wire::unframe(bytes, kMagic, version, "snapshot");
   SimSnapshot snap;
+  snap.version = version;
   snap.config_fingerprint = r.u64();
   snap.next_interval = r.i32();
   snap.num_intervals = r.i32();
@@ -591,14 +625,7 @@ SimSnapshot decode(const std::string& bytes) try {
   snap.dispatcher.abandoned_orders = r.i32();
   snap.dispatcher.retries = r.i32();
 
-  snap.traffic.uplink_history = read_bytes_matrix(r);
-  snap.traffic.downlink_history = read_bytes_matrix(r);
-  snap.traffic.uplink_current.resize(r.count(8));
-  for (Bytes& b : snap.traffic.uplink_current) b = r.i64();
-  snap.traffic.downlink_current.resize(r.count(8));
-  for (Bytes& b : snap.traffic.downlink_current) b = r.i64();
-  snap.traffic.interval_open = r.boolean();
-  snap.traffic.total_bytes = r.i64();
+  snap.traffic = version >= 7 ? read_traffic(r) : read_traffic_history(r);
 
   snap.attached.resize(r.count(4));
   for (int& a : snap.attached) a = r.i32();

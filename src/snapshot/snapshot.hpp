@@ -5,11 +5,11 @@
 // timeseries, and traffic output: the interval index, every salted RNG
 // stream (including the Box-Muller spare), per-server LayerCache entries
 // and TTLs, the MigrationDispatcher retry queue and backoff deadlines,
-// client attachment/upload state, the TrafficAccountant histories, the
-// per-load GPU statistics behind the level caches (the only RNG-derived
-// planning state — estimates and plans are rebuilt deterministically on
-// resume), the accumulated SimulationMetrics, and (optionally) the
-// finished SimTimeseries rows.
+// client attachment/upload state, the TrafficAccountant summary (both
+// engines write it, in one section), the per-load GPU statistics behind the
+// level caches (the only RNG-derived planning state — estimates and plans
+// are rebuilt deterministically on resume), the accumulated
+// SimulationMetrics, and (optionally) the finished SimTimeseries rows.
 //
 // Wire format (little-endian, fixed-width):
 //
@@ -66,7 +66,15 @@ namespace perdnn::snapshot {
 /// metrics/row fields default to zero).
 /// Version 6 dropped the two estimate-memo hit/miss tallies that followed
 /// the level statistics; decode still accepts versions 2–5 and skips them.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// Version 7 replaced the classic engine's per-interval traffic histories
+/// with the O(servers) TrafficAccountant summary, written in the same place
+/// for both engines, and dropped the sharded section's Mbps peaks and
+/// busiest-interval record. decode folds a version 2–6 classic history,
+/// plus the interval that was open at the checkpoint, into the summary
+/// exactly. It parses and drops a version 3–6 sharded file's peaks; the
+/// sharded engine refuses to resume such a file, because a 100 Mbps share
+/// cannot be turned back into per-server bytes.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Thrown for every malformed-snapshot condition: bad magic, unknown
 /// version, truncation, checksum mismatch, out-of-range lengths, fingerprint
@@ -110,10 +118,6 @@ struct ShardSimState {
   // Layer-cache entries, flattened and sorted by (server, client).
   std::vector<std::int32_t> entry_server, entry_client, entry_expire;
   std::vector<std::uint32_t> entry_prefix;
-  // Backhaul peaks (per-server all-time) and the busiest-interval record.
-  std::vector<double> peak_uplink_mbps, peak_downlink_mbps;
-  std::int64_t best_interval_bytes = -1;
-  double best_interval_fraction = 1.0;
   // Streamed-output positions at the checkpoint.
   std::uint64_t timeseries_bytes = 0, timeseries_rows = 0;
   std::uint64_t journal_bytes = 0, journal_events = 0;
@@ -130,6 +134,9 @@ struct ShardSimState {
 };
 
 struct SimSnapshot {
+  /// Wire version the snapshot was decoded from; encode() always writes
+  /// kSnapshotVersion.
+  std::uint32_t version = kSnapshotVersion;
   std::uint64_t config_fingerprint = 0;
   /// First interval the resumed run executes (the checkpointed run finished
   /// intervals [0, next_interval)).
@@ -141,6 +148,7 @@ struct SimSnapshot {
   /// client id.
   std::vector<std::vector<LayerCache::EntrySnapshot>> caches;
   MigrationDispatcher::State dispatcher;
+  /// Backhaul summary of both engines.
   TrafficAccountant::State traffic;
   std::vector<int> attached;
   std::vector<ClientSnapshot> clients;
@@ -158,9 +166,9 @@ struct SimSnapshot {
   /// and deliberately never stored (journal.hpp explains why).
   bool has_journal = false;
   obs::JournalState journal;
-  /// Sharded-world section (version 3). When has_shard is set the legacy
-  /// per-client/per-server vectors above stay empty: the two engines never
-  /// share a snapshot.
+  /// Sharded-world section (version 3). When has_shard is set the classic
+  /// per-client/per-server vectors above stay empty (all but `traffic`,
+  /// which both engines fill): the two engines never share a snapshot.
   bool has_shard = false;
   ShardSimState shard;
 };

@@ -74,13 +74,18 @@ TEST(JsonRoundTrip, RegistryExport) {
 TEST(JsonRoundTrip, TimeseriesExport) {
   SimTimeseries ts;
   ts.start(2, 20.0);
-  ts.begin_interval(0);
-  ts.record_attach(0, 1, 0, 0);
-  ts.record_cold_queries(0, 5, 1.25);
-  ts.record_migration(0, 1, 12345);
-  ts.record_predictor_sample(1, 33.5);
-  ts.set_attached({1, 0});
-  ts.end_interval();
+  std::vector<TimeseriesRow> rows(2);
+  rows[1].server = 1;
+  rows[0].hits = 1;
+  rows[0].cold_window_queries = 5;
+  rows[0].cold_latency_sum_s = 1.25;
+  rows[0].uplink_bytes = 12345;
+  rows[0].migration_orders = 1;
+  rows[1].downlink_bytes = 12345;
+  rows[1].predictor_samples = 1;
+  rows[1].predictor_error_sum_m = 33.5;
+  rows[0].attached = 1;
+  ts.append_interval(rows);
   const std::string json = ts.to_json();
   EXPECT_EQ(parse_json(json).serialize(), json);
 }

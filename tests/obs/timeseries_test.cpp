@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "mobility/trace_gen.hpp"
+#include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "sim/simulator.hpp"
 
@@ -19,47 +20,46 @@ using obs::TimeseriesRow;
 // ---------------------------------------------------------------------------
 // Unit-level recorder behaviour.
 
+/// One interval's rows as an engine builds them: one per server, stamped
+/// with the interval and the server id.
+std::vector<TimeseriesRow> interval_rows(int interval, int num_servers) {
+  std::vector<TimeseriesRow> rows(static_cast<std::size_t>(num_servers));
+  for (int s = 0; s < num_servers; ++s)
+    rows[static_cast<std::size_t>(s)] = {.interval = interval, .server = s};
+  return rows;
+}
+
 TEST(SimTimeseriesUnit, DenseRowsAndAggregates) {
   SimTimeseries ts;
   ts.start(/*num_servers=*/3, /*interval_length_s=*/20.0);
 
-  ts.begin_interval(0);
-  ts.record_attach(1, /*hits=*/1, /*partials=*/0, /*misses=*/0);
-  ts.record_cold_queries(1, 10, 2.5);
-  ts.record_migration(/*from=*/0, /*to=*/2, /*bytes=*/1000);
-  ts.record_migration(/*from=*/0, /*to=*/1, /*bytes=*/0);  // dedup'd order
-  ts.record_predictor_sample(1, 12.5);
-  ts.set_attached({0, 2, 1});
-  ts.end_interval();
-
-  ts.begin_interval(1);
-  ts.end_interval();  // an all-quiet interval still emits zero rows
+  std::vector<TimeseriesRow> first = interval_rows(0, 3);
+  first[1].hits = 1;
+  first[1].cold_window_queries = 10;
+  first[1].cold_latency_sum_s = 2.5;
+  first[0].uplink_bytes = 1000;
+  first[2].downlink_bytes = 1000;
+  first[0].migration_orders = 2;
+  first[1].attached = 2;
+  first[2].attached = 1;
+  ts.append_interval(first);
+  ts.append_interval(interval_rows(1, 3));  // a quiet interval: zero rows
 
   EXPECT_EQ(ts.num_servers(), 3);
   EXPECT_EQ(ts.num_intervals(), 2);
   const std::vector<TimeseriesRow> rows = ts.rows();
   ASSERT_EQ(rows.size(), 6u);  // 2 intervals x 3 servers, dense
-
-  const TimeseriesRow& r0 = rows[0];  // interval 0, server 0
-  EXPECT_EQ(r0.uplink_bytes, 1000);
-  EXPECT_EQ(r0.downlink_bytes, 0);
-  EXPECT_EQ(r0.migration_orders, 2);  // the 0-byte order still counts
-
-  const TimeseriesRow& r1 = rows[1];  // interval 0, server 1
-  EXPECT_EQ(r1.hits, 1);
-  EXPECT_EQ(r1.cold_window_queries, 10);
-  EXPECT_DOUBLE_EQ(r1.cold_latency_sum_s, 2.5);
-  EXPECT_EQ(r1.attached, 2);
-  EXPECT_EQ(r1.predictor_samples, 1);
-  EXPECT_DOUBLE_EQ(r1.predictor_error_sum_m, 12.5);
-
-  const TimeseriesRow& r2 = rows[2];  // interval 0, server 2
-  EXPECT_EQ(r2.downlink_bytes, 1000);
-  EXPECT_EQ(r2.uplink_bytes, 0);
-
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(rows[i].interval, 0);
+    EXPECT_EQ(rows[i].server, static_cast<int>(i));
+    EXPECT_EQ(rows[i].hits, first[i].hits);
+    EXPECT_EQ(rows[i].uplink_bytes, first[i].uplink_bytes);
+    EXPECT_EQ(rows[i].attached, first[i].attached);
+  }
   // Interval-1 rows are all zero but present.
   for (std::size_t i = 3; i < 6; ++i) {
     EXPECT_EQ(rows[i].interval, 1);
+    EXPECT_EQ(rows[i].server, static_cast<int>(i - 3));
     EXPECT_EQ(rows[i].cold_window_queries, 0);
     EXPECT_EQ(rows[i].uplink_bytes, 0);
   }
@@ -72,20 +72,40 @@ TEST(SimTimeseriesUnit, DenseRowsAndAggregates) {
 
 TEST(SimTimeseriesUnit, OutOfOrderIntervalsThrow) {
   SimTimeseries ts;
-  ts.start(1, 20.0);
-  ts.begin_interval(0);
-  EXPECT_THROW(ts.begin_interval(1), std::logic_error);  // still open
-  ts.end_interval();
-  EXPECT_THROW(ts.begin_interval(0), std::logic_error);  // not monotone
-  EXPECT_THROW(ts.begin_interval(2), std::logic_error);  // gap
+  ts.start(2, 20.0);
+  EXPECT_THROW(ts.append_interval(interval_rows(1, 2)),
+               std::logic_error);  // gap
+  EXPECT_THROW(ts.append_interval(interval_rows(0, 1)),
+               std::logic_error);  // wrong width
+  std::vector<TimeseriesRow> swapped = interval_rows(0, 2);
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_THROW(ts.append_interval(swapped), std::logic_error);  // server order
+  EXPECT_EQ(ts.num_intervals(), 0);
+  ts.append_interval(interval_rows(0, 2));
+  EXPECT_THROW(ts.append_interval(interval_rows(0, 2)),
+               std::logic_error);  // not monotone
+  EXPECT_THROW(ts.append_interval(interval_rows(2, 2)),
+               std::logic_error);  // gap
+  ts.append_interval(interval_rows(1, 2));
+  EXPECT_EQ(ts.num_intervals(), 2);
+
+  // A restored recorder continues at the interval it was restored to.
+  SimTimeseries resumed;
+  resumed.restore(2, 20.0, ts.rows(), 2);
+  EXPECT_THROW(resumed.append_interval(interval_rows(1, 2)),
+               std::logic_error);
+  resumed.append_interval(interval_rows(2, 2));
+  EXPECT_EQ(resumed.num_intervals(), 3);
 }
 
 TEST(SimTimeseriesUnit, CsvShapeMatchesHeader) {
   SimTimeseries ts;
   ts.start(2, 20.0);
-  ts.begin_interval(0);
-  ts.record_migration(0, 1, 42);
-  ts.end_interval();
+  std::vector<TimeseriesRow> rows = interval_rows(0, 2);
+  rows[0].uplink_bytes = 42;
+  rows[0].migration_orders = 1;
+  rows[1].downlink_bytes = 42;
+  ts.append_interval(rows);
 
   std::ostringstream out;
   ts.write_csv(out);
@@ -179,6 +199,37 @@ TEST_F(TimeseriesSimTest, RowsAreDenseAndReconcileWithMetrics) {
   EXPECT_GT(ts.total_uplink_bytes(), 0);
 }
 
+TEST_F(TimeseriesSimTest, DeduplicatedOrdersCountWithZeroBytes) {
+  // A push the receiver fully deduplicates moves no bytes but is still one
+  // migration order at its source. On a fault-free run every order is
+  // delivered, so the rows' order count equals the journal's pushes.
+  SimTimeseries ts;
+  obs::Journal journal;
+  SimulationRunOptions options;
+  options.journal = &journal;
+  const SimulationMetrics metrics =
+      run_simulation(*config_, *world_, &ts, options);
+  std::vector<long long> pushes(ts.rows().size(), 0);
+  long long zero_byte_pushes = 0;
+  std::int64_t pushed_bytes = 0;
+  for (const obs::JournalEvent& e : journal.events()) {
+    if (e.kind != obs::JournalEventKind::kMigrationPushed) continue;
+    ++pushes[static_cast<std::size_t>(e.interval) *
+                 static_cast<std::size_t>(ts.num_servers()) +
+             static_cast<std::size_t>(e.server)];
+    if (e.bytes == 0) ++zero_byte_pushes;
+    pushed_bytes += e.bytes;
+  }
+  EXPECT_GT(zero_byte_pushes, 0) << "no order was deduplicated";
+  const std::vector<TimeseriesRow> rows = ts.rows();
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    EXPECT_EQ(rows[i].migration_orders, pushes[i])
+        << "interval " << rows[i].interval << " server " << rows[i].server;
+  EXPECT_EQ(pushed_bytes, ts.total_uplink_bytes());
+  EXPECT_EQ(pushed_bytes,
+            static_cast<std::int64_t>(metrics.total_migrated_bytes));
+}
+
 TEST_F(TimeseriesSimTest, RecorderDoesNotPerturbTheSimulation) {
   SimTimeseries ts;
   const SimulationMetrics with = run_simulation(*config_, *world_, &ts);
@@ -230,8 +281,7 @@ TEST(SimTimeseriesUnit, ModelMetadataSurvivesStartAndExports) {
   SimTimeseries ts;
   ts.set_model("mobile,net \"v2\"");
   ts.start(1, 20.0);  // must NOT clear the model
-  ts.begin_interval(0);
-  ts.end_interval();
+  ts.append_interval(interval_rows(0, 1));
 
   EXPECT_EQ(ts.model(), "mobile,net \"v2\"");
   std::ostringstream out;

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "mobility/trace_gen.hpp"
 #include "obs/journal.hpp"
 #include "obs/timeseries.hpp"
+#include "sim/shard_sim.hpp"
 #include "sim/simulator.hpp"
 
 namespace perdnn {
@@ -388,11 +390,151 @@ TEST_F(SnapshotTest, GoldenVersion5FixtureStillDecodes) {
     for (const auto& entry : server_cache)
       if (entry.bytes > 0) any_entry_bytes = true;
   EXPECT_TRUE(any_entry_bytes);
-  // Re-encoding drops exactly the two u64 tallies and nothing else.
+  // The traffic history folds into a summary one server wide per cache.
+  EXPECT_TRUE(snap.traffic.has_width(snap.caches.size()));
+  EXPECT_GE(snap.traffic.busiest_total, 0);
+  // The re-encode is a current-version file that round-trips exactly.
   const std::string reencoded = snapshot::encode(snap);
   EXPECT_EQ(declared_version(reencoded), snapshot::kSnapshotVersion);
-  EXPECT_EQ(reencoded.size() + 2 * sizeof(std::uint64_t), bytes.size());
   EXPECT_EQ(snapshot::encode(snapshot::decode(reencoded)), reencoded);
+}
+
+TEST_F(SnapshotTest, GoldenVersion6ClassicFixtureResumesExactly) {
+  // Written by the last version-6 writer from
+  // checkpoint_at(faulted_config(), 6, 1): retry orders are parked, and
+  // both an earlier interval and the interval open at the checkpoint moved
+  // backhaul bytes. Folding that history into the version-7 summary must
+  // resume to the uninterrupted run's exact outputs.
+  const std::string bytes = read_fixture("v6_classic.snap");
+  ASSERT_EQ(declared_version(bytes), 6u);
+  const snapshot::SimSnapshot snap = snapshot::decode(bytes);
+  EXPECT_EQ(snap.version, 6u);
+  EXPECT_FALSE(snap.dispatcher.queue.empty());
+  EXPECT_TRUE(snap.traffic.has_width(snap.caches.size()));
+  EXPECT_GT(snap.traffic.busiest_total, 0);
+  const RunResult reference = full_run(faulted_config(), 2);
+  const RunResult resumed = resume_from(faulted_config(), snap, 2);
+  EXPECT_EQ(resumed.metrics_json, reference.metrics_json);
+  EXPECT_EQ(resumed.timeseries_csv, reference.timeseries_csv);
+}
+
+TEST_F(SnapshotTest, RestoreRejectsOutOfRangeState) {
+  // A checkpoint is outside input: every index it holds is range-checked
+  // before the run follows it. Each case corrupts one field, re-encodes (so
+  // the checksum is valid) and must be refused with a SnapshotError.
+  const SimulationConfig config = faulted_config();
+  snapshot::SimSnapshot snap;
+  std::size_t cached = 0;
+  for (int stop = 4; stop <= 8; ++stop) {
+    snap = checkpoint_at(config, stop, 1);
+    cached = 0;
+    while (cached < snap.caches.size() && snap.caches[cached].empty())
+      ++cached;
+    if (!snap.dispatcher.queue.empty() && cached < snap.caches.size()) break;
+  }
+  ASSERT_FALSE(snap.dispatcher.queue.empty());
+  ASSERT_LT(cached, snap.caches.size());
+  ASSERT_FALSE(snap.dispatcher.queue.front().layers.empty());
+  ASSERT_FALSE(snap.caches[cached].front().layers.empty());
+
+  const LayerId bad_layer = world_->model.num_layers();
+  const auto bad_client = static_cast<ClientId>(snap.clients.size());
+  using Snap = snapshot::SimSnapshot;
+  const std::vector<std::pair<const char*, std::function<void(Snap&)>>>
+      mutations = {
+          {"order source",
+           [](Snap& s) { s.dispatcher.queue.front().source = 1 << 20; }},
+          {"order target",
+           [](Snap& s) { s.dispatcher.queue.front().target = -1; }},
+          {"order client",
+           [&](Snap& s) { s.dispatcher.queue.front().client = bad_client; }},
+          {"order layer",
+           [&](Snap& s) {
+             s.dispatcher.queue.front().layers.back() = bad_layer;
+           }},
+          {"cache client",
+           [&](Snap& s) { s.caches[cached].front().client = -3; }},
+          {"cache layer",
+           [&](Snap& s) {
+             s.caches[cached].front().layers.back() = bad_layer;
+           }},
+          {"pending layer",
+           [](Snap& s) { s.clients.front().pending.push_back(-1); }},
+          {"traffic peak width",
+           [](Snap& s) { s.traffic.peak_uplink.pop_back(); }},
+          {"traffic busiest width",
+           [](Snap& s) { s.traffic.busiest_downlink.push_back(0); }},
+          {"partial timeseries interval",
+           [](Snap& s) { s.timeseries_rows.pop_back(); }},
+      };
+  for (const auto& [what, mutate] : mutations) {
+    Snap bad = snap;
+    mutate(bad);
+    const snapshot::SimSnapshot decoded =
+        snapshot::decode(snapshot::encode(bad));
+    obs::SimTimeseries timeseries;
+    SimulationRunOptions options;
+    options.resume_from = &decoded;
+    EXPECT_THROW(run_simulation(config, *world_, &timeseries, options),
+                 snapshot::SnapshotError)
+        << what;
+  }
+  // The unmutated capture still resumes.
+  obs::SimTimeseries timeseries;
+  SimulationRunOptions options;
+  options.resume_from = &snap;
+  EXPECT_NO_THROW(run_simulation(config, *world_, &timeseries, options));
+}
+
+TEST(ShardSnapshotTest, PreVersion7AndMisfitTrafficAreRefused) {
+  ShardWorldConfig config;
+  config.model = ModelName::kMobileNet;
+  config.tiles_x = 4;
+  config.tiles_y = 5;
+  config.cell_radius_m = 50.0;
+  config.num_clients = 60;
+  config.num_intervals = 8;
+  config.max_load_level = 6;
+  config.seed = 7;
+  const ShardWorld world = build_shard_world(config);
+  const auto resume_error = [&](const snapshot::SimSnapshot& snap) {
+    ShardRunOptions options;
+    options.resume_from = &snap;
+    try {
+      run_sharded_simulation(world, options);
+    } catch (const snapshot::SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string("resumed");
+  };
+  // Old sharded files decode but cannot resume, and the error says why.
+  for (const auto& [name, version] :
+       {std::pair<const char*, int>{"v3.snap", 3}, {"v4_shard.snap", 4}}) {
+    const snapshot::SimSnapshot old = snapshot::decode(read_fixture(name));
+    ASSERT_TRUE(old.has_shard) << name;
+    const std::string error = resume_error(old);
+    EXPECT_NE(error.find("version " + std::to_string(version)),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("Mbps"), std::string::npos) << error;
+  }
+
+  // A current capture resumes; one whose traffic summary is the wrong
+  // width for the world is refused.
+  par::set_num_threads(1);
+  snapshot::SimSnapshot snap;
+  ShardRunOptions stop;
+  stop.stop_after_interval = 3;
+  stop.capture_out = &snap;
+  run_sharded_simulation(world, stop);
+  const snapshot::SimSnapshot decoded =
+      snapshot::decode(snapshot::encode(snap));
+  EXPECT_EQ(decoded.traffic, snap.traffic);
+  EXPECT_EQ(resume_error(decoded), "resumed");
+  snapshot::SimSnapshot narrow = decoded;
+  narrow.traffic.peak_downlink.pop_back();
+  EXPECT_NE(resume_error(narrow).find("traffic summary"), std::string::npos);
+  par::set_num_threads(0);
 }
 
 TEST_F(SnapshotTest, FingerprintMismatchIsRejectedOnResume) {

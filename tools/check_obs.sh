@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the repo with ASan+UBSan (-DPERDNN_SANITIZE=address) and proves the
 # observability contract end-to-end:
-#   * journal/metrics/trace/timeseries unit tests and the journal
-#     determinism gate run clean under the sanitizers;
+#   * journal/metrics/trace/timeseries/traffic-accountant unit tests and
+#     the journal determinism gate run clean under the sanitizers;
 #   * one seeded faulted simulation journals BYTE-IDENTICAL JSONL across
 #     --threads 1/2/8 and across a checkpoint/resume split;
 #   * the binary (.jnl) encoding decodes to the same event stream;
@@ -20,12 +20,13 @@ BUILD_DIR="${1:-build-obs}"
 
 cmake -B "$BUILD_DIR" -S . -DPERDNN_SANITIZE=address
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target perdnn_cli perdnn_obs_tool test_obs test_sim test_snapshot
+  --target perdnn_cli perdnn_obs_tool test_obs test_sim test_snapshot \
+  test_net
 
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Journal|MetricsTest|TraceTest|SimTimeseries|TimeseriesSim|SnapshotTest'
+  -R 'Journal|MetricsTest|TraceTest|SimTimeseries|TimeseriesSim|SnapshotTest|Traffic'
 
 CLI="$BUILD_DIR/tools/perdnn"
 OBS="$BUILD_DIR/tools/perdnn_obs"

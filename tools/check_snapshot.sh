@@ -9,7 +9,10 @@
 #      group) and re-run produces merged outputs byte-identical to an
 #      uninterrupted sweep;
 #   3. truncated/corrupted/garbage snapshots are *rejected* with exit code
-#      2 — never a crash (SIGSEGV/SIGABRT would surface as exit >= 128).
+#      2 — never a crash (SIGSEGV/SIGABRT would surface as exit >= 128);
+#   4. `perdnn_runner inspect` reports the version each file declares (the
+#      golden v2 and v4 sharded fixtures, and a fresh checkpoint) and a
+#      sharded checkpoint's own contents.
 #
 # Usage: tools/check_snapshot.sh <perdnn-binary> <perdnn_runner-binary>
 # (CMake registers this via -DPERDNN_SNAPSHOT_CHECK=ON.)
@@ -19,6 +22,7 @@ PERDNN="${1:?usage: check_snapshot.sh <perdnn-binary> <perdnn_runner-binary>}"
 RUNNER="${2:?usage: check_snapshot.sh <perdnn-binary> <perdnn_runner-binary>}"
 PERDNN="$(readlink -f "$PERDNN")"
 RUNNER="$(readlink -f "$RUNNER")"
+FIXTURES="$(cd "$(dirname "$0")/.." && pwd)/tests/snapshot/data"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -145,6 +149,19 @@ echo "ok: corrupted snapshots rejected with exit 2 (no crashes)"
   --snapshot-resume clean.ckpt > /dev/null 2>&1
 [ $? -eq 2 ] || fail "CLI resume against wrong scenario did not exit 2"
 echo "ok: CLI maps snapshot failures to exit 2"
+
+# --- 4. inspect reports the version a file declares -----------------------
+inspect_has() {
+  local file="$1" pattern="$2" out
+  out="$("$RUNNER" inspect "$file" 2>&1)"
+  grep -qE "$pattern" <<< "$out" \
+    || fail "inspect of $(basename "$file") printed no line matching '$pattern'"
+}
+inspect_has "$FIXTURES/v2.snap" 'valid snapshot \(version 2\)'
+inspect_has "$FIXTURES/v4_shard.snap" 'valid snapshot \(version 4\)'
+inspect_has "$FIXTURES/v4_shard.snap" '^  clients: +[1-9][0-9]*$'
+inspect_has clean.ckpt 'valid snapshot \(version 7\)'
+echo "ok: inspect reports declared versions and sharded contents"
 
 if [ "$FAIL" -ne 0 ]; then
   echo "snapshot check FAILED" >&2

@@ -573,15 +573,29 @@ int cmd_status(const Manifest& m, const std::string& out_dir) {
 int cmd_inspect(const std::string& path) {
   try {
     const snapshot::SimSnapshot snap = snapshot::load(path);
-    std::int64_t cached_entries = 0;
-    for (const auto& server : snap.caches)
-      cached_entries += static_cast<std::int64_t>(server.size());
     std::printf("%s: valid snapshot (version %u)\n", path.c_str(),
-                snapshot::kSnapshotVersion);
+                snap.version);
     std::printf("  interval:        %d / %d\n", snap.next_interval,
                 snap.num_intervals);
     std::printf("  fingerprint:     %016llx\n",
                 static_cast<unsigned long long>(snap.config_fingerprint));
+    if (snap.has_shard) {
+      const snapshot::ShardSimState& s = snap.shard;
+      std::printf("  engine:          sharded\n");
+      std::printf("  clients:         %zu\n", s.x.size());
+      std::printf("  cache entries:   %zu\n", s.entry_server.size());
+      std::printf("  retry queue:     %zu order(s)\n", s.retry_client.size());
+      std::printf("  timeseries rows: %llu%s\n",
+                  static_cast<unsigned long long>(s.timeseries_rows),
+                  snap.has_timeseries ? "" : " (not recorded)");
+      std::printf("  journal events:  %llu%s\n",
+                  static_cast<unsigned long long>(s.journal_events),
+                  snap.has_journal ? "" : " (not recorded)");
+      return 0;
+    }
+    std::int64_t cached_entries = 0;
+    for (const auto& server : snap.caches)
+      cached_entries += static_cast<std::int64_t>(server.size());
     std::printf("  servers:         %zu (%lld cache entries)\n",
                 snap.caches.size(),
                 static_cast<long long>(cached_entries));
