@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/wire.hpp"
 #include "obs/json.hpp"
@@ -18,9 +22,11 @@ constexpr std::uint32_t kJournalVersion = 1;
 
 struct KindName {
   JournalEventKind kind;
-  const char* name;
+  std::string_view name;
 };
 
+// Indexed by the kind's wire value (checked below), so naming an event is
+// one table load.
 constexpr KindName kKindNames[] = {
     {JournalEventKind::kAttach, "attach"},
     {JournalEventKind::kDetach, "detach"},
@@ -45,69 +51,116 @@ constexpr KindName kKindNames[] = {
     {JournalEventKind::kCachePartial, "cache_partial"},
 };
 
-// Integer fields go straight through std::to_chars into a stack buffer:
-// json_number() allocates a std::string per call, and at ten fields per
-// event that dominates the serialization cost of a multi-million-event
-// journal. Digits are identical to the json_number() integer path.
+constexpr bool kind_table_is_indexed() {
+  for (std::size_t i = 0; i < std::size(kKindNames); ++i)
+    if (static_cast<std::size_t>(kKindNames[i].kind) != i) return false;
+  return true;
+}
+static_assert(kind_table_is_indexed());
+
+std::string_view kind_name(JournalEventKind kind) {
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kKindNames) ? kKindNames[i].name : "unknown";
+}
+
+// Room one JSONL line can need: 95 bytes of key literals, eight integers of
+// at most 20 characters, the longest kind name and one number.
+constexpr std::size_t kMaxJsonlLine = 95 + 8 * 20 + 18 + kJsonNumberMaxChars;
+
+template <std::size_t N>
+char* put(char* p, const char (&literal)[N]) {
+  std::memcpy(p, literal, N - 1);
+  return p + N - 1;
+}
+
 template <typename Int>
-void append_int(std::string& out, Int v) {
-  char buf[24];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+char* put_int(char* p, Int v) {
+  return std::to_chars(p, p + 20, v).ptr;
 }
 
 }  // namespace
 
 void append_journal_event_jsonl(std::string& out, const JournalEvent& e) {
-  out += "{\"interval\":";
-  append_int(out, e.interval);
-  out += ",\"kind\":\"";
-  out += journal_kind_name(e.kind);
-  out += "\",\"chain\":";
-  append_int(out, e.chain);
-  out += ",\"client\":";
-  append_int(out, e.client);
-  out += ",\"server\":";
-  append_int(out, e.server);
-  out += ",\"peer\":";
-  append_int(out, e.peer);
-  out += ",\"bytes\":";
-  append_int(out, e.bytes);
-  out += ",\"detail\":";
-  append_int(out, e.detail);
-  out += ",\"aux\":";
-  append_int(out, e.aux);
-  out += ",\"value\":";
-  // json_number()'s integer branch prints through std::to_string, so this
-  // fast path is digit-identical for the dominant value == 0.0 case.
-  if (e.value == static_cast<double>(static_cast<std::int64_t>(e.value)) &&
-      std::abs(e.value) < 9.0e18) {
-    append_int(out, static_cast<std::int64_t>(e.value));
-  } else {
-    out += json_number(e.value);
-  }
-  out += "}";
+  // The value is formatted first: a NaN throws before `out` changes.
+  char value[kJsonNumberMaxChars];
+  const char* const value_end = format_json_number(value, e.value);
+  const std::string_view kind = kind_name(e.kind);
+
+  // One resize, then a cursor: every key is a memcpy of a literal and every
+  // integer one to_chars, with no per-field append.
+  const std::size_t start = out.size();
+  out.resize(start + kMaxJsonlLine);
+  char* p = out.data() + start;
+  p = put(p, "{\"interval\":");
+  p = put_int(p, e.interval);
+  p = put(p, ",\"kind\":\"");
+  p = std::copy(kind.begin(), kind.end(), p);
+  p = put(p, "\",\"chain\":");
+  p = put_int(p, e.chain);
+  p = put(p, ",\"client\":");
+  p = put_int(p, e.client);
+  p = put(p, ",\"server\":");
+  p = put_int(p, e.server);
+  p = put(p, ",\"peer\":");
+  p = put_int(p, e.peer);
+  p = put(p, ",\"bytes\":");
+  p = put_int(p, e.bytes);
+  p = put(p, ",\"detail\":");
+  p = put_int(p, e.detail);
+  p = put(p, ",\"aux\":");
+  p = put_int(p, e.aux);
+  p = put(p, ",\"value\":");
+  p = std::copy(static_cast<const char*>(value), value_end, p);
+  *p++ = '}';
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 namespace {
 
+[[noreturn]] void line_error(std::size_t line, const std::string& what) {
+  std::ostringstream msg;
+  msg << "journal jsonl line " << line << ": " << what;
+  throw JournalError(msg.str());
+}
+
+const JsonValue& require_field(const JsonValue& doc, const char* key,
+                               std::size_t line) {
+  const JsonValue* value = doc.find(key);
+  if (value == nullptr) line_error(line, std::string("missing field ") + key);
+  return *value;
+}
+
 double require_number(const JsonValue& doc, const char* key,
                       std::size_t line) {
-  const JsonValue* value = doc.find(key);
-  if (value == nullptr) {
+  const JsonValue& value = require_field(doc, key, line);
+  if (value.kind() != JsonValue::Kind::kNumber)
+    line_error(line, std::string("field ") + key + " is not a number");
+  return value.as_number();
+}
+
+/// The field `key` as an Int, rejected unless it is integral and in range:
+/// converting an out-of-range double is undefined, and a fractional one
+/// would silently truncate. The upper bound 2^digits is exact in a double,
+/// unlike numeric_limits<Int>::max() for the 64-bit types.
+template <typename Int>
+Int require_int(const JsonValue& doc, const char* key, std::size_t line) {
+  using Limits = std::numeric_limits<Int>;
+  const double v = require_number(doc, key, line);
+  if (!(v == std::trunc(v) && v >= static_cast<double>(Limits::min()) &&
+        v < std::ldexp(1.0, Limits::digits))) {
     std::ostringstream msg;
-    msg << "journal jsonl line " << line << ": missing field " << key;
-    throw JournalError(msg.str());
+    msg << "field " << key << " must be an integer in "
+        << (Limits::is_signed ? "int" : "uint")
+        << Limits::digits + Limits::is_signed << " range (got " << v << ")";
+    line_error(line, msg.str());
   }
-  return value->as_number();
+  return static_cast<Int>(v);
 }
 
 }  // namespace
 
 const char* journal_kind_name(JournalEventKind kind) {
-  for (const KindName& entry : kKindNames)
-    if (entry.kind == kind) return entry.name;
-  return "unknown";
+  return kind_name(kind).data();  // every table name is a literal
 }
 
 bool journal_kind_from_name(const std::string& name, JournalEventKind* out) {
@@ -214,8 +267,17 @@ void Journal::clear() {
 }
 
 void Journal::write_jsonl(std::ostream& out) const {
-  const std::string text = journal_to_jsonl(events());
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::string block;
+  for (const JournalEvent& e : events_) {
+    append_journal_event_jsonl(block, e);
+    block += '\n';
+    if (block.size() >= kOutputBlockBytes) {
+      out.write(block.data(), static_cast<std::streamsize>(block.size()));
+      block.clear();
+    }
+  }
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
 }
 
 std::string Journal::encode() const { return journal_encode(events()); }
@@ -245,38 +307,23 @@ std::vector<JournalEvent> journal_from_jsonl(const std::string& text) {
     try {
       doc = parse_json(line);
     } catch (const std::exception& e) {
-      std::ostringstream msg;
-      msg << "journal jsonl line " << line_no << ": " << e.what();
-      throw JournalError(msg.str());
+      line_error(line_no, e.what());
     }
-    if (!doc.is_object()) {
-      std::ostringstream msg;
-      msg << "journal jsonl line " << line_no << ": not an object";
-      throw JournalError(msg.str());
-    }
+    if (!doc.is_object()) line_error(line_no, "not an object");
     JournalEvent e;
-    e.interval = static_cast<int>(require_number(doc, "interval", line_no));
-    const JsonValue* kind = doc.find("kind");
-    if (kind == nullptr) {
-      std::ostringstream msg;
-      msg << "journal jsonl line " << line_no << ": missing field kind";
-      throw JournalError(msg.str());
-    }
-    if (!journal_kind_from_name(kind->as_string(), &e.kind)) {
-      std::ostringstream msg;
-      msg << "journal jsonl line " << line_no << ": unknown kind '"
-          << kind->as_string() << "'";
-      throw JournalError(msg.str());
-    }
-    e.chain =
-        static_cast<std::uint64_t>(require_number(doc, "chain", line_no));
-    e.client = static_cast<ClientId>(require_number(doc, "client", line_no));
-    e.server = static_cast<ServerId>(require_number(doc, "server", line_no));
-    e.peer = static_cast<ServerId>(require_number(doc, "peer", line_no));
-    e.bytes = static_cast<Bytes>(require_number(doc, "bytes", line_no));
-    e.detail =
-        static_cast<std::int32_t>(require_number(doc, "detail", line_no));
-    e.aux = static_cast<std::int32_t>(require_number(doc, "aux", line_no));
+    e.interval = require_int<int>(doc, "interval", line_no);
+    const JsonValue& kind = require_field(doc, "kind", line_no);
+    if (kind.kind() != JsonValue::Kind::kString)
+      line_error(line_no, "field kind is not a string");
+    if (!journal_kind_from_name(kind.as_string(), &e.kind))
+      line_error(line_no, "unknown kind '" + kind.as_string() + "'");
+    e.chain = require_int<std::uint64_t>(doc, "chain", line_no);
+    e.client = require_int<ClientId>(doc, "client", line_no);
+    e.server = require_int<ServerId>(doc, "server", line_no);
+    e.peer = require_int<ServerId>(doc, "peer", line_no);
+    e.bytes = require_int<Bytes>(doc, "bytes", line_no);
+    e.detail = require_int<std::int32_t>(doc, "detail", line_no);
+    e.aux = require_int<std::int32_t>(doc, "aux", line_no);
     e.value = require_number(doc, "value", line_no);
     events.push_back(e);
   }

@@ -31,24 +31,39 @@ void json_escape(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
-std::string json_number(double value) {
+char* format_json_number(char* out, double value) {
   if (!std::isfinite(value))
     throw std::invalid_argument("JSON cannot represent NaN/Inf");
-  if (value == static_cast<double>(static_cast<std::int64_t>(value)) &&
-      std::abs(value) < 9.0e18) {
-    return std::to_string(static_cast<std::int64_t>(value));
-  }
-  // Shortest representation that round-trips a double.
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  double parsed = 0.0;
+  char* const last = out + kJsonNumberMaxChars;
+  // The magnitude test goes first: casting a double outside the int64 range
+  // is undefined behaviour.
+  if (std::abs(value) < 9.0e18 &&
+      value == static_cast<double>(static_cast<std::int64_t>(value)))
+    return std::to_chars(out, last, static_cast<std::int64_t>(value)).ptr;
+  // The first of %.15g and %.16g that parses back to `value`, else %.17g,
+  // which always does. [charconv] defines to_chars with a precision as
+  // printf("%.*g") in the C locale and from_chars as correctly rounded, as
+  // strtod is, so these are exactly the bytes an snprintf/sscanf loop
+  // prints, at a fraction of the cost.
   for (int precision = 15; precision <= 16; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == value) return candidate;
+    char* const end = std::to_chars(out, last, value,
+                                    std::chars_format::general, precision)
+                          .ptr;
+    double parsed = 0.0;
+    const std::from_chars_result res = std::from_chars(out, end, parsed);
+    if (res.ec == std::errc() && parsed == value) return end;
   }
-  return buf;
+  return std::to_chars(out, last, value, std::chars_format::general, 17).ptr;
+}
+
+std::string json_number(double value) {
+  char buf[kJsonNumberMaxChars];
+  return std::string(buf, format_json_number(buf, value));
+}
+
+void append_json_number(std::string& out, double value) {
+  char buf[kJsonNumberMaxChars];
+  out.append(buf, format_json_number(buf, value));
 }
 
 JsonValue JsonValue::make_null() { return {}; }
@@ -130,16 +145,21 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 
 std::string JsonValue::serialize() const {
   std::string out;
+  serialize_into(out);
+  return out;
+}
+
+void JsonValue::serialize_into(std::string& out) const {
   switch (kind_) {
-    case Kind::kNull: out = "null"; break;
-    case Kind::kBool: out = bool_ ? "true" : "false"; break;
-    case Kind::kNumber: out = json_number(number_); break;
+    case Kind::kNull: out += "null"; break;
+    case Kind::kBool: out += bool_ ? "true" : "false"; break;
+    case Kind::kNumber: append_json_number(out, number_); break;
     case Kind::kString: json_escape(out, string_); break;
     case Kind::kArray: {
       out.push_back('[');
       for (std::size_t i = 0; i < items_.size(); ++i) {
         if (i > 0) out.push_back(',');
-        out += items_[i].serialize();
+        items_[i].serialize_into(out);
       }
       out.push_back(']');
       break;
@@ -150,13 +170,12 @@ std::string JsonValue::serialize() const {
         if (i > 0) out.push_back(',');
         json_escape(out, members_[i].first);
         out.push_back(':');
-        out += members_[i].second.serialize();
+        members_[i].second.serialize_into(out);
       }
       out.push_back('}');
       break;
     }
   }
-  return out;
 }
 
 namespace {

@@ -9,6 +9,8 @@
 // serialize(parse(s)) is the identity on our own canonical output.
 #pragma once
 
+#include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,10 +22,35 @@ namespace perdnn::obs {
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 void json_escape(std::string& out, const std::string& s);
 
-/// Formats a double deterministically: integral values within int64 range
-/// print without a fraction, everything else with shortest round-trip
-/// precision. Throws std::invalid_argument on NaN/Inf (JSON has neither).
+/// Formats a double deterministically: integral values below 9e18 in
+/// magnitude print as integers, everything else as `%.15g`, else `%.16g`,
+/// else `%.17g` — the first precision that parses back to the same double.
+/// Throws std::invalid_argument on NaN/Inf (JSON has neither).
 std::string json_number(double value);
+
+/// Room format_json_number needs at `out`: json_number's longest text is 24
+/// characters (`-d.dddddddddddddddde-308`).
+inline constexpr std::size_t kJsonNumberMaxChars = 32;
+
+/// Writes json_number(value)'s text at `out`, which must have room for
+/// kJsonNumberMaxChars, and returns the end. Throws like json_number.
+char* format_json_number(char* out, double value);
+
+/// Appends json_number(value) to `out` without a temporary string.
+void append_json_number(std::string& out, double value);
+
+/// Appends the decimal digits of an integer: the text json_number prints for
+/// an integral value, and what the ostream integer inserters print.
+template <typename Int>
+void append_json_int(std::string& out, Int value) {
+  char buf[24];
+  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, res.ptr);
+}
+
+/// The exporters hand their output stream blocks of whole lines at least
+/// this large instead of one write per line.
+inline constexpr std::size_t kOutputBlockBytes = std::size_t{1} << 20;
 
 /// Parsed JSON value. Objects preserve key order.
 class JsonValue {
@@ -56,6 +83,8 @@ class JsonValue {
   std::string serialize() const;
 
  private:
+  void serialize_into(std::string& out) const;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;

@@ -1,6 +1,5 @@
 #include "obs/stream_writer.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 
@@ -27,8 +26,8 @@ void truncate_to(const std::string& path, std::uint64_t offset) {
                              ec.message());
 }
 
-std::ofstream open_appending(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::app);
+std::ofstream open_file(const std::string& path, std::ios::openmode mode) {
+  std::ofstream out(path, std::ios::binary | mode);
   if (!out)
     throw std::runtime_error("stream writer: cannot open " + path);
   return out;
@@ -36,101 +35,113 @@ std::ofstream open_appending(const std::string& path) {
 
 }  // namespace
 
+BlockFile::BlockFile(const std::string& path)
+    : out_(open_file(path, std::ios::trunc)) {}
+
+BlockFile::BlockFile(const std::string& path, Resume resume)
+    : written_(resume.bytes) {
+  truncate_to(path, resume.bytes);
+  out_ = open_file(path, std::ios::app);
+}
+
+// The ofstream reports failures through its state bits, not exceptions, so
+// this cannot throw.
+BlockFile::~BlockFile() { write_pending(); }
+
+void BlockFile::write_pending() {
+  out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+  written_ += pending_.size();
+  pending_.clear();
+}
+
+void BlockFile::flush(const char* error) {
+  write_pending();
+  out_.flush();
+  PERDNN_CHECK_MSG(out_.good(), error);
+}
+
 TimeseriesStreamWriter::TimeseriesStreamWriter(const std::string& path,
                                                const std::string& model,
                                                bool cache_columns)
-    : cache_columns_(cache_columns) {
-  out_ = std::ofstream(path, std::ios::binary | std::ios::trunc);
-  if (!out_)
-    throw std::runtime_error("stream writer: cannot open " + path);
-  line_ = "# schema=" +
-          std::to_string(cache_columns_
-                             ? SimTimeseries::kCsvCacheSchemaVersion
-                             : SimTimeseries::kCsvSchemaVersion) +
-          "\n";
+    : file_(path), cache_columns_(cache_columns) {
+  std::string& out = file_.pending();
+  out += "# schema=";
+  append_json_int(out, cache_columns_ ? SimTimeseries::kCsvCacheSchemaVersion
+                                      : SimTimeseries::kCsvSchemaVersion);
+  out += '\n';
   if (!model.empty())
-    line_ += "# model=" + SimTimeseries::csv_quote(model) + "\n";
-  line_ += SimTimeseries::csv_header(cache_columns_);
-  line_ += '\n';
-  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
-  bytes_ = line_.size();
+    out += "# model=" + SimTimeseries::csv_quote(model) + '\n';
+  out += SimTimeseries::csv_header(cache_columns_);
+  out += '\n';
 }
 
 TimeseriesStreamWriter::TimeseriesStreamWriter(const std::string& path,
                                                Resume resume,
                                                std::uint64_t rows,
                                                bool cache_columns)
-    : cache_columns_(cache_columns) {
-  truncate_to(path, resume.bytes);
-  out_ = open_appending(path);
-  bytes_ = resume.bytes;
-  rows_ = rows;
-}
+    : file_(path, resume), rows_(rows), cache_columns_(cache_columns) {}
 
 void TimeseriesStreamWriter::append(const TimeseriesRow& row) {
-  line_.clear();
-  append_timeseries_row_csv(line_, row, cache_columns_);
-  line_.push_back('\n');
-  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
-  bytes_ += line_.size();
+  std::string& out = file_.pending();
+  append_timeseries_row_csv(out, row, cache_columns_);
+  out += '\n';
+  file_.maybe_write();
   ++rows_;
 }
 
 void TimeseriesStreamWriter::flush() {
-  out_.flush();
-  PERDNN_CHECK_MSG(out_.good(), "timeseries stream write failed");
+  file_.flush("timeseries stream write failed");
 }
 
-JournalStreamWriter::JournalStreamWriter(const std::string& path) {
-  out_ = std::ofstream(path, std::ios::binary | std::ios::trunc);
-  if (!out_)
-    throw std::runtime_error("stream writer: cannot open " + path);
-}
+JournalStreamWriter::JournalStreamWriter(const std::string& path)
+    : file_(path) {}
 
 JournalStreamWriter::JournalStreamWriter(
     const std::string& path, Resume resume, std::uint64_t events,
     std::uint64_t next_chain,
-    const std::vector<std::pair<ClientId, std::uint64_t>>& client_chains) {
-  truncate_to(path, resume.bytes);
-  out_ = open_appending(path);
-  bytes_ = resume.bytes;
-  events_ = events;
-  next_chain_ = next_chain;
-  for (const auto& [client, chain] : client_chains) chains_[client] = chain;
+    const std::vector<std::pair<ClientId, std::uint64_t>>& client_chains)
+    : file_(path, resume), events_(events), next_chain_(next_chain) {
+  for (const auto& [client, chain] : client_chains) bind(client, chain);
+}
+
+void JournalStreamWriter::bind(ClientId client, std::uint64_t chain) {
+  if (client < 0) return;
+  const auto c = static_cast<std::size_t>(client);
+  if (c >= chains_.size()) chains_.resize(c + 1);
+  chains_[c] = chain;
 }
 
 std::uint64_t JournalStreamWriter::begin_chain(ClientId client) {
   const std::uint64_t chain = next_chain_++;
-  chains_[client] = chain;
+  bind(client, chain);
   return chain;
 }
 
 std::uint64_t JournalStreamWriter::chain_of(ClientId client) const {
-  const auto it = chains_.find(client);
-  return it == chains_.end() ? 0 : it->second;
+  const auto c = static_cast<std::size_t>(client);
+  return client >= 0 && c < chains_.size() ? chains_[c] : 0;
 }
 
 void JournalStreamWriter::record(JournalEvent event) {
   if (event.chain == 0 && event.client >= 0)
     event.chain = chain_of(event.client);
-  line_.clear();
-  append_journal_event_jsonl(line_, event);
-  line_.push_back('\n');
-  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
-  bytes_ += line_.size();
+  std::string& out = file_.pending();
+  append_journal_event_jsonl(out, event);
+  out += '\n';
+  file_.maybe_write();
   ++events_;
 }
 
 void JournalStreamWriter::flush() {
-  out_.flush();
-  PERDNN_CHECK_MSG(out_.good(), "journal stream write failed");
+  file_.flush("journal stream write failed");
 }
 
 std::vector<std::pair<ClientId, std::uint64_t>>
 JournalStreamWriter::client_chains() const {
-  std::vector<std::pair<ClientId, std::uint64_t>> out(chains_.begin(),
-                                                      chains_.end());
-  std::sort(out.begin(), out.end());
+  std::vector<std::pair<ClientId, std::uint64_t>> out;
+  for (std::size_t c = 0; c < chains_.size(); ++c)
+    if (chains_[c] != 0)
+      out.emplace_back(static_cast<ClientId>(c), chains_[c]);
   return out;
 }
 

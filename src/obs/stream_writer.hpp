@@ -2,18 +2,24 @@
 // per-interval timeseries CSV and the event-journal JSONL. The buffered
 // exporters (SimTimeseries::write_csv, Journal::write_jsonl) hold every row
 // in memory until the run ends, which is O(intervals * servers) resident
-// state — untenable for the city-scale sharded runs. These writers append
-// each row/event as it is produced, using the exact shared formatters
-// (append_timeseries_row_csv, append_journal_event_jsonl), so a streamed
-// file is byte-identical to the buffered export of the same run.
+// state — untenable for the city-scale sharded runs. These writers format
+// each row/event into a pending block as it is produced, using the exact
+// shared formatters (append_timeseries_row_csv, append_journal_event_jsonl),
+// so a streamed file is byte-identical to the buffered export of the same
+// run. The file gets the block once it holds kOutputBlockBytes (1 MiB): a
+// few large writes instead of one per line.
 //
 // Checkpoint/resume contract: both writers count the bytes they have written
-// (including the CSV preamble). A checkpoint stores those offsets; a resumed
-// run reopens the file with `Resume{offset}`, which truncates it back to the
-// checkpoint boundary and appends from there. Rows written after the
-// checkpoint by a killed run — including a partial line cut off mid-write by
-// kill -9 — are discarded by the truncation, so the resumed file ends up
-// byte-identical to an uninterrupted run's.
+// (the CSV preamble and the pending block included), and flush() writes the
+// pending block, so after a flush the count is the file size. A checkpoint
+// flushes and stores those offsets; a resumed run reopens the file with
+// `Resume{offset}`, which truncates it back to the checkpoint boundary and
+// appends from there. Whatever a killed run wrote after the checkpoint — up
+// to one block, possibly ending in a partial line cut off mid-write by
+// kill -9 — is discarded by the truncation, so the resumed file ends up
+// byte-identical to an uninterrupted run's. A writer destroyed without
+// flush(), say while an exception unwinds the engine, still writes its
+// pending block.
 //
 // Not thread-safe: the sharded simulator calls them only from its serial
 // apply phase (which is what makes the output deterministic in the first
@@ -23,12 +29,12 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "obs/journal.hpp"
+#include "obs/json.hpp"
 #include "obs/timeseries.hpp"
 
 namespace perdnn::obs {
@@ -36,6 +42,41 @@ namespace perdnn::obs {
 /// Tag selecting the resume-at-offset constructor paths below.
 struct Resume {
   std::uint64_t bytes = 0;
+};
+
+/// An append-only file written in blocks, shared by both stream writers.
+/// Callers append whole lines to pending() and then call maybe_write(),
+/// which hands the file the pending block once it holds kOutputBlockBytes.
+class BlockFile {
+ public:
+  /// Fresh file: truncates `path`.
+  explicit BlockFile(const std::string& path);
+  /// Resumed file: truncates `path` back to `resume.bytes` and appends.
+  /// Throws std::runtime_error if the file is shorter than that.
+  BlockFile(const std::string& path, Resume resume);
+  /// Writes the pending block. Never throws: a failed write shows up only
+  /// in a flush().
+  ~BlockFile();
+  BlockFile(const BlockFile&) = delete;
+  BlockFile& operator=(const BlockFile&) = delete;
+
+  std::string& pending() { return pending_; }
+  void maybe_write() {
+    if (pending_.size() >= kOutputBlockBytes) write_pending();
+  }
+  /// Writes the pending block and flushes the file; throws std::logic_error
+  /// with `error` if any write since the last flush failed.
+  void flush(const char* error);
+
+  /// File bytes so far, the pending block included.
+  std::uint64_t bytes() const { return written_ + pending_.size(); }
+
+ private:
+  void write_pending();
+
+  std::ofstream out_;
+  std::string pending_;
+  std::uint64_t written_ = 0;
 };
 
 /// Streams TimeseriesRow lines into a CSV file with the same preamble
@@ -58,14 +99,12 @@ class TimeseriesStreamWriter {
   void append(const TimeseriesRow& row);
   void flush();
 
-  /// Total file bytes written so far (preamble included).
-  std::uint64_t bytes_written() const { return bytes_; }
+  /// Total file bytes written so far (preamble and pending block included).
+  std::uint64_t bytes_written() const { return file_.bytes(); }
   std::uint64_t rows_written() const { return rows_; }
 
  private:
-  std::ofstream out_;
-  std::string line_;
-  std::uint64_t bytes_ = 0;
+  BlockFile file_;
   std::uint64_t rows_ = 0;
   bool cache_columns_ = false;
 };
@@ -74,7 +113,8 @@ class TimeseriesStreamWriter {
 /// maintaining the same chain bookkeeping as obs::Journal: begin_chain()
 /// numbers chains from 1 in record order, record() auto-fills a zero chain
 /// from the client's current binding. Chain state is exposed so checkpoints
-/// can carry it across a resume.
+/// can carry it across a resume. Bindings live in a vector indexed by
+/// client, grown on demand; negative client ids are never bound.
 class JournalStreamWriter {
  public:
   /// Fresh run: truncates `path`.
@@ -91,7 +131,7 @@ class JournalStreamWriter {
   void record(JournalEvent event);
   void flush();
 
-  std::uint64_t bytes_written() const { return bytes_; }
+  std::uint64_t bytes_written() const { return file_.bytes(); }
   std::uint64_t events_written() const { return events_; }
   std::uint64_t next_chain() const { return next_chain_; }
   /// Client -> current chain bindings, sorted by client (canonical snapshot
@@ -99,12 +139,12 @@ class JournalStreamWriter {
   std::vector<std::pair<ClientId, std::uint64_t>> client_chains() const;
 
  private:
-  std::ofstream out_;
-  std::string line_;
-  std::uint64_t bytes_ = 0;
+  void bind(ClientId client, std::uint64_t chain);
+
+  BlockFile file_;
   std::uint64_t events_ = 0;
   std::uint64_t next_chain_ = 1;
-  std::unordered_map<ClientId, std::uint64_t> chains_;
+  std::vector<std::uint64_t> chains_;  // by client; 0 = unbound
 };
 
 }  // namespace perdnn::obs

@@ -1,68 +1,54 @@
 #include "obs/timeseries.hpp"
 
-#include <charconv>
 #include <ostream>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "obs/json.hpp"
 
 namespace perdnn::obs {
 
-namespace {
-// Integer columns go through std::to_chars (digit-identical to the ostream
-// integer inserters write_csv historically used); double columns keep the
-// json_number() encoding.
-template <typename Int>
-void append_int(std::string& out, Int v) {
-  char buf[24];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, static_cast<std::size_t>(res.ptr - buf));
-}
-}  // namespace
-
 void append_timeseries_row_csv(std::string& out, const TimeseriesRow& r,
                                bool with_cache_columns) {
-  append_int(out, r.interval);
+  append_json_int(out, r.interval);
   out += ',';
-  append_int(out, r.server);
+  append_json_int(out, r.server);
   out += ',';
-  append_int(out, r.attached);
+  append_json_int(out, r.attached);
   out += ',';
-  append_int(out, r.hits);
+  append_json_int(out, r.hits);
   out += ',';
-  append_int(out, r.partials);
+  append_json_int(out, r.partials);
   out += ',';
-  append_int(out, r.misses);
+  append_json_int(out, r.misses);
   out += ',';
-  append_int(out, r.cold_window_queries);
+  append_json_int(out, r.cold_window_queries);
   out += ',';
-  out += json_number(r.cold_latency_sum_s);
+  append_json_number(out, r.cold_latency_sum_s);
   out += ',';
-  append_int(out, r.uplink_bytes);
+  append_json_int(out, r.uplink_bytes);
   out += ',';
-  append_int(out, r.downlink_bytes);
+  append_json_int(out, r.downlink_bytes);
   out += ',';
-  append_int(out, r.migration_orders);
+  append_json_int(out, r.migration_orders);
   out += ',';
-  append_int(out, r.predictor_samples);
+  append_json_int(out, r.predictor_samples);
   out += ',';
-  out += json_number(r.predictor_error_sum_m);
+  append_json_number(out, r.predictor_error_sum_m);
   out += ',';
-  append_int(out, r.local_queries);
+  append_json_int(out, r.local_queries);
   out += ',';
-  out += json_number(r.local_latency_sum_s);
+  append_json_number(out, r.local_latency_sum_s);
   out += ',';
-  append_int(out, r.deferred_bytes);
+  append_json_int(out, r.deferred_bytes);
   out += ',';
-  append_int(out, r.degraded);
+  append_json_int(out, r.degraded);
   if (with_cache_columns) {
     out += ',';
-    append_int(out, r.cache_bytes);
+    append_json_int(out, r.cache_bytes);
     out += ',';
-    append_int(out, r.cache_evictions);
+    append_json_int(out, r.cache_evictions);
     out += ',';
-    append_int(out, r.cache_partial_stores);
+    append_json_int(out, r.cache_partial_stores);
   }
 }
 
@@ -205,27 +191,25 @@ std::string SimTimeseries::csv_quote(const std::string& value) {
 }
 
 void SimTimeseries::write_csv(std::ostream& out) const {
-  std::vector<TimeseriesRow> rows;
-  std::string model;
-  bool cache_columns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rows = rows_;
-    model = model_;
-    cache_columns = cache_columns_;
+  // Formatted under the lock straight from rows_: a copy of the store would
+  // double the exporter's memory on long runs.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string block = "# schema=";
+  append_json_int(block, cache_columns_ ? kCsvCacheSchemaVersion
+                                        : kCsvSchemaVersion);
+  block += '\n';
+  if (!model_.empty()) block += "# model=" + csv_quote(model_) + '\n';
+  block += csv_header(cache_columns_);
+  block += '\n';
+  for (const TimeseriesRow& r : rows_) {
+    append_timeseries_row_csv(block, r, cache_columns_);
+    block += '\n';
+    if (block.size() >= kOutputBlockBytes) {
+      out.write(block.data(), static_cast<std::streamsize>(block.size()));
+      block.clear();
+    }
   }
-  out << "# schema="
-      << (cache_columns ? kCsvCacheSchemaVersion : kCsvSchemaVersion) << '\n';
-  if (!model.empty()) out << "# model=" << csv_quote(model) << '\n';
-  out << csv_header(cache_columns) << '\n';
-  std::string line;
-  line.reserve(160);
-  for (const TimeseriesRow& r : rows) {
-    line.clear();
-    append_timeseries_row_csv(line, r, cache_columns);
-    line.push_back('\n');
-    out.write(line.data(), static_cast<std::streamsize>(line.size()));
-  }
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
 }
 
 std::string SimTimeseries::to_json() const {

@@ -1369,6 +1369,13 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
     throw snapshot::SnapshotError(
         "snapshot: journal recording mismatch between checkpointed and "
         "resumed run");
+  // The journal writer keeps chains in a vector indexed by client, so an
+  // unchecked id would size it.
+  for (const auto& [client, chain] : s.client_chains)
+    if (client < 0 || client >= cfg_.num_clients)
+      throw snapshot::SnapshotError(
+          "snapshot: journal chain bound to client " + std::to_string(client) +
+          ", outside the world's clients");
 
   x_ = s.x;
   y_ = s.y;

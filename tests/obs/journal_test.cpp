@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace perdnn::obs {
@@ -161,6 +164,61 @@ TEST(JournalCodec, JsonlErrorsCarryLineNumbers) {
                JournalError);
   EXPECT_THROW(journal_from_jsonl("{\"interval\":0,\"kind\":\"bogus\"}\n"),
                JournalError);
+}
+
+// A journal line whose integer fields are 0 except `field`, which holds the
+// JSON number text `value`.
+std::string line_with(const std::string& field, const std::string& value) {
+  std::string line = "{\"kind\":\"attach\",\"value\":0";
+  for (const char* key : {"interval", "chain", "client", "server", "peer",
+                          "bytes", "detail", "aux"})
+    line += std::string(",\"") + key + "\":" + (key == field ? value : "0");
+  return line + "}\n";
+}
+
+TEST(JournalCodec, JsonlRejectsOutOfRangeAndFractionalIntegers) {
+  // Casting these straight from double would be undefined behaviour (or a
+  // silent truncation); each must be a JournalError naming the line.
+  const std::vector<std::pair<const char*, std::vector<const char*>>> bad = {
+      {"interval", {"1e300", "-1e300", "2147483648", "-2147483649", "0.5"}},
+      {"chain", {"-1", "1e300", "18446744073709551616", "2.5"}},
+      {"client", {"2147483648", "-2147483649", "1e300", "-0.5"}},
+      {"server", {"2147483648", "-1e300", "3.25"}},
+      {"peer", {"-2147483649", "1e300", "1.5"}},
+      {"bytes", {"9223372036854775808", "-1e19", "1e300", "0.1"}},
+      {"detail", {"2147483648", "-2147483649", "1e300", "7.5"}},
+      {"aux", {"2147483648", "-2147483649", "-1e300", "1e-3"}},
+  };
+  for (const auto& [field, values] : bad) {
+    for (const char* value : values) {
+      try {
+        journal_from_jsonl("# header\n" + line_with(field, value));
+        ADD_FAILURE() << field << "=" << value << " was accepted";
+      } catch (const JournalError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+      }
+    }
+  }
+  // Non-numbers are line errors too, not bare JSON type errors.
+  EXPECT_THROW(journal_from_jsonl(line_with("chain", "\"7\"")),
+               JournalError);
+  EXPECT_THROW(journal_from_jsonl("{\"interval\":0,\"kind\":3}\n"),
+               JournalError);
+
+  // The extremes of each range still decode.
+  JournalEvent e = journal_from_jsonl(line_with("interval", "-2147483648"))[0];
+  EXPECT_EQ(e.interval, std::numeric_limits<int>::min());
+  e = journal_from_jsonl(line_with("aux", "2147483647"))[0];
+  EXPECT_EQ(e.aux, std::numeric_limits<std::int32_t>::max());
+  // The largest double below 2^64.
+  e = journal_from_jsonl(line_with("chain", "18446744073709549568"))[0];
+  EXPECT_EQ(e.chain, 18446744073709549568ULL);
+  e = journal_from_jsonl(line_with("bytes", "-9223372036854775808"))[0];
+  EXPECT_EQ(e.bytes, std::numeric_limits<Bytes>::min());
+  e = journal_from_jsonl(line_with("client", "-0"))[0];
+  EXPECT_EQ(e.client, 0);
 }
 
 TEST(JournalCodec, BinaryRoundTripsAndRejectsCorruption) {

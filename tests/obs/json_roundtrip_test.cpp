@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -25,6 +31,158 @@ TEST(JsonNumber, IntegralAndRoundTripFormatting) {
                std::invalid_argument);
   EXPECT_THROW(json_number(std::numeric_limits<double>::infinity()),
                std::invalid_argument);
+}
+
+// The snprintf/sscanf json_number the to_chars formatter replaced, kept
+// as its oracle. One edit: the magnitude test now runs before the int64
+// cast, which is undefined for doubles outside the int64 range; the
+// conjunction, and so the result, is unchanged.
+std::string printf_json_number(double value) {
+  if (!std::isfinite(value))
+    throw std::invalid_argument("JSON cannot represent NaN/Inf");
+  if (std::abs(value) < 9.0e18 &&
+      value == static_cast<double>(static_cast<std::int64_t>(value))) {
+    return std::to_string(static_cast<std::int64_t>(value));
+  }
+  // Shortest representation that round-trips a double.
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  double parsed = 0.0;
+  for (int precision = 15; precision <= 16; ++precision) {
+    char candidate[32];
+    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
+    std::sscanf(candidate, "%lf", &parsed);
+    if (parsed == value) return candidate;
+  }
+  return buf;
+}
+
+/// Compares json_number and append_json_number with the oracle, keeping
+/// the first few mismatches for the failure message.
+class OracleCheck {
+ public:
+  void operator()(double v) {
+    ++checked_;
+    const std::string want = printf_json_number(v);
+    std::string appended = "x";
+    append_json_number(appended, v);
+    if (json_number(v) == want && appended == "x" + want) return;
+    if (mismatches_.size() < 8) {
+      char hex[40];
+      std::snprintf(hex, sizeof hex, "%a", v);
+      mismatches_.push_back(std::string(hex) + ": want " + want + " got " +
+                            json_number(v));
+    }
+  }
+
+  void expect_clean(std::size_t at_least) const {
+    EXPECT_GE(checked_, at_least);
+    EXPECT_TRUE(mismatches_.empty()) << [this] {
+      std::string all;
+      for (const std::string& m : mismatches_) all += m + "\n";
+      return all;
+    }();
+  }
+
+ private:
+  std::size_t checked_ = 0;
+  std::vector<std::string> mismatches_;
+};
+
+// Five suites below compare 5.2M doubles with the oracle in all.
+
+TEST(JsonNumberOracle, RandomFiniteBitPatterns) {
+  OracleCheck check;
+  std::mt19937_64 rng(1);
+  std::size_t n = 0;
+  while (n < 1'200'000) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) continue;
+    check(v);
+    ++n;
+  }
+  check.expect_clean(1'200'000);
+}
+
+TEST(JsonNumberOracle, UniformHundredsAndReciprocals) {
+  OracleCheck check;
+  std::mt19937_64 rng(2);
+  std::uniform_real_distribution<double> uniform(0.0, 1000.0);
+  for (int i = 0; i < 1'200'000; ++i) check(uniform(rng));
+  for (int k = 1; k <= 1'000'000; ++k) check(1.0 / k);
+  check.expect_clean(2'200'000);
+}
+
+TEST(JsonNumberOracle, PowersOfTwoNeighboursAndSubnormals) {
+  OracleCheck check;
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {p, std::nextafter(p, 0.0),
+                           std::nextafter(p, HUGE_VAL)}) {
+      if (v == 0.0 || !std::isfinite(v)) continue;
+      check(v);
+      check(-v);
+    }
+  }
+  // Random subnormals: exponent bits zero, any mantissa.
+  std::mt19937_64 rng(3);
+  for (int i = 0; i < 400'000; ++i)
+    check(std::bit_cast<double>(rng() & 0x800f'ffff'ffff'ffffULL));
+  check(std::numeric_limits<double>::denorm_min());
+  check(std::nextafter(std::numeric_limits<double>::min(), 0.0));
+  check(std::numeric_limits<double>::min());
+  check(std::numeric_limits<double>::max());
+  check(-std::numeric_limits<double>::max());
+  check.expect_clean(400'000);
+}
+
+TEST(JsonNumberOracle, AroundTheExponentFormSwitches) {
+  // %g switches to exponent form below 1e-4 and at 10^precision: 1e15,
+  // 1e16 and 1e17 for the three precisions tried.
+  OracleCheck check;
+  std::mt19937_64 rng(4);
+  std::uniform_real_distribution<double> octave(-1.0, 1.0);
+  for (const double base : {1e-5, 1e-4, 1e15, 1e16, 1e17}) {
+    double up = base, down = base;
+    for (int i = 0; i < 30'000; ++i) {
+      check(up);
+      check(down);
+      up = std::nextafter(up, HUGE_VAL);
+      down = std::nextafter(down, 0.0);
+    }
+    for (int i = 0; i < 50'000; ++i)
+      check(base * std::exp2(octave(rng)));
+  }
+  check.expect_clean(550'000);
+}
+
+TEST(JsonNumberOracle, IntegerEdgesZerosAndNonFinite) {
+  OracleCheck check;
+  for (const double v : {0.0, -0.0, 9.0e18, -9.0e18, 1.0, -1.0, 0.5, 1e300,
+                         -1e300, 9007199254740993.0, 4503599627370495.5}) {
+    check(v);
+    check(std::nextafter(v, HUGE_VAL));
+    check(std::nextafter(v, -HUGE_VAL));
+  }
+  EXPECT_EQ(json_number(-0.0), "0");
+  EXPECT_EQ(json_number(9.0e18), "9e+18");
+  EXPECT_EQ(json_number(std::nextafter(9.0e18, 0.0)), "8999999999999998976");
+  // 2^63 and beyond cannot be cast to int64; they take the %g path.
+  EXPECT_EQ(json_number(9223372036854775808.0), "9.223372036854776e+18");
+  std::mt19937_64 rng(5);
+  std::uniform_int_distribution<std::int64_t> ints(-9'000'000'000'000'000'000,
+                                                   9'000'000'000'000'000'000);
+  for (int i = 0; i < 850'000; ++i)
+    check(static_cast<double>(ints(rng)) / (1 << (i % 24)));
+  check.expect_clean(850'000);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(json_number(bad), std::invalid_argument);
+    std::string out = "x";
+    EXPECT_THROW(append_json_number(out, bad), std::invalid_argument);
+    EXPECT_EQ(out, "x");
+  }
 }
 
 TEST(JsonEscape, ControlCharactersAndQuotes) {

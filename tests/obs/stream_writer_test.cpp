@@ -1,0 +1,327 @@
+// The streamed journal and timeseries writers against the buffered
+// exporters. The journals here run to several MiB so the block path — a
+// write only once 1 MiB is pending — runs many times; the simulator tests
+// stream far less than one block.
+#include "obs/stream_writer.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/journal.hpp"
+#include "obs/json.hpp"
+#include "obs/timeseries.hpp"
+
+namespace perdnn::obs {
+namespace {
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Byte equality for multi-MiB texts: on failure, reports the first
+/// differing byte with some context instead of printing both texts.
+::testing::AssertionResult same_text(const std::string& got,
+                                     const std::string& want) {
+  const auto [g, w] =
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  if (g == got.end() && w == want.end())
+    return ::testing::AssertionSuccess();
+  const auto at = static_cast<std::size_t>(g - got.begin());
+  const std::size_t from = at < 80 ? 0 : at - 80;
+  return ::testing::AssertionFailure()
+         << "texts differ at byte " << at << " (sizes " << got.size()
+         << " and " << want.size() << ")\n got: " << got.substr(from, 160)
+         << "\nwant: " << want.substr(from, 160);
+}
+
+// Named per test case: ctest runs each case as its own process.
+std::string case_path(const char* suffix) {
+  return ::testing::TempDir() +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         suffix;
+}
+
+/// One step of a seeded journal: either a chain start for `client` or an
+/// event (chain 0, to be filled from the client's binding).
+struct Step {
+  bool begin_chain = false;
+  JournalEvent event;
+};
+
+/// Seeded steps shaped like a simulator journal: attaches open chains, most
+/// events name a client, some name none (-1), and a third carry a
+/// fractional value with 16-17 significant digits, as latencies do.
+std::vector<Step> seeded_steps(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> client(-1, 4999);
+  std::uniform_int_distribution<int> kind(
+      0, static_cast<int>(JournalEventKind::kCachePartial));
+  std::uniform_real_distribution<double> latency(0.0, 2.0);
+  std::vector<Step> steps;
+  steps.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Step s;
+    s.event.interval = static_cast<int>(i / 2000);
+    s.event.kind = static_cast<JournalEventKind>(kind(rng));
+    s.event.client = client(rng);
+    s.event.server = static_cast<ServerId>(rng() % 400);
+    s.event.peer = rng() % 4 == 0 ? static_cast<ServerId>(rng() % 400)
+                                  : kNoServer;
+    s.event.bytes = static_cast<Bytes>(rng() % 50'000'000);
+    s.event.detail = static_cast<std::int32_t>(rng() % 8);
+    s.event.aux = static_cast<std::int32_t>(rng() % 100);
+    s.event.value = rng() % 3 == 0 ? latency(rng) : 0.0;
+    s.begin_chain =
+        s.event.kind == JournalEventKind::kAttach && s.event.client >= 0;
+    steps.push_back(s);
+  }
+  return steps;
+}
+
+template <typename Sink>
+void play(const std::vector<Step>& steps, std::size_t from, std::size_t to,
+          Sink& sink) {
+  for (std::size_t i = from; i < to; ++i) {
+    JournalEvent e = steps[i].event;
+    if (steps[i].begin_chain) e.chain = sink.begin_chain(e.client);
+    sink.record(e);
+  }
+}
+
+/// The reference bytes: the same steps through obs::Journal, which fills
+/// chains by the same rules, exported by journal_to_jsonl.
+std::string buffered_jsonl(const std::vector<Step>& steps) {
+  Journal journal(steps.size());
+  play(steps, 0, steps.size(), journal);
+  return journal_to_jsonl(journal.events());
+}
+
+constexpr std::size_t kEvents = 40'000;  // ~5 MiB of JSONL
+
+TEST(JournalStreamWriterTest, MultiBlockStreamEqualsBufferedExport) {
+  const std::vector<Step> steps = seeded_steps(kEvents, 11);
+  const std::string want = buffered_jsonl(steps);
+  ASSERT_GT(want.size(), 4u * kOutputBlockBytes);
+
+  const std::string path = case_path(".jsonl");
+  JournalStreamWriter writer(path);
+  play(steps, 0, steps.size(), writer);
+  writer.flush();
+  EXPECT_EQ(writer.events_written(), steps.size());
+  EXPECT_EQ(writer.bytes_written(), std::filesystem::file_size(path));
+  EXPECT_TRUE(same_text(slurp(path), want));
+
+  // The buffered exporter writes in blocks too, and agrees byte for byte.
+  Journal journal(steps.size());
+  play(steps, 0, steps.size(), journal);
+  std::ostringstream buffered;
+  journal.write_jsonl(buffered);
+  EXPECT_TRUE(same_text(buffered.str(), want));
+}
+
+TEST(JournalStreamWriterTest, BytesWrittenCountsThePendingBlock) {
+  const std::vector<Step> steps = seeded_steps(2'000, 12);
+  const std::string path = case_path(".jsonl");
+  JournalStreamWriter writer(path);
+  play(steps, 0, steps.size(), writer);
+  // Less than one block: nothing has reached the file yet, but the count
+  // already covers every line.
+  const std::string want = buffered_jsonl(steps);
+  ASSERT_LT(want.size(), kOutputBlockBytes);
+  EXPECT_EQ(writer.bytes_written(), want.size());
+  EXPECT_EQ(std::filesystem::file_size(path), 0u);
+  writer.flush();
+  EXPECT_EQ(std::filesystem::file_size(path), want.size());
+}
+
+TEST(JournalStreamWriterTest, DestructionWithoutFlushLosesNothing) {
+  for (const std::size_t n : {std::size_t{1'500}, kEvents}) {
+    const std::vector<Step> steps = seeded_steps(n, 13);
+    const std::string path = case_path(".jsonl");
+    {
+      JournalStreamWriter writer(path);
+      play(steps, 0, steps.size(), writer);
+    }
+    EXPECT_TRUE(same_text(slurp(path), buffered_jsonl(steps)))
+        << n << " events";
+  }
+}
+
+TEST(JournalStreamWriterTest, ResumeAtMidFileOffsetReproducesStraightFile) {
+  const std::vector<Step> steps = seeded_steps(kEvents, 14);
+  const std::size_t split = steps.size() / 2 + 123;
+  const std::string path = case_path(".jsonl");
+
+  std::uint64_t bytes = 0, events = 0, next_chain = 0;
+  std::vector<std::pair<ClientId, std::uint64_t>> chains;
+  {
+    JournalStreamWriter writer(path);
+    play(steps, 0, split, writer);
+    writer.flush();  // the checkpoint
+    bytes = writer.bytes_written();
+    events = writer.events_written();
+    next_chain = writer.next_chain();
+    chains = writer.client_chains();
+    // The killed run got further: more than one block past the checkpoint.
+    play(steps, split, steps.size() - 100, writer);
+  }
+  {
+    // ...and was cut off inside a line.
+    std::ofstream torn(path, std::ios::binary | std::ios::app);
+    torn << "{\"interval\":999,\"kind\":\"atta";
+  }
+  ASSERT_GT(std::filesystem::file_size(path), bytes + kOutputBlockBytes);
+
+  {
+    JournalStreamWriter resumed(path, Resume{bytes}, events, next_chain,
+                                chains);
+    EXPECT_EQ(resumed.client_chains(), chains);
+    play(steps, split, steps.size(), resumed);
+    resumed.flush();
+    EXPECT_EQ(resumed.events_written(), steps.size());
+    EXPECT_EQ(resumed.bytes_written(), std::filesystem::file_size(path));
+  }
+  EXPECT_TRUE(same_text(slurp(path), buffered_jsonl(steps)));
+
+  // A checkpoint offset past the end of the file is refused.
+  EXPECT_THROW(JournalStreamWriter(path, Resume{1u << 30}, 0, 1, {}),
+               std::runtime_error);
+}
+
+TEST(JournalStreamWriterTest, ClientChainsAreSortedForSparseAndNegativeIds) {
+  const std::string path = case_path(".jsonl");
+  JournalStreamWriter writer(path);
+  EXPECT_EQ(writer.begin_chain(1000), 1u);
+  EXPECT_EQ(writer.begin_chain(3), 2u);
+  EXPECT_EQ(writer.begin_chain(-1), 3u);  // numbered, never bound
+  EXPECT_EQ(writer.begin_chain(70'000), 4u);
+  EXPECT_EQ(writer.begin_chain(3), 5u);  // rebinding replaces
+  EXPECT_EQ(writer.next_chain(), 6u);
+
+  const std::vector<std::pair<ClientId, std::uint64_t>> want = {
+      {3, 5}, {1000, 1}, {70'000, 4}};
+  EXPECT_EQ(writer.client_chains(), want);
+  EXPECT_EQ(writer.chain_of(3), 5u);
+  EXPECT_EQ(writer.chain_of(-1), 0u);
+  EXPECT_EQ(writer.chain_of(4), 0u);
+  EXPECT_EQ(writer.chain_of(1'000'000), 0u);
+
+  // Auto-fill reads the binding; client -1 keeps chain 0; an explicit chain
+  // is left alone.
+  writer.record({.interval = 0, .kind = JournalEventKind::kColdServe,
+                 .client = 1000});
+  writer.record({.interval = 0, .kind = JournalEventKind::kFaultApplied,
+                 .client = -1});
+  writer.record({.interval = 0, .kind = JournalEventKind::kPlan, .chain = 9,
+                 .client = 3});
+  writer.flush();
+  const std::vector<JournalEvent> events = journal_from_jsonl(slurp(path));
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].chain, 1u);
+  EXPECT_EQ(events[1].chain, 0u);
+  EXPECT_EQ(events[2].chain, 9u);
+
+  // A resume restores exactly these bindings; a negative id in the list is
+  // dropped like any other.
+  std::vector<std::pair<ClientId, std::uint64_t>> stored = want;
+  stored.insert(stored.begin(), {-1, 3});
+  JournalStreamWriter resumed(path, Resume{writer.bytes_written()}, 3,
+                              writer.next_chain(), stored);
+  EXPECT_EQ(resumed.client_chains(), want);
+  EXPECT_EQ(resumed.chain_of(70'000), 4u);
+  EXPECT_EQ(resumed.begin_chain(5), 6u);
+}
+
+/// Seeded rows, one per server per interval, with fractional sums.
+std::vector<TimeseriesRow> seeded_rows(int servers, int intervals,
+                                       std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> real(0.0, 50.0);
+  std::vector<TimeseriesRow> rows;
+  for (int t = 0; t < intervals; ++t) {
+    for (int s = 0; s < servers; ++s) {
+      TimeseriesRow r{.interval = t, .server = s};
+      r.attached = static_cast<int>(rng() % 300);
+      r.hits = static_cast<int>(rng() % 5);
+      r.misses = static_cast<int>(rng() % 9);
+      r.cold_window_queries = static_cast<long long>(rng() % 1000);
+      r.cold_latency_sum_s = real(rng);
+      r.uplink_bytes = static_cast<std::int64_t>(rng() % 90'000'000);
+      r.downlink_bytes = static_cast<std::int64_t>(rng() % 90'000'000);
+      r.predictor_samples = static_cast<int>(rng() % 40);
+      r.predictor_error_sum_m = real(rng) * 10.0;
+      r.local_latency_sum_s = rng() % 2 == 0 ? real(rng) : 0.0;
+      r.cache_bytes = static_cast<std::int64_t>(rng() % 9'000'000'000);
+      r.cache_evictions = static_cast<int>(rng() % 3);
+      rows.push_back(r);
+    }
+  }
+  return rows;
+}
+
+TEST(TimeseriesStreamWriterTest, StreamEqualsWriteCsv) {
+  constexpr int kServers = 400;
+  constexpr int kIntervals = 40;  // ~1.6 MiB of CSV: more than one block
+  const std::vector<TimeseriesRow> rows =
+      seeded_rows(kServers, kIntervals, 21);
+  for (const bool cache_columns : {false, true}) {
+    SimTimeseries ts;
+    ts.set_model("mobile,net \"v2\"");
+    ts.start(kServers, 20.0);
+    if (cache_columns) ts.enable_cache_columns();
+    for (int t = 0; t < kIntervals; ++t)
+      ts.append_interval(std::vector<TimeseriesRow>(
+          rows.begin() + t * kServers, rows.begin() + (t + 1) * kServers));
+    std::ostringstream buffered;
+    ts.write_csv(buffered);
+    ASSERT_GT(buffered.str().size(), kOutputBlockBytes);
+
+    const std::string path = case_path(".csv");
+    {
+      TimeseriesStreamWriter writer(path, ts.model(), cache_columns);
+      for (const TimeseriesRow& r : rows) writer.append(r);
+      writer.flush();
+      EXPECT_EQ(writer.rows_written(), rows.size());
+      EXPECT_EQ(writer.bytes_written(), std::filesystem::file_size(path));
+    }
+    EXPECT_TRUE(same_text(slurp(path), buffered.str()))
+        << "cache columns " << cache_columns;
+
+    // Resume from the middle, past a torn row, then destroy unflushed.
+    const std::size_t split = rows.size() / 3;
+    std::uint64_t bytes = 0;
+    {
+      TimeseriesStreamWriter writer(path, ts.model(), cache_columns);
+      for (std::size_t i = 0; i < split; ++i) writer.append(rows[i]);
+      writer.flush();
+      bytes = writer.bytes_written();
+      for (std::size_t i = split; i < rows.size(); ++i) writer.append(rows[i]);
+    }
+    {
+      std::ofstream torn(path, std::ios::binary | std::ios::app);
+      torn << "9,9,9,garbage";
+    }
+    {
+      TimeseriesStreamWriter writer(path, Resume{bytes}, split, cache_columns);
+      for (std::size_t i = split; i < rows.size(); ++i) writer.append(rows[i]);
+      EXPECT_EQ(writer.rows_written(), rows.size());
+    }
+    EXPECT_TRUE(same_text(slurp(path), buffered.str()))
+        << "cache columns " << cache_columns;
+  }
+}
+
+}  // namespace
+}  // namespace perdnn::obs

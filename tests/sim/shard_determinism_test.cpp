@@ -251,6 +251,36 @@ TEST_F(ShardDeterminismTest, ResumeRejectsForeignConfig) {
   par::set_num_threads(0);
 }
 
+TEST_F(ShardDeterminismTest, ResumeRejectsChainsOfUnknownClients) {
+  par::set_num_threads(1);
+  snapshot::SimSnapshot snap;
+  ShardRunOptions options;
+  options.journal_path = jr_path();
+  options.stop_after_interval = 1;
+  options.capture_out = &snap;
+  run_sharded_simulation(*world_, options);
+  ASSERT_FALSE(snap.shard.client_chains.empty());
+
+  // Ids one past either end: a larger one would, with the check gone,
+  // allocate that many chain slots before anything failed.
+  for (const ClientId bad : {-1, world_->config.num_clients}) {
+    snapshot::SimSnapshot forged = snap;
+    forged.shard.client_chains.emplace_back(bad, 1);
+    ShardRunOptions resume;
+    resume.journal_path = jr_path();
+    resume.resume_from = &forged;
+    try {
+      run_sharded_simulation(*world_, resume);
+      ADD_FAILURE() << "client " << bad << " was accepted";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("journal chain"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  par::set_num_threads(0);
+}
+
 TEST_F(ShardDeterminismTest, EmptyTileShardsStillEmitDenseRows) {
   // 20 tiles, 3 clients: most tiles (and with 16 shards, most shards) own
   // no client at all. The merged output must still be the dense

@@ -8,6 +8,7 @@
 #   * the binary (.jnl) encoding decodes to the same event stream;
 #   * every journal parses through the bundled JSON parser
 #     (perdnn_obs validate) and the scripted-fault chain reconstructs;
+#   * validate exits 2 on integer fields out of range (1e300, chain -1);
 #   * a second -DPERDNN_SIMD=OFF configuration re-runs the forest/estimator/
 #     shard-determinism tests with the AVX2 kernels compiled out, keeping
 #     the scalar fallback ASan/UBSan-tested.
@@ -26,7 +27,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Journal|MetricsTest|TraceTest|SimTimeseries|TimeseriesSim|SnapshotTest|Traffic'
+  -R 'Journal|StreamWriter|MetricsTest|TraceTest|SimTimeseries|TimeseriesSim|SnapshotTest|Traffic'
 
 CLI="$BUILD_DIR/tools/perdnn"
 OBS="$BUILD_DIR/tools/perdnn_obs"
@@ -83,6 +84,21 @@ fi
 # disconnect's causal chain reconstructs from attach to detach.
 for j in "$WORK"/*.jsonl "$WORK/ref.jnl"; do
   "$OBS" validate "$j" > /dev/null
+done
+# Out-of-range integers are input errors (exit 2), never an undefined
+# double-to-int cast: this build traps float-cast-overflow.
+LINE='{"interval":%s,"kind":"attach","chain":%s,"client":0,"server":0,"peer":-1,"bytes":0,"detail":0,"aux":0,"value":0}\n'
+# shellcheck disable=SC2059
+printf "$LINE" 1e300 1 > "$WORK/huge_interval.bad"
+# shellcheck disable=SC2059
+printf "$LINE" 0 -1 > "$WORK/negative_chain.bad"
+for bad in "$WORK/huge_interval.bad" "$WORK/negative_chain.bad"; do
+  status=0
+  "$OBS" validate "$bad" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "error: perdnn_obs validate exited $status on $bad (want 2)" >&2
+    exit 1
+  fi
 done
 "$OBS" filter "$WORK/ref.jsonl" --kind fault_applied --client 1 \
   | grep -q '"kind":"fault_applied"'
