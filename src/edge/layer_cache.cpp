@@ -111,18 +111,36 @@ std::vector<LayerId> LayerCache::store(ClientId client,
     touch(client, now_interval);
     return {};
   }
+  // One pass over a per-layer mark: the entry's layers are marked, then an
+  // incoming layer is fresh iff its mark is clear, and marks it. Incoming
+  // order is kept, so a budget trim still cuts the same prefix. The marks
+  // are per thread, not per cache: every server holding a model-sized
+  // vector would cost more than the one store it serves at a time.
+  thread_local std::vector<char> marks;
   const auto it = entries_.find(client);
   const std::vector<LayerId>* cached =
       it != entries_.end() ? &it->second.layers : nullptr;
+  LayerId max_id = cached != nullptr && !cached->empty() ? cached->back() : 0;
+  for (LayerId id : layers) {
+    PERDNN_CHECK(id >= 0);
+    max_id = std::max(max_id, id);
+  }
+  if (static_cast<std::size_t>(max_id) >= marks.size())
+    marks.resize(static_cast<std::size_t>(max_id) + 1, 0);
+  // Nothing below can throw until every mark is clear again.
   std::vector<LayerId> fresh;
   fresh.reserve(layers.size());
+  if (cached != nullptr)
+    for (LayerId id : *cached) marks[static_cast<std::size_t>(id)] = 1;
   for (LayerId id : layers) {
-    if (cached != nullptr &&
-        std::binary_search(cached->begin(), cached->end(), id))
-      continue;
-    if (std::find(fresh.begin(), fresh.end(), id) != fresh.end()) continue;
+    char& mark = marks[static_cast<std::size_t>(id)];
+    if (mark != 0) continue;
+    mark = 1;
     fresh.push_back(id);
   }
+  if (cached != nullptr)
+    for (LayerId id : *cached) marks[static_cast<std::size_t>(id)] = 0;
+  for (LayerId id : fresh) marks[static_cast<std::size_t>(id)] = 0;
   if (fresh.empty()) {
     // A non-empty but fully-duplicate send is a duplicate-suppressed send:
     // it refreshes the TTL like any other contact, and journals as a touch
@@ -311,6 +329,7 @@ void LayerCache::restore_entries(const std::vector<EntrySnapshot>& entries) {
     std::sort(entry.layers.begin(), entry.layers.end());
     entry.layers.erase(std::unique(entry.layers.begin(), entry.layers.end()),
                        entry.layers.end());
+    PERDNN_CHECK(entry.layers.empty() || entry.layers.front() >= 0);
     entry.expires_at = snap.expires_at;
     entry.bytes = layer_bytes_.empty() ? snap.bytes : bytes_of(entry.layers);
     total_bytes_ += entry.bytes;

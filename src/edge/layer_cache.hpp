@@ -56,8 +56,9 @@ class LayerCache {
   /// Merges `layers` into the client's entry and resets its TTL.
   /// Returns the ids that were actually new (not already cached) AND
   /// admitted under the budget — the bytes that really crossed the
-  /// backhaul. A fully-duplicate send refreshes the TTL like touch() (and
-  /// journals a touch, not a zero-layer store).
+  /// backhaul, in incoming order. A fully-duplicate send refreshes the TTL
+  /// like touch() (and journals a touch, not a zero-layer store). A
+  /// negative layer id fails a PERDNN_CHECK.
   std::vector<LayerId> store(ClientId client,
                              const std::vector<LayerId>& layers,
                              int now_interval);

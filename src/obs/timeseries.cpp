@@ -1,5 +1,7 @@
 #include "obs/timeseries.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <ostream>
 
 #include "common/check.hpp"
@@ -7,49 +9,62 @@
 
 namespace perdnn::obs {
 
+namespace {
+
+// Room one CSV row can need: 20 columns, none longer than a json_number
+// with its separator.
+constexpr std::size_t kMaxCsvRow = 20 * kJsonNumberMaxChars;
+
+}  // namespace
+
 void append_timeseries_row_csv(std::string& out, const TimeseriesRow& r,
                                bool with_cache_columns) {
-  append_json_int(out, r.interval);
-  out += ',';
-  append_json_int(out, r.server);
-  out += ',';
-  append_json_int(out, r.attached);
-  out += ',';
-  append_json_int(out, r.hits);
-  out += ',';
-  append_json_int(out, r.partials);
-  out += ',';
-  append_json_int(out, r.misses);
-  out += ',';
-  append_json_int(out, r.cold_window_queries);
-  out += ',';
-  append_json_number(out, r.cold_latency_sum_s);
-  out += ',';
-  append_json_int(out, r.uplink_bytes);
-  out += ',';
-  append_json_int(out, r.downlink_bytes);
-  out += ',';
-  append_json_int(out, r.migration_orders);
-  out += ',';
-  append_json_int(out, r.predictor_samples);
-  out += ',';
-  append_json_number(out, r.predictor_error_sum_m);
-  out += ',';
-  append_json_int(out, r.local_queries);
-  out += ',';
-  append_json_number(out, r.local_latency_sum_s);
-  out += ',';
-  append_json_int(out, r.deferred_bytes);
-  out += ',';
-  append_json_int(out, r.degraded);
+  // The doubles are formatted first: a NaN throws before `out` changes.
+  char cold[kJsonNumberMaxChars];
+  char error[kJsonNumberMaxChars];
+  char local[kJsonNumberMaxChars];
+  const char* const cold_end = format_json_number(cold, r.cold_latency_sum_s);
+  const char* const error_end =
+      format_json_number(error, r.predictor_error_sum_m);
+  const char* const local_end =
+      format_json_number(local, r.local_latency_sum_s);
+
+  // One resize, then a cursor: each column is one to_chars or one copy and
+  // its separator, and the final resize cuts the last separator.
+  const std::size_t start = out.size();
+  out.resize(start + kMaxCsvRow);
+  char* p = out.data() + start;
+  const auto put = [&p](auto value) {
+    p = std::to_chars(p, p + 20, value).ptr;
+    *p++ = ',';
+  };
+  const auto put_text = [&p](const char* first, const char* last) {
+    p = std::copy(first, last, p);
+    *p++ = ',';
+  };
+  put(r.interval);
+  put(r.server);
+  put(r.attached);
+  put(r.hits);
+  put(r.partials);
+  put(r.misses);
+  put(r.cold_window_queries);
+  put_text(cold, cold_end);
+  put(r.uplink_bytes);
+  put(r.downlink_bytes);
+  put(r.migration_orders);
+  put(r.predictor_samples);
+  put_text(error, error_end);
+  put(r.local_queries);
+  put_text(local, local_end);
+  put(r.deferred_bytes);
+  put(r.degraded);
   if (with_cache_columns) {
-    out += ',';
-    append_json_int(out, r.cache_bytes);
-    out += ',';
-    append_json_int(out, r.cache_evictions);
-    out += ',';
-    append_json_int(out, r.cache_partial_stores);
+    put(r.cache_bytes);
+    put(r.cache_evictions);
+    put(r.cache_partial_stores);
   }
+  out.resize(static_cast<std::size_t>(p - 1 - out.data()));
 }
 
 void SimTimeseries::start(int num_servers, double interval_length_s) {

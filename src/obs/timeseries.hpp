@@ -82,6 +82,7 @@ struct TimeseriesRow {
 /// behind SimTimeseries::write_csv and the streaming timeseries writer, so
 /// buffered and streamed exports are byte-identical by construction.
 /// `with_cache_columns` appends the three schema-3 budgeted-cache columns.
+/// A NaN or infinite double throws like json_number, leaving `out` as it was.
 void append_timeseries_row_csv(std::string& out, const TimeseriesRow& row,
                                bool with_cache_columns = false);
 

@@ -218,7 +218,10 @@ struct LoadLevelCache {
   std::vector<Seconds> estimated;  // estimator output, drives the plan
   std::vector<Seconds> true_time;  // ground-truth expected latency
   PartitionPlan plan;
-  std::vector<LayerId> needed;     // plan's server-side layers
+  /// The plan's server-side layers in canonical upload order, so every
+  /// list filtered from it (an attach's missing layers, a push's sendable
+  /// ones) is already in that order.
+  std::vector<LayerId> needed;
 };
 
 class SimulatorImpl {
@@ -294,12 +297,6 @@ class SimulatorImpl {
       for (ServerId s = 0; s < world.servers.num_servers(); ++s)
         caches_[static_cast<std::size_t>(s)].set_journal(journal_, s);
     }
-    // Pre-size canonical order lookup: position of each layer in the order.
-    order_rank_.assign(
-        static_cast<std::size_t>(world.model.num_layers()), -1);
-    for (std::size_t i = 0; i < world.canonical_schedule.order.size(); ++i)
-      order_rank_[static_cast<std::size_t>(
-          world.canonical_schedule.order[i])] = static_cast<int>(i);
   }
 
   SimulationMetrics run(const SimulationRunOptions& options);
@@ -388,8 +385,6 @@ class SimulatorImpl {
   /// Per-query latency of offloading to the previous server through the
   /// backhaul; kInfSeconds when unavailable.
   Seconds routed_path_latency(ClientId c, ServerId previous);
-  void sort_canonical(std::vector<LayerId>& layers) const;
-  std::vector<LayerId> order_by_canonical(std::vector<LayerId> layers) const;
   obs::TimeseriesRow& row(ServerId server) {
     return rows_[static_cast<std::size_t>(server)];
   }
@@ -411,7 +406,6 @@ class SimulatorImpl {
   /// The open interval's timeseries rows, one per server.
   std::vector<obs::TimeseriesRow> rows_;
   std::vector<ClientState> clients_;
-  std::vector<int> order_rank_;
   std::unordered_map<int, LoadLevelCache> levels_;
   /// Degraded twins of levels_ (telemetry-dropout planning); same stability
   /// guarantees (ColdJob keeps pointers into the map values).
@@ -445,6 +439,25 @@ class SimulatorImpl {
 };
 
 namespace {
+/// The plan's server-side layers in canonical upload order: those in
+/// `canonical.order` first, in that order, then the rest in id order.
+std::vector<LayerId> canonical_server_layers(const PartitionPlan& plan,
+                                             const UploadSchedule& canonical) {
+  std::vector<char> in_order(plan.location.size(), 0);
+  std::vector<LayerId> out;
+  for (LayerId id : canonical.order) {
+    char& seen = in_order[static_cast<std::size_t>(id)];
+    PERDNN_CHECK_MSG(seen == 0, "canonical upload order repeats layer " << id);
+    seen = 1;
+    if (plan.location[static_cast<std::size_t>(id)] == ExecLocation::kServer)
+      out.push_back(id);
+  }
+  for (std::size_t i = 0; i < plan.location.size(); ++i)
+    if (in_order[i] == 0 && plan.location[i] == ExecLocation::kServer)
+      out.push_back(static_cast<LayerId>(i));
+  return out;
+}
+
 /// Fills estimated/true_time/plan/needed for a level whose `stats` are
 /// already set — shared by the normal fill (stats freshly drawn) and the
 /// checkpoint-restore rebuild (stats read back from the snapshot). Both
@@ -472,7 +485,7 @@ struct LevelFiller {
     context.server_time = lvl.estimated;
     context.net = config.wireless;
     lvl.plan = compute_best_plan(context);
-    lvl.needed = lvl.plan.server_layers();
+    lvl.needed = canonical_server_layers(lvl.plan, world.canonical_schedule);
   }
 };
 }  // namespace
@@ -521,26 +534,8 @@ const LoadLevelCache& SimulatorImpl::degraded_level(int load) {
   context.server_time = lvl.estimated;
   context.net = config_.wireless;
   lvl.plan = compute_best_plan(context);
-  lvl.needed = lvl.plan.server_layers();
+  lvl.needed = canonical_server_layers(lvl.plan, world_.canonical_schedule);
   return degraded_levels_.emplace(load, std::move(lvl)).first->second;
-}
-
-void SimulatorImpl::sort_canonical(std::vector<LayerId>& layers) const {
-  std::sort(layers.begin(), layers.end(), [&](LayerId a, LayerId b) {
-    const int ra = order_rank_[static_cast<std::size_t>(a)];
-    const int rb = order_rank_[static_cast<std::size_t>(b)];
-    // Layers outside the canonical order go last, in id order.
-    if (ra >= 0 && rb >= 0) return ra < rb;
-    if (ra >= 0) return true;
-    if (rb >= 0) return false;
-    return a < b;
-  });
-}
-
-std::vector<LayerId> SimulatorImpl::order_by_canonical(
-    std::vector<LayerId> layers) const {
-  sort_canonical(layers);
-  return layers;
 }
 
 Seconds SimulatorImpl::routed_path_latency(ClientId c, ServerId previous) {
@@ -595,14 +590,23 @@ SimulatorImpl::ColdResult SimulatorImpl::cold_window_queries(
   Seconds now = 0.0;
   std::vector<bool> mask = job.initial_mask;
   std::size_t arrived = 0;
+  // plan_latency is a pure function of the frozen context and the mask, so
+  // the DP runs for the first query and again only after a layer lands.
+  Seconds planned = 0.0;
+  bool replan = true;
   while (true) {
     const Bytes uploaded = static_cast<Bytes>(
         now * context.net.uplink_bytes_per_sec);
     while (arrived < job.pending.size() && cumulative[arrived] <= uploaded) {
       mask[static_cast<std::size_t>(job.pending[arrived])] = true;
       ++arrived;
+      replan = true;
     }
-    Seconds latency = plan_latency(context, mask);
+    if (replan) {
+      planned = plan_latency(context, mask);
+      replan = false;
+    }
+    Seconds latency = planned;
     // Routing fallback: take the backhaul path to the previous server when
     // it is faster than what the (still warming) new server offers.
     if (job.routed_latency < latency) {
@@ -702,7 +706,8 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
                               true)
           : cache.mask(c, model);
 
-  // Classify the cold start and collect the layers still to upload.
+  // Classify the cold start and collect the layers still to upload, in the
+  // canonical order lvl.needed already has.
   int present = 0;
   std::vector<LayerId> missing;
   for (LayerId id : lvl.needed) {
@@ -728,7 +733,7 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
     obs::count("sim.attach.partials");
   }
 
-  client.pending = order_by_canonical(std::move(missing));
+  client.pending = std::move(missing);
   if (journal_ != nullptr) {
     Bytes plan_bytes = 0;
     for (LayerId id : client.pending)
@@ -1117,10 +1122,11 @@ void SimulatorImpl::proactive_migration(int interval_index) {
           timeline_.telemetry_down(target) ? degraded_level(load)
                                            : level(load);
 
-      // Send what the future plan needs and the source actually has.
-      // Candidates accumulate in a scratch vector so the (common) futile
-      // and truncated-to-nothing targets cost no allocation; a real vector
-      // is only materialized once an order is actually issued.
+      // Send what the future plan needs and the source actually has, in
+      // canonical order. Candidates accumulate in a scratch vector so the
+      // (common) futile and truncated-to-nothing targets cost no
+      // allocation; a real vector is only materialized once an order is
+      // actually issued.
       sendable_scratch_.clear();
       for (LayerId id : lvl.needed)
         if (source_mask[static_cast<std::size_t>(id)])
@@ -1129,7 +1135,6 @@ void SimulatorImpl::proactive_migration(int interval_index) {
       // layer could ever ship. Don't issue (or count, or record) an order
       // that cannot move a byte.
       if (sendable_scratch_.empty()) continue;
-      sort_canonical(sendable_scratch_);
       if (journal_ != nullptr) {
         Bytes planned_bytes = 0;
         for (LayerId id : sendable_scratch_)
@@ -1259,14 +1264,24 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
     });
   };
   for (const auto& entries : snap.caches)
-    for (const LayerCache::EntrySnapshot& entry : entries)
-      if (!client_ok(entry.client) || !layers_ok(entry.layers))
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (!client_ok(entries[i].client) || !layers_ok(entries[i].layers))
         throw snapshot::SnapshotError("snapshot: cache entry out of range");
+      // export_entries writes each server's entries strictly ascending by
+      // client: a repeated client would restore as one entry holding the
+      // bytes of both.
+      if (i > 0 && entries[i].client <= entries[i - 1].client)
+        throw snapshot::SnapshotError(
+            "snapshot: cache entries not strictly ascending by client");
+    }
   for (const DeferredMigration& order : snap.dispatcher.queue)
     if (!client_ok(order.client) || !server_ok(order.source) ||
         !server_ok(order.target) || !layers_ok(order.layers))
       throw snapshot::SnapshotError(
           "snapshot: parked migration order out of range");
+  // Each server's attach count is the number of clients on it: the run
+  // keeps the two in step, and every later load level reads the count.
+  std::vector<int> attached(servers, 0);
   for (const snapshot::ClientSnapshot& cs : snap.clients) {
     if (cs.current != kNoServer && !server_ok(cs.current))
       throw snapshot::SnapshotError(
@@ -1274,7 +1289,12 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
     if (!layers_ok(cs.pending))
       throw snapshot::SnapshotError(
           "snapshot: pending layer id out of range");
+    if (cs.current != kNoServer)
+      ++attached[static_cast<std::size_t>(cs.current)];
   }
+  if (attached != snap.attached)
+    throw snapshot::SnapshotError(
+        "snapshot: attach counts do not match the attached clients");
   if (!snap.traffic.has_width(servers))
     throw snapshot::SnapshotError(
         "snapshot: traffic summary width does not match the server count");

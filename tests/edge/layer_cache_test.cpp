@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/journal.hpp"
 
@@ -197,6 +201,99 @@ TEST(LayerCache, EntriesAreIndependentPerClient) {
 
 TEST(LayerCache, InvalidTtlRejected) {
   EXPECT_THROW(LayerCache(0), std::logic_error);
+}
+
+TEST(LayerCache, NegativeLayerIdIsRejectedAndLeavesNoMark) {
+  LayerCache cache(5);
+  cache.store(1, {2, 3}, 0);
+  EXPECT_THROW(cache.store(1, {4, -1}, 0), std::logic_error);
+  EXPECT_EQ(cache.layers(1), (std::vector<LayerId>{2, 3}));
+  // The refused call set no mark: every layer of a new entry is fresh.
+  EXPECT_EQ(cache.store(2, {4, 3, 2}, 0), (std::vector<LayerId>{4, 3, 2}));
+}
+
+/// The dedupe store() ran before its one-pass mark: a binary search over
+/// the sorted entry and a linear scan over the layers kept so far. Kept
+/// here as the oracle for the mark.
+std::vector<LayerId> search_dedupe(const std::vector<LayerId>& cached,
+                                   const std::vector<LayerId>& layers) {
+  std::vector<LayerId> fresh;
+  for (LayerId id : layers) {
+    if (std::binary_search(cached.begin(), cached.end(), id)) continue;
+    if (std::find(fresh.begin(), fresh.end(), id) != fresh.end()) continue;
+    fresh.push_back(id);
+  }
+  return fresh;
+}
+
+TEST(LayerCache, OnePassStoreMatchesTheSearchDedupe) {
+  // Seeded random stores over Inception-sized ids (0..301), with repeats
+  // inside a call and overlap with the entry, interleaved with touch,
+  // expire and wipe. Unbudgeted, store() returns exactly the oracle's fresh
+  // list; budgeted, a prefix of it. Either way the entry becomes the sorted
+  // union of what it held and what was admitted.
+  constexpr int kLayers = 302;
+  constexpr int kClients = 8;
+  for (const bool budgeted : {false, true}) {
+    SCOPED_TRACE(budgeted ? "budgeted" : "unbudgeted");
+    LayerCache cache(3);
+    if (budgeted) {
+      std::vector<Bytes> bytes(kLayers);
+      std::vector<double> saved(kLayers);
+      for (int id = 0; id < kLayers; ++id) {
+        bytes[static_cast<std::size_t>(id)] = 1 + (id * 7919) % 1000;
+        saved[static_cast<std::size_t>(id)] = 0.01 + (id * 31 % 97) / 100.0;
+      }
+      cache.set_budget(40000);
+      cache.set_cost_model(bytes, saved);
+    }
+    Rng rng(budgeted ? 2 : 1);
+    std::vector<LayerId> incoming;
+    for (int call = 0; call < 12000; ++call) {
+      const int now = call / 40;
+      const auto client = static_cast<ClientId>(rng.index(kClients));
+      const std::vector<LayerId> before = cache.layers(client);
+      incoming.clear();
+      const std::size_t length = rng.index(48);
+      while (incoming.size() < length) {
+        const std::size_t pick = rng.index(3);
+        if (pick == 0 && !before.empty()) {
+          incoming.push_back(before[rng.index(before.size())]);
+        } else if (pick == 1 && !incoming.empty()) {
+          incoming.push_back(incoming[rng.index(incoming.size())]);
+        } else {
+          incoming.push_back(static_cast<LayerId>(rng.index(kLayers)));
+        }
+      }
+      const std::vector<LayerId> expected = search_dedupe(before, incoming);
+      const std::vector<LayerId> got = cache.store(client, incoming, now);
+      if (budgeted) {
+        ASSERT_LE(got.size(), expected.size()) << "call " << call;
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
+            << "call " << call;
+      } else {
+        ASSERT_EQ(got, expected) << "call " << call;
+      }
+      std::vector<LayerId> merged = before;
+      merged.insert(merged.end(), got.begin(), got.end());
+      std::sort(merged.begin(), merged.end());
+      ASSERT_EQ(cache.layers(client), merged) << "call " << call;
+
+      const std::size_t event = rng.index(100);
+      if (event < 5) {
+        cache.touch(static_cast<ClientId>(rng.index(kClients)), now);
+      } else if (event < 10) {
+        cache.expire(now);
+      } else if (event == 10) {
+        cache.wipe(now);
+      }
+    }
+    if (budgeted) {
+      // Not vacuous: the budget both evicted entries and trimmed stores.
+      EXPECT_GT(cache.evictions(), 0);
+      EXPECT_GT(cache.partial_stores(), 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

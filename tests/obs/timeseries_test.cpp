@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "common/rng.hpp"
 #include "mobility/trace_gen.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
@@ -131,6 +138,189 @@ TEST(SimTimeseriesUnit, CsvShapeMatchesHeader) {
         << line;
   }
   EXPECT_EQ(data_lines, 2);
+}
+
+/// The row formatter before its cursor rewrite: one append per field. Kept
+/// here as the oracle for the cursor.
+void append_row_per_field(std::string& out, const TimeseriesRow& r,
+                          bool with_cache_columns) {
+  obs::append_json_int(out, r.interval);
+  out += ',';
+  obs::append_json_int(out, r.server);
+  out += ',';
+  obs::append_json_int(out, r.attached);
+  out += ',';
+  obs::append_json_int(out, r.hits);
+  out += ',';
+  obs::append_json_int(out, r.partials);
+  out += ',';
+  obs::append_json_int(out, r.misses);
+  out += ',';
+  obs::append_json_int(out, r.cold_window_queries);
+  out += ',';
+  obs::append_json_number(out, r.cold_latency_sum_s);
+  out += ',';
+  obs::append_json_int(out, r.uplink_bytes);
+  out += ',';
+  obs::append_json_int(out, r.downlink_bytes);
+  out += ',';
+  obs::append_json_int(out, r.migration_orders);
+  out += ',';
+  obs::append_json_int(out, r.predictor_samples);
+  out += ',';
+  obs::append_json_number(out, r.predictor_error_sum_m);
+  out += ',';
+  obs::append_json_int(out, r.local_queries);
+  out += ',';
+  obs::append_json_number(out, r.local_latency_sum_s);
+  out += ',';
+  obs::append_json_int(out, r.deferred_bytes);
+  out += ',';
+  obs::append_json_int(out, r.degraded);
+  if (with_cache_columns) {
+    out += ',';
+    obs::append_json_int(out, r.cache_bytes);
+    out += ',';
+    obs::append_json_int(out, r.cache_evictions);
+    out += ',';
+    obs::append_json_int(out, r.cache_partial_stores);
+  }
+}
+
+/// Seeded row fields that reach every branch of the number formatting:
+/// zeros, small and negative values, type extremes, and doubles with 17
+/// significant digits or near a point where %g switches notation.
+class RowFieldSource {
+ public:
+  explicit RowFieldSource(std::uint64_t seed) : rng_(seed) {}
+
+  template <typename Int>
+  Int integer() {
+    using Limits = std::numeric_limits<Int>;
+    switch (rng_.index(6)) {
+      case 0: return 0;
+      case 1: return Limits::min();
+      case 2: return Limits::max();
+      case 3: return -static_cast<Int>(rng_.index(1000));
+      case 4: return static_cast<Int>(rng_());
+      default: return static_cast<Int>(rng_.index(100));
+    }
+  }
+
+  double number() {
+    // The nearest doubles to the powers of ten around %g's switches: below
+    // 1e-4 it prints an exponent, and at 10^precision for precisions 15-17.
+    static constexpr double kSwitches[] = {1e-6, 1e-5, 1e-4, 1e14, 1e15,
+                                           1e16, 1e17, 1e18, 9e18, 1e19};
+    double d = 0.0;
+    switch (rng_.index(7)) {
+      case 0:
+        d = 0.0;
+        break;
+      case 1:
+        do {
+          d = std::bit_cast<double>(rng_());
+        } while (!std::isfinite(d));
+        break;
+      case 2: {
+        d = kSwitches[rng_.index(std::size(kSwitches))];
+        if (rng_.bernoulli(0.5)) {
+          d *= 1.0 - static_cast<double>(rng_.index(20)) * 1e-16;
+        } else {
+          const double toward = rng_.bernoulli(0.5) ? 0.0 : 1e300;
+          for (std::size_t n = rng_.index(4); n > 0; --n)
+            d = std::nextafter(d, toward);
+        }
+        break;
+      }
+      case 3:
+        d = static_cast<double>(static_cast<std::int64_t>(rng_()) >>
+                                rng_.index(64));
+        break;
+      case 4:
+        d = rng_.uniform(0.0, 1000.0);
+        break;
+      case 5: {
+        static constexpr double kExtremes[] = {
+            std::numeric_limits<double>::max(),
+            std::numeric_limits<double>::min(),
+            std::numeric_limits<double>::denorm_min(),
+            std::numeric_limits<double>::epsilon()};
+        d = kExtremes[rng_.index(std::size(kExtremes))];
+        break;
+      }
+      default:
+        d = static_cast<double>(rng_.index(100000)) / 64.0;
+        break;
+    }
+    return rng_.bernoulli(0.5) ? -d : d;
+  }
+
+ private:
+  Rng rng_;
+};
+
+TEST(SimTimeseriesUnit, CursorRowMatchesThePerFieldAppends) {
+  RowFieldSource source(17);
+  // Rows land after existing text, as they do in an exporter's block.
+  const std::string prefix = "# schema=3\n";
+  std::string got = prefix;
+  std::string want = prefix;
+  constexpr int kRows = 1 << 20;
+  for (int i = 0; i < kRows; ++i) {
+    TimeseriesRow r;
+    r.interval = source.integer<int>();
+    r.server = source.integer<int>();
+    r.attached = source.integer<int>();
+    r.hits = source.integer<int>();
+    r.partials = source.integer<int>();
+    r.misses = source.integer<int>();
+    r.cold_window_queries = source.integer<long long>();
+    r.cold_latency_sum_s = source.number();
+    r.uplink_bytes = source.integer<std::int64_t>();
+    r.downlink_bytes = source.integer<std::int64_t>();
+    r.migration_orders = source.integer<int>();
+    r.predictor_samples = source.integer<int>();
+    r.predictor_error_sum_m = source.number();
+    r.local_queries = source.integer<long long>();
+    r.local_latency_sum_s = source.number();
+    r.deferred_bytes = source.integer<std::int64_t>();
+    r.degraded = source.integer<int>();
+    r.cache_bytes = source.integer<std::int64_t>();
+    r.cache_evictions = source.integer<int>();
+    r.cache_partial_stores = source.integer<int>();
+    const bool cache_columns = (i & 1) != 0;
+    obs::append_timeseries_row_csv(got, r, cache_columns);
+    append_row_per_field(want, r, cache_columns);
+    got += '\n';
+    want += '\n';
+    if (got.size() < (std::size_t{1} << 16) && i + 1 < kRows) continue;
+    if (got != want) {
+      const auto diff = static_cast<std::size_t>(
+          std::mismatch(got.begin(), got.end(), want.begin(), want.end())
+              .first -
+          got.begin());
+      const std::size_t from = diff < 80 ? 0 : diff - 80;
+      FAIL() << "rows up to " << i << " differ at byte " << diff
+             << "\n  cursor:     " << got.substr(from, 160)
+             << "\n  per field:  " << want.substr(from, 160);
+    }
+    got.resize(prefix.size());
+    want.resize(prefix.size());
+  }
+}
+
+TEST(SimTimeseriesUnit, NonFiniteRowThrowsAndLeavesTheBufferAlone) {
+  std::string out = "kept";
+  TimeseriesRow r;
+  r.local_latency_sum_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(obs::append_timeseries_row_csv(out, r), std::invalid_argument);
+  EXPECT_EQ(out, "kept");
+  r.local_latency_sum_s = 0.0;
+  r.cold_latency_sum_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(obs::append_timeseries_row_csv(out, r, true),
+               std::invalid_argument);
+  EXPECT_EQ(out, "kept");
 }
 
 // ---------------------------------------------------------------------------

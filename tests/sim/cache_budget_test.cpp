@@ -5,6 +5,8 @@
 //     timeseries rows; the engines also assert it internally);
 //   * determinism — a budgeted sharded run is byte-identical across
 //     threads x shards and across a kill -9 checkpoint/resume;
+//   * pinned bytes — one pressure scenario per engine matches committed
+//     output digests, straight and through a stop/resume split;
 //   * output compatibility — an unbudgeted run keeps the schema-2 CSV and
 //     the pre-budget metrics JSON shape, and a never-binding budget changes
 //     no journal event.
@@ -219,6 +221,98 @@ TEST_F(ClassicCacheBudgetTest, BudgetedResumeIsByteIdentical) {
         << "threads=" << threads;
   }
   par::set_num_threads(0);
+}
+
+TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
+  // One small proactive scenario that reaches every change to a budgeted
+  // layer cache and every migration path: a budget that evicts and trims, a
+  // crash wiping a server, a degraded backhaul window that clips pushes and
+  // an outage that parks them for retry, a telemetry dropout that plans
+  // blind, routing fallback, and the journal. The other tests compare the
+  // engine with itself; these digests pin its bytes to the reference
+  // outputs of the binary-search dedupe, the per-order canonical sort and
+  // the per-query partition DP, for a straight run and a stop/resume split.
+  SimulationConfig config = *config_;
+  config.cache_budget_bytes = mb_to_bytes(3.0);
+  config.migration_retry = {.max_attempts = 4,
+                            .initial_backoff_intervals = 1,
+                            .max_backoff_intervals = 4};
+  std::vector<FaultEvent> events;
+  events.push_back({.kind = FaultKind::kServerCrash,
+                    .at_interval = 4,
+                    .duration_intervals = 2,
+                    .server = 0});
+  events.push_back({.kind = FaultKind::kTelemetryDropout,
+                    .at_interval = 0,
+                    .duration_intervals = 12,
+                    .server = 1});
+  for (ServerId s = 0; s < world_->servers.num_servers(); ++s) {
+    events.push_back({.kind = FaultKind::kBackhaulDegrade,
+                      .at_interval = 1,
+                      .duration_intervals = 3,
+                      .server = s,
+                      .severity = 0.9});
+    events.push_back({.kind = FaultKind::kBackhaulDegrade,
+                      .at_interval = 7,
+                      .duration_intervals = 2,
+                      .server = s,
+                      .severity = 1.0});
+  }
+  config.fault_plan = FaultPlan(std::move(events));
+
+  struct Outputs {
+    SimulationMetrics metrics;
+    std::string metrics_json;
+    std::string timeseries;
+    std::string journal;
+  };
+  const auto run = [&](int threads, int stop_after,
+                       const snapshot::SimSnapshot* resume,
+                       snapshot::SimSnapshot* capture) {
+    par::set_num_threads(threads);
+    obs::SimTimeseries timeseries;
+    obs::Journal journal;
+    SimulationRunOptions options;
+    options.journal = &journal;
+    options.stop_after_interval = stop_after;
+    options.resume_from = resume;
+    options.capture_out = capture;
+    Outputs out;
+    out.metrics = run_simulation(config, *world_, &timeseries, options);
+    par::set_num_threads(0);
+    out.metrics_json = snapshot::metrics_to_json(out.metrics);
+    std::ostringstream csv;
+    timeseries.write_csv(csv);
+    out.timeseries = csv.str();
+    out.journal = obs::journal_to_jsonl(journal.events());
+    return out;
+  };
+
+  const Outputs straight = run(2, -1, nullptr, nullptr);
+  // Not vacuous: the budget evicted and trimmed, parked orders retried, and
+  // cold windows took the routed path.
+  EXPECT_GT(straight.metrics.cache_evictions, 0);
+  EXPECT_GT(straight.metrics.cache_partial_stores, 0);
+  EXPECT_GT(straight.metrics.migration_retries, 0);
+  EXPECT_GT(straight.metrics.routed_queries, 0);
+  EXPECT_GT(straight.metrics.server_failures, 0);
+  EXPECT_GT(straight.metrics.degraded_attaches, 0);
+
+  constexpr const char* kMetrics = "e9fe4229b0beca0d";
+  constexpr const char* kTimeseries = "859c079a3e4119e4";
+  constexpr const char* kJournal = "59de93d165485d46";
+  EXPECT_EQ(digest(straight.metrics_json), kMetrics);
+  EXPECT_EQ(digest(straight.timeseries), kTimeseries);
+  EXPECT_EQ(digest(straight.journal), kJournal);
+
+  snapshot::SimSnapshot snap;
+  run(1, 5, nullptr, &snap);
+  const snapshot::SimSnapshot decoded =
+      snapshot::decode(snapshot::encode(snap));
+  const Outputs resumed = run(4, -1, &decoded, nullptr);
+  EXPECT_EQ(digest(resumed.metrics_json), kMetrics);
+  EXPECT_EQ(digest(resumed.timeseries), kTimeseries);
+  EXPECT_EQ(digest(resumed.journal), kJournal);
 }
 
 // ---------------------------------------------------------------------------

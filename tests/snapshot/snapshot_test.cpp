@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -419,9 +420,10 @@ TEST_F(SnapshotTest, GoldenVersion6ClassicFixtureResumesExactly) {
 }
 
 TEST_F(SnapshotTest, RestoreRejectsOutOfRangeState) {
-  // A checkpoint is outside input: every index it holds is range-checked
-  // before the run follows it. Each case corrupts one field, re-encodes (so
-  // the checksum is valid) and must be refused with a SnapshotError.
+  // A checkpoint is outside input: every index it holds is range-checked,
+  // and every order and count the run relies on is checked, before the run
+  // follows it. Each case corrupts one field, re-encodes (so the checksum
+  // is valid) and must be refused with a SnapshotError.
   const SimulationConfig config = faulted_config();
   snapshot::SimSnapshot snap;
   std::size_t cached = 0;
@@ -457,6 +459,17 @@ TEST_F(SnapshotTest, RestoreRejectsOutOfRangeState) {
           {"cache layer",
            [&](Snap& s) {
              s.caches[cached].front().layers.back() = bad_layer;
+           }},
+          // Two entries for one client would restore as one entry holding
+          // the bytes of both.
+          {"repeated cache client",
+           [&](Snap& s) {
+             s.caches[cached].insert(s.caches[cached].begin(),
+                                     s.caches[cached].front());
+           }},
+          {"attach count",
+           [](Snap& s) {
+             s.attached[1] = std::numeric_limits<int>::max();
            }},
           {"pending layer",
            [](Snap& s) { s.clients.front().pending.push_back(-1); }},
