@@ -9,7 +9,9 @@
 //
 //   * build_world() / run_simulation() (sim/simulator.hpp) — the pervasive
 //     edge-server simulation with mobility prediction and proactive
-//     migration. Behind Fig 9 / Fig 10 / Section 4.B.4.
+//     migration. Behind Fig 9 / Fig 10 / Section 4.B.4. The engines play
+//     the paper's master server (Fig 3) themselves: they plan partitions,
+//     pick servers and order migrations inline from per-load tables.
 //
 // Everything else (nn, ml, partition, mobility, ...) is usable directly as
 // well; this header pulls the common pieces together.
@@ -20,7 +22,6 @@
 #include "device/device_profile.hpp"
 #include "device/gpu_model.hpp"
 #include "device/profiler.hpp"
-#include "edge/master.hpp"
 #include "edge/replay.hpp"
 #include "estimation/estimator.hpp"
 #include "net/network.hpp"

@@ -32,9 +32,9 @@ struct GpuStats {
   /// Statistics intervals since this snapshot was taken. 0 = fresh (the
   /// normal case); a positive age marks a snapshot the control plane kept
   /// because newer telemetry never arrived (fault: telemetry dropout).
-  /// Consumers that care about freshness (MasterServer's degraded-estimation
-  /// path) compare it against their staleness budget; the estimators
-  /// themselves never read it as a feature.
+  /// Both engines mark the statistics behind their telemetry-dropout plans
+  /// (built with the load-free fallback estimator) with age 1; the
+  /// estimators themselves never read it as a feature.
   int age_intervals = 0;
 };
 

@@ -8,11 +8,10 @@
 // from the deferred backlog to the abandoned tally, so operators can tell
 // "waiting for the link" apart from "gave up".
 //
-// The dispatcher is deliberately transport-agnostic: callers (the
-// large-scale simulator; a MasterServer driving a real fleet) attempt the
-// send themselves and report the outcome via succeed()/fail(). All state is
-// deterministic — the retry queue is FIFO-stable, so the same fault schedule
-// replays to the same byte.
+// The dispatcher is deliberately transport-agnostic: its caller (the
+// classic engine's migration step) attempts the send itself and reports
+// the outcome via succeed()/fail(). All state is deterministic — the retry
+// queue is FIFO-stable, so the same fault schedule replays to the same byte.
 //
 // Not thread-safe: migration dispatch is a serial control-plane activity in
 // every current consumer.

@@ -1,8 +1,8 @@
 #include "faults/fault_plan.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <optional>
 #include <tuple>
 
 #include "common/check.hpp"
@@ -81,18 +81,15 @@ void validate_event(const FaultEvent& event) {
 
 namespace {
 
-/// An integral JSON number that fits an int. Anything else is rejected
-/// before the cast: converting an out-of-range double is undefined, and a
-/// fractional one would silently truncate.
+/// An integral JSON number that fits an int (see obs::json_integer).
 int json_int(const obs::JsonValue& value, const std::string& key) {
   const double v = value.as_number();
-  PERDNN_CHECK_MSG(
-      v == std::trunc(v) &&
-          v >= static_cast<double>(std::numeric_limits<int>::min()) &&
-          v <= static_cast<double>(std::numeric_limits<int>::max()),
-      "fault plan event member '" << key << "' must be an integer in int "
-                                  << "range (got " << v << ")");
-  return static_cast<int>(v);
+  const std::optional<int> i = obs::json_integer<int>(v);
+  PERDNN_CHECK_MSG(i.has_value(),
+                   "fault plan event member '"
+                       << key << "' must be an integer in int range (got "
+                       << v << ")");
+  return *i;
 }
 
 /// Sort key making plans canonical: time first, then kind and entity ids so

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -138,23 +138,20 @@ double require_number(const JsonValue& doc, const char* key,
   return value.as_number();
 }
 
-/// The field `key` as an Int, rejected unless it is integral and in range:
-/// converting an out-of-range double is undefined, and a fractional one
-/// would silently truncate. The upper bound 2^digits is exact in a double,
-/// unlike numeric_limits<Int>::max() for the 64-bit types.
+/// The field `key` as an Int, rejected unless json_integer accepts it.
 template <typename Int>
 Int require_int(const JsonValue& doc, const char* key, std::size_t line) {
   using Limits = std::numeric_limits<Int>;
   const double v = require_number(doc, key, line);
-  if (!(v == std::trunc(v) && v >= static_cast<double>(Limits::min()) &&
-        v < std::ldexp(1.0, Limits::digits))) {
+  const std::optional<Int> value = json_integer<Int>(v);
+  if (!value) {
     std::ostringstream msg;
     msg << "field " << key << " must be an integer in "
         << (Limits::is_signed ? "int" : "uint")
         << Limits::digits + Limits::is_signed << " range (got " << v << ")";
     line_error(line, msg.str());
   }
-  return static_cast<Int>(v);
+  return *value;
 }
 
 }  // namespace

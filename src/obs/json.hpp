@@ -10,9 +10,12 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +49,20 @@ void append_json_int(std::string& out, Int value) {
   char buf[24];
   const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, value);
   out.append(buf, res.ptr);
+}
+
+/// A JSON number as an Int, or nullopt unless it is integral and in range:
+/// converting an out-of-range double is undefined, and a fractional one
+/// would silently truncate. The upper bound 2^digits is exact in a double,
+/// unlike numeric_limits<Int>::max() for the 64-bit types. NaN fails every
+/// comparison, so it is rejected too.
+template <typename Int>
+std::optional<Int> json_integer(double v) {
+  using Limits = std::numeric_limits<Int>;
+  if (!(v == std::trunc(v) && v >= static_cast<double>(Limits::min()) &&
+        v < std::ldexp(1.0, Limits::digits)))
+    return std::nullopt;
+  return static_cast<Int>(v);
 }
 
 /// The exporters hand their output stream blocks of whole lines at least

@@ -1,26 +1,23 @@
 #include "serialize/serialize.hpp"
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <map>
 #include <sstream>
-#include <stdexcept>
-
-#include "common/check.hpp"
 
 namespace perdnn {
 
 namespace {
 
-constexpr const char* kModelMagic = "perdnn-model v1";
-constexpr const char* kProfileMagic = "perdnn-profile v1";
 constexpr const char* kTracesMagic = "perdnn-traces v1";
 constexpr const char* kRecordsMagic = "perdnn-records v1";
 
 [[noreturn]] void parse_error(int line, const std::string& what) {
   std::ostringstream os;
   os << "parse error at line " << line << ": " << what;
-  throw std::runtime_error(os.str());
+  throw TraceFormatError(os.str());
 }
 
 /// Reads one non-empty, non-comment line; returns false at EOF.
@@ -38,126 +35,32 @@ void expect_magic(std::istream& in, const char* magic, int& line_no) {
     parse_error(line_no, std::string("expected header '") + magic + "'");
 }
 
-const std::map<std::string, LayerKind>& kind_by_name() {
-  static const std::map<std::string, LayerKind> map = {
-      {"input", LayerKind::kInput},
-      {"conv", LayerKind::kConv},
-      {"dwconv", LayerKind::kDepthwiseConv},
-      {"fc", LayerKind::kFullyConnected},
-      {"pool", LayerKind::kPool},
-      {"bn", LayerKind::kBatchNorm},
-      {"scale", LayerKind::kScale},
-      {"relu", LayerKind::kActivation},
-      {"softmax", LayerKind::kSoftmax},
-      {"concat", LayerKind::kConcat},
-      {"add", LayerKind::kEltwiseAdd},
-      {"dropout", LayerKind::kDropout},
+/// Parses `line` as exactly the whitespace-separated fields `out...`, each
+/// read whole by std::from_chars, which takes no sign on an unsigned type.
+template <typename... T>
+bool parse_fields(const std::string& line, T&... out) {
+  const char* pos = line.data();
+  const char* const end = pos + line.size();
+  const auto skip_space = [&] {
+    while (pos != end && std::isspace(static_cast<unsigned char>(*pos))) ++pos;
   };
-  return map;
+  const auto field = [&](auto& value) {
+    skip_space();
+    const char* start = pos;
+    while (pos != end && !std::isspace(static_cast<unsigned char>(*pos)))
+      ++pos;
+    const std::from_chars_result res = std::from_chars(start, pos, value);
+    return res.ec == std::errc() && res.ptr == pos;
+  };
+  if (!(field(out) && ...)) return false;
+  skip_space();
+  return pos == end;
 }
+
+/// Finite and within kMaxTraceCoordinateM (NaN fails the comparison).
+bool coordinate_ok(double v) { return std::abs(v) <= kMaxTraceCoordinateM; }
 
 }  // namespace
-
-void save_model(const DnnModel& model, std::ostream& out) {
-  out << kModelMagic << "\n";
-  out << model.name() << "\n";
-  out << model.num_layers() << "\n";
-  out << std::setprecision(17);
-  for (LayerId id = 0; id < model.num_layers(); ++id) {
-    const LayerSpec& l = model.layer(id);
-    // name kind in_c out_c kernel stride out_h out_w weight output flops
-    // n_inputs inputs...
-    out << l.name << ' ' << layer_kind_name(l.kind) << ' ' << l.in_channels
-        << ' ' << l.out_channels << ' ' << l.kernel << ' ' << l.stride << ' '
-        << l.out_height << ' ' << l.out_width << ' ' << l.weight_bytes << ' '
-        << l.output_bytes << ' ' << l.flops << ' ' << l.inputs.size();
-    for (LayerId in : l.inputs) out << ' ' << in;
-    out << "\n";
-  }
-}
-
-DnnModel load_model(std::istream& in) {
-  int line_no = 0;
-  std::string line;
-  expect_magic(in, kModelMagic, line_no);
-  if (!next_line(in, line, line_no)) parse_error(line_no, "missing name");
-  DnnModel model(line);
-  if (!next_line(in, line, line_no))
-    parse_error(line_no, "missing layer count");
-  int count = 0;
-  try {
-    count = std::stoi(line);
-  } catch (const std::exception&) {
-    parse_error(line_no, "bad layer count '" + line + "'");
-  }
-  if (count < 0) parse_error(line_no, "negative layer count");
-
-  for (int i = 0; i < count; ++i) {
-    if (!next_line(in, line, line_no))
-      parse_error(line_no, "unexpected end of layer list");
-    std::istringstream row(line);
-    LayerSpec spec;
-    std::string kind;
-    std::size_t n_inputs = 0;
-    row >> spec.name >> kind >> spec.in_channels >> spec.out_channels >>
-        spec.kernel >> spec.stride >> spec.out_height >> spec.out_width >>
-        spec.weight_bytes >> spec.output_bytes >> spec.flops >> n_inputs;
-    if (!row) parse_error(line_no, "malformed layer row");
-    const auto it = kind_by_name().find(kind);
-    if (it == kind_by_name().end())
-      parse_error(line_no, "unknown layer kind '" + kind + "'");
-    spec.kind = it->second;
-    spec.inputs.resize(n_inputs);
-    for (auto& input : spec.inputs) row >> input;
-    if (!row) parse_error(line_no, "truncated input list");
-    try {
-      model.add_layer(std::move(spec));
-    } catch (const std::logic_error& e) {
-      parse_error(line_no, e.what());
-    }
-  }
-  try {
-    model.validate();
-  } catch (const std::logic_error& e) {
-    parse_error(line_no, std::string("invalid model: ") + e.what());
-  }
-  return model;
-}
-
-void save_profile(const DnnProfile& profile, std::ostream& out) {
-  out << kProfileMagic << "\n";
-  out << profile.model_name << "\n";
-  out << profile.client_time.size() << "\n";
-  out << std::setprecision(17);
-  for (Seconds t : profile.client_time) out << t << "\n";
-}
-
-DnnProfile load_profile(std::istream& in) {
-  int line_no = 0;
-  std::string line;
-  expect_magic(in, kProfileMagic, line_no);
-  DnnProfile profile;
-  if (!next_line(in, line, line_no)) parse_error(line_no, "missing name");
-  profile.model_name = line;
-  if (!next_line(in, line, line_no)) parse_error(line_no, "missing count");
-  std::size_t count = 0;
-  try {
-    count = std::stoul(line);
-  } catch (const std::exception&) {
-    parse_error(line_no, "bad count");
-  }
-  profile.client_time.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!next_line(in, line, line_no))
-      parse_error(line_no, "unexpected end of profile");
-    std::istringstream row(line);
-    Seconds t = 0.0;
-    row >> t;
-    if (!row || t < 0.0) parse_error(line_no, "bad layer time");
-    profile.client_time.push_back(t);
-  }
-  return profile;
-}
 
 void save_traces(const std::vector<Trajectory>& traces, std::ostream& out) {
   out << kTracesMagic << "\n";
@@ -176,30 +79,30 @@ std::vector<Trajectory> load_traces(std::istream& in) {
   expect_magic(in, kTracesMagic, line_no);
   if (!next_line(in, line, line_no)) parse_error(line_no, "missing count");
   std::size_t count = 0;
-  try {
-    count = std::stoul(line);
-  } catch (const std::exception&) {
-    parse_error(line_no, "bad trace count");
-  }
+  if (!parse_fields(line, count))
+    parse_error(line_no, "bad trace count '" + line + "'");
+  if (count == 0) parse_error(line_no, "no trajectories");
+  // The declared counts bound the loops only: vectors grow with the lines
+  // actually read, so a huge count in a short file cannot allocate.
   std::vector<Trajectory> traces;
-  traces.reserve(count);
   for (std::size_t t = 0; t < count; ++t) {
     if (!next_line(in, line, line_no))
       parse_error(line_no, "unexpected end of trace list");
-    std::istringstream header(line);
     Trajectory traj;
     std::size_t points = 0;
-    header >> traj.user >> traj.interval >> points;
-    if (!header || traj.interval <= 0.0)
-      parse_error(line_no, "malformed trace header");
-    traj.points.reserve(points);
+    if (!parse_fields(line, traj.user, traj.interval, points))
+      parse_error(line_no, "malformed trace header '" + line + "'");
+    if (!(traj.interval > 0.0 && traj.interval <= kMaxTraceIntervalS))
+      parse_error(line_no, "sampling interval outside (0, 86400] s");
+    if (points == 0) parse_error(line_no, "trajectory without points");
     for (std::size_t i = 0; i < points; ++i) {
       if (!next_line(in, line, line_no))
         parse_error(line_no, "unexpected end of points");
-      std::istringstream row(line);
       Point p;
-      row >> p.x >> p.y;
-      if (!row) parse_error(line_no, "malformed point");
+      if (!parse_fields(line, p.x, p.y))
+        parse_error(line_no, "malformed point '" + line + "'");
+      if (!coordinate_ok(p.x) || !coordinate_ok(p.y))
+        parse_error(line_no, "point '" + line + "' is not within 1e8 m");
       traj.points.push_back(p);
     }
     traces.push_back(std::move(traj));
@@ -225,76 +128,16 @@ void save_records(const std::vector<ProfileRecord>& records,
   }
 }
 
-std::vector<ProfileRecord> load_records(std::istream& in) {
-  int line_no = 0;
-  std::string line;
-  expect_magic(in, kRecordsMagic, line_no);
-  if (!next_line(in, line, line_no)) parse_error(line_no, "missing count");
-  std::size_t count = 0;
-  try {
-    count = std::stoul(line);
-  } catch (const std::exception&) {
-    parse_error(line_no, "bad record count");
-  }
-  std::vector<ProfileRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!next_line(in, line, line_no))
-      parse_error(line_no, "unexpected end of records");
-    std::istringstream row(line);
-    ProfileRecord rec;
-    std::string kind;
-    row >> kind >> rec.layer.in_channels >> rec.layer.out_channels >>
-        rec.layer.kernel >> rec.layer.stride >> rec.layer.out_height >>
-        rec.layer.out_width >> rec.layer.weight_bytes >>
-        rec.layer.output_bytes >> rec.layer.flops >> rec.input_bytes >>
-        rec.stats.num_clients >> rec.stats.kernel_util >> rec.stats.mem_util >>
-        rec.stats.mem_usage_mb >> rec.stats.temperature_c >> rec.time;
-    if (!row) parse_error(line_no, "malformed record");
-    const auto it = kind_by_name().find(kind);
-    if (it == kind_by_name().end())
-      parse_error(line_no, "unknown layer kind '" + kind + "'");
-    rec.layer.kind = it->second;
-    rec.layer.inputs = {0};  // structural inputs are not part of a record
-    records.push_back(std::move(rec));
-  }
-  return records;
-}
-
-namespace {
-
-std::ofstream open_out(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  return out;
-}
-
-std::ifstream open_in(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open for reading: " + path);
-  return in;
-}
-
-}  // namespace
-
-void save_model_file(const DnnModel& model, const std::string& path) {
-  auto out = open_out(path);
-  save_model(model, out);
-}
-
-DnnModel load_model_file(const std::string& path) {
-  auto in = open_in(path);
-  return load_model(in);
-}
-
 void save_traces_file(const std::vector<Trajectory>& traces,
                       const std::string& path) {
-  auto out = open_out(path);
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open for writing: " + path);
   save_traces(traces, out);
 }
 
 std::vector<Trajectory> load_traces_file(const std::string& path) {
-  auto in = open_in(path);
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open for reading: " + path);
   return load_traces(in);
 }
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -183,6 +184,39 @@ TEST(JsonNumberOracle, IntegerEdgesZerosAndNonFinite) {
     EXPECT_THROW(append_json_number(out, bad), std::invalid_argument);
     EXPECT_EQ(out, "x");
   }
+}
+
+TEST(JsonInteger, IntTakesExactlyItsRange) {
+  EXPECT_EQ(json_integer<int>(0.0), 0);
+  EXPECT_EQ(json_integer<int>(-0.0), 0);
+  EXPECT_EQ(json_integer<int>(2147483647.0), 2147483647);
+  EXPECT_EQ(json_integer<int>(2147483648.0), std::nullopt);
+  EXPECT_EQ(json_integer<int>(-2147483648.0), std::numeric_limits<int>::min());
+  EXPECT_EQ(json_integer<int>(-2147483649.0), std::nullopt);
+}
+
+TEST(JsonInteger, RejectsFractionsHugeValuesAndNaN) {
+  EXPECT_EQ(json_integer<int>(2.5), std::nullopt);
+  EXPECT_EQ(json_integer<int>(1e300), std::nullopt);
+  EXPECT_EQ(json_integer<int>(-1e300), std::nullopt);
+  EXPECT_EQ(json_integer<int>(std::numeric_limits<double>::quiet_NaN()),
+            std::nullopt);
+  EXPECT_EQ(json_integer<int>(std::numeric_limits<double>::infinity()),
+            std::nullopt);
+}
+
+TEST(JsonInteger, SixtyFourBitBoundsAreExact) {
+  // numeric_limits<int64_t>::max() rounds up to 2^63 as a double, so the
+  // bound must be the exact 2^63, not max().
+  EXPECT_EQ(json_integer<std::int64_t>(std::ldexp(1.0, 63)), std::nullopt);
+  EXPECT_EQ(json_integer<std::int64_t>(-std::ldexp(1.0, 63)),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(json_integer<std::int64_t>(std::nextafter(std::ldexp(1.0, 63), 0)),
+            std::numeric_limits<std::int64_t>::max() - 1023);
+  EXPECT_EQ(json_integer<std::uint64_t>(std::ldexp(1.0, 64)), std::nullopt);
+  EXPECT_EQ(json_integer<std::uint64_t>(-1.0), std::nullopt);
+  EXPECT_EQ(json_integer<std::uint64_t>(std::ldexp(1.0, 63)),
+            std::uint64_t{1} << 63);
 }
 
 TEST(JsonEscape, ControlCharactersAndQuotes) {

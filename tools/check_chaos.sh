@@ -12,6 +12,14 @@
 # plans (out-of-range and fractional numbers, a window ending past INT_MAX,
 # broken JSON, an unknown kind, an entity outside the world) and requires a
 # clean exit 2 for each under the sanitizers, and exit 0 for a valid plan.
+# Two legs in the same style follow. The trace-file leg feeds `perdnn
+# simulate` malformed trace files (bad magic, signed and huge counts, a
+# sampling interval or a point beyond its bound, no trajectories, a
+# trajectory without points) and one written by `perdnn traces`. The
+# manifest leg feeds `perdnn_runner status` manifests with out-of-range,
+# fractional and out-of-domain numbers and broken JSON, plus one valid
+# manifest, and `perdnn_runner run` a manifest naming a malformed trace
+# file.
 #
 # The budgeted-cache leg rides along: the CacheBudget suites (which include
 # the crash-mid-pressure kill -9 resume byte-identity gate and per-interval
@@ -26,7 +34,8 @@ BUILD_DIR="${1:-build-chaos}"
 
 cmake -B "$BUILD_DIR" -S . -DPERDNN_SANITIZE=address -DPERDNN_SIMD=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target test_faults test_edge test_sim bench_chaos bench_cache perdnn_cli
+  --target test_faults test_edge test_sim bench_chaos bench_cache perdnn_cli \
+  perdnn_runner
 
 export PERDNN_THREADS=4
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
@@ -70,19 +79,25 @@ if "$BUILD_DIR"/bench/bench_cache --definitely-not-a-flag 2> /dev/null; then
   exit 1
 fi
 
-# Fault-plan decoder: every malformed plan is refused with exit 2.
-PROBE_DIR="$BUILD_DIR/fault-plan-probes"
+# Decoder probes: every malformed input is refused with a clean exit 2.
+PROBE_DIR="$BUILD_DIR/decoder-probes"
 mkdir -p "$PROBE_DIR"
-plan_probe() {  # name, expected exit status, plan JSON
-  printf '%s\n' "$3" > "$PROBE_DIR/$1.json"
-  local status=0
-  "$BUILD_DIR"/tools/perdnn simulate mobilenet campus perdnn --users 3 \
-    --minutes 5 --fault-plan "$PROBE_DIR/$1.json" > /dev/null 2>&1 ||
-    status=$?
-  if [ "$status" -ne "$2" ]; then
-    echo "error: fault plan probe '$1' exited $status, expected $2" >&2
+expect_exit() {  # probe name, expected exit status, command...
+  local name="$1" want="$2" status=0
+  shift 2
+  "$@" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne "$want" ]; then
+    echo "error: probe '$name' exited $status, expected $want" >&2
     exit 1
   fi
+}
+
+# Fault-plan decoder.
+plan_probe() {  # name, expected exit status, plan JSON
+  printf '%s\n' "$3" > "$PROBE_DIR/$1.json"
+  expect_exit "fault plan $1" "$2" "$BUILD_DIR"/tools/perdnn simulate \
+    mobilenet campus perdnn --users 3 --minutes 5 \
+    --fault-plan "$PROBE_DIR/$1.json"
 }
 plan_probe at-out-of-range 2 \
   '{"events":[{"kind":"server_crash","at":1e300,"duration":2,"server":0}]}'
@@ -102,6 +117,51 @@ plan_probe server-outside-world 2 \
 plan_probe valid 0 \
   '{"events":[{"kind":"server_crash","at":1,"duration":2,"server":0},
     {"kind":"backhaul_degrade","at":0,"duration":3,"server":1,"severity":0.5}]}'
+
+# Trace-file decoder.
+trace_probe() {  # name, expected exit status, trace file text
+  printf '%b\n' "$3" > "$PROBE_DIR/$1.txt"
+  expect_exit "trace file $1" "$2" "$BUILD_DIR"/tools/perdnn simulate \
+    mobilenet "$PROBE_DIR/$1.txt" perdnn
+}
+trace_probe bad-magic 2 'not-a-trace-file\n1\n0 20 1\n0 0'
+trace_probe count-negative 2 'perdnn-traces v1\n-1\n0 20 1\n0 0'
+trace_probe points-negative 2 'perdnn-traces v1\n1\n0 20 -3\n0 0'
+trace_probe points-huge 2 'perdnn-traces v1\n1\n0 20 99999999999\n0 0'
+trace_probe interval-beyond-bound 2 'perdnn-traces v1\n1\n0 1e300 1\n0 0'
+trace_probe point-beyond-bound 2 \
+  'perdnn-traces v1\n1\n0 20 4\n0 0\n1e12 0\n0 30\n30 30'
+trace_probe no-trajectories 2 'perdnn-traces v1\n0'
+trace_probe no-points 2 'perdnn-traces v1\n1\n0 20 0'
+expect_exit "trace file generated" 0 "$BUILD_DIR"/tools/perdnn traces campus \
+  "$PROBE_DIR/generated.txt" 3 5
+expect_exit "trace file generated" 0 "$BUILD_DIR"/tools/perdnn simulate \
+  mobilenet "$PROBE_DIR/generated.txt" perdnn
+
+# Manifest decoder.
+manifest_probe() {  # name, expected exit status, manifest JSON
+  printf '%s\n' "$3" > "$PROBE_DIR/$1.manifest.json"
+  expect_exit "manifest $1" "$2" "$BUILD_DIR"/tools/perdnn_runner status \
+    "$PROBE_DIR/$1.manifest.json" "$PROBE_DIR/sweep"
+}
+manifest_probe users-out-of-range 2 \
+  '{"users":1e300,"policies":["perdnn"],"seeds":[1]}'
+manifest_probe seed-out-of-range 2 '{"policies":["perdnn"],"seeds":[1e300]}'
+manifest_probe fractional-seed 2 '{"policies":["perdnn"],"seeds":[1.5]}'
+manifest_probe checkpoint-every-out-of-range 2 \
+  '{"checkpoint_every":1e20,"policies":["perdnn"],"seeds":[1]}'
+manifest_probe cache-budget-out-of-range 2 \
+  '{"cache_budget_bytes":1e300,"policies":["perdnn"],"seeds":[1]}'
+manifest_probe zero-downtime 2 '{"downtime":0,"policies":["perdnn"],"seeds":[1]}'
+manifest_probe bad-json 2 '{"policies":["perdnn"],"seeds":[1'
+manifest_probe valid 0 \
+  '{"model":"mobilenet","trace":"campus","users":3,"minutes":5,
+    "policies":["ionn","perdnn"],"seeds":[1,2],"fault_intensities":[0,0.25]}'
+printf '{"model":"mobilenet","trace":"%s","policies":["perdnn"],"seeds":[1]}\n' \
+  "$PROBE_DIR/count-negative.txt" > "$PROBE_DIR/bad-trace.manifest.json"
+expect_exit "manifest with a malformed trace file" 2 \
+  "$BUILD_DIR"/tools/perdnn_runner run "$PROBE_DIR/bad-trace.manifest.json" \
+  "$PROBE_DIR/bad-trace-sweep" --workers 1
 
 # ---- scalar leg: same sanitizer coverage with the SIMD kernels off --------
 SCALAR_DIR="${BUILD_DIR}-scalar"

@@ -5,7 +5,9 @@
 //   perdnn partition <model> [load] [uplink_mbps]
 //       Print the partitioning plan for a client/server pair.
 //   perdnn traces <campus|urban> <out.txt> [users] [minutes]
-//       Generate a synthetic mobility dataset and save it.
+//       Generate a synthetic mobility dataset and save it. A trace file in
+//       place of campus|urban is re-read and re-saved; one that fails to
+//       parse or validate exits 2.
 //   perdnn simulate <model> <campus|urban|traces.txt> [ionn|perdnn|optimal]
 //                   [--timeseries-out FILE] [--metrics-out FILE]
 //                   [--metrics-prom-out FILE] [--journal-out FILE]
@@ -31,7 +33,8 @@
 //       --snapshot-every intervals and/or once after interval
 //       --snapshot-at (which then stops the run);
 //       --snapshot-resume continues a run from a checkpoint — byte-identical
-//       to the uninterrupted run. A corrupt/mismatched snapshot exits 2.
+//       to the uninterrupted run. A corrupt/mismatched snapshot exits 2,
+//       and so does a trace file that fails to parse or validate.
 //   perdnn profile <model> <out.txt>
 //       Run the concurrency sweep and save estimator-training records.
 //
@@ -587,6 +590,9 @@ int main(int argc, char** argv) {
     if (command == "traces") return cmd_traces(argc - 2, argv + 2);
     if (command == "simulate") return cmd_simulate(argc - 2, argv + 2);
     if (command == "profile") return cmd_profile(argc - 2, argv + 2);
+  } catch (const TraceFormatError& e) {
+    std::fprintf(stderr, "error: bad trace file: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

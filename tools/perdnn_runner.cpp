@@ -20,6 +20,10 @@
 //       Validate and summarise a checkpoint. Corrupt, truncated or
 //       version-mismatched files exit 2 (never crash).
 //
+// A manifest that is not valid JSON or fails a check exits 2 on every
+// subcommand. `run` and `worker` parse a file-backed `trace` once, before
+// any shard starts, and exit 2 if it fails to parse or validate.
+//
 // Per-shard files in <out_dir>:
 //   shard_NNN.ckpt            checkpoint (deleted once the shard finishes)
 //   shard_NNN.metrics.json    deterministic SimulationMetrics (done marker)
@@ -35,10 +39,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -84,6 +90,15 @@ struct Manifest {
   std::vector<std::string> policies;
   std::vector<int> seeds;
   std::vector<double> fault_intensities;
+  /// A file-backed `trace`, parsed once by load_trace_file before any fork.
+  std::vector<Trajectory> trace_file;
+};
+
+/// A manifest that is not valid JSON or fails a check. Every subcommand
+/// exits 2 on it; an unreadable manifest file still exits 1.
+class ManifestError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 struct Shard {
@@ -103,14 +118,14 @@ ModelName model_by_name(const std::string& name) {
   if (name == "mobilenet") return ModelName::kMobileNet;
   if (name == "inception") return ModelName::kInception;
   if (name == "resnet") return ModelName::kResNet;
-  throw std::runtime_error("manifest: unknown model '" + name + "'");
+  throw std::runtime_error("unknown model '" + name + "'");
 }
 
 MigrationPolicy policy_by_name(const std::string& name) {
   if (name == "ionn") return MigrationPolicy::kNone;
   if (name == "perdnn") return MigrationPolicy::kProactive;
   if (name == "optimal") return MigrationPolicy::kOptimal;
-  throw std::runtime_error("manifest: unknown policy '" + name + "'");
+  throw std::runtime_error("unknown policy '" + name + "'");
 }
 
 std::string read_file(const std::string& path) {
@@ -149,48 +164,88 @@ void ensure_dir(const std::string& path) {
 double require_number(const obs::JsonValue& doc, const std::string& key) {
   const obs::JsonValue* v = doc.find(key);
   if (v == nullptr || v->kind() != obs::JsonValue::Kind::kNumber)
-    throw std::runtime_error("manifest: missing numeric field '" + key + "'");
+    throw std::runtime_error("missing numeric field '" + key + "'");
   return v->as_number();
 }
 
-Manifest parse_manifest(const std::string& path) {
-  const obs::JsonValue doc = obs::parse_json(read_file(path));
-  if (!doc.is_object()) throw std::runtime_error("manifest: not an object");
+/// `v`, the number in field `key`, as an Int no less than `min`. The check
+/// runs before the cast (obs::json_integer): converting an out-of-range
+/// double is undefined, and a fractional one would silently truncate.
+template <typename Int>
+Int require_int(double v, const std::string& key, Int min) {
+  const std::optional<Int> i = obs::json_integer<Int>(v);
+  if (!i || *i < min) {
+    std::ostringstream msg;
+    msg << "'" << key << "' must be an integer in [" << min << ", "
+        << std::numeric_limits<Int>::max() << "] (got " << v << ")";
+    throw std::runtime_error(msg.str());
+  }
+  return *i;
+}
+
+/// Decodes and checks a manifest document. Each number is checked against
+/// the domain the engine would otherwise reject later, mid-sweep.
+Manifest decode_manifest(const std::string& text) {
+  const obs::JsonValue doc = obs::parse_json(text);
+  if (!doc.is_object()) throw std::runtime_error("not an object");
   Manifest m;
   if (const auto* v = doc.find("model")) m.model = v->as_string();
   if (const auto* v = doc.find("trace")) m.trace = v->as_string();
-  if (doc.find("users")) m.users = static_cast<int>(require_number(doc, "users"));
-  if (doc.find("minutes")) m.minutes = require_number(doc, "minutes");
+  if (doc.find("users"))
+    m.users = require_int(require_number(doc, "users"), "users", 0);
+  if (doc.find("minutes")) {
+    m.minutes = require_number(doc, "minutes");
+    if (!std::isfinite(m.minutes) || m.minutes <= 0.0)
+      throw std::runtime_error("'minutes' must be finite and > 0");
+  }
   if (doc.find("checkpoint_every"))
-    m.checkpoint_every = static_cast<int>(require_number(doc, "checkpoint_every"));
+    m.checkpoint_every = require_int(require_number(doc, "checkpoint_every"),
+                                     "checkpoint_every", 0);
   if (doc.find("downtime"))
-    m.downtime = static_cast<int>(require_number(doc, "downtime"));
+    m.downtime = require_int(require_number(doc, "downtime"), "downtime", 1);
   if (doc.find("cache_budget_bytes"))
     m.cache_budget_bytes =
-        static_cast<long long>(require_number(doc, "cache_budget_bytes"));
+        require_int(require_number(doc, "cache_budget_bytes"),
+                    "cache_budget_bytes", 0LL);
   if (const auto* v = doc.find("journal")) m.journal = v->as_bool();
 
   const obs::JsonValue* policies = doc.find("policies");
   if (policies == nullptr || !policies->is_array() || policies->items().empty())
-    throw std::runtime_error("manifest: 'policies' must be a non-empty array");
+    throw std::runtime_error("'policies' must be a non-empty array");
   for (const auto& p : policies->items()) {
     policy_by_name(p.as_string());  // validate early
     m.policies.push_back(p.as_string());
   }
   const obs::JsonValue* seeds = doc.find("seeds");
   if (seeds == nullptr || !seeds->is_array() || seeds->items().empty())
-    throw std::runtime_error("manifest: 'seeds' must be a non-empty array");
+    throw std::runtime_error("'seeds' must be a non-empty array");
   for (const auto& s : seeds->items())
-    m.seeds.push_back(static_cast<int>(s.as_number()));
+    m.seeds.push_back(
+        require_int(s.as_number(), "seeds", std::numeric_limits<int>::min()));
   if (const obs::JsonValue* fi = doc.find("fault_intensities")) {
     if (!fi->is_array())
-      throw std::runtime_error("manifest: 'fault_intensities' must be an array");
-    for (const auto& f : fi->items())
-      m.fault_intensities.push_back(f.as_number());
+      throw std::runtime_error("'fault_intensities' must be an array");
+    for (const auto& f : fi->items()) {
+      const double intensity = f.as_number();
+      if (!(intensity >= 0.0 && intensity <= 1.0))
+        throw std::runtime_error("'fault_intensities' entries must be in "
+                                 "[0, 1]");
+      m.fault_intensities.push_back(intensity);
+    }
   }
   if (m.fault_intensities.empty()) m.fault_intensities.push_back(0.0);
   model_by_name(m.model);  // validate early
   return m;
+}
+
+Manifest parse_manifest(const std::string& path) {
+  const std::string text = read_file(path);
+  try {
+    return decode_manifest(text);
+  } catch (const std::exception& e) {
+    // Broken JSON, a field of the wrong JSON type or a failed check.
+    throw ManifestError("bad manifest " + path + ": " + e.what());
+  }
 }
 
 std::vector<Shard> expand_shards(const Manifest& m) {
@@ -233,25 +288,31 @@ std::optional<long long> file_size(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Shard execution
 
-std::vector<Trajectory> make_traces(const std::string& kind, int users,
-                                    double minutes, std::uint64_t seed) {
-  if (kind == "campus") {
+/// Parses a file-backed trace once, before any fork: a malformed file exits
+/// 2 before any shard starts, and every worker reuses the parsed copy.
+void load_trace_file(Manifest& m) {
+  if (m.trace != "campus" && m.trace != "urban")
+    m.trace_file = load_traces_file(m.trace);
+}
+
+std::vector<Trajectory> make_traces(const Manifest& m, std::uint64_t seed) {
+  if (m.trace == "campus") {
     CampusTraceConfig config;
-    if (users > 0) config.num_users = users;
-    config.duration = minutes * 60.0;
+    if (m.users > 0) config.num_users = m.users;
+    config.duration = m.minutes * 60.0;
     config.sample_interval = 20.0;
     config.seed = seed;
     return generate_campus_traces(config);
   }
-  if (kind == "urban") {
+  if (m.trace == "urban") {
     UrbanTraceConfig config;
-    if (users > 0) config.num_users = users;
-    config.duration = minutes * 60.0;
+    if (m.users > 0) config.num_users = m.users;
+    config.duration = m.minutes * 60.0;
     config.sample_interval = 20.0;
     config.seed = seed;
     return generate_urban_traces(config);
   }
-  return load_traces_file(kind);  // treat as a file path
+  return m.trace_file;  // parsed by load_trace_file
 }
 
 void run_shard(const Manifest& m, const Shard& shard,
@@ -283,8 +344,8 @@ void run_shard(const Manifest& m, const Shard& shard,
     }
   }
 
-  const auto test = make_traces(m.trace, m.users, m.minutes, 22);
-  const auto train = make_traces(m.trace, m.users, m.minutes, 11);
+  const auto test = make_traces(m, 22);
+  const auto train = make_traces(m, 11);
   const SimulationWorld world = build_world(config, train, test);
 
   obs::SimTimeseries timeseries;
@@ -644,7 +705,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--workers must be >= 1\n");
         return 2;
       }
-      return cmd_run(parse_manifest(argv[2]), argv[3], workers);
+      Manifest m = parse_manifest(argv[2]);
+      load_trace_file(m);
+      return cmd_run(m, argv[3], workers);
     }
     if (command == "worker") {
       if (argc != 6) return usage();
@@ -654,7 +717,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "worker index out of range\n");
         return 2;
       }
-      return worker_main(parse_manifest(argv[2]), argv[3], index, count);
+      Manifest m = parse_manifest(argv[2]);
+      load_trace_file(m);
+      return worker_main(m, argv[3], index, count);
     }
     if (command == "status") {
       if (argc != 4) return usage();
@@ -666,6 +731,12 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return usage();
+  } catch (const ManifestError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  } catch (const TraceFormatError& e) {
+    std::fprintf(stderr, "error: bad trace file: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
