@@ -3,16 +3,32 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <sstream>
 
 #include "common/check.hpp"
 
 namespace perdnn {
 
+std::size_t trace_points(Seconds duration, Seconds sample_interval) {
+  const double points = duration / sample_interval;
+  // NaN fails every comparison, so it is refused with the rest.
+  if (!(sample_interval > 0.0) ||
+      !(points >= 1.0 && points <= kMaxTracePoints)) {
+    std::ostringstream msg;
+    msg << "trace of " << duration << " s sampled every " << sample_interval
+        << " s: the points per trajectory must lie in [1, "
+        << kMaxTracePoints << "]";
+    throw TraceConfigError(msg.str());
+  }
+  return static_cast<std::size_t>(points);
+}
+
 std::vector<Trajectory> generate_campus_traces(
     const CampusTraceConfig& config) {
   PERDNN_CHECK(config.num_users >= 1);
-  PERDNN_CHECK(config.sample_interval > 0 && config.duration > 0);
   PERDNN_CHECK(config.num_buildings >= 2);
+  const std::size_t steps =
+      trace_points(config.duration, config.sample_interval);
   Rng master(config.seed);
 
   // Buildings shared by every user: clustered destinations create the
@@ -28,8 +44,6 @@ std::vector<Trajectory> generate_campus_traces(
                               config.area.max_y - 50.0)});
   }
 
-  const auto steps = static_cast<std::size_t>(config.duration /
-                                              config.sample_interval);
   std::vector<Trajectory> out;
   out.reserve(static_cast<std::size_t>(config.num_users));
   for (int u = 0; u < config.num_users; ++u) {
@@ -79,11 +93,10 @@ std::vector<Trajectory> generate_campus_traces(
 
 std::vector<Trajectory> generate_urban_traces(const UrbanTraceConfig& config) {
   PERDNN_CHECK(config.num_users >= 1);
-  PERDNN_CHECK(config.sample_interval > 0 && config.duration > 0);
+  const std::size_t steps =
+      trace_points(config.duration, config.sample_interval);
   Rng master(config.seed);
 
-  const auto steps = static_cast<std::size_t>(config.duration /
-                                              config.sample_interval);
   const double headings[4] = {0.0, std::numbers::pi / 2, std::numbers::pi,
                               3 * std::numbers::pi / 2};
 

@@ -17,8 +17,15 @@
 //   * Urban generator: street-grid movement with heading persistence and
 //     transport-mode switching (walk / bike / vehicle), yielding fast,
 //     momentum-heavy trajectories like Geolife's.
+//
+// Both generators record duration / sample_interval points per user and
+// throw TraceConfigError unless that ratio is finite and lies in
+// [1, kMaxTracePoints]; the front ends check their `minutes` against the
+// same bound through trace_points().
 #pragma once
 
+#include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,6 +33,22 @@
 #include "mobility/trajectory.hpp"
 
 namespace perdnn {
+
+/// Most points one generated trajectory may hold: about 23 days at the
+/// tools' 20 s sampling, 1.6 MB of points per user.
+inline constexpr double kMaxTracePoints = 100000.0;
+
+/// A trace configuration the generators cannot honour.
+class TraceConfigError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Points per trajectory of a generated trace: duration / sample_interval,
+/// checked as a double before the cast. Throws TraceConfigError unless
+/// sample_interval > 0 and the ratio is finite and lies in
+/// [1, kMaxTracePoints].
+std::size_t trace_points(Seconds duration, Seconds sample_interval);
 
 struct CampusTraceConfig {
   Rect area{0.0, 0.0, 1500.0, 2000.0};  // the paper's KAIST clip

@@ -1,13 +1,14 @@
 #include "sim/shard_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -75,7 +76,7 @@ enum : std::uint8_t {
 };
 
 /// One cross-shard exchange record. Phase A emits these in client-id order
-/// per shard; phase B applies the k-way merge in canonical order.
+/// per shard; phase B applies them in canonical client-id order.
 struct Event {
   ClientId client = -1;
   std::uint8_t kind = kEvAttach;
@@ -98,7 +99,8 @@ enum Disp : std::uint8_t {
   kDispLocal = 4,    ///< tile server down: emit kEvLocal
 };
 
-/// Per-shard phase A output buffer (reused across intervals).
+/// Per-shard state: the phase A output buffer and the TTL wheel of the
+/// shard's servers (all reused across intervals).
 struct ShardBuf {
   std::vector<Event> events;
   long long offline = 0;        // client-intervals spent offline
@@ -108,6 +110,12 @@ struct ShardBuf {
   std::vector<ServerId> prev;        // pre-offline server (kDispOffline only)
   std::vector<std::uint16_t> p0;     // cache probe result (kDispAttach only)
   std::vector<std::uint32_t> attach_idx;  // block indices with kDispAttach
+  // Slot expire % wheel.size() lists the (server, client) pairs due then,
+  // in queueing order, repeats included.
+  std::vector<std::vector<std::pair<ServerId, ClientId>>> wheel;
+  // The (server, client, prefix) entries the last expiry erased; filled
+  // only while journaling.
+  std::vector<std::tuple<ServerId, ClientId, std::uint16_t>> expired;
 };
 
 struct CacheEntry {
@@ -137,10 +145,10 @@ class ShardEngine {
     carry_.assign(n, 0);
     offline_until_.assign(n, 0);
     tile_.assign(n, 0);
+    owner_.resize(n);
     cache_.resize(s);
     attached_.assign(s, 0);
     rows_.resize(s);
-    wheel_.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
     budget_ = cfg_.cache_budget_bytes;
     cache_bytes_.assign(s, 0);
     if (budget_ > 0) resident_.resize(s);
@@ -202,6 +210,8 @@ class ShardEngine {
         tile_shard_[static_cast<std::size_t>(tile)] = sh;
     }
     bufs_.resize(static_cast<std::size_t>(num_shards_));
+    for (ShardBuf& buf : bufs_)
+      buf.wheel.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
     buckets_.resize(static_cast<std::size_t>(num_shards_));
 
     retry_ = ShardRetryQueue(cfg_.migration_retry, cfg_.num_servers(),
@@ -250,6 +260,15 @@ class ShardEngine {
   void raise_prefix(ServerId sid, ClientId c, CacheEntry& entry, int p);
   void erase_entry(ServerId sid, ClientId c, int prefix);
   void schedule_expiry(ServerId sid, ClientId c, int expire);
+  /// The wheel slot of `sid`'s shard that fires at interval `expire`.
+  std::vector<std::pair<ServerId, ClientId>>& wheel_slot(ServerId sid,
+                                                         int expire) {
+    auto& wheel =
+        bufs_[static_cast<std::size_t>(
+                  tile_shard_[static_cast<std::size_t>(sid)])]
+            .wheel;
+    return wheel[static_cast<std::size_t>(expire) % wheel.size()];
+  }
   void expire_entries(int t);
   void finish_interval(int t);
 
@@ -296,7 +315,6 @@ class ShardEngine {
   std::vector<FlatMap32<CacheEntry>> cache_;
   std::vector<int> attached_;
   long long total_attached_ = 0;
-  std::vector<std::vector<std::pair<ServerId, ClientId>>> wheel_;
   // Budgeted-cache state; inert when cfg_.cache_budget_bytes == 0. Resident
   // bytes per tile are maintained incrementally by every Phase B mutation,
   // so budget_ > 0 never touches Phase A.
@@ -325,6 +343,7 @@ class ShardEngine {
   int num_shards_ = 1;
   std::vector<int> tile_shard_;
   std::vector<std::vector<ClientId>> buckets_;
+  std::vector<int> owner_;  // per client: the shard that ran it this interval
   std::vector<ShardBuf> bufs_;
 
   // Fault machinery (inert unless the config scripts a plan). Phase A reads
@@ -562,8 +581,7 @@ void ShardEngine::run_shard(std::size_t sh, int t) {
   // flat-map home slots prefetched a few probes ahead), then an in-order
   // finish pass that emits events. Events still leave the buffer in strict
   // client-id order with each client's events contiguous, which the Phase B
-  // k-way merge depends on; only the work between event emissions is
-  // re-grouped.
+  // walk depends on; only the work between event emissions is re-grouped.
   constexpr std::size_t kBlock = 256;
   constexpr std::size_t kLookahead = 8;
   ShardBuf& buf = bufs_[sh];
@@ -668,8 +686,7 @@ void ShardEngine::schedule_expiry(ServerId sid, ClientId c, int expire) {
   auto& entry = cache_[static_cast<std::size_t>(sid)][c];
   if (expire > entry.expire) {
     entry.expire = expire;
-    wheel_[static_cast<std::size_t>(expire) % wheel_.size()].push_back(
-        {sid, c});
+    wheel_slot(sid, expire).push_back({sid, c});
   }
 }
 
@@ -886,50 +903,56 @@ void ShardEngine::apply_event(const Event& e, int t) {
 }
 
 void ShardEngine::apply_events(int t) {
-  // K-way merge of the per-shard buffers in client-id order. Each client's
-  // events live contiguously in exactly one shard's buffer (its owner), so
-  // picking the shard with the smallest head client id and draining that
-  // client reconstructs the canonical global order regardless of how tiles
-  // were sharded.
-  const bool shedding = !shed_.empty();
+  // Canonical client-id order. Each client's events live contiguously in
+  // exactly one shard's buffer, its owner's, so walking clients in id order
+  // and draining the head of owner_[c]'s buffer reconstructs the global
+  // order regardless of how tiles were sharded.
   std::vector<std::size_t> head(bufs_.size(), 0);
-  while (true) {
-    int best = -1;
-    ClientId best_client = std::numeric_limits<ClientId>::max();
-    for (std::size_t s = 0; s < bufs_.size(); ++s) {
-      if (head[s] >= bufs_[s].events.size()) continue;
-      const ClientId client = bufs_[s].events[head[s]].client;
-      if (client < best_client) {
-        best_client = client;
-        best = static_cast<int>(s);
-      }
+  std::size_t c = 0;
+  const auto next_event = [&]() -> const Event* {
+    for (; c < owner_.size(); ++c) {
+      const auto sh = static_cast<std::size_t>(owner_[c]);
+      const std::vector<Event>& events = bufs_[sh].events;
+      std::size_t& h = head[sh];
+      if (h < events.size() && events[h].client == static_cast<ClientId>(c))
+        return &events[h++];
     }
-    if (best < 0) break;
-    auto& events = bufs_[static_cast<std::size_t>(best)].events;
-    auto& h = head[static_cast<std::size_t>(best)];
-    while (h < events.size() && events[h].client == best_client) {
-      // Warm the cache-table slot the following event will touch while this
-      // one applies; push events hit the peer's table, the rest the
-      // attach/upload server's.
-      if (h + 1 < events.size()) {
-        const Event& next = events[h + 1];
-        if (next.kind == kEvPush) {
-          cache_[static_cast<std::size_t>(next.peer)].prefetch(next.client);
-        } else if (next.server != kNoServer) {
-          cache_[static_cast<std::size_t>(next.server)].prefetch(next.client);
-        }
-      }
-      const Event& e = events[h];
-      if (shedding &&
-          std::binary_search(shed_.begin(), shed_.end(), e.client)) {
-        // Admission control refused this client's attach. Its pushes were
-        // planned against an attach that never happened, so they drop with
-        // it.
-        if (e.kind == kEvAttach) apply_shed(e, t);
-      } else {
-        apply_event(e, t);
-      }
-      ++h;
+    return nullptr;
+  };
+  // The next kLookahead events wait in a ring. Each warms the cache-table
+  // slots it will probe as it enters, so they have landed by the time it
+  // applies: a push probes its target's table, an attach its own server's
+  // and its previous server's, every other event its server's.
+  constexpr std::size_t kLookahead = 8;
+  const auto warm = [this](const Event* e) {
+    if (e == nullptr) return;
+    if (e->kind == kEvPush) {
+      cache_[static_cast<std::size_t>(e->peer)].prefetch(e->client);
+      return;
+    }
+    cache_[static_cast<std::size_t>(e->server)].prefetch(e->client);
+    if (e->kind == kEvAttach && e->peer != kNoServer)
+      cache_[static_cast<std::size_t>(e->peer)].prefetch(e->client);
+  };
+  std::array<const Event*, kLookahead> ring{};
+  for (const Event*& slot : ring) {
+    slot = next_event();
+    warm(slot);
+  }
+  const bool shedding = !shed_.empty();
+  for (std::size_t i = 0;; i = (i + 1) % kLookahead) {
+    const Event* e = ring[i];
+    if (e == nullptr) break;  // the walk is done: every later slot is empty
+    ring[i] = next_event();
+    warm(ring[i]);
+    if (shedding &&
+        std::binary_search(shed_.begin(), shed_.end(), e->client)) {
+      // Admission control refused this client's attach. Its pushes were
+      // planned against an attach that never happened, so they drop with
+      // it.
+      if (e->kind == kEvAttach) apply_shed(*e, t);
+    } else {
+      apply_event(*e, t);
     }
   }
 }
@@ -1258,25 +1281,41 @@ void ShardEngine::retry_deferred(int t) {
 }
 
 void ShardEngine::expire_entries(int t) {
-  auto& slot = wheel_[static_cast<std::size_t>(t) % wheel_.size()];
-  // Canonical (server, client) order regardless of insertion history — a
-  // resumed run rebuilds the wheel from sorted snapshot entries, so the
-  // processing order must not depend on how entries were queued.
-  std::sort(slot.begin(), slot.end());
-  slot.erase(std::unique(slot.begin(), slot.end()), slot.end());
-  for (const auto& [sid, c] : slot) {
-    const CacheEntry* entry = cache_[static_cast<std::size_t>(sid)].find(c);
-    if (entry == nullptr) continue;
-    if (server_[static_cast<std::size_t>(c)] == sid) continue;  // kept alive
-    if (entry->expire > t) continue;  // refreshed since queued
-    journal({.interval = t,
-             .kind = obs::JournalEventKind::kCacheExpire,
-             .client = c,
-             .server = sid,
-             .aux = entry->prefix});
-    erase_entry(sid, c, entry->prefix);
-  }
-  slot.clear();
+  // Every shard expires its own servers' due entries in parallel: it writes
+  // only those servers' cache_, cache_bytes_ and resident_, and reads
+  // server_, which nothing writes during finish. The slot is walked as
+  // queued, unsorted and with repeats, because erase order is unobservable:
+  // the tables' contents after expiry do not depend on it, FlatMap32 slot
+  // layout never reaches an output (the snapshot capture and the crash wipe
+  // both sort), and a repeated pair finds nothing the second time. Only the
+  // journal needs an order. Each shard sorts the entries it erased by
+  // (server, client); shards are ascending contiguous tile ranges, so
+  // recording their lists in shard order is the global (server, client)
+  // order at any shard or thread count, and after a resume.
+  const bool journaling = jr_ != nullptr;
+  par::parallel_for(bufs_.size(), [&](std::size_t sh) {
+    ShardBuf& buf = bufs_[sh];
+    auto& slot = buf.wheel[static_cast<std::size_t>(t) % buf.wheel.size()];
+    buf.expired.clear();
+    for (const auto& [sid, c] : slot) {
+      const CacheEntry* entry = cache_[static_cast<std::size_t>(sid)].find(c);
+      if (entry == nullptr) continue;
+      if (server_[static_cast<std::size_t>(c)] == sid) continue;  // kept alive
+      if (entry->expire > t) continue;  // refreshed since queued
+      if (journaling) buf.expired.emplace_back(sid, c, entry->prefix);
+      erase_entry(sid, c, entry->prefix);
+    }
+    slot.clear();
+    std::sort(buf.expired.begin(), buf.expired.end());
+  });
+  if (!journaling) return;
+  for (const ShardBuf& buf : bufs_)
+    for (const auto& [sid, c, prefix] : buf.expired)
+      jr_->record({.interval = t,
+                   .kind = obs::JournalEventKind::kCacheExpire,
+                   .client = c,
+                   .server = sid,
+                   .aux = prefix});
 }
 
 void ShardEngine::finish_interval(int t) {
@@ -1402,12 +1441,20 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
 
   for (auto& entries : cache_) entries.clear();
   for (auto& ids : resident_) ids.clear();
-  for (auto& slot : wheel_) slot.clear();
+  for (ShardBuf& buf : bufs_)
+    for (auto& slot : buf.wheel) slot.clear();
   // Resident bytes and the resident index are a pure function of the
   // restored prefixes — rebuilt rather than stored, so pre-v5 checkpoints
   // restore exactly too.
   std::fill(cache_bytes_.begin(), cache_bytes_.end(), 0);
   const int start = snap.next_interval;
+  // A checkpoint taken after interval start - 1 holds no expiry past
+  // start - 1 + ttl, since each is set to now + ttl, and none of its
+  // detached entries is due before start, since an entry is erased in the
+  // interval it falls due. An entry outside those bounds would sit in no
+  // wheel slot that fires and stay cached for the rest of the run.
+  const long long latest_expire =
+      static_cast<long long>(start) - 1 + cfg_.ttl_intervals;
   for (std::size_t i = 0; i < s.entry_server.size(); ++i) {
     const auto sid = s.entry_server[i];
     const auto c = s.entry_client[i];
@@ -1420,13 +1467,19 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
           "snapshot: cache entries not in (server, client) order");
     if (s.entry_prefix[i] > static_cast<std::uint32_t>(K_))
       throw snapshot::SnapshotError("snapshot: cache prefix out of range");
+    const bool detached = server_[static_cast<std::size_t>(c)] != sid;
+    if (s.entry_expire[i] > latest_expire ||
+        (detached && s.entry_expire[i] < start))
+      throw snapshot::SnapshotError(
+          "snapshot: cache entry expiry out of range (server " +
+          std::to_string(sid) + ", client " + std::to_string(c) +
+          ", expire " + std::to_string(s.entry_expire[i]) +
+          ", next interval " + std::to_string(start) + ")");
     const auto prefix = static_cast<int>(s.entry_prefix[i]);
     CacheEntry& entry = cache_[static_cast<std::size_t>(sid)][c];
     entry.expire = s.entry_expire[i];
     if (prefix > 0) raise_prefix(sid, c, entry, prefix);
-    if (server_[static_cast<std::size_t>(c)] != sid && entry.expire >= start)
-      wheel_[static_cast<std::size_t>(entry.expire) % wheel_.size()]
-          .push_back({sid, c});
+    if (detached) wheel_slot(sid, entry.expire).push_back({sid, c});
   }
 
   traffic_.restore(snap.traffic);
@@ -1570,10 +1623,12 @@ SimulationMetrics ShardEngine::run() {
     // interval start. Buckets stay sorted by client id by construction.
     auto t0 = now();
     for (auto& bucket : buckets_) bucket.clear();
-    for (std::size_t c = 0; c < n; ++c)
-      buckets_[static_cast<std::size_t>(
-                   tile_shard_[static_cast<std::size_t>(tile_[c])])]
-          .push_back(static_cast<ClientId>(c));
+    for (std::size_t c = 0; c < n; ++c) {
+      const int sh = tile_shard_[static_cast<std::size_t>(tile_[c])];
+      owner_[c] = sh;
+      buckets_[static_cast<std::size_t>(sh)].push_back(
+          static_cast<ClientId>(c));
+    }
 
     // Phase A: pure per-shard walks against frozen shared state.
     for (auto& buf : bufs_) {

@@ -14,13 +14,21 @@
 //   compact event (re-attachment, upload progress, dispatcher push, offline
 //   detach) into the shard's buffer, in client-id order.
 //
-//   Phase B (serial): shard buffers are k-way merged in canonical client-id
-//   order — the same merge-in-submission-order trick the trace-replay
+//   Phase B (serial): events apply in canonical client-id order. Clients
+//   are walked in id order, each draining the head of its owner shard's
+//   buffer — the same merge-in-submission-order idea the trace-replay
 //   simulator uses for cold-start windows — and every mutation (cache
 //   prefix maxima, TTL wheel, attach counts, metrics, timeseries rows,
 //   journal lines) is applied in that canonical order. Cache updates are
 //   prefix maxima over the canonical upload order, so they are commutative
 //   anyway; double accumulations happen only here, in one fixed order.
+//
+//   Finish: each shard keeps the TTL wheel of its own servers, and the
+//   shards expire their due entries in parallel, each writing only its own
+//   servers' cache tables. Erase order is unobservable, so a slot is not
+//   sorted; only the cache_expire journal records need an order, and each
+//   shard sorts its erased entries by (server, client) for the main thread
+//   to record in shard order, which is the global order.
 //
 // Consequence: metrics, the streamed timeseries CSV and the streamed
 // journal JSONL are byte-identical across thread counts, shard counts, SIMD

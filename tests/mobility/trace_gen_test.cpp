@@ -2,8 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace perdnn {
 namespace {
+
+CampusTraceConfig one_campus_user(Seconds duration, Seconds interval) {
+  CampusTraceConfig config;
+  config.num_users = 1;
+  config.duration = duration;
+  config.sample_interval = interval;
+  return config;
+}
+
+UrbanTraceConfig one_urban_user(Seconds duration, Seconds interval) {
+  UrbanTraceConfig config;
+  config.num_users = 1;
+  config.duration = duration;
+  config.sample_interval = interval;
+  return config;
+}
+
+/// Both generators refuse the config with the typed error.
+void expect_refused(Seconds duration, Seconds interval) {
+  EXPECT_THROW(generate_campus_traces(one_campus_user(duration, interval)),
+               TraceConfigError)
+      << duration << " s every " << interval << " s";
+  EXPECT_THROW(generate_urban_traces(one_urban_user(duration, interval)),
+               TraceConfigError)
+      << duration << " s every " << interval << " s";
+}
 
 TEST(CampusTraces, ShapeAndDeterminism) {
   CampusTraceConfig config;
@@ -81,6 +109,37 @@ TEST(UrbanTraces, StaysInsideArea) {
   config.duration = 1800.0;
   for (const auto& traj : generate_urban_traces(config))
     for (const Point p : traj.points) EXPECT_TRUE(config.area.contains(p));
+}
+
+TEST(TracePointBound, RefusesNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_refused(nan, 20.0);
+  expect_refused(600.0, nan);
+}
+
+TEST(TracePointBound, RefusesZeroSteps) {
+  expect_refused(19.0, 20.0);  // 0.95 points would cast to 0
+  expect_refused(0.0, 20.0);
+  expect_refused(-600.0, 20.0);
+  expect_refused(-600.0, -20.0);  // a positive ratio of two negatives
+  expect_refused(600.0, std::numeric_limits<double>::infinity());
+}
+
+TEST(TracePointBound, AcceptsTheBound) {
+  const Seconds duration = kMaxTracePoints * 20.0;
+  const auto campus = generate_campus_traces(one_campus_user(duration, 20.0));
+  const auto urban = generate_urban_traces(one_urban_user(duration, 20.0));
+  EXPECT_EQ(campus.front().points.size(),
+            static_cast<std::size_t>(kMaxTracePoints));
+  EXPECT_EQ(urban.front().points.size(),
+            static_cast<std::size_t>(kMaxTracePoints));
+  EXPECT_EQ(trace_points(20.0, 20.0), 1u);
+}
+
+TEST(TracePointBound, RefusesOnePointPastTheBound) {
+  expect_refused((kMaxTracePoints + 1.0) * 20.0, 20.0);
+  expect_refused(1e300, 20.0);  // the cast this check guards is UB here
+  expect_refused(std::numeric_limits<double>::infinity(), 20.0);
 }
 
 TEST(Trajectory, ResamplingStridesPoints) {

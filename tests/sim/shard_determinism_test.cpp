@@ -12,11 +12,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
+#include "common/wire.hpp"
+#include "obs/journal.hpp"
 #include "sim/shard_sim.hpp"
 #include "sim/shard_world.hpp"
 #include "snapshot/snapshot.hpp"
@@ -64,6 +67,15 @@ std::string slurp(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// FNV-1a of an output stream as 16 hex digits.
+std::string digest(const std::string& bytes) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(
+                    wire::fnv1a(bytes.data(), bytes.size())));
+  return buf;
 }
 
 struct SimdGuard {
@@ -279,6 +291,125 @@ TEST_F(ShardDeterminismTest, ResumeRejectsChainsOfUnknownClients) {
     }
   }
   par::set_num_threads(0);
+}
+
+TEST_F(ShardDeterminismTest, ResumeRejectsCacheExpiriesNoSlotWouldFire) {
+  // A checkpoint after interval t holds no expiry past t + ttl, and no
+  // detached entry due before t + 1. Restore queues a detached entry in the
+  // wheel slot of its expiry, so an entry outside those bounds would never
+  // expire: one due in the past sits in a slot that has already fired, and
+  // an attached owner's entry due past t + ttl is not re-queued when the
+  // owner detaches.
+  const RunResult full = run_at(*world_, 2, 4);
+  par::set_num_threads(1);
+  snapshot::SimSnapshot snap;
+  {
+    ShardRunOptions options;
+    options.num_shards = 4;
+    options.timeseries_path = ts_path();
+    options.journal_path = jr_path();
+    options.stop_after_interval = 4;
+    options.capture_out = &snap;
+    run_sharded_simulation(*world_, options);
+  }
+  const snapshot::ShardSimState& s = snap.shard;
+  // The first entry whose owner is attached elsewhere or nowhere, and the
+  // first whose owner is attached to it.
+  const std::size_t none = s.entry_server.size();
+  std::size_t detached = none;
+  std::size_t attached = none;
+  for (std::size_t i = 0; i < none; ++i) {
+    std::size_t& first =
+        s.server[static_cast<std::size_t>(s.entry_client[i])] ==
+                s.entry_server[i]
+            ? attached
+            : detached;
+    if (first == none) first = i;
+  }
+  ASSERT_LT(detached, none);
+  ASSERT_LT(attached, none);
+
+  const auto resume = [&](const snapshot::SimSnapshot& from) {
+    ShardRunOptions options;
+    options.num_shards = 16;
+    options.timeseries_path = ts_path();
+    options.journal_path = jr_path();
+    options.resume_from = &from;
+    return run_sharded_simulation(*world_, options);
+  };
+  snapshot::SimSnapshot past_due = snap;
+  past_due.shard.entry_expire[detached] = snap.next_interval - 1;
+  EXPECT_THROW(resume(past_due), snapshot::SnapshotError);
+  snapshot::SimSnapshot beyond_ttl = snap;
+  beyond_ttl.shard.entry_expire[attached] =
+      snap.next_interval + world_->config.ttl_intervals;
+  EXPECT_THROW(resume(beyond_ttl), snapshot::SnapshotError);
+
+  const SimulationMetrics resumed = resume(snap);
+  par::set_num_threads(0);
+  EXPECT_EQ(full.metrics, metrics_fingerprint(resumed));
+  EXPECT_EQ(full.timeseries, slurp(ts_path()));
+  EXPECT_EQ(full.journal, slurp(jr_path()));
+}
+
+TEST_F(ShardDeterminismTest, UnbudgetedRunMatchesPinnedDigests) {
+  // The matrices above compare the unbudgeted engine only with itself.
+  // These digests pin its bytes: a fault-free run with churn and a short
+  // TTL, so Phase B's client-order walk and the per-shard TTL expiry both
+  // reach the journal, at every thread and shard count and through a
+  // stop/resume split that changes both.
+  ShardWorldConfig config = small_config();
+  config.ttl_intervals = 1;
+  config.num_intervals = 12;
+  const ShardWorld world = build_shard_world(config);
+  constexpr const char* kMetrics = "4c4bfa95fd4b2a66";
+  constexpr const char* kTimeseries = "3e5dfa00b19e8a18";
+  constexpr const char* kJournal = "d66cd8073549cb25";
+
+  const auto run = [&](int threads, int shards, int stop_after,
+                       const snapshot::SimSnapshot* resume_from,
+                       snapshot::SimSnapshot* capture_out) {
+    par::set_num_threads(threads);
+    ShardRunOptions options;
+    options.num_shards = shards;
+    options.timeseries_path = ts_path();
+    options.journal_path = jr_path();
+    options.stop_after_interval = stop_after;
+    options.resume_from = resume_from;
+    options.capture_out = capture_out;
+    const SimulationMetrics metrics = run_sharded_simulation(world, options);
+    par::set_num_threads(0);
+    return snapshot::metrics_to_json(metrics);
+  };
+  for (const int shards : {1, 4, 16}) {
+    for (const int threads : {1, 2, 8}) {
+      const std::string metrics = run(threads, shards, -1, nullptr, nullptr);
+      EXPECT_EQ(digest(metrics), kMetrics)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(digest(slurp(ts_path())), kTimeseries)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(digest(slurp(jr_path())), kJournal)
+          << "threads=" << threads << " shards=" << shards;
+    }
+  }
+
+  // Not vacuous: entries expire on the servers of several shards (here of
+  // the 4-shard split, five tiles each), so the shards' sorted lists have to
+  // be recorded in shard order.
+  std::set<int> expiring_shards;
+  for (const obs::JournalEvent& e : obs::journal_from_jsonl(slurp(jr_path())))
+    if (e.kind == obs::JournalEventKind::kCacheExpire)
+      expiring_shards.insert(e.server / 5);
+  EXPECT_GE(expiring_shards.size(), 2u);
+
+  snapshot::SimSnapshot snap;
+  run(1, 16, 5, nullptr, &snap);
+  const snapshot::SimSnapshot decoded =
+      snapshot::decode(snapshot::encode(snap));
+  const std::string resumed = run(2, 4, -1, &decoded, nullptr);
+  EXPECT_EQ(digest(resumed), kMetrics);
+  EXPECT_EQ(digest(slurp(ts_path())), kTimeseries);
+  EXPECT_EQ(digest(slurp(jr_path())), kJournal);
 }
 
 TEST_F(ShardDeterminismTest, EmptyTileShardsStillEmitDenseRows) {

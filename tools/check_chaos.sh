@@ -12,12 +12,15 @@
 # plans (out-of-range and fractional numbers, a window ending past INT_MAX,
 # broken JSON, an unknown kind, an entity outside the world) and requires a
 # clean exit 2 for each under the sanitizers, and exit 0 for a valid plan.
-# Two legs in the same style follow. The trace-file leg feeds `perdnn
+# Three legs in the same style follow. The trace-file leg feeds `perdnn
 # simulate` malformed trace files (bad magic, signed and huge counts, a
 # sampling interval or a point beyond its bound, no trajectories, a
 # trajectory without points) and one written by `perdnn traces`. The
-# manifest leg feeds `perdnn_runner status` manifests with out-of-range,
-# fractional and out-of-domain numbers and broken JSON, plus one valid
+# trace-generator leg gives `perdnn traces` and `perdnn simulate` minutes
+# beyond the generators' points-per-trajectory bound or not a number, and a
+# user count outside int. The manifest leg feeds `perdnn_runner status`
+# manifests with out-of-range, fractional and out-of-domain numbers (minutes
+# beyond the same bound among them) and broken JSON, plus one valid
 # manifest, and `perdnn_runner run` a manifest naming a malformed trace
 # file.
 #
@@ -138,6 +141,21 @@ expect_exit "trace file generated" 0 "$BUILD_DIR"/tools/perdnn traces campus \
 expect_exit "trace file generated" 0 "$BUILD_DIR"/tools/perdnn simulate \
   mobilenet "$PROBE_DIR/generated.txt" perdnn
 
+# Trace-generator bound: minutes and users reach the generators only through
+# checked parses and the points-per-trajectory bound.
+for minutes in 1e300 abc -3 nan 0.1; do
+  expect_exit "traces minutes $minutes" 2 "$BUILD_DIR"/tools/perdnn traces \
+    urban "$PROBE_DIR/bounded.txt" 5 "$minutes"
+done
+expect_exit "traces users 4294967297" 2 "$BUILD_DIR"/tools/perdnn traces \
+  urban "$PROBE_DIR/bounded.txt" 4294967297 5
+expect_exit "simulate --minutes 1e300" 2 "$BUILD_DIR"/tools/perdnn simulate \
+  mobilenet urban perdnn --minutes 1e300
+expect_exit "simulate --users 4294967297" 2 "$BUILD_DIR"/tools/perdnn \
+  simulate mobilenet urban perdnn --users 4294967297
+expect_exit "traces within the bound" 0 "$BUILD_DIR"/tools/perdnn traces \
+  campus "$PROBE_DIR/bounded.txt" 3 5
+
 # Manifest decoder.
 manifest_probe() {  # name, expected exit status, manifest JSON
   printf '%s\n' "$3" > "$PROBE_DIR/$1.manifest.json"
@@ -153,6 +171,8 @@ manifest_probe checkpoint-every-out-of-range 2 \
 manifest_probe cache-budget-out-of-range 2 \
   '{"cache_budget_bytes":1e300,"policies":["perdnn"],"seeds":[1]}'
 manifest_probe zero-downtime 2 '{"downtime":0,"policies":["perdnn"],"seeds":[1]}'
+manifest_probe minutes-beyond-bound 2 \
+  '{"minutes":1e300,"policies":["perdnn"],"seeds":[1]}'
 manifest_probe bad-json 2 '{"policies":["perdnn"],"seeds":[1'
 manifest_probe valid 0 \
   '{"model":"mobilenet","trace":"campus","users":3,"minutes":5,

@@ -2,7 +2,11 @@
 # Builds the repo with ThreadSanitizer (-DPERDNN_SANITIZE=thread) and runs
 # the tests that exercise the parallel runtime under a real thread pool:
 # the parallel_for/parallel_map unit tests, the simulator (including the
-# 1/2/8-thread determinism gate), and the multi-threaded metrics tests.
+# 1/2/8-thread determinism gate), the multi-threaded metrics tests, and the
+# sharded engine's suites. The sharded engine runs Phase A and the TTL
+# expiry of finish_interval on pool workers, each shard writing only its own
+# clients' and servers' state; its determinism, fault, cache-budget and
+# snapshot suites drive both under TSan.
 #
 # A second configuration with -DPERDNN_SIMD=OFF keeps the scalar fallback
 # of the batched forest kernels sanitizer-tested: that build contains no
@@ -24,15 +28,17 @@ export PERDNN_THREADS=4
 # printing a report.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
+SHARD_SUITES='ShardDeterminism|ShardFaultDeterminism|ShardCacheBudget|ShardSnapshot'
+
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Parallel|Simulator|Metrics'
+  -R "Parallel|Simulator|Metrics|$SHARD_SUITES"
 
 # Scalar-fallback leg: same sanitizer, SIMD compiled out.
 SCALAR_DIR="${BUILD_DIR}-scalar"
 cmake -B "$SCALAR_DIR" -S . -DPERDNN_SANITIZE=thread -DPERDNN_SIMD=OFF
 cmake --build "$SCALAR_DIR" -j"$(nproc)" \
-  --target test_ml test_estimation test_sim
+  --target test_ml test_estimation test_sim test_snapshot
 ctest --test-dir "$SCALAR_DIR" --output-on-failure \
-  -R 'FlatForest|Estimator|ShardDeterminism'
+  -R "FlatForest|Estimator|$SHARD_SUITES"
 
 echo "TSan check passed (build dirs: $BUILD_DIR, $SCALAR_DIR)"

@@ -41,11 +41,13 @@
 // Unknown commands, flags, model names and policy names are hard errors:
 // they print to stderr and exit non-zero instead of silently falling back
 // to defaults.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -160,13 +162,50 @@ int cmd_partition(int argc, char** argv) {
   return 0;
 }
 
+/// Strict numeric parses: the whole token must be consumed, and an int
+/// must fit in int.
+bool parse_double(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+bool parse_int(const std::string& text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+/// Sampling period of the campus and urban traces the CLI generates.
+constexpr Seconds kSampleIntervalS = 20.0;
+
+/// Whether `minutes` of generated trace stays inside the generators'
+/// points-per-trajectory bound (trace_points); prints why not.
+bool minutes_ok(double minutes) {
+  try {
+    trace_points(minutes * 60.0, kSampleIntervalS);
+    return true;
+  } catch (const TraceConfigError& e) {
+    std::fprintf(stderr, "error: %g minutes: %s\n", minutes, e.what());
+    return false;
+  }
+}
+
 std::vector<Trajectory> make_traces(const std::string& kind, int users,
                                     double minutes, std::uint64_t seed) {
   if (kind == "campus") {
     CampusTraceConfig config;
     if (users > 0) config.num_users = users;
     config.duration = minutes * 60.0;
-    config.sample_interval = 20.0;
+    config.sample_interval = kSampleIntervalS;
     config.seed = seed;
     return generate_campus_traces(config);
   }
@@ -174,7 +213,7 @@ std::vector<Trajectory> make_traces(const std::string& kind, int users,
     UrbanTraceConfig config;
     if (users > 0) config.num_users = users;
     config.duration = minutes * 60.0;
-    config.sample_interval = 20.0;
+    config.sample_interval = kSampleIntervalS;
     config.seed = seed;
     return generate_urban_traces(config);
   }
@@ -183,8 +222,19 @@ std::vector<Trajectory> make_traces(const std::string& kind, int users,
 
 int cmd_traces(int argc, char** argv) {
   if (argc < 2) return usage();
-  const int users = argc > 2 ? std::atoi(argv[2]) : 0;
-  const double minutes = argc > 3 ? std::atof(argv[3]) : 120.0;
+  int users = 0;
+  double minutes = 120.0;
+  if (argc > 2 && !parse_int(argv[2], &users)) {
+    std::fprintf(stderr, "error: users must be an integer in int's range, "
+                         "got '%s'\n", argv[2]);
+    return 2;
+  }
+  if (argc > 3 && !parse_double(argv[3], &minutes)) {
+    std::fprintf(stderr, "error: minutes must be a number, got '%s'\n",
+                 argv[3]);
+    return 2;
+  }
+  if (!minutes_ok(minutes)) return 2;
   const auto traces = make_traces(argv[0], users, minutes, 1);
   save_traces_file(traces, argv[1]);
   std::printf("wrote %zu trajectories (%.1f min at %.0f s sampling, mean "
@@ -229,23 +279,6 @@ struct SimulateArgs {
   std::string sim_metrics_out;  // deterministic SimulationMetrics JSON
 };
 
-/// Strict numeric parses: the whole token must be consumed.
-bool parse_double(const std::string& text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int(const std::string& text, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
 /// Strict parser for `simulate`: positional model/traces/[policy] plus the
 /// observability flags (either `--flag value` or `--flag=value`). Returns
 /// nullopt after printing the offending token to stderr.
@@ -286,7 +319,8 @@ std::optional<SimulateArgs> parse_simulate_args(int argc, char** argv) {
                             ? parse_double(value, double_target)
                             : parse_int(value, int_target);
         if (!ok) {
-          std::fprintf(stderr, "error: flag '%s' got non-numeric value '%s'\n",
+          std::fprintf(stderr,
+                       "error: flag '%s' needs a number in range, got '%s'\n",
                        name.c_str(), value.c_str());
           return std::nullopt;
         }
@@ -364,6 +398,7 @@ std::optional<SimulateArgs> parse_simulate_args(int argc, char** argv) {
                  args.downtime);
     return std::nullopt;
   }
+  if (!minutes_ok(args.minutes)) return std::nullopt;
   return args;
 }
 

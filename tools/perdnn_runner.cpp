@@ -39,7 +39,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -77,6 +76,9 @@ int usage() {
 
 // ---------------------------------------------------------------------------
 // Manifest
+
+/// Sampling period of the campus and urban traces a sweep generates.
+constexpr Seconds kSampleIntervalS = 20.0;
 
 struct Manifest {
   std::string model = "inception";
@@ -195,8 +197,11 @@ Manifest decode_manifest(const std::string& text) {
     m.users = require_int(require_number(doc, "users"), "users", 0);
   if (doc.find("minutes")) {
     m.minutes = require_number(doc, "minutes");
-    if (!std::isfinite(m.minutes) || m.minutes <= 0.0)
-      throw std::runtime_error("'minutes' must be finite and > 0");
+    try {  // the generators' points-per-trajectory bound
+      trace_points(m.minutes * 60.0, kSampleIntervalS);
+    } catch (const TraceConfigError& e) {
+      throw std::runtime_error(std::string("'minutes': ") + e.what());
+    }
   }
   if (doc.find("checkpoint_every"))
     m.checkpoint_every = require_int(require_number(doc, "checkpoint_every"),
@@ -300,7 +305,7 @@ std::vector<Trajectory> make_traces(const Manifest& m, std::uint64_t seed) {
     CampusTraceConfig config;
     if (m.users > 0) config.num_users = m.users;
     config.duration = m.minutes * 60.0;
-    config.sample_interval = 20.0;
+    config.sample_interval = kSampleIntervalS;
     config.seed = seed;
     return generate_campus_traces(config);
   }
@@ -308,7 +313,7 @@ std::vector<Trajectory> make_traces(const Manifest& m, std::uint64_t seed) {
     UrbanTraceConfig config;
     if (m.users > 0) config.num_users = m.users;
     config.duration = m.minutes * 60.0;
-    config.sample_interval = 20.0;
+    config.sample_interval = kSampleIntervalS;
     config.seed = seed;
     return generate_urban_traces(config);
   }
