@@ -16,7 +16,7 @@
 #include "common/flat_map.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "edge/shard_retry.hpp"
+#include "edge/retry_queue.hpp"
 #include "faults/fault_timeline.hpp"
 #include "geo/point.hpp"
 #include "obs/stream_writer.hpp"
@@ -129,6 +129,8 @@ class ShardEngine {
       : w_(world),
         cfg_(world.config),
         opt_(options),
+        retry_(world.config.migration_retry, world.config.num_servers(),
+               world.config.retry_queue_cap),
         traffic_(world.config.num_servers(), world.config.interval_s) {
     const auto n = static_cast<std::size_t>(cfg_.num_clients);
     const auto s = static_cast<std::size_t>(cfg_.num_servers());
@@ -214,8 +216,6 @@ class ShardEngine {
       buf.wheel.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
     buckets_.resize(static_cast<std::size_t>(num_shards_));
 
-    retry_ = ShardRetryQueue(cfg_.migration_retry, cfg_.num_servers(),
-                             cfg_.retry_queue_cap);
     ft_ = FaultTimeline(cfg_.fault_plan, cfg_.num_servers(), cfg_.num_clients);
     // Local-fallback outcome of one full interval, evaluated once: the
     // local-only latency is level-independent, so every client that falls
@@ -281,10 +281,18 @@ class ShardEngine {
                int old_prefix, int want);
   void deliver_push(ClientId c, ServerId source, ServerId target,
                     int old_prefix, int new_prefix, int t);
+  // The retry rule of both engines (DESIGN.md §14).
+  /// A failed first delivery toward prefix `want`: counted as deferred,
+  /// then parked or dropped at once.
   void defer_push(ClientId c, ServerId source, ServerId target, int want,
                   Bytes bytes, int t);
-  bool park_or_drop(ShardRetryOrder order, int t);
-  void drop_order(const ShardRetryOrder& order, int t, std::int32_t reason);
+  /// Parks `order` for its next attempt, or drops it when its attempt
+  /// budget is spent or its source queue is full.
+  void park_or_drop(PrefixRetryOrder order, int t);
+  void drop_order(const PrefixRetryOrder& order, int t,
+                  obs::DropReason reason);
+  /// Re-attempts every parked order whose backoff elapsed, in (source,
+  /// FIFO) order.
   void retry_deferred(int t);
 
   // -- checkpoint / resume ---------------------------------------------------
@@ -349,7 +357,7 @@ class ShardEngine {
   // Fault machinery (inert unless the config scripts a plan). Phase A reads
   // the timeline's flags, which only fault_step moves.
   FaultTimeline ft_;
-  ShardRetryQueue retry_;
+  RetryQueue<std::uint16_t> retry_;
   // Degraded (stale-telemetry) cold tables, parallel to cold_queries_;
   // filled only when the plan scripts a telemetry dropout.
   std::vector<long long> dcold_queries_;
@@ -1180,30 +1188,22 @@ void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
 
 void ShardEngine::defer_push(ClientId c, ServerId source, ServerId target,
                              int want, Bytes bytes, int t) {
-  const ShardRetryOrder order{.client = c,
-                              .source = source,
-                              .target = target,
-                              .prefix = static_cast<std::uint16_t>(want),
-                              .bytes = bytes,
-                              .attempts = 1};
-  if (park_or_drop(order, t)) {
-    ++metrics_.migrations_deferred;
-    metrics_.deferred_migration_bytes += bytes;
-    rows_[static_cast<std::size_t>(source)].deferred_bytes += bytes;
-  }
+  ++metrics_.migrations_deferred;
+  metrics_.deferred_migration_bytes += bytes;
+  rows_[static_cast<std::size_t>(source)].deferred_bytes += bytes;
+  park_or_drop({.client = c,
+                .source = source,
+                .target = target,
+                .payload = static_cast<std::uint16_t>(want),
+                .bytes = bytes},
+               t);
 }
 
-bool ShardEngine::park_or_drop(ShardRetryOrder order, int t) {
-  if (retry_.budget_spent(order.attempts)) {
-    drop_order(order, t, obs::kDropRetryBudget);
-    return false;
+void ShardEngine::park_or_drop(PrefixRetryOrder order, int t) {
+  if (const auto reason = retry_.try_park(order, t)) {
+    drop_order(order, t, *reason);
+    return;
   }
-  if (retry_.full(order.source)) {
-    drop_order(order, t, obs::kDropQueueFull);
-    return false;
-  }
-  order.next_attempt_interval =
-      retry_deadline(retry_.config(), order.attempts, t);
   journal({.interval = t,
            .kind = obs::JournalEventKind::kMigrationDeferred,
            .client = order.client,
@@ -1212,12 +1212,10 @@ bool ShardEngine::park_or_drop(ShardRetryOrder order, int t) {
            .bytes = order.bytes,
            .detail = order.attempts,
            .aux = order.next_attempt_interval});
-  retry_.park(order);
-  return true;
 }
 
-void ShardEngine::drop_order(const ShardRetryOrder& order, int t,
-                             std::int32_t reason) {
+void ShardEngine::drop_order(const PrefixRetryOrder& order, int t,
+                             obs::DropReason reason) {
   ++metrics_.migrations_abandoned;
   metrics_.abandoned_migration_bytes += order.bytes;
   journal({.interval = t,
@@ -1231,8 +1229,7 @@ void ShardEngine::drop_order(const ShardRetryOrder& order, int t,
 }
 
 void ShardEngine::retry_deferred(int t) {
-  if (retry_.backlog_orders() == 0) return;
-  for (const ShardRetryOrder& order : retry_.take_due(t)) {
+  for (const PrefixRetryOrder& order : retry_.take_due(t)) {
     ++metrics_.migration_retries;
     journal({.interval = t,
              .kind = obs::JournalEventKind::kMigrationRetried,
@@ -1248,7 +1245,7 @@ void ShardEngine::retry_deferred(int t) {
     const CacheEntry* cur =
         cache_[static_cast<std::size_t>(order.target)].find(order.client);
     const int old_prefix = cur != nullptr ? cur->prefix : 0;
-    const int want = order.prefix;
+    const int want = order.payload;
     if (want <= old_prefix) {
       // The layers arrived by other means while the order was parked.
       journal({.interval = t,
@@ -1415,6 +1412,17 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
       throw snapshot::SnapshotError(
           "snapshot: journal chain bound to client " + std::to_string(client) +
           ", outside the world's clients");
+  // Moves clamp every position to the world rectangle, and tile_at() casts
+  // one to int; a heading feeds the next move; prefixes index prefix_bytes.
+  for (std::size_t c = 0; c < n; ++c)
+    if (!(s.x[c] >= 0.0 && s.x[c] <= w_.width_m && s.y[c] >= 0.0 &&
+          s.y[c] <= w_.height_m) ||
+        !std::isfinite(s.heading[c]) ||
+        s.prefix[c] > static_cast<std::uint32_t>(K_))
+      throw snapshot::SnapshotError(
+          "snapshot: client " + std::to_string(c) +
+          " has a position outside the world, a non-finite heading or a "
+          "prefix out of range");
 
   x_ = s.x;
   y_ = s.y;
@@ -1492,17 +1500,23 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
       s.retry_attempts.size() != nr || s.retry_next_attempt.size() != nr)
     throw snapshot::SnapshotError(
         "snapshot: retry-queue arrays misaligned");
-  std::vector<ShardRetryOrder> orders;
+  // A parked order has attempts left, and its bytes are part of the
+  // canonical prefix it wants.
+  std::vector<PrefixRetryOrder> orders;
   orders.reserve(nr);
   for (std::size_t i = 0; i < nr; ++i) {
     if (s.retry_source[i] < 0 || s.retry_source[i] >= cfg_.num_servers() ||
         s.retry_target[i] < 0 || s.retry_target[i] >= cfg_.num_servers() ||
-        s.retry_client[i] < 0 || s.retry_client[i] >= cfg_.num_clients)
+        s.retry_client[i] < 0 || s.retry_client[i] >= cfg_.num_clients ||
+        s.retry_prefix[i] > static_cast<std::uint32_t>(K_) ||
+        s.retry_bytes[i] < 0 ||
+        s.retry_bytes[i] > w_.prefix_bytes[s.retry_prefix[i]] ||
+        s.retry_attempts[i] < 1 || retry_.budget_spent(s.retry_attempts[i]))
       throw snapshot::SnapshotError("snapshot: retry order out of range");
     orders.push_back({.client = s.retry_client[i],
                       .source = s.retry_source[i],
                       .target = s.retry_target[i],
-                      .prefix = static_cast<std::uint16_t>(s.retry_prefix[i]),
+                      .payload = static_cast<std::uint16_t>(s.retry_prefix[i]),
                       .bytes = s.retry_bytes[i],
                       .attempts = s.retry_attempts[i],
                       .next_attempt_interval = s.retry_next_attempt[i]});
@@ -1568,11 +1582,11 @@ snapshot::SimSnapshot ShardEngine::capture(int next_interval) {
     }
   }
   snap.traffic = traffic_.state();
-  for (const ShardRetryOrder& order : retry_.flatten()) {
+  for (const PrefixRetryOrder& order : retry_.flatten()) {
     s.retry_client.push_back(order.client);
     s.retry_source.push_back(order.source);
     s.retry_target.push_back(order.target);
-    s.retry_prefix.push_back(order.prefix);
+    s.retry_prefix.push_back(order.payload);
     s.retry_bytes.push_back(order.bytes);
     s.retry_attempts.push_back(order.attempts);
     s.retry_next_attempt.push_back(order.next_attempt_interval);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -237,7 +238,9 @@ class SimulatorImpl {
         traffic_(world.servers.num_servers(), world.interval),
         crowded_(static_cast<std::size_t>(world.servers.num_servers()),
                  false),
-        dispatcher_(config.migration_retry) {
+        // SimulationConfig has no per-source cap: the queue grows freely.
+        retry_(config.migration_retry, world.servers.num_servers(),
+               std::numeric_limits<int>::max()) {
     for (ServerId s : config.crowded_servers) {
       PERDNN_CHECK(s >= 0 && s < world.servers.num_servers());
       crowded_[static_cast<std::size_t>(s)] = true;
@@ -292,11 +295,9 @@ class SimulatorImpl {
           world.servers.num_servers(), num_intervals_, config.seed);
     timeline_ = FaultTimeline(plan, world.servers.num_servers(),
                               static_cast<int>(clients_.size()));
-    if (journal_ != nullptr) {
-      dispatcher_.set_journal(journal_);
+    if (journal_ != nullptr)
       for (ServerId s = 0; s < world.servers.num_servers(); ++s)
         caches_[static_cast<std::size_t>(s)].set_journal(journal_, s);
-    }
   }
 
   SimulationMetrics run(const SimulationRunOptions& options);
@@ -361,10 +362,18 @@ class SimulatorImpl {
   /// the delivered part.
   PushResult push_layers(ClientId c, ServerId source, ServerId target,
                          std::vector<LayerId> layers, int interval_index);
-  /// Parks `layers` in the retry queue.
+  // The retry rule of both engines (DESIGN.md §14).
+  /// A failed first delivery of `layers`: counted as deferred, then parked
+  /// or dropped at once.
   void defer_layers(ClientId c, ServerId source, ServerId target,
                     std::vector<LayerId> layers, int interval_index);
-  /// Re-attempts every parked order whose backoff elapsed.
+  /// Parks `order` for its next attempt, or drops it when its attempt
+  /// budget is spent or its source queue is full.
+  void park_or_drop(LayerRetryOrder order, int interval_index);
+  void drop_order(const LayerRetryOrder& order, int interval_index,
+                  obs::DropReason reason);
+  /// Re-attempts every parked order whose backoff elapsed, in (source,
+  /// FIFO) order.
   void retry_deferred_migrations(int interval_index);
   /// Local-execution fallback: the client runs every query on its own
   /// hardware for this interval (no reachable live server).
@@ -399,7 +408,7 @@ class SimulatorImpl {
   TrafficAccountant traffic_;
   std::vector<bool> crowded_;
   FaultTimeline timeline_;
-  MigrationDispatcher dispatcher_;
+  RetryQueue<std::vector<LayerId>> retry_;
   int num_intervals_ = 0;
   std::vector<LayerCache> caches_;
   std::vector<int> attached_;
@@ -906,18 +915,69 @@ void SimulatorImpl::defer_layers(ClientId c, ServerId source, ServerId target,
                                  int interval_index) {
   Bytes bytes = 0;
   for (LayerId id : layers) bytes += world_.model.layer(id).weight_bytes;
+  ++metrics_.migrations_deferred;
+  metrics_.deferred_migration_bytes += bytes;
   row(source).deferred_bytes += bytes;
-  dispatcher_.defer(c, source, target, std::move(layers), bytes,
-                    interval_index);
+  obs::count("migration.deferred_orders");
+  obs::count("migration.deferred_bytes", static_cast<double>(bytes));
+  park_or_drop({.client = c,
+                .source = source,
+                .target = target,
+                .payload = std::move(layers),
+                .bytes = bytes},
+               interval_index);
+}
+
+void SimulatorImpl::park_or_drop(LayerRetryOrder order, int interval_index) {
+  if (const auto reason = retry_.try_park(order, interval_index)) {
+    drop_order(order, interval_index, *reason);
+    return;
+  }
+  if (journal_ != nullptr)
+    journal_->record({.interval = interval_index,
+                      .kind = obs::JournalEventKind::kMigrationDeferred,
+                      .client = order.client,
+                      .server = order.source,
+                      .peer = order.target,
+                      .bytes = order.bytes,
+                      .detail = order.attempts,
+                      .aux = order.next_attempt_interval});
+}
+
+void SimulatorImpl::drop_order(const LayerRetryOrder& order,
+                               int interval_index, obs::DropReason reason) {
+  ++metrics_.migrations_abandoned;
+  metrics_.abandoned_migration_bytes += order.bytes;
+  obs::count("migration.abandoned_orders");
+  obs::count("migration.abandoned_bytes", static_cast<double>(order.bytes));
+  if (journal_ != nullptr)
+    journal_->record({.interval = interval_index,
+                      .kind = obs::JournalEventKind::kMigrationDropped,
+                      .client = order.client,
+                      .server = order.source,
+                      .peer = order.target,
+                      .bytes = order.bytes,
+                      .detail = order.attempts,
+                      .aux = reason});
 }
 
 void SimulatorImpl::retry_deferred_migrations(int interval_index) {
-  for (DeferredMigration& order : dispatcher_.due(interval_index)) {
+  for (LayerRetryOrder& order : retry_.take_due(interval_index)) {
+    ++metrics_.migration_retries;
+    obs::count("migration.retries");
+    if (journal_ != nullptr)
+      journal_->record({.interval = interval_index,
+                        .kind = obs::JournalEventKind::kMigrationRetried,
+                        .client = order.client,
+                        .server = order.source,
+                        .peer = order.target,
+                        .bytes = order.bytes,
+                        .detail = order.attempts});
     // A crashed endpoint can't take part: the target lost its radio, the
     // source lost the cache it was supposed to ship from.
     if (timeline_.server_down(order.source) ||
         timeline_.server_down(order.target)) {
-      dispatcher_.fail(std::move(order), interval_index);
+      park_or_drop(std::move(order), interval_index);
       continue;
     }
     // Only what the source still holds is sendable (TTL expiry or a crash
@@ -926,7 +986,7 @@ void SimulatorImpl::retry_deferred_migrations(int interval_index) {
         order.client, world_.model, lookup_mask_scratch_);
     const std::vector<bool>& source_mask = lookup_mask_scratch_;
     std::vector<LayerId> layers;
-    for (LayerId id : order.layers)
+    for (LayerId id : order.payload)
       if (source_mask[static_cast<std::size_t>(id)]) layers.push_back(id);
     if (layers.empty()) {
       // Nothing left to send: the order dissolves without a transfer.
@@ -939,16 +999,20 @@ void SimulatorImpl::retry_deferred_migrations(int interval_index) {
                           .bytes = order.bytes,
                           .detail = order.attempts,
                           .aux = obs::kDropDissolved});
-      dispatcher_.succeed(order);
+      obs::count("migration.retry_success");
+      obs::count("migration.retry_success_bytes",
+                 static_cast<double>(order.bytes));
       continue;
     }
     PushResult result = push_layers(order.client, order.source, order.target,
                                     std::move(layers), interval_index);
     if (!result.delivered) {
-      dispatcher_.fail(std::move(order), interval_index);
+      park_or_drop(std::move(order), interval_index);
       continue;
     }
-    dispatcher_.succeed(order);
+    obs::count("migration.retry_success");
+    obs::count("migration.retry_success_bytes",
+               static_cast<double>(order.bytes));
     obs::count("sim.migration.orders");
     ++row(order.source).migration_orders;
     if (!result.overflow.empty())
@@ -1207,7 +1271,7 @@ snapshot::SimSnapshot SimulatorImpl::capture(int next_interval) const {
   snap.caches.reserve(caches_.size());
   for (const LayerCache& cache : caches_)
     snap.caches.push_back(cache.export_entries());
-  snap.dispatcher = dispatcher_.state();
+  snap.retry_orders = retry_.flatten();
   snap.traffic = traffic_.state();
   snap.attached = attached_;
   snap.clients.reserve(clients_.size());
@@ -1274,9 +1338,11 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
         throw snapshot::SnapshotError(
             "snapshot: cache entries not strictly ascending by client");
     }
-  for (const DeferredMigration& order : snap.dispatcher.queue)
+  for (const LayerRetryOrder& order : snap.retry_orders)
     if (!client_ok(order.client) || !server_ok(order.source) ||
-        !server_ok(order.target) || !layers_ok(order.layers))
+        !server_ok(order.target) || !layers_ok(order.payload) ||
+        order.bytes < 0 || order.bytes > world_.model.total_weight_bytes() ||
+        order.attempts < 1 || retry_.budget_spent(order.attempts))
       throw snapshot::SnapshotError(
           "snapshot: parked migration order out of range");
   // Each server's attach count is the number of clients on it: the run
@@ -1305,7 +1371,7 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
   link_rng_.restore(snap.link_rng);
   for (std::size_t s = 0; s < servers; ++s)
     caches_[s].restore_entries(snap.caches[s]);
-  dispatcher_.restore(snap.dispatcher);
+  retry_.restore(snap.retry_orders);
   traffic_.restore(snap.traffic);
   attached_ = snap.attached;
   for (std::size_t c = 0; c < clients_.size(); ++c) {
@@ -1464,7 +1530,7 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
     }
 
     metrics_.peak_deferred_backlog_bytes = std::max(
-        metrics_.peak_deferred_backlog_bytes, dispatcher_.backlog_bytes());
+        metrics_.peak_deferred_backlog_bytes, retry_.backlog_bytes());
     for (ServerId s = 0; s < world_.servers.num_servers(); ++s) {
       row(s).attached = attached_[static_cast<std::size_t>(s)];
       row(s).uplink_bytes = traffic_.uplink_bytes(s);
@@ -1495,12 +1561,6 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
     }
     if (stop_here) return metrics_;  // partial: caller resumes later
   }
-
-  metrics_.migrations_deferred = dispatcher_.deferred_orders();
-  metrics_.migration_retries = dispatcher_.retries();
-  metrics_.migrations_abandoned = dispatcher_.abandoned_orders();
-  metrics_.deferred_migration_bytes = dispatcher_.total_deferred_bytes();
-  metrics_.abandoned_migration_bytes = dispatcher_.abandoned_bytes();
 
   metrics_.set_backhaul(traffic_);
   metrics_.num_servers = world_.servers.num_servers();

@@ -29,7 +29,7 @@
 #include "device/gpu_model.hpp"
 #include "device/profiler.hpp"
 #include "edge/layer_cache.hpp"
-#include "edge/migration_dispatcher.hpp"
+#include "edge/retry_queue.hpp"
 #include "estimation/estimator.hpp"
 #include "faults/fault_plan.hpp"
 #include "geo/server_map.hpp"
@@ -182,15 +182,18 @@ struct SimulationMetrics {
   /// engine's overload shedding); the client spent the interval on the
   /// local fallback instead.
   int attaches_shed = 0;
-  // Migration retry/backoff accounting (mirrors MigrationDispatcher).
-  int migrations_deferred = 0;   ///< orders parked at least once
+  // Migration retry/backoff accounting. Both engines count by one rule as
+  // events happen (DESIGN.md §14): every failed first delivery is deferred,
+  // so abandoned orders are a subset of deferred ones.
+  int migrations_deferred = 0;   ///< failed first deliveries
   int migration_retries = 0;     ///< delivery re-attempts popped from the queue
-  int migrations_abandoned = 0;  ///< orders dropped after the attempt budget
+  /// Deferred orders dropped: attempt budget spent or source queue full.
+  int migrations_abandoned = 0;
   /// Fractional-cap truncations to nothing: a crowded endpoint's byte budget
   /// was smaller than every candidate layer, so an otherwise-sendable order
   /// shipped zero layers and was dropped instead of silently issued.
   int migrations_truncated = 0;
-  Bytes deferred_migration_bytes = 0;   ///< bytes ever parked in the queue
+  Bytes deferred_migration_bytes = 0;   ///< bytes of failed first deliveries
   Bytes abandoned_migration_bytes = 0;  ///< bytes of abandoned orders
   Bytes peak_deferred_backlog_bytes = 0;  ///< max parked bytes at interval end
 

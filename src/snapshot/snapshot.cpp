@@ -522,23 +522,29 @@ std::string encode(const SimSnapshot& snap) {
     }
   }
 
-  payload.count(snap.dispatcher.queue.size());
-  for (const DeferredMigration& order : snap.dispatcher.queue) {
+  payload.count(snap.retry_orders.size());
+  Bytes backlog = 0;
+  for (const LayerRetryOrder& order : snap.retry_orders) {
     payload.i32(order.client);
     payload.i32(order.source);
     payload.i32(order.target);
-    payload.count(order.layers.size());
-    for (LayerId id : order.layers) payload.i32(id);
+    payload.count(order.payload.size());
+    for (LayerId id : order.payload) payload.i32(id);
     payload.i64(order.bytes);
     payload.i32(order.attempts);
     payload.i32(order.next_attempt_interval);
+    backlog += order.bytes;
   }
-  payload.i64(snap.dispatcher.backlog_bytes);
-  payload.i64(snap.dispatcher.total_deferred_bytes);
-  payload.i64(snap.dispatcher.abandoned_bytes);
-  payload.i32(snap.dispatcher.deferred_orders);
-  payload.i32(snap.dispatcher.abandoned_orders);
-  payload.i32(snap.dispatcher.retries);
+  // The backlog and the retry tallies. A sharded snapshot leaves this
+  // classic section empty.
+  const SimulationMetrics none;
+  const SimulationMetrics& tallies = snap.has_shard ? none : snap.metrics;
+  payload.i64(backlog);
+  payload.i64(tallies.deferred_migration_bytes);
+  payload.i64(tallies.abandoned_migration_bytes);
+  payload.i32(tallies.migrations_deferred);
+  payload.i32(tallies.migrations_abandoned);
+  payload.i32(tallies.migration_retries);
 
   write_traffic(payload, snap.traffic);
 
@@ -607,23 +613,24 @@ SimSnapshot decode(const std::string& bytes) try {
     }
   }
 
-  snap.dispatcher.queue.resize(r.count(28));
-  for (DeferredMigration& order : snap.dispatcher.queue) {
+  snap.retry_orders.resize(r.count(28));
+  for (LayerRetryOrder& order : snap.retry_orders) {
     order.client = r.i32();
     order.source = r.i32();
     order.target = r.i32();
-    order.layers.resize(r.count(4));
-    for (LayerId& id : order.layers) id = r.i32();
+    order.payload.resize(r.count(4));
+    for (LayerId& id : order.payload) id = r.i32();
     order.bytes = r.i64();
     order.attempts = r.i32();
     order.next_attempt_interval = r.i32();
   }
-  snap.dispatcher.backlog_bytes = r.i64();
-  snap.dispatcher.total_deferred_bytes = r.i64();
-  snap.dispatcher.abandoned_bytes = r.i64();
-  snap.dispatcher.deferred_orders = r.i32();
-  snap.dispatcher.abandoned_orders = r.i32();
-  snap.dispatcher.retries = r.i32();
+  r.i64();  // the backlog: restore parks the orders and re-derives it
+  SimulationMetrics tallies;
+  tallies.deferred_migration_bytes = r.i64();
+  tallies.abandoned_migration_bytes = r.i64();
+  tallies.migrations_deferred = r.i32();
+  tallies.migrations_abandoned = r.i32();
+  tallies.migration_retries = r.i32();
 
   snap.traffic = version >= 7 ? read_traffic(r) : read_traffic_history(r);
 
@@ -658,6 +665,15 @@ SimSnapshot decode(const std::string& bytes) try {
   if (version >= 3) {
     snap.has_shard = r.boolean();
     if (snap.has_shard) snap.shard = read_shard(r, version);
+  }
+  if (!snap.has_shard) {
+    // Earlier classic writers left these counters at zero in the metrics
+    // block until the run ended; the tallies always held them.
+    snap.metrics.deferred_migration_bytes = tallies.deferred_migration_bytes;
+    snap.metrics.abandoned_migration_bytes = tallies.abandoned_migration_bytes;
+    snap.metrics.migrations_deferred = tallies.migrations_deferred;
+    snap.metrics.migrations_abandoned = tallies.migrations_abandoned;
+    snap.metrics.migration_retries = tallies.migration_retries;
   }
 
   if (!r.done())

@@ -4,8 +4,8 @@
 // from an interval boundary and still produce byte-identical metrics,
 // timeseries, and traffic output: the interval index, every salted RNG
 // stream (including the Box-Muller spare), per-server LayerCache entries
-// and TTLs, the MigrationDispatcher retry queue and backoff deadlines,
-// client attachment/upload state, the TrafficAccountant summary (both
+// and TTLs, the parked retry orders and their backoff deadlines, client
+// attachment/upload state, the TrafficAccountant summary (both
 // engines write it, in one section), the per-load GPU statistics behind the
 // level caches (the only RNG-derived planning state — estimates and plans
 // are rebuilt deterministically on resume), the accumulated
@@ -41,7 +41,7 @@
 #include "common/types.hpp"
 #include "device/gpu_model.hpp"
 #include "edge/layer_cache.hpp"
-#include "edge/migration_dispatcher.hpp"
+#include "edge/retry_queue.hpp"
 #include "net/network.hpp"
 #include "obs/journal.hpp"
 #include "obs/timeseries.hpp"
@@ -147,7 +147,14 @@ struct SimSnapshot {
   /// Per-server cache entries, indexed by server id, entries sorted by
   /// client id.
   std::vector<std::vector<LayerCache::EntrySnapshot>> caches;
-  MigrationDispatcher::State dispatcher;
+  /// Parked retry orders in (source server, FIFO position) order. A file
+  /// written before the queue went per source lists them in one global
+  /// FIFO; restoring parks them in list order, so each source keeps its
+  /// order. The wire section that follows them also carries the five retry
+  /// tallies; decode copies them into a classic snapshot's `metrics`,
+  /// because earlier classic writers kept those counts only in the tallies
+  /// until the run ended.
+  std::vector<LayerRetryOrder> retry_orders;
   /// Backhaul summary of both engines.
   TrafficAccountant::State traffic;
   std::vector<int> attached;

@@ -248,7 +248,7 @@ TEST_F(FaultSimTest, BackhaulOutageDefersMigrationsAndRetriesDeliverThem) {
   EXPECT_GT(m.peak_deferred_backlog_bytes, 0);
   EXPECT_EQ(m.migrations_abandoned, 0);
   EXPECT_EQ(m.abandoned_migration_bytes, 0);
-  // The timeseries and the dispatcher agree on what was parked.
+  // The timeseries and the metrics agree on what was parked.
   EXPECT_EQ(result.total_deferred_bytes, m.deferred_migration_bytes);
   // Migration traffic still flows overall, and queries keep completing.
   EXPECT_GT(m.total_migrated_bytes, 0);
@@ -258,6 +258,29 @@ TEST_F(FaultSimTest, BackhaulOutageDefersMigrationsAndRetriesDeliverThem) {
     if (row.interval >= 6) continue;
     EXPECT_EQ(row.downlink_bytes, 0) << "interval " << row.interval;
   }
+}
+
+TEST_F(FaultSimTest, MaxAttemptsOneCountsEveryDeferralAsAbandoned) {
+  // One abandonment rule in both engines: a failed first delivery always
+  // counts as deferred, and one that cannot be parked (no attempts left)
+  // is abandoned at once as well. Abandoned orders are then exactly the
+  // deferred ones, by count, by bytes and in the source rows.
+  std::vector<FaultEvent> events;
+  for (ServerId s = 0; s < num_servers(); ++s)
+    events.push_back({.kind = FaultKind::kBackhaulDegrade,
+                      .at_interval = 0,
+                      .duration_intervals = 6,
+                      .server = s,
+                      .peer = kAllServers,
+                      .severity = 1.0});
+  const RunResult result = run_with(FaultPlan(events), {.max_attempts = 1});
+  const SimulationMetrics& m = result.metrics;
+  EXPECT_GT(m.migrations_abandoned, 0);
+  EXPECT_EQ(m.migrations_deferred, m.migrations_abandoned);
+  EXPECT_EQ(m.deferred_migration_bytes, m.abandoned_migration_bytes);
+  EXPECT_EQ(result.total_deferred_bytes, m.deferred_migration_bytes);
+  EXPECT_EQ(m.migration_retries, 0);
+  EXPECT_EQ(m.peak_deferred_backlog_bytes, 0);
 }
 
 TEST_F(FaultSimTest, PartialBackhaulDegradationStillDeliversSomething) {

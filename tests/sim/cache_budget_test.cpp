@@ -232,6 +232,9 @@ TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
   // engine with itself; these digests pin its bytes to the reference
   // outputs of the binary-search dedupe, the per-order canonical sort and
   // the per-query partition DP, for a straight run and a stop/resume split.
+  // The journal digest was re-pinned when parked orders began to drain in
+  // (source server, FIFO) order, each `migration_retried` record just
+  // before its own outcome; the metrics and timeseries digests held.
   SimulationConfig config = *config_;
   config.cache_budget_bytes = mb_to_bytes(3.0);
   config.migration_retry = {.max_attempts = 4,
@@ -300,7 +303,7 @@ TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
 
   constexpr const char* kMetrics = "e9fe4229b0beca0d";
   constexpr const char* kTimeseries = "859c079a3e4119e4";
-  constexpr const char* kJournal = "59de93d165485d46";
+  constexpr const char* kJournal = "1d84edd1dd0f5f84";
   EXPECT_EQ(digest(straight.metrics_json), kMetrics);
   EXPECT_EQ(digest(straight.timeseries), kTimeseries);
   EXPECT_EQ(digest(straight.journal), kJournal);

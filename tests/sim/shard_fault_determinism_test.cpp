@@ -13,16 +13,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "faults/fault_plan.hpp"
+#include "obs/journal.hpp"
 #include "sim/shard_sim.hpp"
 #include "sim/shard_world.hpp"
 #include "snapshot/snapshot.hpp"
@@ -83,6 +88,28 @@ std::string slurp(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// Sum of one column of a timeseries CSV (comment lines skipped).
+std::int64_t column_sum(const std::string& csv_text, const std::string& name) {
+  std::istringstream csv(csv_text);
+  std::string line;
+  std::ptrdiff_t index = -1;
+  std::int64_t sum = 0;
+  while (std::getline(csv, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::vector<std::string> cells;
+    std::stringstream ss(line);
+    for (std::string cell; std::getline(ss, cell, ',');) cells.push_back(cell);
+    if (index < 0) {
+      const auto it = std::find(cells.begin(), cells.end(), name);
+      EXPECT_NE(it, cells.end()) << name;
+      index = it - cells.begin();
+      continue;
+    }
+    sum += std::stoll(cells.at(static_cast<std::size_t>(index)));
+  }
+  return sum;
 }
 
 struct SimdGuard {
@@ -321,6 +348,127 @@ TEST_F(ShardFaultDeterminismTest, ResumeMidBackoffRestoresRetryQueue) {
   EXPECT_EQ(full.metrics, metrics_fingerprint(resumed));
   EXPECT_EQ(full.timeseries, slurp(ts_path()));
   EXPECT_EQ(full.journal, slurp(jr_path()));
+}
+
+TEST_F(ShardFaultDeterminismTest, ResumeRejectsCorruptClientsAndParkedOrders) {
+  const RunResult full = run_at(*world_, 2, 4);
+  par::set_num_threads(1);
+  snapshot::SimSnapshot snap;
+  {
+    ShardRunOptions options;
+    options.num_shards = 16;
+    options.timeseries_path = ts_path();
+    options.journal_path = jr_path();
+    options.stop_after_interval = 4;
+    options.capture_out = &snap;
+    run_sharded_simulation(*world_, options);
+  }
+  ASSERT_FALSE(snap.shard.retry_client.empty());
+
+  // A checkpoint is outside input: each case corrupts one field of a real
+  // capture, re-encodes it (so the checksum is valid) and must be refused
+  // before the run indexes, casts or moves anything with it.
+  const auto K = static_cast<std::uint32_t>(world_->canonical_order.size());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using State = snapshot::ShardSimState;
+  const std::vector<std::pair<const char*, std::function<void(State&)>>>
+      mutations = {
+          {"order prefix", [&](State& s) { s.retry_prefix[0] = K + 1; }},
+          {"order prefix past u16",
+           [](State& s) { s.retry_prefix[0] = 1u << 16; }},
+          {"order bytes", [](State& s) { s.retry_bytes[0] = -1; }},
+          {"order bytes past its prefix",
+           [&](State& s) {
+             s.retry_bytes[0] = world_->prefix_bytes[s.retry_prefix[0]] + 1;
+           }},
+          {"order attempts", [](State& s) { s.retry_attempts[0] = 0; }},
+          {"order spent budget",
+           [](State& s) {
+             s.retry_attempts[0] =
+                 faulted_config().migration_retry.max_attempts;
+           }},
+          {"client x NaN", [&](State& s) { s.x[0] = nan; }},
+          {"client x huge", [](State& s) { s.x[0] = 1e300; }},
+          {"client y negative", [](State& s) { s.y[0] = -1.0; }},
+          {"client heading NaN", [&](State& s) { s.heading[0] = nan; }},
+          {"client heading inf",
+           [](State& s) {
+             s.heading[0] = std::numeric_limits<double>::infinity();
+           }},
+          {"client prefix", [&](State& s) { s.prefix[0] = K + 1; }},
+      };
+  for (const auto& [what, mutate] : mutations) {
+    snapshot::SimSnapshot bad = snap;
+    mutate(bad.shard);
+    const snapshot::SimSnapshot decoded =
+        snapshot::decode(snapshot::encode(bad));
+    ShardRunOptions options;
+    options.num_shards = 4;
+    options.timeseries_path = ts_path();
+    options.journal_path = jr_path();
+    options.resume_from = &decoded;
+    EXPECT_THROW(run_sharded_simulation(*world_, options),
+                 snapshot::SnapshotError)
+        << what;
+  }
+
+  // The unmodified capture still resumes byte-identically.
+  ShardRunOptions options;
+  options.num_shards = 4;
+  options.timeseries_path = ts_path();
+  options.journal_path = jr_path();
+  options.resume_from = &snap;
+  const SimulationMetrics resumed = run_sharded_simulation(*world_, options);
+  par::set_num_threads(0);
+  EXPECT_EQ(full.metrics, metrics_fingerprint(resumed));
+  EXPECT_EQ(full.timeseries, slurp(ts_path()));
+  EXPECT_EQ(full.journal, slurp(jr_path()));
+}
+
+TEST_F(ShardFaultDeterminismTest, QueueFullRefusalsCountAsDeferredAndAbandoned) {
+  // The faulted run's retry queue holds 8 orders per source, and the
+  // global outage parks more than that on some sources: those refusals
+  // are failed first deliveries (deferred) that are abandoned at once.
+  par::set_num_threads(2);
+  ShardRunOptions options;
+  options.num_shards = 4;
+  options.timeseries_path = ts_path();
+  options.journal_path = jr_path();
+  const SimulationMetrics m = run_sharded_simulation(*world_, options);
+  par::set_num_threads(0);
+  int queue_full = 0;
+  for (const obs::JournalEvent& e : obs::journal_from_jsonl(slurp(jr_path())))
+    if (e.kind == obs::JournalEventKind::kMigrationDropped &&
+        e.aux == obs::kDropQueueFull)
+      ++queue_full;
+  EXPECT_GT(queue_full, 0);
+  EXPECT_GE(m.migrations_abandoned, queue_full);
+  EXPECT_LE(m.migrations_abandoned, m.migrations_deferred);
+  EXPECT_LE(m.abandoned_migration_bytes, m.deferred_migration_bytes);
+  EXPECT_EQ(column_sum(slurp(ts_path()), "deferred_bytes"),
+            m.deferred_migration_bytes);
+}
+
+TEST_F(ShardFaultDeterminismTest, MaxAttemptsOneCountsEveryDeferralAsAbandoned) {
+  // The classic engine's FaultSimTest case of the same name, here: with no
+  // retries allowed, every failed first delivery is deferred and abandoned
+  // at once, by count, by bytes and in the source rows.
+  ShardWorldConfig config = faulted_config();
+  config.migration_retry.max_attempts = 1;
+  par::set_num_threads(2);
+  const ShardWorld world = build_shard_world(config);
+  ShardRunOptions options;
+  options.num_shards = 4;
+  options.timeseries_path = ts_path();
+  const SimulationMetrics m = run_sharded_simulation(world, options);
+  par::set_num_threads(0);
+  EXPECT_GT(m.migrations_abandoned, 0);
+  EXPECT_EQ(m.migrations_deferred, m.migrations_abandoned);
+  EXPECT_EQ(m.deferred_migration_bytes, m.abandoned_migration_bytes);
+  EXPECT_EQ(column_sum(slurp(ts_path()), "deferred_bytes"),
+            m.deferred_migration_bytes);
+  EXPECT_EQ(m.migration_retries, 0);
+  EXPECT_EQ(m.peak_deferred_backlog_bytes, 0);
 }
 
 TEST_F(ShardFaultDeterminismTest, FractionsWithin100MbpsCountBothDirections) {

@@ -63,7 +63,7 @@ class SnapshotTest : public ::testing::Test {
     par::set_num_threads(0);
   }
 
-  /// Fault plan with a total backhaul outage so the dispatcher queue is
+  /// Fault plan with a total backhaul outage so the retry queue is
   /// non-empty at the checkpoint, plus a crash, a telemetry dropout and a
   /// client disconnect.
   static SimulationConfig faulted_config() {
@@ -158,17 +158,19 @@ TEST_F(SnapshotTest, ResumeUnderFaultPlanIsByteIdentical) {
   const RunResult reference = full_run(config, 2);
   // Checkpoint at a boundary inside the total backhaul outage (intervals
   // 1..6) where the retry queue is actually non-empty, so the snapshot
-  // must carry live mid-backoff dispatcher state. Which boundary that is
+  // must carry live mid-backoff retry state. Which boundary that is
   // depends on when a migration first crosses the dead link, so probe.
   snapshot::SimSnapshot snap;
   bool queued = false;
   for (int stop = 1; stop <= 7 && !queued; ++stop) {
     snap = checkpoint_at(config, stop, 2);
-    queued = !snap.dispatcher.queue.empty();
+    queued = !snap.retry_orders.empty();
   }
   ASSERT_TRUE(queued)
       << "outage never deferred a migration; the scenario lost its bite";
-  EXPECT_GT(snap.dispatcher.backlog_bytes, 0);
+  Bytes backlog = 0;
+  for (const LayerRetryOrder& order : snap.retry_orders) backlog += order.bytes;
+  EXPECT_GT(backlog, 0);
 
   for (const int threads : {1, 2, 8}) {
     const RunResult resumed = resume_from(config, snap, threads);
@@ -207,7 +209,7 @@ TEST_F(SnapshotTest, WireFormatRoundTripsExactly) {
   EXPECT_EQ(decoded.link_rng, snap.link_rng);
   EXPECT_EQ(decoded.caches, snap.caches);
   EXPECT_EQ(decoded.attached, snap.attached);
-  EXPECT_EQ(decoded.dispatcher.queue.size(), snap.dispatcher.queue.size());
+  EXPECT_EQ(decoded.retry_orders.size(), snap.retry_orders.size());
   EXPECT_EQ(decoded.timeseries_rows.size(), snap.timeseries_rows.size());
   // ...and the strong form: re-encoding reproduces the exact bytes.
   EXPECT_EQ(snapshot::encode(decoded), bytes);
@@ -410,7 +412,7 @@ TEST_F(SnapshotTest, GoldenVersion6ClassicFixtureResumesExactly) {
   ASSERT_EQ(declared_version(bytes), 6u);
   const snapshot::SimSnapshot snap = snapshot::decode(bytes);
   EXPECT_EQ(snap.version, 6u);
-  EXPECT_FALSE(snap.dispatcher.queue.empty());
+  EXPECT_FALSE(snap.retry_orders.empty());
   EXPECT_TRUE(snap.traffic.has_width(snap.caches.size()));
   EXPECT_GT(snap.traffic.busiest_total, 0);
   const RunResult reference = full_run(faulted_config(), 2);
@@ -432,11 +434,11 @@ TEST_F(SnapshotTest, RestoreRejectsOutOfRangeState) {
     cached = 0;
     while (cached < snap.caches.size() && snap.caches[cached].empty())
       ++cached;
-    if (!snap.dispatcher.queue.empty() && cached < snap.caches.size()) break;
+    if (!snap.retry_orders.empty() && cached < snap.caches.size()) break;
   }
-  ASSERT_FALSE(snap.dispatcher.queue.empty());
+  ASSERT_FALSE(snap.retry_orders.empty());
   ASSERT_LT(cached, snap.caches.size());
-  ASSERT_FALSE(snap.dispatcher.queue.front().layers.empty());
+  ASSERT_FALSE(snap.retry_orders.front().payload.empty());
   ASSERT_FALSE(snap.caches[cached].front().layers.empty());
 
   const LayerId bad_layer = world_->model.num_layers();
@@ -445,14 +447,23 @@ TEST_F(SnapshotTest, RestoreRejectsOutOfRangeState) {
   const std::vector<std::pair<const char*, std::function<void(Snap&)>>>
       mutations = {
           {"order source",
-           [](Snap& s) { s.dispatcher.queue.front().source = 1 << 20; }},
+           [](Snap& s) { s.retry_orders.front().source = 1 << 20; }},
           {"order target",
-           [](Snap& s) { s.dispatcher.queue.front().target = -1; }},
+           [](Snap& s) { s.retry_orders.front().target = -1; }},
           {"order client",
-           [&](Snap& s) { s.dispatcher.queue.front().client = bad_client; }},
+           [&](Snap& s) { s.retry_orders.front().client = bad_client; }},
           {"order layer",
            [&](Snap& s) {
-             s.dispatcher.queue.front().layers.back() = bad_layer;
+             s.retry_orders.front().payload.back() = bad_layer;
+           }},
+          {"order bytes", [](Snap& s) { s.retry_orders.front().bytes = -1; }},
+          {"order attempts",
+           [](Snap& s) { s.retry_orders.front().attempts = 0; }},
+          // A parked order always has an attempt left.
+          {"order spent budget",
+           [&](Snap& s) {
+             s.retry_orders.front().attempts =
+                 config.migration_retry.max_attempts;
            }},
           {"cache client",
            [&](Snap& s) { s.caches[cached].front().client = -3; }},

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the repo with ASan+UBSan (-DPERDNN_SANITIZE=address) and runs the
 # robustness surface under it: the fault-plan/timeline unit tests, the
-# migration-dispatcher retry tests, the end-to-end fault simulations, the
+# retry-queue tests (both payloads), the end-to-end fault simulations, the
 # fault-plan determinism gates (serial and sharded), and bench_chaos smoke
 # runs (sweep + scripted plan + sharded fault scenario + strict-flag
 # rejection). A second leg rebuilds with -DPERDNN_SIMD=OFF and re-runs the
@@ -12,7 +12,7 @@
 # plans (out-of-range and fractional numbers, a window ending past INT_MAX,
 # broken JSON, an unknown kind, an entity outside the world) and requires a
 # clean exit 2 for each under the sanitizers, and exit 0 for a valid plan.
-# Three legs in the same style follow. The trace-file leg feeds `perdnn
+# Four legs in the same style follow. The trace-file leg feeds `perdnn
 # simulate` malformed trace files (bad magic, signed and huge counts, a
 # sampling interval or a point beyond its bound, no trajectories, a
 # trajectory without points) and one written by `perdnn traces`. The
@@ -22,7 +22,11 @@
 # manifests with out-of-range, fractional and out-of-domain numbers (minutes
 # beyond the same bound among them) and broken JSON, plus one valid
 # manifest, and `perdnn_runner run` a manifest naming a malformed trace
-# file.
+# file. The tool-argument leg gives `perdnn partition` a load or uplink
+# that is not the whole argument, outside int, not finite, and
+# `perdnn_runner` a --workers count or a worker index/count that is not an
+# int in range (one that wraps through atoi among them), plus one valid
+# `perdnn partition`.
 #
 # The budgeted-cache leg rides along: the CacheBudget suites (which include
 # the crash-mid-pressure kill -9 resume byte-identity gate and per-interval
@@ -43,7 +47,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 export PERDNN_THREADS=4
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
 
-CHAOS_TESTS='FaultPlan|FaultTimeline|FaultSim|MigrationDispatcher|LayerCache|ParallelDeterminism|SimulationConfigValidate|SimulationMetricsFault|ShardDeterminism|ShardFault|ShardRetry|CacheBudget'
+CHAOS_TESTS='FaultPlan|FaultTimeline|FaultSim|RetryQueue|LayerCache|ParallelDeterminism|SimulationConfigValidate|SimulationMetricsFault|ShardDeterminism|ShardFault|CacheBudget'
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$CHAOS_TESTS"
 
@@ -182,6 +186,25 @@ printf '{"model":"mobilenet","trace":"%s","policies":["perdnn"],"seeds":[1]}\n' 
 expect_exit "manifest with a malformed trace file" 2 \
   "$BUILD_DIR"/tools/perdnn_runner run "$PROBE_DIR/bad-trace.manifest.json" \
   "$PROBE_DIR/bad-trace-sweep" --workers 1
+
+# Tool arguments: a number must be the whole argument and in range.
+for args in "4294967297" "1 1e400" "1 nan" "2x" "1 35abc" "0" "1 -35"; do
+  # shellcheck disable=SC2086  # $args is two words on purpose
+  expect_exit "partition $args" 2 "$BUILD_DIR"/tools/perdnn partition \
+    mobilenet $args
+done
+expect_exit "partition within range" 0 "$BUILD_DIR"/tools/perdnn partition \
+  mobilenet 2 35
+for workers in 2x 0 4294967297; do
+  expect_exit "runner --workers $workers" 2 "$BUILD_DIR"/tools/perdnn_runner \
+    run "$PROBE_DIR/valid.manifest.json" "$PROBE_DIR/args-sweep" \
+    --workers "$workers"
+done
+expect_exit "runner worker index past int" 2 \
+  "$BUILD_DIR"/tools/perdnn_runner worker "$PROBE_DIR/valid.manifest.json" \
+  "$PROBE_DIR/args-sweep" 4294967296 4294967297
+expect_exit "runner worker count 1x" 2 "$BUILD_DIR"/tools/perdnn_runner \
+  worker "$PROBE_DIR/valid.manifest.json" "$PROBE_DIR/args-sweep" 0 1x
 
 # ---- scalar leg: same sanitizer coverage with the SIMD kernels off --------
 SCALAR_DIR="${BUILD_DIR}-scalar"

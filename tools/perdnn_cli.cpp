@@ -3,7 +3,9 @@
 //   perdnn models
 //       List the model zoo with sizes, FLOPs and device latencies.
 //   perdnn partition <model> [load] [uplink_mbps]
-//       Print the partitioning plan for a client/server pair.
+//       Print the partitioning plan for a client/server pair. A load that
+//       is not an int >= 1, or an uplink that is not a finite number > 0,
+//       exits 2.
 //   perdnn traces <campus|urban> <out.txt> [users] [minutes]
 //       Generate a synthetic mobility dataset and save it. A trace file in
 //       place of campus|urban is re-read and re-saved; one that fails to
@@ -41,13 +43,10 @@
 // Unknown commands, flags, model names and policy names are hard errors:
 // they print to stderr and exit non-zero instead of silently falling back
 // to defaults.
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,9 +62,13 @@
 #include "sim/simulator.hpp"
 #include "snapshot/snapshot.hpp"
 
+#include "arg_parse.hpp"
+
 namespace {
 
 using namespace perdnn;
+using tools::parse_double;
+using tools::parse_int;
 
 int usage() {
   std::fprintf(stderr,
@@ -125,9 +128,19 @@ int cmd_models() {
 int cmd_partition(int argc, char** argv) {
   if (argc < 1) return usage();
   const DnnModel model = model_by_name(argv[0]);
-  const int load = argc > 1 ? std::atoi(argv[1]) : 1;
-  const double uplink = argc > 2 ? std::atof(argv[2]) : 35.0;
-  if (load < 1 || uplink <= 0.0) return usage();
+  int load = 1;
+  double uplink = 35.0;
+  if (argc > 1 && !(parse_int(argv[1], &load) && load >= 1)) {
+    std::fprintf(stderr, "error: load must be an integer >= 1, got '%s'\n",
+                 argv[1]);
+    return 2;
+  }
+  if (argc > 2 && !(parse_double(argv[2], &uplink) && uplink > 0.0)) {
+    std::fprintf(stderr,
+                 "error: uplink_mbps must be a finite number > 0, got '%s'\n",
+                 argv[2]);
+    return 2;
+  }
 
   const DnnProfile client = profile_on_client(model, odroid_xu4_profile());
   const GpuContentionModel gpu(titan_xp_profile());
@@ -160,28 +173,6 @@ int cmd_partition(int argc, char** argv) {
               plan_energy_joules(context, plan, energy),
               local_only_latency(context) * energy.compute_watts);
   return 0;
-}
-
-/// Strict numeric parses: the whole token must be consumed, and an int
-/// must fit in int.
-bool parse_double(const std::string& text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int(const std::string& text, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max())
-    return false;
-  *out = static_cast<int>(v);
-  return true;
 }
 
 /// Sampling period of the campus and urban traces the CLI generates.

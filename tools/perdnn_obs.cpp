@@ -38,9 +38,12 @@
 
 #include "obs/journal.hpp"
 
+#include "arg_parse.hpp"
+
 namespace {
 
 using namespace perdnn;
+using tools::parse_int;
 using obs::JournalEvent;
 using obs::JournalEventKind;
 
@@ -76,15 +79,6 @@ std::vector<JournalEvent> load_journal(const std::string& path) {
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Strict int parse: the whole token must be numeric.
-bool parse_int(const std::string& text, long long* out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 const char* detach_reason_name(std::int32_t detail) {

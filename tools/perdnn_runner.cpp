@@ -58,6 +58,8 @@
 #include "sim/simulator.hpp"
 #include "snapshot/snapshot.hpp"
 
+#include "arg_parse.hpp"
+
 namespace {
 
 using namespace perdnn;
@@ -668,9 +670,13 @@ int cmd_inspect(const std::string& path) {
     std::printf("  clients:         %zu\n", snap.clients.size());
     std::printf("  load levels:     %zu base, %zu degraded\n",
                 snap.levels.size(), snap.degraded_levels.size());
-    std::printf("  deferred queue:  %zu order(s), %lld bytes backlog\n",
-                snap.dispatcher.queue.size(),
-                static_cast<long long>(snap.dispatcher.backlog_bytes));
+    // Summed in double: a crafted file's byte counts could overflow an
+    // integer sum, and a genuine backlog stays far below 2^53.
+    double backlog = 0.0;
+    for (const LayerRetryOrder& order : snap.retry_orders)
+      backlog += static_cast<double>(order.bytes);
+    std::printf("  deferred queue:  %zu order(s), %.0f bytes backlog\n",
+                snap.retry_orders.size(), backlog);
     std::printf("  timeseries rows: %zu%s\n", snap.timeseries_rows.size(),
                 snap.has_timeseries ? "" : " (not recorded)");
     std::printf("  journal events:  %zu%s\n", snap.journal.events.size(),
@@ -697,18 +703,20 @@ int main(int argc, char** argv) {
       int workers = 2;
       for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
+        std::string value;
         if (arg == "--workers" && i + 1 < argc) {
-          workers = std::atoi(argv[++i]);
+          value = argv[++i];
         } else if (arg.rfind("--workers=", 0) == 0) {
-          workers = std::atoi(arg.c_str() + 10);
+          value = arg.substr(10);
         } else {
           std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
           return 2;
         }
-      }
-      if (workers < 1) {
-        std::fprintf(stderr, "--workers must be >= 1\n");
-        return 2;
+        if (!tools::parse_int(value, &workers) || workers < 1) {
+          std::fprintf(stderr, "--workers must be an integer >= 1, got '%s'\n",
+                       value.c_str());
+          return 2;
+        }
       }
       Manifest m = parse_manifest(argv[2]);
       load_trace_file(m);
@@ -716,9 +724,11 @@ int main(int argc, char** argv) {
     }
     if (command == "worker") {
       if (argc != 6) return usage();
-      const int index = std::atoi(argv[4]);
-      const int count = std::atoi(argv[5]);
-      if (count < 1 || index < 0 || index >= count) {
+      int index = 0;
+      int count = 0;
+      if (!tools::parse_int(argv[4], &index) ||
+          !tools::parse_int(argv[5], &count) || count < 1 || index < 0 ||
+          index >= count) {
         std::fprintf(stderr, "worker index out of range\n");
         return 2;
       }
