@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/arg_parse.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "obs/resource.hpp"
@@ -52,11 +53,9 @@ int usage() {
 }
 
 bool int_flag(int argc, char** argv, int& i, int* out) {
-  if (i + 1 >= argc) return false;
-  char* end = nullptr;
-  const long v = std::strtol(argv[++i], &end, 10);
-  if (end == argv[i] || *end != '\0' || v <= 0) return false;
-  *out = static_cast<int>(v);
+  int v = 0;
+  if (i + 1 >= argc || !parse_int(argv[++i], &v) || v <= 0) return false;
+  *out = v;
   return true;
 }
 
@@ -74,14 +73,10 @@ bool parse_args(int argc, char** argv, Args* args) {
     } else if (name == "--shards") {
       if (!int_flag(argc, argv, i, &args->shards)) return false;
     } else if (name == "--seed") {
-      char* end = nullptr;
-      const unsigned long long seed =
-          i + 1 < argc ? std::strtoull(argv[++i], &end, 10) : 0;
-      if (end == nullptr || end == argv[i] || *end != '\0') {
+      if (i + 1 >= argc || !parse_int(argv[++i], &args->seed)) {
         std::fprintf(stderr, "error: --seed needs an integer\n");
         return false;
       }
-      args->seed = seed;
     } else if (name == "--json-out") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --json-out needs a file\n");

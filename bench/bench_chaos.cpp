@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/arg_parse.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "datasets.hpp"
@@ -78,11 +79,9 @@ int usage() {
 }
 
 bool int_flag(int argc, char** argv, int& i, int* out) {
-  if (i + 1 >= argc) return false;
-  char* end = nullptr;
-  const long v = std::strtol(argv[++i], &end, 10);
-  if (end == argv[i] || *end != '\0' || v <= 0) return false;
-  *out = static_cast<int>(v);
+  int v = 0;
+  if (i + 1 >= argc || !parse_int(argv[++i], &v) || v <= 0) return false;
+  *out = v;
   return true;
 }
 
@@ -112,14 +111,10 @@ bool parse_args(int argc, char** argv, Args* args) {
       }
     } else if (name == "--seed") {
       const char* value = next_value();
-      char* end = nullptr;
-      const unsigned long long seed =
-          value != nullptr ? std::strtoull(value, &end, 10) : 0;
-      if (value == nullptr || end == value || *end != '\0') {
+      if (value == nullptr || !parse_int(value, &args->seed)) {
         std::fprintf(stderr, "error: --seed needs an integer\n");
         return false;
       }
-      args->seed = seed;
     } else if (name == "--plan") {
       const char* value = next_value();
       if (value == nullptr) {

@@ -1,8 +1,10 @@
-// Strict number parses for the command-line tools (perdnn, perdnn_runner,
-// perdnn_obs). A value must be the whole argument: no leading space or
-// sign other than '-', no trailing characters. An integer must fit its
-// type and a double must be finite. Callers check the domain (>= 1, an
-// index below a count, ...) and exit 2 on either failure.
+// Strict number parses for command-line arguments and environment values:
+// the tools (perdnn, perdnn_runner, perdnn_obs), the benches and the
+// --threads / PERDNN_THREADS resolution. A value must be the whole text: no
+// leading space or sign other than '-', no trailing characters. An integer
+// must fit its type and a double must be finite. Callers check the domain
+// (>= 1, an index below a count, ...); the tools and benches exit 2 on
+// either failure.
 #pragma once
 
 #include <charconv>
@@ -10,7 +12,7 @@
 #include <string>
 #include <system_error>
 
-namespace perdnn::tools {
+namespace perdnn {
 
 template <typename Int>
 bool parse_int(const std::string& text, Int* out) {
@@ -31,4 +33,4 @@ inline bool parse_double(const std::string& text, double* out) {
   return true;
 }
 
-}  // namespace perdnn::tools
+}  // namespace perdnn

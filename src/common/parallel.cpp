@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "common/arg_parse.hpp"
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
 
@@ -25,11 +26,9 @@ int g_override_threads = 0;           // guarded by g_pool_mu; 0 = auto
 
 int env_threads() {
   const char* env = std::getenv("PERDNN_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || v < 1) return 0;  // ignore garbage
-  return static_cast<int>(v);
+  int n = 0;
+  if (env == nullptr || !parse_int(env, &n) || n < 1) return 0;  // garbage
+  return n;
 }
 
 int resolve_threads_locked() {
@@ -75,14 +74,13 @@ int init_threads_from_cli(int argc, char** argv) {
       argv[out++] = argv[i];
       continue;
     }
-    char* end = nullptr;
-    const long n = std::strtol(value, &end, 10);
-    if (end == nullptr || *end != '\0' || n < 1) {
+    int n = 0;
+    if (!parse_int(value, &n) || n < 1) {
       std::fprintf(stderr, "--threads expects an integer >= 1, got '%s'\n",
                    value);
       std::exit(2);
     }
-    set_num_threads(static_cast<int>(n));
+    set_num_threads(n);
   }
   argv[out] = nullptr;
   return out;

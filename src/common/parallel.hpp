@@ -18,7 +18,8 @@
 //     Rng::fork() per task). Never share one Rng across tasks.
 //
 // Thread count resolution (first match wins): set_num_threads(n) with n >= 1,
-// the PERDNN_THREADS environment variable, std::thread::hardware_concurrency.
+// the PERDNN_THREADS environment variable when it is a whole int >= 1,
+// std::thread::hardware_concurrency.
 // A count of 1 bypasses the pool entirely: no threads are created and the
 // loop bodies run inline on the caller.
 //
@@ -61,8 +62,8 @@ int num_threads();
 
 /// Parses a `--threads N` flag out of argv (both `--threads N` and
 /// `--threads=N`), applies it via set_num_threads, and compacts argv in
-/// place. Returns the new argc. Call first thing in main(); a malformed
-/// value exits with status 2.
+/// place. Returns the new argc. Call first thing in main(); a value that is
+/// not a whole int >= 1 exits with status 2 before it reaches the pool.
 int init_threads_from_cli(int argc, char** argv);
 
 /// Fixed-size FIFO thread pool. Most code should use parallel_for /

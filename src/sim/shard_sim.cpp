@@ -123,6 +123,30 @@ struct CacheEntry {
   std::int32_t expire = 0;  ///< meaningful only while the owner is detached
 };
 
+/// A push delivered onto a range's server from a source in another range.
+struct CrossPush {
+  ServerId source = kNoServer;
+  ServerId target = kNoServer;
+  Bytes bytes = 0;
+};
+
+/// One range of the Phase B walk: the servers [lo, hi) of a run of whole
+/// shards. The walk writes the state of these servers only; the one write a
+/// range makes on another's server, a push's uplink bytes and order on its
+/// source, waits in the outbox for the fold after the walk. Aligned so that
+/// ranges on different threads share no cache line.
+struct alignas(64) ServerRange {
+  ServerId lo = 0;
+  ServerId hi = 0;
+  // Per shard: the next event to read and the end of the shard's buffer.
+  std::vector<std::pair<const Event*, const Event*>> head;
+  std::vector<CrossPush> outbox;
+  // admit()'s eviction candidates, (prefix, client).
+  std::vector<std::pair<std::uint16_t, ClientId>> victims;
+
+  bool owns(ServerId s) const { return s >= lo && s < hi; }
+};
+
 class ShardEngine {
  public:
   ShardEngine(const ShardWorld& world, const ShardRunOptions& options)
@@ -201,16 +225,10 @@ class ShardEngine {
     }
 
     num_shards_ = std::clamp(options.num_shards, 1, cfg_.num_servers());
-    const int tiles = cfg_.num_servers();
-    tile_shard_.assign(static_cast<std::size_t>(tiles), 0);
-    for (int sh = 0; sh < num_shards_; ++sh) {
-      const int lo = static_cast<int>(
-          static_cast<std::int64_t>(sh) * tiles / num_shards_);
-      const int hi = static_cast<int>(
-          static_cast<std::int64_t>(sh + 1) * tiles / num_shards_);
-      for (int tile = lo; tile < hi; ++tile)
+    tile_shard_.assign(static_cast<std::size_t>(cfg_.num_servers()), 0);
+    for (int sh = 0; sh < num_shards_; ++sh)
+      for (ServerId tile = first_tile(sh); tile < first_tile(sh + 1); ++tile)
         tile_shard_[static_cast<std::size_t>(tile)] = sh;
-    }
     bufs_.resize(static_cast<std::size_t>(num_shards_));
     for (ShardBuf& buf : bufs_)
       buf.wheel.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
@@ -251,15 +269,32 @@ class ShardEngine {
                      int probed_p0, int t, ShardBuf& buf);
   void emit_pushes(ClientId c, ServerId sid, int t, ShardBuf& buf);
 
-  // -- phase B (serial, canonical client-id order) ---------------------------
-  void apply_events(int t);
-  void apply_event(const Event& e, int t);
+  /// The first tile of shard `sh`; shard num_shards_ starts past the last.
+  ServerId first_tile(int sh) const {
+    return static_cast<ServerId>(static_cast<std::int64_t>(sh) *
+                                 cfg_.num_servers() / num_shards_);
+  }
+
+  // -- phase B (server ranges in parallel, canonical client-id order) --------
+  void phase_b(int t);
+  void walk_range(ServerRange& r, int t);
+  void attach(ServerRange& r, const Event& e, int t);
   void detach_from(ClientId c, ServerId sid, int t, std::int32_t reason);
-  void cache_store(ServerId sid, ClientId c, int new_prefix, int t);
-  int admit(ServerId sid, ClientId c, int old_prefix, int want, int t);
+  void cache_store(ServerRange& r, ServerId sid, ClientId c, int new_prefix,
+                   int t);
+  /// `sid`'s entry for `c`, created if absent, once prefix `p` is admitted
+  /// over the entry's under the budget; `p` becomes the admitted prefix.
+  CacheEntry& admit_entry(ServerRange& r, ServerId sid, ClientId c, int& p,
+                          int t);
+  int admit(ServerRange& r, ServerId sid, ClientId c, int old_prefix,
+            int want, int t);
   void raise_prefix(ServerId sid, ClientId c, CacheEntry& entry, int p);
   void erase_entry(ServerId sid, ClientId c, int prefix);
-  void schedule_expiry(ServerId sid, ClientId c, int expire);
+  void schedule_expiry(ServerId sid, ClientId c, CacheEntry& entry,
+                       int expire);
+  bool spans_all(const ServerRange& r) const {
+    return r.lo == 0 && r.hi == cfg_.num_servers();
+  }
   /// The wheel slot of `sid`'s shard that fires at interval `expire`.
   std::vector<std::pair<ServerId, ClientId>>& wheel_slot(ServerId sid,
                                                          int expire) {
@@ -275,12 +310,12 @@ class ShardEngine {
   // -- fault machinery (serial; all no-ops on a fault-free run) --------------
   void fault_step(int t);
   void compute_shed();
-  void apply_shed(const Event& e, int t);
-  void push_faulted(const Event& e, int t);
+  void apply_shed(const ServerRange& r, const Event& e, int t);
+  void push_faulted(ServerRange& r, const Event& e, int t);
   int fit_link(ServerId source, ServerId target, double factor,
                int old_prefix, int want);
-  void deliver_push(ClientId c, ServerId source, ServerId target,
-                    int old_prefix, int new_prefix, int t);
+  void deliver_push(ServerRange& r, ClientId c, ServerId source,
+                    ServerId target, int new_prefix, int t);
   // The retry rule of both engines (DESIGN.md §14).
   /// A failed first delivery toward prefix `want`: counted as deferred,
   /// then parked or dropped at once.
@@ -293,7 +328,7 @@ class ShardEngine {
                   obs::DropReason reason);
   /// Re-attempts every parked order whose backoff elapsed, in (source,
   /// FIFO) order.
-  void retry_deferred(int t);
+  void retry_deferred(ServerRange& r, int t);
 
   // -- checkpoint / resume ---------------------------------------------------
   void restore_from(const snapshot::SimSnapshot& snap);
@@ -322,7 +357,6 @@ class ShardEngine {
   // Server-side state (phase B only; phase A reads the frozen tables).
   std::vector<FlatMap32<CacheEntry>> cache_;
   std::vector<int> attached_;
-  long long total_attached_ = 0;
   // Budgeted-cache state; inert when cfg_.cache_budget_bytes == 0. Resident
   // bytes per tile are maintained incrementally by every Phase B mutation,
   // so budget_ > 0 never touches Phase A.
@@ -334,7 +368,6 @@ class ShardEngine {
   // index instead of the table. Every prefix change goes through
   // raise_prefix()/erase_entry(), which keep it and cache_bytes_ exact.
   std::vector<std::vector<ClientId>> resident_;
-  std::vector<std::pair<std::uint16_t, ClientId>> evict_scratch_;
 
   // Attach-time lookup tables, filled once at construction: the cold-start
   // window outcome is a pure function of (load level, cached prefix p0) and
@@ -353,6 +386,7 @@ class ShardEngine {
   std::vector<std::vector<ClientId>> buckets_;
   std::vector<int> owner_;  // per client: the shard that ran it this interval
   std::vector<ShardBuf> bufs_;
+  std::vector<ServerRange> ranges_;  // Phase B's split of the servers
 
   // Fault machinery (inert unless the config scripts a plan). Phase A reads
   // the timeline's flags, which only fault_step moves.
@@ -678,10 +712,9 @@ void ShardEngine::emit_pushes(ClientId c, ServerId sid, int /*t*/,
 void ShardEngine::detach_from(ClientId c, ServerId sid, int t,
                               std::int32_t reason) {
   --attached_[static_cast<std::size_t>(sid)];
-  --total_attached_;
   if (cfg_.policy == MigrationPolicy::kProactive) {
-    if (cache_[static_cast<std::size_t>(sid)].find(c) != nullptr)
-      schedule_expiry(sid, c, t + cfg_.ttl_intervals);
+    if (CacheEntry* entry = cache_[static_cast<std::size_t>(sid)].find(c))
+      schedule_expiry(sid, c, *entry, t + cfg_.ttl_intervals);
   }
   journal({.interval = t,
            .kind = obs::JournalEventKind::kDetach,
@@ -690,35 +723,35 @@ void ShardEngine::detach_from(ClientId c, ServerId sid, int t,
            .detail = reason});
 }
 
-void ShardEngine::schedule_expiry(ServerId sid, ClientId c, int expire) {
-  auto& entry = cache_[static_cast<std::size_t>(sid)][c];
+void ShardEngine::schedule_expiry(ServerId sid, ClientId c, CacheEntry& entry,
+                                  int expire) {
   if (expire > entry.expire) {
     entry.expire = expire;
     wheel_slot(sid, expire).push_back({sid, c});
   }
 }
 
-void ShardEngine::cache_store(ServerId sid, ClientId c, int new_prefix,
-                              int t) {
+CacheEntry& ShardEngine::admit_entry(ServerRange& r, ServerId sid, ClientId c,
+                                     int& p, int t) {
+  auto& table = cache_[static_cast<std::size_t>(sid)];
+  CacheEntry& entry = table[c];
+  if (budget_ == 0 || p <= entry.prefix) return entry;
+  p = admit(r, sid, c, entry.prefix, p, t);
+  return table[c];  // an eviction may have moved the entry's slot
+}
+
+void ShardEngine::cache_store(ServerRange& r, ServerId sid, ClientId c,
+                              int new_prefix, int t) {
   if (cfg_.policy != MigrationPolicy::kProactive) return;
-  const auto si = static_cast<std::size_t>(sid);
   int p = new_prefix;
-  if (budget_ > 0) {
-    const CacheEntry* cur = cache_[si].find(c);
-    const int old_prefix = cur != nullptr ? cur->prefix : 0;
-    if (new_prefix > old_prefix) {
-      p = admit(sid, c, old_prefix, new_prefix, t);
-      if (p < new_prefix &&
-          server_[static_cast<std::size_t>(c)] == sid) {
-        // The owner's own store was trimmed: sync the SoA upload state back
-        // down so the client keeps re-offering the refused suffix instead of
-        // believing it is resident.
-        prefix_[static_cast<std::size_t>(c)] = static_cast<std::uint16_t>(p);
-        carry_[static_cast<std::size_t>(c)] = 0;
-      }
-    }
+  CacheEntry& entry = admit_entry(r, sid, c, p, t);
+  if (p < new_prefix && server_[static_cast<std::size_t>(c)] == sid) {
+    // The owner's own store was trimmed: sync the SoA upload state back
+    // down so the client keeps re-offering the refused suffix instead of
+    // believing it is resident.
+    prefix_[static_cast<std::size_t>(c)] = static_cast<std::uint16_t>(p);
+    carry_[static_cast<std::size_t>(c)] = 0;
   }
-  auto& entry = cache_[si][c];
   if (p > entry.prefix) {
     journal({.interval = t,
              .kind = obs::JournalEventKind::kCacheStore,
@@ -755,32 +788,32 @@ void ShardEngine::erase_entry(ServerId sid, ClientId c, int prefix) {
   cache_[si].erase(c);
 }
 
-int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
-                       int t) {
+int ShardEngine::admit(ServerRange& r, ServerId sid, ClientId c,
+                       int old_prefix, int want, int t) {
   // Budget admission for one tile cache, Phase B only. Evicts detached
   // entries — largest resident prefix first (the lowest marginal
   // latency-saved-per-byte on the shared concave latency-by-prefix curve),
   // ties to the highest client id — until the incoming delta fits, then
   // trims the admission to the longest prefix the remaining room allows.
-  // Pure function of serial Phase B state, so identical across every
-  // shard/thread count.
+  // Reads only this tile's state and server_, which only a shed writes in
+  // Phase B, and a shed interval walks one range: it decides as the serial
+  // walk would at every range count.
   const auto si = static_cast<std::size_t>(sid);
   const Bytes need = w_.prefix_bytes[static_cast<std::size_t>(want)] -
                      w_.prefix_bytes[static_cast<std::size_t>(old_prefix)];
   if (cache_bytes_[si] + need > budget_) {
-    evict_scratch_.clear();
+    r.victims.clear();
     for (const ClientId vc : resident_[si]) {
       if (vc == c) continue;
       if (server_[static_cast<std::size_t>(vc)] == sid) continue;  // attached
-      evict_scratch_.emplace_back(cache_[si].find(vc)->prefix, vc);
+      r.victims.emplace_back(cache_[si].find(vc)->prefix, vc);
     }
-    std::sort(evict_scratch_.begin(), evict_scratch_.end(),
+    std::sort(r.victims.begin(), r.victims.end(),
               [](const auto& a, const auto& b) { return b < a; });
-    for (const auto& [vprefix, vc] : evict_scratch_) {
+    for (const auto& [vprefix, vc] : r.victims) {
       if (cache_bytes_[si] + need <= budget_) break;
       const Bytes vbytes = w_.prefix_bytes[static_cast<std::size_t>(vprefix)];
       erase_entry(sid, vc, vprefix);
-      ++metrics_.cache_evictions;
       ++rows_[si].cache_evictions;
       journal({.interval = t,
                .kind = obs::JournalEventKind::kCacheEvict,
@@ -800,7 +833,6 @@ int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
                                         bytes.begin() + want + 1, room);
   const int p = static_cast<int>(fit_end - bytes.begin()) - 1;
   if (p < want) {
-    ++metrics_.cache_partial_stores;
     ++rows_[si].cache_partial_stores;
     journal({.interval = t,
              .kind = obs::JournalEventKind::kCachePartial,
@@ -813,134 +845,81 @@ int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
   return p;
 }
 
-void ShardEngine::apply_event(const Event& e, int t) {
-  switch (e.kind) {
-    case kEvOffline:
-      detach_from(e.client, e.server, t, obs::kDetachDisconnect);
-      break;
-    case kEvAttach: {
-      if (e.peer != kNoServer) detach_from(e.client, e.peer, t,
-                                           obs::kDetachMoved);
-      ++attached_[static_cast<std::size_t>(e.server)];
-      ++total_attached_;
-      ++metrics_.server_changes;
-      obs::TimeseriesRow& row = rows_[static_cast<std::size_t>(e.server)];
-      if (e.cls == 0) {
-        ++metrics_.hits;
-        ++row.hits;
-      } else if (e.cls == 1) {
-        ++metrics_.partials;
-        ++row.partials;
-      } else {
-        ++metrics_.misses;
-        ++row.misses;
-      }
-      metrics_.cold_window_queries += e.queries;
-      row.cold_window_queries += e.queries;
-      row.cold_latency_sum_s += e.latency_sum;
-      const bool degraded = (e.flags & kFlagDegraded) != 0;
-      if (degraded) {
-        ++metrics_.degraded_attaches;
-        ++row.degraded;
-      }
-      if (jr_ != nullptr) {
-        const std::uint64_t chain = jr_->begin_chain(e.client);
-        jr_->record({.interval = t,
-                     .kind = obs::JournalEventKind::kAttach,
-                     .chain = chain,
-                     .client = e.client,
-                     .server = e.server,
-                     .peer = e.peer});
-        jr_->record({.interval = t,
-                     .kind = degraded ? obs::JournalEventKind::kDegradedPlan
-                                      : obs::JournalEventKind::kPlan,
-                     .chain = chain,
-                     .client = e.client,
-                     .server = e.server,
-                     .detail = e.cls == 0   ? obs::kPlanHit
-                               : e.cls == 1 ? obs::kPlanPartial
-                                            : obs::kPlanMiss,
-                     .aux = K_ - e.p0});
-        if (e.queries > 0)
-          jr_->record({.interval = t,
-                       .kind = obs::JournalEventKind::kColdServe,
-                       .chain = chain,
-                       .client = e.client,
-                       .server = e.server,
-                       .aux = static_cast<std::int32_t>(e.queries),
-                       .value = e.latency_sum});
-      }
-      cache_store(e.server, e.client, e.p_end, t);
-      break;
+void ShardEngine::phase_b(int t) {
+  // One range holding every server walks in exactly the serial order. More
+  // ranges apply the same events in parallel, which is byte-identical only
+  // while no effect crosses ranges in an order-sensitive way (DESIGN.md §12):
+  // journal records go to one file in client order, fault-path pushes share
+  // the link ledger and the retry FIFOs, and a shed attach writes server_,
+  // which admit() on every range reads. Inside another parallel region the
+  // ranges would run one after another, so one range does the job once.
+  const bool one_range = jr_ != nullptr || !ft_.empty() || !shed_.empty() ||
+                         par::ThreadPool::on_worker_thread();
+  const auto num_ranges = static_cast<std::size_t>(
+      one_range ? 1 : std::min(par::num_threads(), num_shards_));
+  if (ranges_.size() != num_ranges) {
+    ranges_ = std::vector<ServerRange>(num_ranges);
+    const auto shards = static_cast<std::size_t>(num_shards_);
+    for (std::size_t i = 0; i < num_ranges; ++i) {
+      ranges_[i].lo =
+          first_tile(static_cast<int>(i * shards / num_ranges));
+      ranges_[i].hi =
+          first_tile(static_cast<int>((i + 1) * shards / num_ranges));
+      ranges_[i].head.resize(shards);
     }
-    case kEvUpload:
-      cache_store(e.server, e.client, e.p_end, t);
-      break;
-    case kEvLocal: {
-      if (e.peer != kNoServer)
-        detach_from(e.client, e.peer, t, obs::kDetachUnreachable);
-      ++metrics_.unreachable_client_intervals;
-      metrics_.local_fallback_queries += e.queries;
-      metrics_.local_latency_sum_s += e.latency_sum;
-      obs::TimeseriesRow& row = rows_[static_cast<std::size_t>(e.server)];
-      row.local_queries += e.queries;
-      row.local_latency_sum_s += e.latency_sum;
-      if (e.queries > 0)
-        journal({.interval = t,
-                 .kind = obs::JournalEventKind::kLocalFallback,
-                 .client = e.client,
-                 .server = e.server,
-                 .aux = static_cast<std::int32_t>(e.queries),
-                 .value = e.latency_sum});
-      break;
+  }
+  par::parallel_for(num_ranges,
+                    [&](std::size_t i) { walk_range(ranges_[i], t); });
+  if (!ft_.empty()) retry_deferred(ranges_.front(), t);
+
+  // The fold: uplink bytes and orders of the pushes that crossed ranges.
+  // Integer sums, so the order they land in does not matter.
+  for (ServerRange& r : ranges_) {
+    for (const CrossPush& push : r.outbox) {
+      traffic_.record_transfer(push.source, push.target, push.bytes);
+      ++rows_[static_cast<std::size_t>(push.source)].migration_orders;
     }
-    case kEvPush: {
-      if (ft_.backhaul_active() || ft_.server_down(e.peer)) {
-        push_faulted(e, t);
-        break;
-      }
-      const CacheEntry* cur =
-          cache_[static_cast<std::size_t>(e.peer)].find(e.client);
-      deliver_push(e.client, e.server, e.peer,
-                   cur != nullptr ? cur->prefix : 0, e.p_end, t);
-      break;
-    }
-    default:
-      PERDNN_CHECK_MSG(false, "unknown shard event kind");
+    r.outbox.clear();
   }
 }
 
-void ShardEngine::apply_events(int t) {
+void ShardEngine::walk_range(ServerRange& r, int t) {
+  for (ServerId s = r.lo; s < r.hi; ++s)
+    rows_[static_cast<std::size_t>(s)] = {.interval = t, .server = s};
   // Canonical client-id order. Each client's events live contiguously in
   // exactly one shard's buffer, its owner's, so walking clients in id order
   // and draining the head of owner_[c]'s buffer reconstructs the global
-  // order regardless of how tiles were sharded.
-  std::vector<std::size_t> head(bufs_.size(), 0);
+  // order regardless of how tiles were sharded. Every range walks all of it
+  // and keeps the events with an effect on its own servers, so each server
+  // sees its own effects in the serial order. A push acts on its target, an
+  // attach on its server and its previous server, any other event on its
+  // server.
+  for (std::size_t sh = 0; sh < bufs_.size(); ++sh) {
+    const std::vector<Event>& events = bufs_[sh].events;
+    r.head[sh] = {events.data(), events.data() + events.size()};
+  }
   std::size_t c = 0;
   const auto next_event = [&]() -> const Event* {
     for (; c < owner_.size(); ++c) {
-      const auto sh = static_cast<std::size_t>(owner_[c]);
-      const std::vector<Event>& events = bufs_[sh].events;
-      std::size_t& h = head[sh];
-      if (h < events.size() && events[h].client == static_cast<ClientId>(c))
-        return &events[h++];
+      auto& [next, end] = r.head[static_cast<std::size_t>(owner_[c])];
+      while (next != end && next->client == static_cast<ClientId>(c)) {
+        const Event& e = *next++;
+        if (r.owns(e.peer) || (e.kind != kEvPush && r.owns(e.server)))
+          return &e;
+      }
     }
     return nullptr;
   };
   // The next kLookahead events wait in a ring. Each warms the cache-table
   // slots it will probe as it enters, so they have landed by the time it
-  // applies: a push probes its target's table, an attach its own server's
-  // and its previous server's, every other event its server's.
+  // applies.
   constexpr std::size_t kLookahead = 8;
-  const auto warm = [this](const Event* e) {
+  const auto warm = [this, &r](const Event* e) {
     if (e == nullptr) return;
-    if (e->kind == kEvPush) {
+    if (r.owns(e->peer))
       cache_[static_cast<std::size_t>(e->peer)].prefetch(e->client);
-      return;
-    }
-    cache_[static_cast<std::size_t>(e->server)].prefetch(e->client);
-    if (e->kind == kEvAttach && e->peer != kNoServer)
-      cache_[static_cast<std::size_t>(e->peer)].prefetch(e->client);
+    if (e->kind != kEvPush && r.owns(e->server))
+      cache_[static_cast<std::size_t>(e->server)].prefetch(e->client);
   };
   std::array<const Event*, kLookahead> ring{};
   for (const Event*& slot : ring) {
@@ -949,20 +928,106 @@ void ShardEngine::apply_events(int t) {
   }
   const bool shedding = !shed_.empty();
   for (std::size_t i = 0;; i = (i + 1) % kLookahead) {
-    const Event* e = ring[i];
-    if (e == nullptr) break;  // the walk is done: every later slot is empty
+    const Event* ep = ring[i];
+    if (ep == nullptr) break;  // the walk is done: every later slot is empty
     ring[i] = next_event();
     warm(ring[i]);
+    const Event& e = *ep;
     if (shedding &&
-        std::binary_search(shed_.begin(), shed_.end(), e->client)) {
+        std::binary_search(shed_.begin(), shed_.end(), e.client)) {
       // Admission control refused this client's attach. Its pushes were
       // planned against an attach that never happened, so they drop with
       // it.
-      if (e->kind == kEvAttach) apply_shed(*e, t);
-    } else {
-      apply_event(*e, t);
+      if (e.kind == kEvAttach) apply_shed(r, e, t);
+      continue;
+    }
+    switch (e.kind) {
+      case kEvOffline:
+        detach_from(e.client, e.server, t, obs::kDetachDisconnect);
+        break;
+      case kEvAttach:
+        if (r.owns(e.peer)) detach_from(e.client, e.peer, t, obs::kDetachMoved);
+        if (r.owns(e.server)) attach(r, e, t);
+        break;
+      case kEvUpload:
+        cache_store(r, e.server, e.client, e.p_end, t);
+        break;
+      case kEvLocal: {
+        // The fallback's latency is a floating-point sum across servers.
+        PERDNN_CHECK_MSG(spans_all(r),
+                         "local fallback in a multi-range Phase B walk");
+        if (e.peer != kNoServer)
+          detach_from(e.client, e.peer, t, obs::kDetachUnreachable);
+        ++metrics_.unreachable_client_intervals;
+        metrics_.local_fallback_queries += e.queries;
+        metrics_.local_latency_sum_s += e.latency_sum;
+        obs::TimeseriesRow& row = rows_[static_cast<std::size_t>(e.server)];
+        row.local_queries += e.queries;
+        row.local_latency_sum_s += e.latency_sum;
+        if (e.queries > 0)
+          journal({.interval = t,
+                   .kind = obs::JournalEventKind::kLocalFallback,
+                   .client = e.client,
+                   .server = e.server,
+                   .aux = static_cast<std::int32_t>(e.queries),
+                   .value = e.latency_sum});
+        break;
+      }
+      case kEvPush:
+        if (ft_.backhaul_active() || ft_.server_down(e.peer)) {
+          push_faulted(r, e, t);
+        } else {
+          deliver_push(r, e.client, e.server, e.peer, e.p_end, t);
+        }
+        break;
+      default:
+        PERDNN_CHECK_MSG(false, "unknown shard event kind");
     }
   }
+}
+
+void ShardEngine::attach(ServerRange& r, const Event& e, int t) {
+  ++attached_[static_cast<std::size_t>(e.server)];
+  obs::TimeseriesRow& row = rows_[static_cast<std::size_t>(e.server)];
+  if (e.cls == 0) {
+    ++row.hits;
+  } else if (e.cls == 1) {
+    ++row.partials;
+  } else {
+    ++row.misses;
+  }
+  row.cold_window_queries += e.queries;
+  row.cold_latency_sum_s += e.latency_sum;
+  const bool degraded = (e.flags & kFlagDegraded) != 0;
+  if (degraded) ++row.degraded;
+  if (jr_ != nullptr) {
+    const std::uint64_t chain = jr_->begin_chain(e.client);
+    jr_->record({.interval = t,
+                 .kind = obs::JournalEventKind::kAttach,
+                 .chain = chain,
+                 .client = e.client,
+                 .server = e.server,
+                 .peer = e.peer});
+    jr_->record({.interval = t,
+                 .kind = degraded ? obs::JournalEventKind::kDegradedPlan
+                                  : obs::JournalEventKind::kPlan,
+                 .chain = chain,
+                 .client = e.client,
+                 .server = e.server,
+                 .detail = e.cls == 0   ? obs::kPlanHit
+                           : e.cls == 1 ? obs::kPlanPartial
+                                        : obs::kPlanMiss,
+                 .aux = K_ - e.p0});
+    if (e.queries > 0)
+      jr_->record({.interval = t,
+                   .kind = obs::JournalEventKind::kColdServe,
+                   .chain = chain,
+                   .client = e.client,
+                   .server = e.server,
+                   .aux = static_cast<std::int32_t>(e.queries),
+                   .value = e.latency_sum});
+  }
+  cache_store(r, e.server, e.client, e.p_end, t);
 }
 
 void ShardEngine::fault_step(int t) {
@@ -1070,9 +1135,10 @@ void ShardEngine::compute_shed() {
   std::sort(shed_.begin(), shed_.end());
 }
 
-void ShardEngine::apply_shed(const Event& e, int t) {
+void ShardEngine::apply_shed(const ServerRange& r, const Event& e, int t) {
   // Admission control refused this attach: undo Phase A's speculative SoA
   // write and run the interval on the local fallback instead.
+  PERDNN_CHECK_MSG(spans_all(r), "shed attach in a multi-range Phase B walk");
   const auto ci = static_cast<std::size_t>(e.client);
   server_[ci] = kNoServer;
   prefix_[ci] = 0;
@@ -1106,13 +1172,14 @@ void ShardEngine::apply_shed(const Event& e, int t) {
   }
 }
 
-void ShardEngine::push_faulted(const Event& e, int t) {
+void ShardEngine::push_faulted(ServerRange& r, const Event& e, int t) {
   // Fault-path push: the target may be down, or a backhaul event may cap or
   // sever the link. Mirrors the trace-replay engine's push_layers: already
   // present layers cost nothing, a capacity too small for even one layer
   // defers the whole order (and skips the TTL refresh — nothing crossed),
   // a partial fit delivers the prefix that fits and parks the remainder as
   // a fresh order.
+  PERDNN_CHECK_MSG(spans_all(r), "faulted push in a multi-range Phase B walk");
   const CacheEntry* cur =
       cache_[static_cast<std::size_t>(e.peer)].find(e.client);
   const int old_prefix = cur != nullptr ? cur->prefix : 0;
@@ -1137,7 +1204,7 @@ void ShardEngine::push_faulted(const Event& e, int t) {
       return;
     }
   }
-  deliver_push(e.client, e.server, e.peer, old_prefix, p, t);
+  deliver_push(r, e.client, e.server, e.peer, p, t);
   if (p < want)
     defer_push(e.client, e.server, e.peer, want,
                w_.prefix_bytes[static_cast<std::size_t>(want)] -
@@ -1162,21 +1229,24 @@ int ShardEngine::fit_link(ServerId source, ServerId target, double factor,
   return p;
 }
 
-void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
-                               int old_prefix, int new_prefix, int t) {
+void ShardEngine::deliver_push(ServerRange& r, ClientId c, ServerId source,
+                               ServerId target, int new_prefix, int t) {
   int p = new_prefix;
-  if (budget_ > 0 && p > old_prefix) p = admit(target, c, old_prefix, p, t);
-  auto& entry = cache_[static_cast<std::size_t>(target)][c];
+  CacheEntry& entry = admit_entry(r, target, c, p, t);
+  const int old_prefix = entry.prefix;
   const Bytes bytes =
       p > old_prefix
           ? w_.prefix_bytes[static_cast<std::size_t>(p)] -
                 w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]
           : 0;
-  if (p > entry.prefix) raise_prefix(target, c, entry, p);
-  schedule_expiry(target, c, t + cfg_.ttl_intervals);
-  traffic_.record_transfer(source, target, bytes);
-  ++rows_[static_cast<std::size_t>(source)].migration_orders;
-  metrics_.total_migrated_bytes += bytes;
+  if (p > old_prefix) raise_prefix(target, c, entry, p);
+  schedule_expiry(target, c, entry, t + cfg_.ttl_intervals);
+  if (r.owns(source)) {
+    traffic_.record_transfer(source, target, bytes);
+    ++rows_[static_cast<std::size_t>(source)].migration_orders;
+  } else {
+    r.outbox.push_back({.source = source, .target = target, .bytes = bytes});
+  }
   journal({.interval = t,
            .kind = obs::JournalEventKind::kMigrationPushed,
            .client = c,
@@ -1228,7 +1298,7 @@ void ShardEngine::drop_order(const PrefixRetryOrder& order, int t,
            .aux = reason});
 }
 
-void ShardEngine::retry_deferred(int t) {
+void ShardEngine::retry_deferred(ServerRange& r, int t) {
   for (const PrefixRetryOrder& order : retry_.take_due(t)) {
     ++metrics_.migration_retries;
     journal({.interval = t,
@@ -1268,7 +1338,7 @@ void ShardEngine::retry_deferred(int t) {
       park_or_drop(order, t);
       continue;
     }
-    deliver_push(order.client, order.source, order.target, old_prefix, p, t);
+    deliver_push(r, order.client, order.source, order.target, p, t);
     if (p < want)
       defer_push(order.client, order.source, order.target, want,
                  w_.prefix_bytes[static_cast<std::size_t>(want)] -
@@ -1321,7 +1391,6 @@ void ShardEngine::finish_interval(int t) {
   for (const ShardBuf& buf : bufs_) {
     metrics_.offline_client_intervals += buf.offline;
   }
-  metrics_.attached_client_intervals += total_attached_;
 
   Bytes resident_total = 0;
   for (int s = 0; s < cfg_.num_servers(); ++s) {
@@ -1350,6 +1419,19 @@ void ShardEngine::finish_interval(int t) {
     row.attached = attached_[si];
     row.uplink_bytes = traffic_.uplink_bytes(s);
     row.downlink_bytes = traffic_.downlink_bytes(s);
+    // The counters with a column here are its sums: a Phase B range writes
+    // only its own servers' rows, and integer sums take any order. Every
+    // delivered byte lands on exactly one server's downlink.
+    metrics_.attached_client_intervals += row.attached;
+    metrics_.server_changes += row.hits + row.partials + row.misses;
+    metrics_.hits += row.hits;
+    metrics_.partials += row.partials;
+    metrics_.misses += row.misses;
+    metrics_.cold_window_queries += row.cold_window_queries;
+    metrics_.degraded_attaches += row.degraded;
+    metrics_.cache_evictions += row.cache_evictions;
+    metrics_.cache_partial_stores += row.cache_partial_stores;
+    metrics_.total_migrated_bytes += row.downlink_bytes;
     if (ts_ != nullptr) ts_->append(row);
   }
   traffic_.end_interval();
@@ -1435,7 +1517,6 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
   offline_until_ = s.offline_until;
 
   std::fill(attached_.begin(), attached_.end(), 0);
-  total_attached_ = 0;
   for (std::size_t c = 0; c < n; ++c) {
     tile_[c] = w_.tile_at({x_[c], y_[c]});
     if (server_[c] != kNoServer) {
@@ -1443,7 +1524,6 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
       if (sid >= attached_.size())
         throw snapshot::SnapshotError("snapshot: server id out of range");
       ++attached_[sid];
-      ++total_attached_;
     }
   }
 
@@ -1657,13 +1737,10 @@ SimulationMetrics ShardEngine::run() {
     tm_phase_a += secs(t1, t2);
 
     // Phase B: canonical-order exchange and every shared-state mutation.
-    for (int s = 0; s < cfg_.num_servers(); ++s)
-      rows_[static_cast<std::size_t>(s)] = {.interval = t, .server = s};
     for (const ShardBuf& buf : bufs_)
       metrics_.client_disconnect_events += buf.disconnects;
     compute_shed();
-    apply_events(t);
-    if (!ft_.empty()) retry_deferred(t);
+    phase_b(t);
     auto t3 = now();
     tm_apply += secs(t2, t3);
     finish_interval(t);

@@ -14,14 +14,18 @@
 //   compact event (re-attachment, upload progress, dispatcher push, offline
 //   detach) into the shard's buffer, in client-id order.
 //
-//   Phase B (serial): events apply in canonical client-id order. Clients
-//   are walked in id order, each draining the head of its owner shard's
-//   buffer — the same merge-in-submission-order idea the trace-replay
-//   simulator uses for cold-start windows — and every mutation (cache
-//   prefix maxima, TTL wheel, attach counts, metrics, timeseries rows,
-//   journal lines) is applied in that canonical order. Cache updates are
-//   prefix maxima over the canonical upload order, so they are commutative
-//   anyway; double accumulations happen only here, in one fixed order.
+//   Phase B (parallel over server ranges): events apply in canonical
+//   client-id order. Clients are walked in id order, each draining the
+//   head of its owner shard's buffer — the same merge-in-submission-order
+//   idea the trace-replay simulator uses for cold-start windows. The
+//   servers split into contiguous ranges of whole shards, one per pool
+//   thread; every range walks the whole order and applies the effects that
+//   land on its own servers (cache prefix maxima, TTL wheel, attach counts,
+//   timeseries rows), so each server sees its own effects in the serial
+//   order, double accumulations included. The few effects that cross
+//   ranges are integer sums, folded after the walk. An interval that
+//   journals, can see a fault or shed an attach walks one range holding
+//   every server, which is the serial order itself.
 //
 //   Finish: each shard keeps the TTL wheel of its own servers, and the
 //   shards expire their due entries in parallel, each writing only its own

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -142,6 +144,41 @@ TEST(ParallelRuntimeTest, InitThreadsFromCliStripsFlag) {
   EXPECT_EQ(init_threads_from_cli(2, argv2), 1);
   EXPECT_EQ(num_threads(), 2);
   set_num_threads(0);
+}
+
+TEST(ParallelRuntimeDeathTest, InitThreadsFromCliRejectsValuesOutsideInt) {
+  // Each value used to reach set_num_threads truncated to int: 2^32 + 1 ran
+  // one thread, and 2^31 wrapped negative and aborted on a check. Trailing
+  // characters were rejected already.
+  for (const char* value : {"4294967297", "2147483648", "2x"}) {
+    std::string flag = std::string("--threads=") + value;
+    char prog[] = "prog";
+    char* argv[] = {prog, flag.data(), nullptr};
+    EXPECT_EXIT(init_threads_from_cli(2, argv), ::testing::ExitedWithCode(2),
+                "--threads expects an integer >= 1")
+        << value;
+  }
+}
+
+TEST(ParallelRuntimeTest, EnvThreadsOutsideIntFallBackToAutomatic) {
+  // A PERDNN_THREADS value that is not a whole int >= 1 is ignored, as
+  // garbage is: the count resolves as if it were unset.
+  set_num_threads(0);
+  const char* saved = std::getenv("PERDNN_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("PERDNN_THREADS");
+  const int automatic = num_threads();
+  for (const char* value : {"4294967298", "2147483648", "2x", "0", ""}) {
+    ::setenv("PERDNN_THREADS", value, 1);
+    EXPECT_EQ(num_threads(), automatic) << "PERDNN_THREADS=" << value;
+  }
+  ::setenv("PERDNN_THREADS", "3", 1);
+  EXPECT_EQ(num_threads(), 3);
+  if (saved != nullptr) {
+    ::setenv("PERDNN_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("PERDNN_THREADS");
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -407,6 +408,116 @@ TEST_F(ShardCacheBudgetTest, BudgetedMatrixByteIdenticalAcrossThreadsShards) {
           << "threads=" << threads << " shards=" << shards;
     }
   }
+}
+
+TEST_F(ShardCacheBudgetTest, JournalOffBudgetedMatrixMatchesPinnedDigests) {
+  // The journal-off twin of the matrix above, the only budgeted leg that
+  // reaches Phase B's parallel range walk: each range admits and evicts on
+  // its own servers alone. The digests pin its bytes to the serial walk's,
+  // at every thread and shard count and through a stop/resume split that
+  // changes both.
+  constexpr const char* kMetrics = "d880e4faafe2fdae";
+  constexpr const char* kTimeseries = "a20284d943cfbbcc";
+  const auto run = [&](int threads, int shards, int stop_after,
+                       const snapshot::SimSnapshot* resume_from,
+                       snapshot::SimSnapshot* capture_out) {
+    par::set_num_threads(threads);
+    ShardRunOptions options;
+    options.num_shards = shards;
+    options.timeseries_path = ts_path();
+    options.stop_after_interval = stop_after;
+    options.resume_from = resume_from;
+    options.capture_out = capture_out;
+    const SimulationMetrics metrics = run_sharded_simulation(*world_, options);
+    par::set_num_threads(0);
+    return snapshot::metrics_to_json(metrics);
+  };
+  std::string baseline;
+  for (const int shards : {1, 4, 16}) {
+    for (const int threads : {1, 2, 8}) {
+      const std::string metrics = run(threads, shards, -1, nullptr, nullptr);
+      EXPECT_EQ(digest(metrics), kMetrics)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(digest(slurp(ts_path())), kTimeseries)
+          << "threads=" << threads << " shards=" << shards;
+      if (baseline.empty()) baseline = metrics;
+    }
+  }
+  // Not vacuous: the budget evicts.
+  EXPECT_NE(baseline.find("\"cache_evictions\""), std::string::npos)
+      << baseline;
+
+  snapshot::SimSnapshot snap;
+  run(1, 16, 4, nullptr, &snap);
+  const snapshot::SimSnapshot decoded =
+      snapshot::decode(snapshot::encode(snap));
+  EXPECT_EQ(digest(run(2, 4, -1, &decoded, nullptr)), kMetrics);
+  EXPECT_EQ(digest(slurp(ts_path())), kTimeseries);
+
+  // Not vacuous either: in the 4-shard split (five tiles each), which 8
+  // threads walk as four ranges, some pushes carry bytes to a tile of
+  // another shard and some clients attach in one shard after leaving a
+  // tile of another.
+  const RunResult journaled = run_at(*world_, 1, 4);
+  bool cross_push = false;
+  bool cross_attach = false;
+  for (const obs::JournalEvent& e :
+       obs::journal_from_jsonl(journaled.journal)) {
+    if (e.kind == obs::JournalEventKind::kMigrationPushed && e.bytes > 0 &&
+        e.server / 5 != e.peer / 5)
+      cross_push = true;
+    if (e.kind == obs::JournalEventKind::kAttach && e.peer != kNoServer &&
+        e.server / 5 != e.peer / 5)
+      cross_attach = true;
+  }
+  EXPECT_TRUE(cross_push);
+  EXPECT_TRUE(cross_attach);
+}
+
+TEST_F(ShardCacheBudgetTest, JournalOffShedRunMatchesPinnedDigests) {
+  // Admission control sheds attaches in some intervals of this run, and a
+  // shed writes server_, which budgeted admission on every server reads.
+  // Phase B walks those intervals as one range and the others as one range
+  // per thread; the digests pin the mix to the serial walk's bytes at every
+  // thread and shard count.
+  ShardWorldConfig config = base_config();
+  config.flash_crowd_tiles = 2;
+  config.flash_crowd_multiplier = 8.0;
+  config.admission_max_attached = 7;
+  const ShardWorld probe = build_shard_world(config);
+  config.cache_budget_bytes = 2 * probe.prefix_bytes.back();
+  const ShardWorld world = build_shard_world(config);
+  constexpr const char* kMetrics = "e96372d4b71ed9a1";
+  constexpr const char* kTimeseries = "94c22ffc70db5ae4";
+  for (const int shards : {1, 4, 16}) {
+    for (const int threads : {1, 2, 8}) {
+      par::set_num_threads(threads);
+      ShardRunOptions options;
+      options.num_shards = shards;
+      options.timeseries_path = ts_path();
+      const SimulationMetrics metrics = run_sharded_simulation(world, options);
+      par::set_num_threads(0);
+      EXPECT_EQ(digest(snapshot::metrics_to_json(metrics)), kMetrics)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(digest(slurp(ts_path())), kTimeseries)
+          << "threads=" << threads << " shards=" << shards;
+      // Not vacuous: attaches were shed and the budget evicted.
+      EXPECT_GT(metrics.attaches_shed, 0);
+      EXPECT_GT(metrics.cache_evictions, 0);
+    }
+  }
+
+  // Not vacuous either: some intervals shed and some do not, so one run
+  // walks both ways.
+  const RunResult journaled = run_at(world, 1, 4);
+  std::set<int> shed_intervals;
+  for (const obs::JournalEvent& e :
+       obs::journal_from_jsonl(journaled.journal))
+    if (e.kind == obs::JournalEventKind::kAttachShed)
+      shed_intervals.insert(e.interval);
+  EXPECT_FALSE(shed_intervals.empty());
+  EXPECT_LT(shed_intervals.size(),
+            static_cast<std::size_t>(config.num_intervals));
 }
 
 TEST_F(ShardCacheBudgetTest, ResidentBytesNeverExceedBudgetInAnyInterval) {

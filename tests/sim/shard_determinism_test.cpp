@@ -174,6 +174,64 @@ TEST_F(ShardDeterminismTest, MatrixByteIdenticalAcrossThreadsAndShards) {
             std::string::npos);
 }
 
+TEST_F(ShardDeterminismTest, JournalOffMatrixMatchesPinnedDigests) {
+  // The journal-off twin of the matrix above. Phase B walks the servers as
+  // one range while the journal is on, and as min(threads, shards) ranges on
+  // the pool while it is off, so only this leg reaches the parallel walk.
+  // The digests pin its bytes to the serial walk's, at every thread and
+  // shard count and through a stop/resume split that changes both.
+  constexpr const char* kMetrics = "cbbc9c8893b1b92f";
+  constexpr const char* kTimeseries = "5d1ac2de5b2ad702";
+  const auto run = [&](int threads, int shards, int stop_after,
+                       const snapshot::SimSnapshot* resume_from,
+                       snapshot::SimSnapshot* capture_out) {
+    par::set_num_threads(threads);
+    ShardRunOptions options;
+    options.num_shards = shards;
+    options.timeseries_path = ts_path();
+    options.stop_after_interval = stop_after;
+    options.resume_from = resume_from;
+    options.capture_out = capture_out;
+    const SimulationMetrics metrics = run_sharded_simulation(*world_, options);
+    par::set_num_threads(0);
+    return snapshot::metrics_to_json(metrics);
+  };
+  for (const int shards : {1, 4, 16}) {
+    for (const int threads : {1, 2, 8}) {
+      const std::string metrics = run(threads, shards, -1, nullptr, nullptr);
+      EXPECT_EQ(digest(metrics), kMetrics)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(digest(slurp(ts_path())), kTimeseries)
+          << "threads=" << threads << " shards=" << shards;
+    }
+  }
+
+  snapshot::SimSnapshot snap;
+  run(1, 16, 4, nullptr, &snap);
+  const snapshot::SimSnapshot decoded =
+      snapshot::decode(snapshot::encode(snap));
+  EXPECT_EQ(digest(run(2, 4, -1, &decoded, nullptr)), kMetrics);
+  EXPECT_EQ(digest(slurp(ts_path())), kTimeseries);
+
+  // Not vacuous: in the 4-shard split (five tiles each), which 8 threads
+  // walk as four ranges, some pushes carry bytes to a tile of another shard
+  // and some clients attach in one shard after leaving a tile of another.
+  const RunResult journaled = run_at(*world_, 1, 4);
+  bool cross_push = false;
+  bool cross_attach = false;
+  for (const obs::JournalEvent& e :
+       obs::journal_from_jsonl(journaled.journal)) {
+    if (e.kind == obs::JournalEventKind::kMigrationPushed && e.bytes > 0 &&
+        e.server / 5 != e.peer / 5)
+      cross_push = true;
+    if (e.kind == obs::JournalEventKind::kAttach && e.peer != kNoServer &&
+        e.server / 5 != e.peer / 5)
+      cross_attach = true;
+  }
+  EXPECT_TRUE(cross_push);
+  EXPECT_TRUE(cross_attach);
+}
+
 TEST_F(ShardDeterminismTest, SimdOffWorldProducesIdenticalRun) {
   // The AVX2 batch kernels sit under the estimator fill of the planning
   // tables; per the simd.hpp contract they are bit-identical to the scalar

@@ -29,6 +29,9 @@
 # BENCH_SCALE_JSON=path/to/result.json (produced by `bench_scale --json`) and
 # it is compared against the committed BENCH_scale.json baseline —
 # clients_per_sec must stay >= 50% of baseline and peak_rss_bytes <= 150%.
+# A `--threads 1,2,4` sweep is gated per thread count as well: each run's
+# clients_per_sec must stay >= 50% of the baseline's run at the same count
+# (a count the baseline did not run is noted, not gated).
 # The 1M-client run takes minutes, so it is never executed here implicitly;
 # without BENCH_SCALE_JSON the scale gate is skipped with a note.
 #
@@ -195,6 +198,15 @@ scale_field() { # file key
       print substr($0, RSTART + length(k) + 3, RLENGTH - length(k) - 3)
   }' "$1"
 }
+# clients_per_sec of the sweep run at N threads; nothing when there is none.
+# Splitting records on '{' isolates each sweep object.
+sweep_cps() { # file threads
+  awk -v n="$2" 'BEGIN { RS = "{" }
+    $0 ~ "^\"threads\":" n "," &&
+        match($0, "\"clients_per_sec\":[0-9.eE+-]+") {
+      print substr($0, RSTART + 18, RLENGTH - 18)
+    }' "$1"
+}
 
 if [ -z "${BENCH_SCALE_JSON:-}" ]; then
   echo "note: BENCH_SCALE_JSON not set — city-scale gate skipped"
@@ -226,6 +238,18 @@ else
   else
     echo "ok: scale peak RSS ${cur_rss} bytes (baseline ${base_rss})"
   fi
+  for n in $(grep -o '{"threads":[0-9]*' "$BENCH_SCALE_JSON" | cut -d: -f2 || true); do
+    cur="$(sweep_cps "$BENCH_SCALE_JSON" "$n")"
+    base="$(sweep_cps "$SCALE_BASELINE" "$n")"
+    if [ -z "$base" ]; then
+      echo "note: the scale baseline has no ${n}-thread sweep run — not gated"
+    elif awk -v c="$cur" -v b="$base" 'BEGIN { exit !(c < b * 0.5) }'; then
+      echo "REGRESSION: scale throughput at ${n} threads ${cur} clients/s vs baseline ${base} (below 50% floor)"
+      fail=1
+    else
+      echo "ok: scale throughput at ${n} threads ${cur} clients/s (baseline ${base})"
+    fi
+  done
 fi
 
 # ---- chaos-at-scale gate (BENCH_chaos_scale.json) -------------------------

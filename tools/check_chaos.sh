@@ -23,10 +23,11 @@
 # beyond the same bound among them) and broken JSON, plus one valid
 # manifest, and `perdnn_runner run` a manifest naming a malformed trace
 # file. The tool-argument leg gives `perdnn partition` a load or uplink
-# that is not the whole argument, outside int, not finite, and
-# `perdnn_runner` a --workers count or a worker index/count that is not an
-# int in range (one that wraps through atoi among them), plus one valid
-# `perdnn partition`.
+# that is not the whole argument, outside int, not finite, or a --threads
+# count outside int (one that used to wrap to a single thread, one that
+# wrapped negative and aborted), and `perdnn_runner` a --workers count or a
+# worker index/count that is not an int in range (one that wraps through
+# atoi among them), plus one valid `perdnn partition`.
 #
 # The budgeted-cache leg rides along: the CacheBudget suites (which include
 # the crash-mid-pressure kill -9 resume byte-identity gate and per-interval
@@ -195,6 +196,10 @@ for args in "4294967297" "1 1e400" "1 nan" "2x" "1 35abc" "0" "1 -35"; do
 done
 expect_exit "partition within range" 0 "$BUILD_DIR"/tools/perdnn partition \
   mobilenet 2 35
+for threads in 4294967297 2147483648; do
+  expect_exit "partition --threads $threads" 2 "$BUILD_DIR"/tools/perdnn \
+    partition mobilenet 2 35 --threads "$threads"
+done
 for workers in 2x 0 4294967297; do
   expect_exit "runner --workers $workers" 2 "$BUILD_DIR"/tools/perdnn_runner \
     run "$PROBE_DIR/valid.manifest.json" "$PROBE_DIR/args-sweep" \

@@ -5,8 +5,11 @@
 # 1/2/8-thread determinism gate), the multi-threaded metrics tests, and the
 # sharded engine's suites. The sharded engine runs Phase A and the TTL
 # expiry of finish_interval on pool workers, each shard writing only its own
-# clients' and servers' state; its determinism, fault, cache-budget and
-# snapshot suites drive both under TSan.
+# clients' and servers' state, and Phase B by server range, each range
+# writing only its own servers' state; its determinism, fault, cache-budget
+# and snapshot suites drive all three under TSan. Phase B walks more than
+# one range only with the journal off, so the journal-off legs of the
+# determinism and cache-budget suites are the ones that race-check it.
 #
 # A second configuration with -DPERDNN_SIMD=OFF keeps the scalar fallback
 # of the batched forest kernels sanitizer-tested: that build contains no

@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "common/arg_parse.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/perdnn.hpp"
@@ -62,13 +63,9 @@
 #include "sim/simulator.hpp"
 #include "snapshot/snapshot.hpp"
 
-#include "arg_parse.hpp"
-
 namespace {
 
 using namespace perdnn;
-using tools::parse_double;
-using tools::parse_int;
 
 int usage() {
   std::fprintf(stderr,

@@ -36,14 +36,12 @@
 #include <string>
 #include <vector>
 
+#include "common/arg_parse.hpp"
 #include "obs/journal.hpp"
-
-#include "arg_parse.hpp"
 
 namespace {
 
 using namespace perdnn;
-using tools::parse_int;
 using obs::JournalEvent;
 using obs::JournalEventKind;
 

@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "common/arg_parse.hpp"
 #include "core/perdnn.hpp"
 #include "mobility/trace_gen.hpp"
 #include "obs/journal.hpp"
@@ -57,8 +58,6 @@
 #include "obs/timeseries.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/snapshot.hpp"
-
-#include "arg_parse.hpp"
 
 namespace {
 
@@ -712,7 +711,7 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
           return 2;
         }
-        if (!tools::parse_int(value, &workers) || workers < 1) {
+        if (!parse_int(value, &workers) || workers < 1) {
           std::fprintf(stderr, "--workers must be an integer >= 1, got '%s'\n",
                        value.c_str());
           return 2;
@@ -726,8 +725,8 @@ int main(int argc, char** argv) {
       if (argc != 6) return usage();
       int index = 0;
       int count = 0;
-      if (!tools::parse_int(argv[4], &index) ||
-          !tools::parse_int(argv[5], &count) || count < 1 || index < 0 ||
+      if (!parse_int(argv[4], &index) ||
+          !parse_int(argv[5], &count) || count < 1 || index < 0 ||
           index >= count) {
         std::fprintf(stderr, "worker index out of range\n");
         return 2;
