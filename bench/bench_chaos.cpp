@@ -13,9 +13,10 @@
 //               [--intervals N] [--shards N] [--json-out FILE] [--threads N]
 //
 // --plan replaces the sweep with a single run of the scripted JSON plan.
-// --journal-out (requires --plan) writes that run's event journal as JSONL
-// (binary when FILE ends in .jnl) so tools/perdnn_obs can reconstruct any
-// client's causal chain through the scripted faults. --json emits
+// --journal-out (requires --plan) streams that run's event journal to FILE
+// as JSONL so tools/perdnn_obs can reconstruct any client's causal chain
+// through the scripted faults (`perdnn_obs convert` makes the binary
+// form). --json emits
 // machine-readable rows instead of the text table. Unknown flags are hard
 // errors (exit 2).
 //
@@ -39,7 +40,6 @@
 #include "datasets.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/json.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "sim/shard_sim.hpp"
@@ -168,7 +168,7 @@ ScenarioResult run_scenario(const std::string& label,
                             const SimulationConfig& base,
                             const SimulationWorld& world,
                             const FaultPlan& plan,
-                            obs::Journal* journal = nullptr) {
+                            const std::string& journal_path = {}) {
   SimulationConfig config = base;
   config.fault_plan = plan;
   obs::Registry::global().reset();
@@ -177,7 +177,7 @@ ScenarioResult run_scenario(const std::string& label,
   result.label = label;
   result.events = plan.size();
   SimulationRunOptions options;
-  options.journal = journal;
+  options.journal_path = journal_path;
   result.metrics = run_simulation(config, world, nullptr, options);
   obs::Histogram& latency =
       obs::Registry::global().histogram("sim.cold_window.query_latency_s");
@@ -455,30 +455,16 @@ int main(int argc, char** argv) {
     }
     const std::string text((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
-    obs::Journal journal;
-    results.push_back(run_scenario(args.plan_file, config, world,
-                                   FaultPlan::from_json(text),
-                                   args.journal_out.empty() ? nullptr
-                                                            : &journal));
-    if (!args.journal_out.empty()) {
-      const bool binary = args.journal_out.size() >= 4 &&
-                          args.journal_out.compare(
-                              args.journal_out.size() - 4, 4, ".jnl") == 0;
-      std::ofstream out(args.journal_out,
-                        std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot open %s\n",
-                     args.journal_out.c_str());
-        return 1;
-      }
-      const std::string bytes = binary
-                                    ? journal.encode()
-                                    : obs::journal_to_jsonl(journal.events());
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      if (!args.json)
-        std::printf("journal: %zu events -> %s\n", journal.size(),
-                    args.journal_out.c_str());
+    const FaultPlan plan = FaultPlan::from_json(text);
+    try {
+      results.push_back(run_scenario(args.plan_file, config, world, plan,
+                                     args.journal_out));
+    } catch (const std::runtime_error& e) {  // e.g. an unwritable journal
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
     }
+    if (!args.journal_out.empty() && !args.json)
+      std::printf("journal: %s\n", args.journal_out.c_str());
   } else {
     for (const double intensity : {0.0, 0.002, 0.01, 0.03}) {
       RandomFaultConfig faults;

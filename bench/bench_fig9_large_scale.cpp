@@ -8,7 +8,7 @@
 // <prefix>_<dataset>_<model>_<policy>.csv, so each bar of the figure can be
 // decomposed interval by interval.
 //
-// `--journal-out PREFIX` journals every policy run to
+// `--journal-out PREFIX` streams every policy run's journal to
 // <prefix>_<dataset>_<model>_<policy>.journal.jsonl (tools/perdnn_obs reads
 // them). Comparing total wall-clock with and without the flag measures the
 // journaling overhead on the paper's largest workload.
@@ -26,7 +26,6 @@
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "datasets.hpp"
-#include "obs/journal.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/simulator.hpp"
 
@@ -68,13 +67,17 @@ void run_dataset(const DatasetPair& data, const char* out_prefix,
     TextTable table({"policy", "cold-window queries", "hit ratio %",
                      "hits/partials/misses", "server changes"});
     // The four policy runs share the (read-only) world and are independent:
-    // fan them out, collect metrics plus the rendered timeseries CSV, then
-    // write files and rows serially in policy order so the output is stable
-    // at any thread count.
+    // fan them out, each streaming its own journal, collect metrics plus the
+    // rendered timeseries CSV, then write files and rows serially in policy
+    // order so the output is stable at any thread count.
+    const auto journal_file = [&](const Row& row) {
+      return std::string(journal_prefix) + "_" + data.name + "_" +
+             model_name_str(model) + "_" + sanitize(row.label) +
+             ".journal.jsonl";
+    };
     struct RowResult {
       SimulationMetrics metrics;
       std::string csv;
-      std::string journal;
     };
     const auto results =
         par::parallel_map(std::size(rows), [&](std::size_t r) {
@@ -86,17 +89,15 @@ void run_dataset(const DatasetPair& data, const char* out_prefix,
           timeseries.set_model(model_name_str(model));
           obs::SimTimeseries* recorder =
               out_prefix != nullptr ? &timeseries : nullptr;
-          obs::Journal journal;
           SimulationRunOptions options;
-          if (journal_prefix != nullptr) options.journal = &journal;
+          if (journal_prefix != nullptr)
+            options.journal_path = journal_file(rows[r]);
           result.metrics = run_simulation(run, world, recorder, options);
           if (recorder != nullptr) {
             std::ostringstream csv;
             recorder->write_csv(csv);
             result.csv = csv.str();
           }
-          if (journal_prefix != nullptr)
-            result.journal = obs::journal_to_jsonl(journal.events());
           return result;
         });
     for (std::size_t r = 0; r < results.size(); ++r) {
@@ -114,18 +115,8 @@ void run_dataset(const DatasetPair& data, const char* out_prefix,
         out << results[r].csv;
         std::printf("timeseries -> %s\n", path.c_str());
       }
-      if (journal_prefix != nullptr) {
-        const std::string path = std::string(journal_prefix) + "_" +
-                                 data.name + "_" + model_name_str(model) +
-                                 "_" + sanitize(row.label) + ".journal.jsonl";
-        std::ofstream out(path);
-        if (!out) {
-          std::fprintf(stderr, "cannot open %s\n", path.c_str());
-          std::exit(1);
-        }
-        out << results[r].journal;
-        std::printf("journal -> %s\n", path.c_str());
-      }
+      if (journal_prefix != nullptr)
+        std::printf("journal -> %s\n", journal_file(row).c_str());
       char hm[64];
       std::snprintf(hm, sizeof hm, "%d/%d/%d", metrics.hits, metrics.partials,
                     metrics.misses);
@@ -170,8 +161,13 @@ int main(int argc, char** argv) {
               "Geolife (fast users);\nMobileNet gains little (tiny model), "
               "Inception/ResNet gain a lot\n");
   const auto start = std::chrono::steady_clock::now();
-  run_dataset(kaist_like(), out_prefix, journal_prefix);
-  run_dataset(geolife_like(), out_prefix, journal_prefix);
+  try {
+    run_dataset(kaist_like(), out_prefix, journal_prefix);
+    run_dataset(geolife_like(), out_prefix, journal_prefix);
+  } catch (const std::runtime_error& e) {  // e.g. an unwritable journal
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   std::printf("\ntotal wall-clock %.3fs (%d threads)\n", elapsed.count(),

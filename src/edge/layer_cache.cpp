@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "obs/journal.hpp"
+#include "obs/stream_writer.hpp"
 
 namespace perdnn {
 

@@ -24,7 +24,7 @@
 namespace perdnn {
 
 namespace obs {
-class Journal;
+class JournalStreamWriter;
 }  // namespace obs
 
 class LayerCache {
@@ -36,7 +36,7 @@ class LayerCache {
   /// the owning server's id, stamped on every event. nullptr disables
   /// recording. Expiry events are emitted in client-id order (not map
   /// order) so journals stay byte-identical across checkpoint/resume.
-  void set_journal(obs::Journal* journal, ServerId self) {
+  void set_journal(obs::JournalStreamWriter* journal, ServerId self) {
     journal_ = journal;
     self_ = self;
   }
@@ -146,7 +146,7 @@ class LayerCache {
                  int now_interval);
 
   int ttl_;
-  obs::Journal* journal_ = nullptr;
+  obs::JournalStreamWriter* journal_ = nullptr;
   ServerId self_ = kNoServer;
   Bytes budget_ = 0;  // 0 = unlimited
   std::vector<Bytes> layer_bytes_;

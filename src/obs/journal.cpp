@@ -6,7 +6,6 @@
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <ostream>
 #include <sstream>
 #include <string_view>
 
@@ -169,115 +168,6 @@ bool journal_kind_from_name(const std::string& name, JournalEventKind* out) {
   }
   return false;
 }
-
-Journal::Journal(std::size_t capacity) : capacity_(capacity) {}
-
-std::uint64_t Journal::begin_chain(ClientId client) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t chain = next_chain_++;
-  const auto it = std::lower_bound(
-      client_chains_.begin(), client_chains_.end(), client,
-      [](const auto& entry, ClientId c) { return entry.first < c; });
-  if (it != client_chains_.end() && it->first == client)
-    it->second = chain;
-  else
-    client_chains_.insert(it, {client, chain});
-  return chain;
-}
-
-std::uint64_t Journal::chain_of(ClientId client) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      client_chains_.begin(), client_chains_.end(), client,
-      [](const auto& entry, ClientId c) { return entry.first < c; });
-  if (it != client_chains_.end() && it->first == client) return it->second;
-  return 0;
-}
-
-void Journal::record(JournalEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (event.chain == 0 && event.client >= 0) {
-    const auto it = std::lower_bound(
-        client_chains_.begin(), client_chains_.end(), event.client,
-        [](const auto& entry, ClientId c) { return entry.first < c; });
-    if (it != client_chains_.end() && it->first == event.client)
-      event.chain = it->second;
-  }
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return;
-  }
-  events_.push_back(event);
-}
-
-void Journal::record_meta(JournalEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  meta_events_.push_back(event);
-}
-
-std::size_t Journal::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
-}
-
-std::uint64_t Journal::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
-std::vector<JournalEvent> Journal::events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
-}
-
-std::vector<JournalEvent> Journal::meta_events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return meta_events_;
-}
-
-JournalState Journal::state() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  JournalState state;
-  state.events = events_;
-  state.next_chain = next_chain_;
-  state.dropped = dropped_;
-  state.client_chains = client_chains_;
-  return state;
-}
-
-void Journal::restore(const JournalState& state) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_ = state.events;
-  next_chain_ = state.next_chain;
-  dropped_ = state.dropped;
-  client_chains_ = state.client_chains;
-  meta_events_.clear();
-}
-
-void Journal::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.clear();
-  meta_events_.clear();
-  next_chain_ = 1;
-  dropped_ = 0;
-  client_chains_.clear();
-}
-
-void Journal::write_jsonl(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string block;
-  for (const JournalEvent& e : events_) {
-    append_journal_event_jsonl(block, e);
-    block += '\n';
-    if (block.size() >= kOutputBlockBytes) {
-      out.write(block.data(), static_cast<std::streamsize>(block.size()));
-      block.clear();
-    }
-  }
-  out.write(block.data(), static_cast<std::streamsize>(block.size()));
-}
-
-std::string Journal::encode() const { return journal_encode(events()); }
 
 std::string journal_to_jsonl(const std::vector<JournalEvent>& events) {
   std::string out;

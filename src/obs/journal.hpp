@@ -1,25 +1,23 @@
-// Bounded, deterministic structured event journal: the explainability layer
-// under the simulator. Components on the serial control path record typed
+// Deterministic structured event journal: the explainability layer under
+// both simulators. Components on the serial control path record typed
 // events — attach/detach, the migration lifecycle, fault apply/clear, cache
 // churn, degraded-estimation and local-fallback decisions — each stamped
 // with the sim interval (never wall clock) and a causal chain id linking
 // one client's attach -> plan -> upload -> serve path end to end.
 //
-// Determinism contract: every record() call sits on the serial control path
-// of the simulation (worker threads never record), so the journal is
-// byte-identical across thread counts and SIMD settings, and its
-// state travels through checkpoints so a resumed run reproduces the
-// uninterrupted journal exactly. Checkpoint save/resume markers would break
-// that identity (an uninterrupted run has no resume marker), so they live
-// in a separate meta-event list excluded from export and snapshots.
+// Events stream to a JSONL file through obs::JournalStreamWriter
+// (obs/stream_writer.hpp), which numbers the chains; this header holds the
+// event record and its codecs. Determinism contract: every record sits on
+// the serial control path of the simulation (worker threads never record),
+// so the journal is byte-identical across thread counts and SIMD settings.
+// A checkpoint stores the stream's byte offset and chain state, not its
+// events, so a resumed run truncates the file back to the checkpoint and
+// reproduces the uninterrupted journal exactly.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -44,8 +42,8 @@ enum class JournalEventKind : std::uint8_t {
   kCacheTouch,         // TTL refreshed for a client's entry
   kCacheEvict,         // entry erased (crash wipe); aux: #layers
   kCacheExpire,        // entry aged out of TTL; aux: #layers
-  kCheckpointSave,     // meta only: checkpoint captured after this interval
-  kCheckpointResume,   // meta only: run resumed at this interval
+  kCheckpointSave,     // reserved: no engine records checkpoint markers, so
+  kCheckpointResume,   // a resumed journal equals an uninterrupted one
   // Wire values are positional and frozen; new kinds append here.
   kAttachShed,         // admission control refused the attach; detail: server
                        // queue depth at the decision, aux: cached prefix
@@ -109,85 +107,21 @@ struct JournalEvent {
   bool operator==(const JournalEvent&) const = default;
 };
 
-/// Checkpointable journal state (core events only — meta markers excluded
-/// by design; see the header comment).
-struct JournalState {
-  std::vector<JournalEvent> events;
-  std::uint64_t next_chain = 1;
-  std::uint64_t dropped = 0;
-  /// Client -> chain id of its most recent attach, sorted by client so the
-  /// snapshot encoding is canonical.
-  std::vector<std::pair<ClientId, std::uint64_t>> client_chains;
-};
-
 /// Thrown by the binary decoder and the JSONL parser on malformed input.
 class JournalError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-class Journal {
- public:
-  /// Keep-first bound: once `capacity` events are stored, further records
-  /// are counted in dropped() but not stored. The early events are the
-  /// ones that explain later state, so they win.
-  static constexpr std::size_t kDefaultCapacity = 1 << 20;
-
-  explicit Journal(std::size_t capacity = kDefaultCapacity);
-
-  /// Starts a new causal chain for `client` (chains are numbered from 1 in
-  /// record order) and remembers it as the client's current chain.
-  std::uint64_t begin_chain(ClientId client);
-
-  /// Current chain of `client`, or 0 if it never attached. The binding
-  /// survives detach so fallback events still link to the last attach.
-  std::uint64_t chain_of(ClientId client) const;
-
-  /// Appends a core event. If `event.chain` is 0 and `event.client` is a
-  /// real client, the chain is auto-filled from the client's current chain.
-  void record(JournalEvent event);
-
-  /// Appends a meta event (checkpoint save/resume markers). Meta events
-  /// are excluded from events(), write_jsonl(), encode() and state().
-  void record_meta(JournalEvent event);
-
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t dropped() const;
-
-  std::vector<JournalEvent> events() const;
-  std::vector<JournalEvent> meta_events() const;
-
-  JournalState state() const;
-  void restore(const JournalState& state);
-  void clear();
-
-  /// One JSON object per line, every field always present, kind by name.
-  void write_jsonl(std::ostream& out) const;
-
-  /// Compact binary form: PDNNJNL1-framed (common/wire.hpp).
-  std::string encode() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::vector<JournalEvent> events_;
-  std::vector<JournalEvent> meta_events_;
-  std::uint64_t next_chain_ = 1;
-  std::uint64_t dropped_ = 0;
-  std::vector<std::pair<ClientId, std::uint64_t>> client_chains_;
-};
-
 /// Appends the JSONL encoding of one event (no trailing newline) to `out`.
-/// This is the single formatter behind write_jsonl / journal_to_jsonl and
-/// the streaming journal writer, so buffered and streamed exports are
-/// byte-identical by construction.
+/// This is the single formatter behind journal_to_jsonl and the streaming
+/// journal writer, so both encodings are byte-identical by construction.
 void append_journal_event_jsonl(std::string& out, const JournalEvent& event);
 
-/// Serializes `events` as JSONL (the exact format write_jsonl streams).
+/// Serializes `events` as JSONL (the exact format the stream writer writes).
 std::string journal_to_jsonl(const std::vector<JournalEvent>& events);
 
-/// Parses JSONL produced by write_jsonl / journal_to_jsonl. Blank lines
+/// Parses JSONL produced by the stream writer / journal_to_jsonl. Blank lines
 /// and `#` comment lines are skipped. Throws JournalError with the line
 /// number on malformed input.
 std::vector<JournalEvent> journal_from_jsonl(const std::string& text);

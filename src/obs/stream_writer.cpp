@@ -96,12 +96,12 @@ void TimeseriesStreamWriter::flush() {
 JournalStreamWriter::JournalStreamWriter(const std::string& path)
     : file_(path) {}
 
-JournalStreamWriter::JournalStreamWriter(
-    const std::string& path, Resume resume, std::uint64_t events,
-    std::uint64_t next_chain,
-    const std::vector<std::pair<ClientId, std::uint64_t>>& client_chains)
-    : file_(path, resume), events_(events), next_chain_(next_chain) {
-  for (const auto& [client, chain] : client_chains) bind(client, chain);
+JournalStreamWriter::JournalStreamWriter(const std::string& path,
+                                         const JournalStreamState& state)
+    : file_(path, Resume{state.bytes}),
+      events_(state.events),
+      next_chain_(state.next_chain) {
+  for (const auto& [client, chain] : state.client_chains) bind(client, chain);
 }
 
 void JournalStreamWriter::bind(ClientId client, std::uint64_t chain) {
@@ -143,6 +143,13 @@ JournalStreamWriter::client_chains() const {
     if (chains_[c] != 0)
       out.emplace_back(static_cast<ClientId>(c), chains_[c]);
   return out;
+}
+
+JournalStreamState JournalStreamWriter::state() const {
+  return {.bytes = bytes_written(),
+          .events = events_,
+          .next_chain = next_chain_,
+          .client_chains = client_chains()};
 }
 
 }  // namespace perdnn::obs

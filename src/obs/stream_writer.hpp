@@ -1,13 +1,14 @@
 // Incremental on-disk writers for the two large simulation outputs: the
 // per-interval timeseries CSV and the event-journal JSONL. The buffered
-// exporters (SimTimeseries::write_csv, Journal::write_jsonl) hold every row
-// in memory until the run ends, which is O(intervals * servers) resident
-// state — untenable for the city-scale sharded runs. These writers format
-// each row/event into a pending block as it is produced, using the exact
-// shared formatters (append_timeseries_row_csv, append_journal_event_jsonl),
-// so a streamed file is byte-identical to the buffered export of the same
-// run. The file gets the block once it holds kOutputBlockBytes (1 MiB): a
-// few large writes instead of one per line.
+// timeseries exporter (SimTimeseries::write_csv) holds every row in memory
+// until the run ends, which is O(intervals * servers) resident state —
+// untenable for the city-scale sharded runs. These writers format each
+// row/event into a pending block as it is produced, using the exact shared
+// formatters (append_timeseries_row_csv, append_journal_event_jsonl), so a
+// streamed CSV is byte-identical to the buffered export of the same run and
+// a streamed journal to journal_to_jsonl of its events. The file gets the
+// block once it holds kOutputBlockBytes (1 MiB): a few large writes instead
+// of one per line. Both engines journal only through JournalStreamWriter.
 //
 // Checkpoint/resume contract: both writers count the bytes they have written
 // (the CSV preamble and the pending block included), and flush() writes the
@@ -21,9 +22,8 @@
 // flush(), say while an exception unwinds the engine, still writes its
 // pending block.
 //
-// Not thread-safe: the sharded simulator calls them only from its serial
-// apply phase (which is what makes the output deterministic in the first
-// place).
+// Not thread-safe: both simulators call them only from their serial control
+// path (which is what makes the output deterministic in the first place).
 #pragma once
 
 #include <cstdint>
@@ -109,22 +109,33 @@ class TimeseriesStreamWriter {
   bool cache_columns_ = false;
 };
 
-/// Streams JournalEvent lines into a JSONL file (the write_jsonl format),
-/// maintaining the same chain bookkeeping as obs::Journal: begin_chain()
-/// numbers chains from 1 in record order, record() auto-fills a zero chain
-/// from the client's current binding. Chain state is exposed so checkpoints
-/// can carry it across a resume. Bindings live in a vector indexed by
-/// client, grown on demand; negative client ids are never bound.
+/// A journal stream's position and chain state at a checkpoint: what a
+/// resumed writer needs to continue the file exactly.
+struct JournalStreamState {
+  std::uint64_t bytes = 0;   // file offset the resumed writer truncates to
+  std::uint64_t events = 0;  // records written up to that offset
+  std::uint64_t next_chain = 1;
+  /// Client -> chain id of its most recent attach, sorted by client (the
+  /// canonical snapshot encoding).
+  std::vector<std::pair<ClientId, std::uint64_t>> client_chains;
+
+  bool operator==(const JournalStreamState&) const = default;
+};
+
+/// Streams JournalEvent lines into a JSONL file (the journal_to_jsonl
+/// format) and keeps the chain book: begin_chain() numbers chains from 1 in
+/// record order, record() auto-fills a zero chain from the client's current
+/// binding, which survives detach so fallback events still link to the last
+/// attach. Bindings live in a vector indexed by client, grown on demand;
+/// negative client ids are never bound.
 class JournalStreamWriter {
  public:
   /// Fresh run: truncates `path`.
   explicit JournalStreamWriter(const std::string& path);
-  /// Resumed run: truncates `path` back to `resume.bytes` and appends,
-  /// restoring the chain counter/bindings recorded at the checkpoint.
-  JournalStreamWriter(
-      const std::string& path, Resume resume, std::uint64_t events,
-      std::uint64_t next_chain,
-      const std::vector<std::pair<ClientId, std::uint64_t>>& client_chains);
+  /// Resumed run: truncates `path` back to `state.bytes` and appends,
+  /// restoring the event count, chain counter and bindings. Throws
+  /// std::runtime_error if the file is shorter than the checkpoint offset.
+  JournalStreamWriter(const std::string& path, const JournalStreamState& state);
 
   std::uint64_t begin_chain(ClientId client);
   std::uint64_t chain_of(ClientId client) const;
@@ -134,9 +145,10 @@ class JournalStreamWriter {
   std::uint64_t bytes_written() const { return file_.bytes(); }
   std::uint64_t events_written() const { return events_; }
   std::uint64_t next_chain() const { return next_chain_; }
-  /// Client -> current chain bindings, sorted by client (canonical snapshot
-  /// encoding, mirroring JournalState::client_chains).
+  /// Client -> current chain bindings, sorted by client.
   std::vector<std::pair<ClientId, std::uint64_t>> client_chains() const;
+  /// Position and chain state so far; call after flush() for a checkpoint.
+  JournalStreamState state() const;
 
  private:
   void bind(ClientId client, std::uint64_t chain);

@@ -1483,17 +1483,7 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
     throw snapshot::SnapshotError(
         "snapshot: timeseries recording mismatch between checkpointed and "
         "resumed run");
-  if (!opt_.journal_path.empty() != snap.has_journal)
-    throw snapshot::SnapshotError(
-        "snapshot: journal recording mismatch between checkpointed and "
-        "resumed run");
-  // The journal writer keeps chains in a vector indexed by client, so an
-  // unchecked id would size it.
-  for (const auto& [client, chain] : s.client_chains)
-    if (client < 0 || client >= cfg_.num_clients)
-      throw snapshot::SnapshotError(
-          "snapshot: journal chain bound to client " + std::to_string(client) +
-          ", outside the world's clients");
+  snapshot::check_journal_resume(snap, opt_.journal_path, cfg_.num_clients);
   // Moves clamp every position to the world rectangle, and tile_at() casts
   // one to int; a heading feeds the next move; prefixes index prefix_bytes.
   for (std::size_t c = 0; c < n; ++c)
@@ -1608,15 +1598,9 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
     ts_ = std::make_unique<obs::TimeseriesStreamWriter>(
         opt_.timeseries_path, obs::Resume{s.timeseries_bytes},
         s.timeseries_rows, budget_ > 0);
-  if (!opt_.journal_path.empty()) {
-    std::vector<std::pair<ClientId, std::uint64_t>> chains;
-    chains.reserve(s.client_chains.size());
-    for (const auto& [client, chain] : s.client_chains)
-      chains.emplace_back(client, chain);
-    jr_ = std::make_unique<obs::JournalStreamWriter>(
-        opt_.journal_path, obs::Resume{s.journal_bytes}, s.journal_events,
-        s.journal_next_chain, chains);
-  }
+  if (!opt_.journal_path.empty())
+    jr_ = std::make_unique<obs::JournalStreamWriter>(opt_.journal_path,
+                                                     snap.journal);
 }
 
 snapshot::SimSnapshot ShardEngine::capture(int next_interval) {
@@ -1628,7 +1612,10 @@ snapshot::SimSnapshot ShardEngine::capture(int next_interval) {
   snap.num_intervals = cfg_.num_intervals;
   snap.metrics = metrics_;
   snap.has_timeseries = ts_ != nullptr;
-  snap.has_journal = jr_ != nullptr;
+  if (jr_ != nullptr) {
+    snap.has_journal = true;
+    snap.journal = jr_->state();
+  }
   snap.has_shard = true;
   snapshot::ShardSimState& s = snap.shard;
   s.x = x_;
@@ -1674,13 +1661,6 @@ snapshot::SimSnapshot ShardEngine::capture(int next_interval) {
   if (ts_ != nullptr) {
     s.timeseries_bytes = ts_->bytes_written();
     s.timeseries_rows = ts_->rows_written();
-  }
-  if (jr_ != nullptr) {
-    s.journal_bytes = jr_->bytes_written();
-    s.journal_events = jr_->events_written();
-    s.journal_next_chain = jr_->next_chain();
-    for (const auto& [client, chain] : jr_->client_chains())
-      s.client_chains.emplace_back(client, chain);
   }
   return snap;
 }

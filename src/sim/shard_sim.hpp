@@ -62,7 +62,9 @@ struct ShardRunOptions {
   int num_shards = 1;
   /// Streamed timeseries CSV destination; empty disables recording.
   std::string timeseries_path;
-  /// Streamed journal JSONL destination; empty disables journaling.
+  /// Streamed journal JSONL destination; empty disables journaling. A
+  /// journaling resume needs a checkpoint that streamed its journal to this
+  /// file (snapshot::check_journal_resume).
   std::string journal_path;
   /// Resume from this snapshot (must carry a shard section whose
   /// fingerprint matches the world's config); snapshot::SnapshotError

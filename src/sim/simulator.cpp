@@ -12,6 +12,7 @@
 #include "faults/fault_timeline.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stream_writer.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "snapshot/snapshot.hpp"
@@ -228,11 +229,10 @@ struct LoadLevelCache {
 class SimulatorImpl {
  public:
   SimulatorImpl(const SimulationConfig& config, const SimulationWorld& world,
-                obs::SimTimeseries* timeseries, obs::Journal* journal)
+                obs::SimTimeseries* timeseries)
       : config_(config),
         world_(world),
         timeseries_(timeseries),
-        journal_(journal),
         rng_(config.seed ^ 0x5eedf00dULL),
         link_rng_(config.seed ^ 0x11bb77aaULL),
         traffic_(world.servers.num_servers(), world.interval),
@@ -295,9 +295,6 @@ class SimulatorImpl {
           world.servers.num_servers(), num_intervals_, config.seed);
     timeline_ = FaultTimeline(plan, world.servers.num_servers(),
                               static_cast<int>(clients_.size()));
-    if (journal_ != nullptr)
-      for (ServerId s = 0; s < world.servers.num_servers(); ++s)
-        caches_[static_cast<std::size_t>(s)].set_journal(journal_, s);
   }
 
   SimulationMetrics run(const SimulationRunOptions& options);
@@ -330,11 +327,14 @@ class SimulatorImpl {
   /// fill as level() minus the RNG draw (the stats ARE the draw).
   void rebuild_level(int load, const GpuStats& stats);
   /// Re-primes every mutable field from a checkpoint; throws
-  /// snapshot::SnapshotError on fingerprint/shape mismatch.
-  void restore_from(const snapshot::SimSnapshot& snap);
+  /// snapshot::SnapshotError on fingerprint/shape mismatch, or when a run
+  /// journaling to `journal_path` finds no journal stream to continue.
+  void restore_from(const snapshot::SimSnapshot& snap,
+                    const std::string& journal_path);
   /// Captures the complete state at an interval boundary, where
-  /// `next_interval` is the first interval still to run.
-  snapshot::SimSnapshot capture(int next_interval) const;
+  /// `next_interval` is the first interval still to run. Flushes the
+  /// journal so its offset is the file size.
+  snapshot::SimSnapshot capture(int next_interval);
   void handle_attach(ClientId c, ServerId sid, int interval_index);
   /// Evaluates every ColdJob queued by this interval's attach pass in
   /// parallel and folds the results into metrics_/timeseries_/journal_ in
@@ -401,7 +401,8 @@ class SimulatorImpl {
   const SimulationConfig& config_;
   const SimulationWorld& world_;
   obs::SimTimeseries* timeseries_;  // may be null (recording disabled)
-  obs::Journal* journal_;           // may be null (journaling disabled)
+  /// Null unless the run journals.
+  std::unique_ptr<obs::JournalStreamWriter> journal_;
   Rng rng_;
   Rng link_rng_;  // dedicated stream: jitter draws must not shift the
                   // stats/plan caches of non-jittered runs
@@ -1261,7 +1262,7 @@ void SimulatorImpl::proactive_migration(int interval_index) {
   }
 }
 
-snapshot::SimSnapshot SimulatorImpl::capture(int next_interval) const {
+snapshot::SimSnapshot SimulatorImpl::capture(int next_interval) {
   snapshot::SimSnapshot snap;
   snap.config_fingerprint = snapshot::config_fingerprint(config_, world_);
   snap.next_interval = next_interval;
@@ -1297,13 +1298,15 @@ snapshot::SimSnapshot SimulatorImpl::capture(int next_interval) const {
     snap.timeseries_rows = timeseries_->rows();
   }
   if (journal_ != nullptr) {
+    journal_->flush();
     snap.has_journal = true;
     snap.journal = journal_->state();
   }
   return snap;
 }
 
-void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
+void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap,
+                                 const std::string& journal_path) {
   const auto servers = static_cast<std::size_t>(world_.servers.num_servers());
   if (snap.config_fingerprint != snapshot::config_fingerprint(config_, world_))
     throw snapshot::SnapshotError(
@@ -1367,6 +1370,8 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
   if (snap.timeseries_rows.size() % servers != 0)
     throw snapshot::SnapshotError(
         "snapshot: timeseries rows do not cover whole intervals");
+  snapshot::check_journal_resume(snap, journal_path,
+                                 static_cast<int>(clients_.size()));
   rng_.restore(snap.rng);
   link_rng_.restore(snap.link_rng);
   for (std::size_t s = 0; s < servers; ++s)
@@ -1398,7 +1403,6 @@ void SimulatorImpl::restore_from(const snapshot::SimSnapshot& snap) {
   metrics_ = snap.metrics;
   start_interval_ = snap.next_interval;
   timeline_.seek(start_interval_);
-  if (journal_ != nullptr && snap.has_journal) journal_->restore(snap.journal);
 }
 
 SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
@@ -1406,19 +1410,23 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
   if (timeseries_ != nullptr && config_.cache_budget_bytes > 0)
     timeseries_->enable_cache_columns();
   if (options.resume_from != nullptr) {
-    restore_from(*options.resume_from);
+    restore_from(*options.resume_from, options.journal_path);
     if (timeseries_ != nullptr)
       timeseries_->restore(world_.servers.num_servers(), world_.interval,
                            options.resume_from->timeseries_rows,
                            start_interval_);
-    // Meta event: excluded from the main stream (and from snapshots), so a
-    // resumed journal stays byte-identical to an uninterrupted one.
-    if (journal_ != nullptr)
-      journal_->record_meta(
-          {.interval = start_interval_,
-           .kind = obs::JournalEventKind::kCheckpointResume});
   } else if (timeseries_ != nullptr) {
     timeseries_->start(world_.servers.num_servers(), world_.interval);
+  }
+  // A resumed journal truncates its file back to the checkpoint's offset.
+  if (!options.journal_path.empty()) {
+    journal_ = options.resume_from != nullptr
+                   ? std::make_unique<obs::JournalStreamWriter>(
+                         options.journal_path, options.resume_from->journal)
+                   : std::make_unique<obs::JournalStreamWriter>(
+                         options.journal_path);
+    for (ServerId s = 0; s < world_.servers.num_servers(); ++s)
+      caches_[static_cast<std::size_t>(s)].set_journal(journal_.get(), s);
   }
 
   const auto num_intervals = static_cast<std::size_t>(num_intervals_);
@@ -1554,10 +1562,6 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
       if (options.capture_out != nullptr)
         *options.capture_out = std::move(snap);
       obs::count("sim.snapshot.captured");
-      if (journal_ != nullptr)
-        journal_->record_meta({.interval = interval_index,
-                               .kind = obs::JournalEventKind::kCheckpointSave,
-                               .aux = next_interval});
     }
     if (stop_here) return metrics_;  // partial: caller resumes later
   }
@@ -1566,6 +1570,7 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
   metrics_.num_servers = world_.servers.num_servers();
   metrics_.num_clients = static_cast<int>(clients_.size());
   metrics_.num_intervals = static_cast<int>(num_intervals);
+  if (journal_ != nullptr) journal_->flush();
   return metrics_;
 }
 
@@ -1587,7 +1592,7 @@ SimulationMetrics run_simulation(const SimulationConfig& config,
                                  obs::SimTimeseries* timeseries,
                                  const SimulationRunOptions& options) {
   config.validate();
-  SimulatorImpl impl(config, world, timeseries, options.journal);
+  SimulatorImpl impl(config, world, timeseries);
   return impl.run(options);
 }
 

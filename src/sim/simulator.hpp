@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -41,7 +42,6 @@
 namespace perdnn {
 
 namespace obs {
-class Journal;
 class SimTimeseries;
 }  // namespace obs
 
@@ -303,12 +303,14 @@ struct SimulationRunOptions {
   std::string checkpoint_path;
   /// In-memory destination for the most recent capture (tests, embedding).
   snapshot::SimSnapshot* capture_out = nullptr;
-  /// Structured event journal (obs/journal.hpp). Every event is recorded on
-  /// the serial control path, so the journal is byte-identical across
-  /// thread counts and a checkpoint/resume split
-  /// (journal state travels through snapshots). nullptr disables journaling
-  /// and is byte-identical to a build without it.
-  obs::Journal* journal = nullptr;
+  /// Streamed event-journal JSONL destination (obs/journal.hpp); empty
+  /// disables journaling, and the run is byte-identical either way. Every
+  /// event is recorded on the serial control path, so the file is
+  /// byte-identical across thread counts. A resumed run that journals
+  /// truncates this file back to the checkpoint's offset and appends, so it
+  /// needs a checkpoint that streamed its journal to this same file
+  /// (snapshot::check_journal_resume).
+  std::string journal_path;
 };
 
 /// Full-control variant: recording plus checkpoint/resume.

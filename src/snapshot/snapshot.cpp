@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -265,22 +266,19 @@ TrafficAccountant::State read_traffic_history(Reader& r) {
   return t;
 }
 
-void write_journal(Writer& w, const obs::JournalState& j) {
-  w.count(j.events.size());
-  for (const obs::JournalEvent& e : j.events) {
-    w.i32(e.interval);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.u64(e.chain);
-    w.i32(e.client);
-    w.i32(e.server);
-    w.i32(e.peer);
-    w.i64(e.bytes);
-    w.i32(e.detail);
-    w.i32(e.aux);
-    w.f64(e.value);
+std::vector<std::pair<ClientId, std::uint64_t>> read_chains(Reader& r) {
+  std::vector<std::pair<ClientId, std::uint64_t>> chains(r.count(12));
+  for (auto& [client, chain] : chains) {
+    client = r.i32();
+    chain = r.u64();
   }
+  return chains;
+}
+
+void write_journal(Writer& w, const obs::JournalStreamState& j) {
+  w.u64(j.bytes);
+  w.u64(j.events);
   w.u64(j.next_chain);
-  w.u64(j.dropped);
   w.count(j.client_chains.size());
   for (const auto& [client, chain] : j.client_chains) {
     w.i32(client);
@@ -288,32 +286,31 @@ void write_journal(Writer& w, const obs::JournalState& j) {
   }
 }
 
-obs::JournalState read_journal(Reader& r) {
-  obs::JournalState j;
+obs::JournalStreamState read_journal(Reader& r) {
+  obs::JournalStreamState j;
+  j.bytes = r.u64();
+  j.events = r.u64();
+  j.next_chain = r.u64();
+  j.client_chains = read_chains(r);
+  return j;
+}
+
+/// Versions 2–7 kept the classic engine's journal inline: every event, the
+/// chain counter, a drop count and the client bindings. The events are
+/// checked and counted, not kept; a sharded file's copy is empty.
+obs::JournalStreamState read_inline_journal(Reader& r) {
+  obs::JournalStreamState j;
   // Per-event wire size: 4+1+8+4+4+4+8+4+4+8 bytes.
-  j.events.resize(r.count(49));
-  for (obs::JournalEvent& e : j.events) {
-    e.interval = r.i32();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(obs::JournalEventKind::kCachePartial))
+  j.events = r.count(49);
+  for (std::uint64_t i = 0; i < j.events; ++i) {
+    r.i32();  // interval
+    if (r.u8() > static_cast<std::uint8_t>(obs::JournalEventKind::kCachePartial))
       throw SnapshotError("snapshot: journal event kind out of range");
-    e.kind = static_cast<obs::JournalEventKind>(kind);
-    e.chain = r.u64();
-    e.client = r.i32();
-    e.server = r.i32();
-    e.peer = r.i32();
-    e.bytes = r.i64();
-    e.detail = r.i32();
-    e.aux = r.i32();
-    e.value = r.f64();
+    for (int word = 0; word < 11; ++word) r.u32();  // the other 44 bytes
   }
   j.next_chain = r.u64();
-  j.dropped = r.u64();
-  j.client_chains.resize(r.count(12));
-  for (auto& [client, chain] : j.client_chains) {
-    client = r.i32();
-    chain = r.u64();
-  }
+  r.u64();  // events dropped past the in-memory cap
+  j.client_chains = read_chains(r);
   return j;
 }
 
@@ -344,14 +341,6 @@ void write_shard(Writer& w, const ShardSimState& s) {
   write_u32s(s.entry_prefix);
   w.u64(s.timeseries_bytes);
   w.u64(s.timeseries_rows);
-  w.u64(s.journal_bytes);
-  w.u64(s.journal_events);
-  w.u64(s.journal_next_chain);
-  w.count(s.client_chains.size());
-  for (const auto& [client, chain] : s.client_chains) {
-    w.i32(client);
-    w.u64(chain);
-  }
   // v3.1 retry-queue arrays, appended in version 4.
   write_i32s(s.retry_client);
   write_i32s(s.retry_source);
@@ -363,7 +352,10 @@ void write_shard(Writer& w, const ShardSimState& s) {
   write_i32s(s.retry_next_attempt);
 }
 
-ShardSimState read_shard(Reader& r, std::uint32_t version) {
+/// A version 3–7 sharded section carries the journal stream state, which
+/// lands in `journal`, the section both engines share since version 8.
+ShardSimState read_shard(Reader& r, std::uint32_t version,
+                         obs::JournalStreamState* journal) {
   ShardSimState s;
   const auto read_f64s = [&](std::vector<double>& v) {
     v.resize(r.count(8));
@@ -399,14 +391,7 @@ ShardSimState read_shard(Reader& r, std::uint32_t version) {
   }
   s.timeseries_bytes = r.u64();
   s.timeseries_rows = r.u64();
-  s.journal_bytes = r.u64();
-  s.journal_events = r.u64();
-  s.journal_next_chain = r.u64();
-  s.client_chains.resize(r.count(12));
-  for (auto& [client, chain] : s.client_chains) {
-    client = r.i32();
-    chain = r.u64();
-  }
+  if (version <= 7) *journal = read_journal(r);
   if (version >= 4) {
     read_i32s(s.retry_client);
     read_i32s(s.retry_source);
@@ -426,6 +411,27 @@ ShardSimState read_shard(Reader& r, std::uint32_t version) {
 }
 
 }  // namespace
+
+void check_journal_resume(const SimSnapshot& snap,
+                          const std::string& journal_path, int num_clients) {
+  if (journal_path.empty()) return;
+  if (!snap.has_journal)
+    throw SnapshotError(
+        "snapshot: this run journals, but the checkpoint holds no journal "
+        "stream to continue (a version 2-7 classic checkpoint keeps its "
+        "journal inline; resume it without a journal)");
+  for (const auto& [client, chain] : snap.journal.client_chains)
+    if (client < 0 || client >= num_clients)
+      throw SnapshotError("snapshot: journal chain bound to client " +
+                          std::to_string(client) +
+                          ", outside the world's clients");
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(journal_path, ec);
+  if (ec || size < snap.journal.bytes)
+    throw SnapshotError("snapshot: journal " + journal_path +
+                        " is missing or shorter than the checkpoint's " +
+                        std::to_string(snap.journal.bytes) + " bytes");
+}
 
 // -- config fingerprint ------------------------------------------------------
 
@@ -583,14 +589,15 @@ SimSnapshot decode(const std::string& bytes) try {
   // section is absent), version 3 (pre-retry-queue files, their retry
   // arrays are empty), version 4 (pre-budgeted-cache files, their
   // per-entry byte counts are recomputed on restore), version 5 (the last
-  // to carry the estimate-memo tallies, skipped here) and version 6 (the
-  // last to carry traffic histories, folded here). Unknown versions fall
+  // to carry the estimate-memo tallies, skipped here), version 6 (the last
+  // to carry traffic histories, folded here) and version 7 (the last to
+  // carry a classic journal inline, counted here). Unknown versions fall
   // through to unframe()'s version-mismatch error.
   std::uint32_t version = kSnapshotVersion;
   if (bytes.size() >= 12) {
     Reader vr(bytes.data() + 8, 4);
     const std::uint32_t declared = vr.u32();
-    if (declared >= 2 && declared <= 6) version = declared;
+    if (declared >= 2 && declared <= 7) version = declared;
   }
   Reader r = wire::unframe(bytes, kMagic, version, "snapshot");
   SimSnapshot snap;
@@ -660,12 +667,14 @@ SimSnapshot decode(const std::string& bytes) try {
     row = read_row(r, version);
 
   snap.has_journal = r.boolean();
-  snap.journal = read_journal(r);
+  snap.journal = version >= 8 ? read_journal(r) : read_inline_journal(r);
 
   if (version >= 3) {
     snap.has_shard = r.boolean();
-    if (snap.has_shard) snap.shard = read_shard(r, version);
+    if (snap.has_shard) snap.shard = read_shard(r, version, &snap.journal);
   }
+  // An inline classic journal is no stream a resumed run could continue.
+  if (version <= 7 && !snap.has_shard) snap.has_journal = false;
   if (!snap.has_shard) {
     // Earlier classic writers left these counters at zero in the metrics
     // block until the run ended; the tallies always held them.
@@ -775,99 +784,6 @@ std::string metrics_to_json(const SimulationMetrics& m) {
   num("num_clients", m.num_clients);
   num("num_intervals", m.num_intervals);
   return JsonValue::make_object(std::move(doc)).serialize();
-}
-
-namespace {
-
-double require_number(const obs::JsonValue& doc, const char* key) {
-  const obs::JsonValue* value = doc.find(key);
-  if (value == nullptr)
-    throw SnapshotError(std::string("metrics json: missing field ") + key);
-  return value->as_number();
-}
-
-double optional_number(const obs::JsonValue& doc, const char* key,
-                       double fallback) {
-  const obs::JsonValue* value = doc.find(key);
-  return value == nullptr ? fallback : value->as_number();
-}
-
-}  // namespace
-
-SimulationMetrics metrics_from_json(const std::string& json) {
-  obs::JsonValue doc;
-  try {
-    doc = obs::parse_json(json);
-  } catch (const std::exception& e) {
-    throw SnapshotError(std::string("metrics json: ") + e.what());
-  }
-  if (!doc.is_object())
-    throw SnapshotError("metrics json: document is not an object");
-  SimulationMetrics m;
-  m.cold_window_queries =
-      static_cast<long long>(require_number(doc, "cold_window_queries"));
-  m.server_changes = static_cast<int>(require_number(doc, "server_changes"));
-  m.hits = static_cast<int>(require_number(doc, "hits"));
-  m.partials = static_cast<int>(require_number(doc, "partials"));
-  m.misses = static_cast<int>(require_number(doc, "misses"));
-  m.server_failures =
-      static_cast<int>(require_number(doc, "server_failures"));
-  m.failure_evictions =
-      static_cast<int>(require_number(doc, "failure_evictions"));
-  m.routed_queries =
-      static_cast<long long>(require_number(doc, "routed_queries"));
-  m.client_disconnect_events =
-      static_cast<int>(require_number(doc, "client_disconnect_events"));
-  m.local_fallback_queries =
-      static_cast<long long>(require_number(doc, "local_fallback_queries"));
-  m.local_latency_sum_s = require_number(doc, "local_latency_sum_s");
-  m.attached_client_intervals = static_cast<long long>(
-      require_number(doc, "attached_client_intervals"));
-  m.unreachable_client_intervals = static_cast<long long>(
-      require_number(doc, "unreachable_client_intervals"));
-  m.offline_client_intervals = static_cast<long long>(
-      require_number(doc, "offline_client_intervals"));
-  m.degraded_attaches =
-      static_cast<int>(require_number(doc, "degraded_attaches"));
-  m.migrations_deferred =
-      static_cast<int>(require_number(doc, "migrations_deferred"));
-  m.migration_retries =
-      static_cast<int>(require_number(doc, "migration_retries"));
-  m.migrations_abandoned =
-      static_cast<int>(require_number(doc, "migrations_abandoned"));
-  m.migrations_truncated =
-      static_cast<int>(require_number(doc, "migrations_truncated"));
-  m.attaches_shed = static_cast<int>(optional_number(doc, "attaches_shed", 0));
-  m.deferred_migration_bytes =
-      static_cast<Bytes>(require_number(doc, "deferred_migration_bytes"));
-  m.abandoned_migration_bytes =
-      static_cast<Bytes>(require_number(doc, "abandoned_migration_bytes"));
-  m.peak_deferred_backlog_bytes =
-      static_cast<Bytes>(require_number(doc, "peak_deferred_backlog_bytes"));
-  m.cache_evictions =
-      static_cast<long long>(optional_number(doc, "cache_evictions", 0));
-  m.cache_partial_stores =
-      static_cast<long long>(optional_number(doc, "cache_partial_stores", 0));
-  m.peak_cache_bytes =
-      static_cast<Bytes>(optional_number(doc, "peak_cache_bytes", 0));
-  m.peak_uplink_mbps = require_number(doc, "peak_uplink_mbps");
-  m.peak_downlink_mbps = require_number(doc, "peak_downlink_mbps");
-  m.fraction_servers_within_100mbps =
-      require_number(doc, "fraction_servers_within_100mbps");
-  m.fraction_servers_within_100mbps_at_peak =
-      require_number(doc, "fraction_servers_within_100mbps_at_peak");
-  m.total_migrated_bytes =
-      static_cast<Bytes>(require_number(doc, "total_migrated_bytes"));
-  const obs::JsonValue* peaks = doc.find("server_peak_uplink_mbps");
-  if (peaks == nullptr || !peaks->is_array())
-    throw SnapshotError(
-        "metrics json: missing or non-array server_peak_uplink_mbps");
-  for (const obs::JsonValue& v : peaks->items())
-    m.server_peak_uplink_mbps.push_back(v.as_number());
-  m.num_servers = static_cast<int>(require_number(doc, "num_servers"));
-  m.num_clients = static_cast<int>(require_number(doc, "num_clients"));
-  m.num_intervals = static_cast<int>(require_number(doc, "num_intervals"));
-  return m;
 }
 
 }  // namespace perdnn::snapshot

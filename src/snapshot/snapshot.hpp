@@ -9,7 +9,8 @@
 // engines write it, in one section), the per-load GPU statistics behind the
 // level caches (the only RNG-derived planning state — estimates and plans
 // are rebuilt deterministically on resume), the accumulated
-// SimulationMetrics, and (optionally) the finished SimTimeseries rows.
+// SimulationMetrics, (optionally) the finished SimTimeseries rows, and the
+// event-journal stream's offset and chain state (both engines, one section).
 //
 // Wire format (little-endian, fixed-width):
 //
@@ -43,14 +44,15 @@
 #include "edge/layer_cache.hpp"
 #include "edge/retry_queue.hpp"
 #include "net/network.hpp"
-#include "obs/journal.hpp"
+#include "obs/stream_writer.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/simulator.hpp"
 
 namespace perdnn::snapshot {
 
-/// Version 2 appended the event-journal state (has_journal + JournalState)
-/// so a resumed run's journal is byte-identical to the uninterrupted one.
+/// Version 2 appended the event-journal state (has_journal plus the events
+/// inline) so a resumed run's journal is byte-identical to the
+/// uninterrupted one.
 /// Version 3 appended the sharded-world section (has_shard + ShardSimState)
 /// for the SoA city-scale simulator; decode still accepts version-2 files
 /// (their shard section is simply absent).
@@ -74,7 +76,13 @@ namespace perdnn::snapshot {
 /// exactly. It parses and drops a version 3–6 sharded file's peaks; the
 /// sharded engine refuses to resume such a file, because a 100 Mbps share
 /// cannot be turned back into per-server bytes.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// Version 8 replaced the classic engine's inline journal (every event plus
+/// the chain book) with the journal stream's offset, event count and chain
+/// state, and moved the sharded section's copy of that state into the same
+/// section, so both engines write it once. decode still reads a version
+/// 2–7 file: a sharded file's stream state lands in that section, and a
+/// classic file's inline events are checked, counted and dropped.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// Thrown for every malformed-snapshot condition: bad magic, unknown
 /// version, truncation, checksum mismatch, out-of-range lengths, fingerprint
@@ -106,8 +114,9 @@ struct LoadLevelSnapshot {
 /// every shard/thread count produces identically. RNG substreams, per-client
 /// speeds and the tile index are deterministic functions of (seed, client)
 /// or of the stored position, so they are recomputed on resume rather than
-/// stored. Stream offsets let a resumed run truncate its timeseries CSV /
-/// journal JSONL back to the checkpoint boundary and append from there.
+/// stored. The timeseries offset lets a resumed run truncate its CSV back to
+/// the checkpoint boundary and append from there; the journal's stream
+/// state is in SimSnapshot::journal, which both engines write.
 struct ShardSimState {
   // SoA client store.
   std::vector<double> x, y, heading;
@@ -118,11 +127,8 @@ struct ShardSimState {
   // Layer-cache entries, flattened and sorted by (server, client).
   std::vector<std::int32_t> entry_server, entry_client, entry_expire;
   std::vector<std::uint32_t> entry_prefix;
-  // Streamed-output positions at the checkpoint.
+  // Streamed-timeseries position at the checkpoint.
   std::uint64_t timeseries_bytes = 0, timeseries_rows = 0;
-  std::uint64_t journal_bytes = 0, journal_events = 0;
-  std::uint64_t journal_next_chain = 1;
-  std::vector<std::pair<std::int32_t, std::uint64_t>> client_chains;
   // v3.1 (wire version 4): the deferred-migration retry queue, flattened in
   // (source server, FIFO position) order — the canonical order every
   // shard/thread count produces identically. All seven arrays share one
@@ -167,18 +173,31 @@ struct SimSnapshot {
   /// without these rows could not reproduce the full CSV.
   bool has_timeseries = false;
   std::vector<obs::TimeseriesRow> timeseries_rows;
-  /// Event-journal state at the checkpoint (core events, chain counter,
-  /// client->chain bindings). has_journal marks whether the checkpointed
-  /// run journaled at all; checkpoint markers themselves are meta events
-  /// and deliberately never stored (journal.hpp explains why).
+  /// The event-journal stream at the checkpoint, written by both engines:
+  /// byte offset, event count, chain counter and client->chain bindings.
+  /// has_journal marks a checkpointed run that streamed its journal, which
+  /// a journaling resume needs (check_journal_resume). A version 2–7
+  /// classic file kept its events inline instead; decode counts them into
+  /// journal.events but leaves has_journal false, as no stream exists to
+  /// continue, so such a file resumes only without a journal.
   bool has_journal = false;
-  obs::JournalState journal;
+  obs::JournalStreamState journal;
   /// Sharded-world section (version 3). When has_shard is set the classic
   /// per-client/per-server vectors above stay empty (all but `traffic`,
   /// which both engines fill): the two engines never share a snapshot.
   bool has_shard = false;
   ShardSimState shard;
 };
+
+/// The journal resume rule of both engines. A run that journals to
+/// `journal_path` needs a checkpoint that streamed its journal, every chain
+/// of which names one of the world's `num_clients` clients (the writer
+/// sizes a vector by client id), and a file at `journal_path` that still
+/// holds the checkpoint's bytes (the writer truncates it back to them);
+/// SnapshotError otherwise. A run that does not journal (empty path)
+/// ignores the journal state.
+void check_journal_resume(const SimSnapshot& snap,
+                          const std::string& journal_path, int num_clients);
 
 /// Hash of every simulation-affecting config knob plus the world's shape
 /// (server/client/interval counts, model size). Resuming a snapshot whose
@@ -199,9 +218,9 @@ void save(const SimSnapshot& snap, const std::string& path);
 /// format problems.
 SimSnapshot load(const std::string& path);
 
-/// Flat JSON object of every SimulationMetrics field (shard outputs the
-/// scenario runner merges; parseable back via metrics_from_json).
+/// Flat JSON object of every SimulationMetrics field: the deterministic
+/// metrics output of `perdnn simulate --sim-metrics-out` and perdnn_runner's
+/// per-shard done marker, which `merge` embeds verbatim.
 std::string metrics_to_json(const SimulationMetrics& metrics);
-SimulationMetrics metrics_from_json(const std::string& json);
 
 }  // namespace perdnn::snapshot

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/journal.hpp"
+#include "obs/stream_writer.hpp"
 
 namespace perdnn {
 namespace {
@@ -420,11 +425,30 @@ TEST(LayerCacheBudget, ExportRestoreCarriesEntryBytes) {
 // Journal pinning: the exact event stream the cache records.
 // ---------------------------------------------------------------------------
 
+/// A journal file per test case: ctest runs the cases as parallel processes.
+std::string journal_path() {
+  return ::testing::TempDir() + "perdnn_layer_cache_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".jsonl";
+}
+
+/// Flushes `journal` and reads back the events it streamed to `path`.
+std::vector<obs::JournalEvent> streamed_events(
+    obs::JournalStreamWriter& journal, const std::string& path) {
+  journal.flush();
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  return obs::journal_from_jsonl(text.str());
+}
+
 TEST(LayerCacheJournal, FullyDuplicateSendRecordsATouchNotAZeroLayerStore) {
   // Regression: a non-empty but fully-duplicate send used to journal
   // kCacheStore with aux=0 while the equivalent empty send journalled
   // kCacheTouch — the same suppressed transmission, two different stories.
-  obs::Journal journal;
+  const std::string path = journal_path();
+  obs::JournalStreamWriter journal(path);
   LayerCache cache(5);
   cache.set_journal(&journal, /*self=*/7);
 
@@ -432,7 +456,7 @@ TEST(LayerCacheJournal, FullyDuplicateSendRecordsATouchNotAZeroLayerStore) {
   cache.store(1, {1, 0}, 1);  // non-empty, fully duplicate
   cache.store(1, {}, 2);      // empty (fully deduplicated upstream)
 
-  const auto events = journal.events();
+  const auto events = streamed_events(journal, path);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].kind, obs::JournalEventKind::kCacheStore);
   EXPECT_EQ(events[0].aux, 2);
@@ -453,7 +477,8 @@ TEST(LayerCacheJournal, FullyDuplicateSendRecordsATouchNotAZeroLayerStore) {
 TEST(LayerCacheJournal, BudgetEvictionCarriesBytesCrashWipeDoesNot) {
   // Budget evictions and crash wipes share kCacheEvict; bytes > 0 is the
   // discriminator perdnn_obs uses to tell them apart.
-  obs::Journal journal;
+  const std::string path = journal_path();
+  obs::JournalStreamWriter journal(path);
   LayerCache cache = budgeted_cache(200);
   cache.set_journal(&journal, /*self=*/3);
 
@@ -462,7 +487,7 @@ TEST(LayerCacheJournal, BudgetEvictionCarriesBytesCrashWipeDoesNot) {
   cache.store(2, {0, 1, 2}, 2);   // duplicate prefix + one refused layer
   cache.wipe(3);                  // crash wipe: bytes stays 0
 
-  const auto events = journal.events();
+  const auto events = streamed_events(journal, path);
   ASSERT_EQ(events.size(), 6u);
   EXPECT_EQ(events[0].kind, obs::JournalEventKind::kCacheStore);
   // Budget eviction of client 1: 200 bytes, 2 layers, on server 3.

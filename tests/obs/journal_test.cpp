@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/stream_writer.hpp"
 
 namespace perdnn::obs {
 namespace {
@@ -40,8 +44,26 @@ TEST(JournalEventKindNames, RoundTripEveryKind) {
   EXPECT_FALSE(journal_kind_from_name("", &unused));
 }
 
+// The chain book lives in the stream writer, the one journal of both
+// engines; these cases read its file back.
+
+/// A journal file per test case: ctest runs the cases as parallel processes.
+std::string case_path() {
+  return ::testing::TempDir() + "perdnn_journal_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".jsonl";
+}
+
+std::vector<JournalEvent> read_back(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return journal_from_jsonl(text.str());
+}
+
 TEST(JournalUnit, ChainsAreMonotoneAndAutoFilled) {
-  Journal j;
+  const std::string path = case_path();
+  JournalStreamWriter j(path);
   EXPECT_EQ(j.begin_chain(1), 1u);
   EXPECT_EQ(j.begin_chain(2), 2u);
   EXPECT_EQ(j.chain_of(1), 1u);
@@ -50,83 +72,54 @@ TEST(JournalUnit, ChainsAreMonotoneAndAutoFilled) {
 
   // record() stamps the client's open chain when none is given.
   j.record(make_event(0, JournalEventKind::kAttach, /*client=*/2));
-  EXPECT_EQ(j.events().back().chain, 2u);
-
   // An explicit chain wins over the binding.
   JournalEvent explicit_chain = make_event(0, JournalEventKind::kPlan, 2);
   explicit_chain.chain = 77;
   j.record(explicit_chain);
-  EXPECT_EQ(j.events().back().chain, 77u);
-
   // Clientless events stay chainless.
   j.record(make_event(1, JournalEventKind::kFaultApplied, /*client=*/-1));
-  EXPECT_EQ(j.events().back().chain, 0u);
-
   // Re-attaching opens a fresh chain; the binding follows it.
   EXPECT_EQ(j.begin_chain(2), 3u);
   j.record(make_event(2, JournalEventKind::kDetach, 2));
-  EXPECT_EQ(j.events().back().chain, 3u);
-}
+  j.flush();
 
-TEST(JournalUnit, BoundedKeepsFirstEventsAndCountsDrops) {
-  Journal j(/*capacity=*/3);
-  for (int i = 0; i < 5; ++i)
-    j.record(make_event(i, JournalEventKind::kCacheTouch));
-  EXPECT_EQ(j.size(), 3u);
-  EXPECT_EQ(j.dropped(), 2u);
-  EXPECT_EQ(j.events().front().interval, 0);
-  EXPECT_EQ(j.events().back().interval, 2);  // first three kept, not last
-}
-
-TEST(JournalUnit, MetaEventsStayOutOfTheStream) {
-  // Checkpoint markers must not contaminate events()/exports/state(), or a
-  // resumed run's journal could never be byte-identical to an uninterrupted
-  // one.
-  Journal j;
-  j.record(make_event(0, JournalEventKind::kAttach));
-  j.record_meta(make_event(1, JournalEventKind::kCheckpointSave, -1));
-  j.record(make_event(1, JournalEventKind::kDetach));
-
-  EXPECT_EQ(j.size(), 2u);
-  EXPECT_EQ(j.meta_events().size(), 1u);
-  EXPECT_EQ(j.state().events.size(), 2u);
-  std::ostringstream out;
-  j.write_jsonl(out);
-  EXPECT_EQ(out.str().find("checkpoint_save"), std::string::npos);
+  const std::vector<JournalEvent> events = read_back(path);
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].chain, 2u);
+  EXPECT_EQ(events[1].chain, 77u);
+  EXPECT_EQ(events[2].chain, 0u);
+  EXPECT_EQ(events[3].chain, 3u);
+  std::remove(path.c_str());
 }
 
 TEST(JournalUnit, StateRestoreRoundTrips) {
-  Journal j;
-  j.begin_chain(1);
-  j.record(make_event(0, JournalEventKind::kAttach, 1));
-  j.record(make_event(3, JournalEventKind::kCacheStore, 1));
-  const JournalState state = j.state();
+  const std::string path = case_path();
+  JournalStreamState state;
+  std::vector<JournalEvent> before;
+  {
+    JournalStreamWriter j(path);
+    j.begin_chain(1);
+    j.record(make_event(0, JournalEventKind::kAttach, 1));
+    j.record(make_event(3, JournalEventKind::kCacheStore, 1));
+    j.flush();
+    state = j.state();
+    before = read_back(path);
+    // Written after the checkpoint: the resume must drop it.
+    j.begin_chain(5);
+    j.record(make_event(9, JournalEventKind::kDetach, 5));
+  }
+  EXPECT_EQ(state.events, 2u);
+  EXPECT_EQ(state.next_chain, 2u);
 
-  Journal restored;
-  restored.restore(state);
-  EXPECT_EQ(restored.events(), j.events());
-  EXPECT_EQ(restored.chain_of(1), j.chain_of(1));
+  JournalStreamWriter restored(path, state);
+  EXPECT_EQ(restored.state(), state);
+  EXPECT_EQ(restored.chain_of(1), 1u);
+  EXPECT_EQ(restored.chain_of(5), 0u);
   // The chain counter resumes where it left off — no id reuse.
   EXPECT_EQ(restored.begin_chain(2), 2u);
-
-  // restore() replaces prior content entirely.
-  Journal dirty;
-  dirty.begin_chain(5);
-  dirty.record(make_event(9, JournalEventKind::kDetach, 5));
-  dirty.restore(state);
-  EXPECT_EQ(dirty.events(), j.events());
-  EXPECT_EQ(dirty.chain_of(5), 0u);
-}
-
-TEST(JournalUnit, ClearResetsEverything) {
-  Journal j;
-  j.begin_chain(1);
-  j.record(make_event(0, JournalEventKind::kAttach, 1));
-  j.clear();
-  EXPECT_EQ(j.size(), 0u);
-  EXPECT_EQ(j.dropped(), 0u);
-  EXPECT_EQ(j.chain_of(1), 0u);
-  EXPECT_EQ(j.begin_chain(1), 1u);  // counter restarts
+  restored.flush();
+  EXPECT_EQ(read_back(path), before);
+  std::remove(path.c_str());
 }
 
 TEST(JournalCodec, JsonlRoundTripsEveryKind) {
@@ -241,16 +234,6 @@ TEST(JournalCodec, BinaryRoundTripsAndRejectsCorruption) {
   flipped[flipped.size() / 2] =
       static_cast<char>(flipped[flipped.size() / 2] ^ 0x40);
   EXPECT_THROW(journal_decode(flipped), JournalError);
-}
-
-TEST(JournalCodec, EncodeMatchesMemberEncode) {
-  Journal j;
-  j.begin_chain(1);
-  j.record(make_event(0, JournalEventKind::kAttach, 1));
-  EXPECT_EQ(j.encode(), journal_encode(j.events()));
-  std::ostringstream out;
-  j.write_jsonl(out);
-  EXPECT_EQ(out.str(), journal_to_jsonl(j.events()));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The streamed journal and timeseries writers against the buffered
-// exporters. The journals here run to several MiB so the block path — a
+// encoders. The journals here run to several MiB so the block path — a
 // write only once 1 MiB is pending — runs many times; the simulator tests
 // stream far less than one block.
 #include "obs/stream_writer.hpp"
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -100,12 +101,24 @@ void play(const std::vector<Step>& steps, std::size_t from, std::size_t to,
   }
 }
 
-/// The reference bytes: the same steps through obs::Journal, which fills
-/// chains by the same rules, exported by journal_to_jsonl.
+/// The reference bytes: the steps' chains filled by the documented rules
+/// (numbered from 1 in begin order, a zero chain taken from the client's
+/// latest binding), encoded in one piece by journal_to_jsonl.
 std::string buffered_jsonl(const std::vector<Step>& steps) {
-  Journal journal(steps.size());
-  play(steps, 0, steps.size(), journal);
-  return journal_to_jsonl(journal.events());
+  std::map<ClientId, std::uint64_t> bound;
+  std::uint64_t next_chain = 1;
+  std::vector<JournalEvent> events;
+  events.reserve(steps.size());
+  for (const Step& step : steps) {
+    JournalEvent e = step.event;
+    if (step.begin_chain) {
+      e.chain = bound[e.client] = next_chain++;
+    } else if (e.chain == 0 && bound.count(e.client) != 0) {
+      e.chain = bound[e.client];
+    }
+    events.push_back(e);
+  }
+  return journal_to_jsonl(events);
 }
 
 constexpr std::size_t kEvents = 40'000;  // ~5 MiB of JSONL
@@ -122,13 +135,6 @@ TEST(JournalStreamWriterTest, MultiBlockStreamEqualsBufferedExport) {
   EXPECT_EQ(writer.events_written(), steps.size());
   EXPECT_EQ(writer.bytes_written(), std::filesystem::file_size(path));
   EXPECT_TRUE(same_text(slurp(path), want));
-
-  // The buffered exporter writes in blocks too, and agrees byte for byte.
-  Journal journal(steps.size());
-  play(steps, 0, steps.size(), journal);
-  std::ostringstream buffered;
-  journal.write_jsonl(buffered);
-  EXPECT_TRUE(same_text(buffered.str(), want));
 }
 
 TEST(JournalStreamWriterTest, BytesWrittenCountsThePendingBlock) {
@@ -164,16 +170,16 @@ TEST(JournalStreamWriterTest, ResumeAtMidFileOffsetReproducesStraightFile) {
   const std::size_t split = steps.size() / 2 + 123;
   const std::string path = case_path(".jsonl");
 
-  std::uint64_t bytes = 0, events = 0, next_chain = 0;
-  std::vector<std::pair<ClientId, std::uint64_t>> chains;
+  JournalStreamState checkpoint;
   {
     JournalStreamWriter writer(path);
     play(steps, 0, split, writer);
     writer.flush();  // the checkpoint
-    bytes = writer.bytes_written();
-    events = writer.events_written();
-    next_chain = writer.next_chain();
-    chains = writer.client_chains();
+    checkpoint = writer.state();
+    EXPECT_EQ(checkpoint.bytes, writer.bytes_written());
+    EXPECT_EQ(checkpoint.events, split);
+    EXPECT_EQ(checkpoint.next_chain, writer.next_chain());
+    EXPECT_EQ(checkpoint.client_chains, writer.client_chains());
     // The killed run got further: more than one block past the checkpoint.
     play(steps, split, steps.size() - 100, writer);
   }
@@ -182,12 +188,12 @@ TEST(JournalStreamWriterTest, ResumeAtMidFileOffsetReproducesStraightFile) {
     std::ofstream torn(path, std::ios::binary | std::ios::app);
     torn << "{\"interval\":999,\"kind\":\"atta";
   }
-  ASSERT_GT(std::filesystem::file_size(path), bytes + kOutputBlockBytes);
+  ASSERT_GT(std::filesystem::file_size(path),
+            checkpoint.bytes + kOutputBlockBytes);
 
   {
-    JournalStreamWriter resumed(path, Resume{bytes}, events, next_chain,
-                                chains);
-    EXPECT_EQ(resumed.client_chains(), chains);
+    JournalStreamWriter resumed(path, checkpoint);
+    EXPECT_EQ(resumed.state(), checkpoint);
     play(steps, split, steps.size(), resumed);
     resumed.flush();
     EXPECT_EQ(resumed.events_written(), steps.size());
@@ -196,8 +202,9 @@ TEST(JournalStreamWriterTest, ResumeAtMidFileOffsetReproducesStraightFile) {
   EXPECT_TRUE(same_text(slurp(path), buffered_jsonl(steps)));
 
   // A checkpoint offset past the end of the file is refused.
-  EXPECT_THROW(JournalStreamWriter(path, Resume{1u << 30}, 0, 1, {}),
-               std::runtime_error);
+  JournalStreamState past_end;
+  past_end.bytes = 1u << 30;
+  EXPECT_THROW(JournalStreamWriter(path, past_end), std::runtime_error);
 }
 
 TEST(JournalStreamWriterTest, ClientChainsAreSortedForSparseAndNegativeIds) {
@@ -235,10 +242,9 @@ TEST(JournalStreamWriterTest, ClientChainsAreSortedForSparseAndNegativeIds) {
 
   // A resume restores exactly these bindings; a negative id in the list is
   // dropped like any other.
-  std::vector<std::pair<ClientId, std::uint64_t>> stored = want;
-  stored.insert(stored.begin(), {-1, 3});
-  JournalStreamWriter resumed(path, Resume{writer.bytes_written()}, 3,
-                              writer.next_chain(), stored);
+  JournalStreamState stored = writer.state();
+  stored.client_chains.insert(stored.client_chains.begin(), {-1, 3});
+  JournalStreamWriter resumed(path, stored);
   EXPECT_EQ(resumed.client_chains(), want);
   EXPECT_EQ(resumed.chain_of(70'000), 4u);
   EXPECT_EQ(resumed.begin_chain(5), 6u);

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -394,15 +396,18 @@ TEST_F(TimeseriesSimTest, DeduplicatedOrdersCountWithZeroBytes) {
   // migration order at its source. On a fault-free run every order is
   // delivered, so the rows' order count equals the journal's pushes.
   SimTimeseries ts;
-  obs::Journal journal;
   SimulationRunOptions options;
-  options.journal = &journal;
+  options.journal_path =
+      ::testing::TempDir() + "perdnn_timeseries_dedup_journal.jsonl";
   const SimulationMetrics metrics =
       run_simulation(*config_, *world_, &ts, options);
+  std::ostringstream journal;
+  journal << std::ifstream(options.journal_path, std::ios::binary).rdbuf();
+  std::remove(options.journal_path.c_str());
   std::vector<long long> pushes(ts.rows().size(), 0);
   long long zero_byte_pushes = 0;
   std::int64_t pushed_bytes = 0;
-  for (const obs::JournalEvent& e : journal.events()) {
+  for (const obs::JournalEvent& e : obs::journal_from_jsonl(journal.str())) {
     if (e.kind != obs::JournalEventKind::kMigrationPushed) continue;
     ++pushes[static_cast<std::size_t>(e.interval) *
                  static_cast<std::size_t>(ts.num_servers()) +

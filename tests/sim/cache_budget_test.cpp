@@ -113,6 +113,14 @@ class ClassicCacheBudgetTest : public ::testing::Test {
     par::set_num_threads(0);
   }
 
+  /// The journal file, named per test case: ctest runs each case as its own
+  /// process, so one shared name would race under `ctest -j`.
+  static std::string jr_path() {
+    return ::testing::TempDir() +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_classic_jr.jsonl";
+  }
+
   static SimulationConfig* config_;
   static SimulationWorld* world_;
 };
@@ -135,13 +143,12 @@ TEST_F(ClassicCacheBudgetTest, UnbudgetedRunKeepsSchema2AndBareMetricsJson) {
 
 TEST_F(ClassicCacheBudgetTest, NeverBindingBudgetChangesNoJournalEvent) {
   const auto journal_of = [&](Bytes budget) {
-    obs::Journal journal;
     SimulationConfig config = *config_;
     config.cache_budget_bytes = budget;
     SimulationRunOptions options;
-    options.journal = &journal;
+    options.journal_path = jr_path();
     run_simulation(config, *world_, nullptr, options);
-    return obs::journal_to_jsonl(journal.events());
+    return slurp(jr_path());
   };
   // A budget no store can ever reach admits everything and evicts nothing:
   // the journal stream must match the unbudgeted run event for event.
@@ -275,9 +282,9 @@ TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
                        snapshot::SimSnapshot* capture) {
     par::set_num_threads(threads);
     obs::SimTimeseries timeseries;
-    obs::Journal journal;
     SimulationRunOptions options;
-    options.journal = &journal;
+    // One file throughout: the resumed run appends to the checkpointed one.
+    options.journal_path = jr_path();
     options.stop_after_interval = stop_after;
     options.resume_from = resume;
     options.capture_out = capture;
@@ -288,7 +295,7 @@ TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
     std::ostringstream csv;
     timeseries.write_csv(csv);
     out.timeseries = csv.str();
-    out.journal = obs::journal_to_jsonl(journal.events());
+    out.journal = slurp(jr_path());
     return out;
   };
 

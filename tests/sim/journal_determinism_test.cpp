@@ -1,13 +1,14 @@
-// Tier-1 determinism gate for the event journal: the same seeded simulation
-// must journal byte-identical event streams at --threads 1, 2 and 8 and
-// across a checkpoint/resume split — and enabling the journal must not
-// perturb the simulation itself.
+// Tier-1 determinism gate for the classic engine's streamed event journal:
+// the same seeded simulation must journal byte-identical files at --threads
+// 1, 2 and 8 and across a checkpoint/resume split — and enabling the
+// journal must not perturb the simulation itself.
 // Also covers the causal-chain contract: every chain reconstructs a
 // client's full attach -> plan -> upload -> serve/fallback path, asserted
 // against one known scripted-fault scenario.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -24,7 +25,6 @@
 namespace perdnn {
 namespace {
 
-using obs::Journal;
 using obs::JournalEvent;
 using obs::JournalEventKind;
 
@@ -92,16 +92,33 @@ class JournalDeterminismTest : public ::testing::Test {
     return config;
   }
 
+  /// The journal file, named per test case: ctest runs each case as its own
+  /// process, so one shared name would race under `ctest -j`.
+  static std::string jr_path() {
+    return ::testing::TempDir() +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_journal.jsonl";
+  }
+
+  static std::string slurp_journal() {
+    std::ifstream in(jr_path(), std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  }
+
   static std::string journal_jsonl(const SimulationConfig& config,
                                    int threads) {
     par::set_num_threads(threads);
-    Journal journal;
     SimulationRunOptions options;
-    options.journal = &journal;
+    options.journal_path = jr_path();
     run_simulation(config, *world_, nullptr, options);
-    std::ostringstream out;
-    journal.write_jsonl(out);
-    return out.str();
+    return slurp_journal();
+  }
+
+  static std::vector<JournalEvent> journal_events(
+      const SimulationConfig& config) {
+    return obs::journal_from_jsonl(journal_jsonl(config, 2));
   }
 
   static SimulationConfig* config_;
@@ -135,50 +152,45 @@ TEST_F(JournalDeterminismTest, ResumeSplitJournalEqualsUninterrupted) {
   const std::string reference = journal_jsonl(config, 2);
 
   // First leg: run to an interval boundary, capturing the snapshot (which
-  // carries the journal prefix).
+  // carries the journal's offset and chain state, not its events).
   par::set_num_threads(2);
   snapshot::SimSnapshot snap;
   {
-    Journal journal;
     SimulationRunOptions options;
-    options.journal = &journal;
+    options.journal_path = jr_path();
     options.stop_after_interval = 4;
     options.capture_out = &snap;
     run_simulation(config, *world_, nullptr, options);
     ASSERT_TRUE(snap.has_journal);
-    ASSERT_GT(snap.journal.events.size(), 0u);
+    ASSERT_GT(snap.journal.events, 0u);
+    EXPECT_EQ(snap.journal.bytes, slurp_journal().size());
+    EXPECT_EQ(slurp_journal(), reference.substr(0, snap.journal.bytes));
   }
 
-  // Second leg: resume into a fresh journal at every thread count; the
-  // final stream must match byte for byte.
+  // Second leg: resume into the same file at every thread count, each time
+  // truncating it back to the checkpoint; the final stream must match byte
+  // for byte, with no checkpoint marker in it.
   for (const int threads : {1, 2, 8}) {
     par::set_num_threads(threads);
-    Journal journal;
     SimulationRunOptions options;
-    options.journal = &journal;
+    options.journal_path = jr_path();
     options.resume_from = &snap;
     run_simulation(config, *world_, nullptr, options);
-    std::ostringstream out;
-    journal.write_jsonl(out);
-    EXPECT_EQ(out.str(), reference) << "threads=" << threads;
-    // The resume marker lands in the meta stream, not the journal.
-    const std::vector<JournalEvent> meta = journal.meta_events();
-    ASSERT_FALSE(meta.empty());
-    EXPECT_EQ(meta.front().kind, JournalEventKind::kCheckpointResume);
+    EXPECT_EQ(slurp_journal(), reference) << "threads=" << threads;
   }
+  EXPECT_EQ(reference.find("checkpoint_"), std::string::npos);
 }
 
 TEST_F(JournalDeterminismTest, JournalingDoesNotPerturbTheSimulation) {
   par::set_num_threads(2);
   obs::SimTimeseries with_ts, without_ts;
-  Journal journal;
   SimulationRunOptions options;
-  options.journal = &journal;
+  options.journal_path = jr_path();
   const SimulationMetrics with =
       run_simulation(*config_, *world_, &with_ts, options);
   const SimulationMetrics without =
       run_simulation(*config_, *world_, &without_ts, {});
-  EXPECT_GT(journal.size(), 0u);
+  EXPECT_FALSE(slurp_journal().empty());
   EXPECT_EQ(with.cold_window_queries, without.cold_window_queries);
   EXPECT_EQ(with.hits, without.hits);
   EXPECT_EQ(with.misses, without.misses);
@@ -191,14 +203,8 @@ TEST_F(JournalDeterminismTest, JournalingDoesNotPerturbTheSimulation) {
 }
 
 TEST_F(JournalDeterminismTest, EveryChainReconstructsAnAttachPath) {
-  par::set_num_threads(2);
-  Journal journal;
-  SimulationRunOptions options;
-  options.journal = &journal;
-  run_simulation(faulted_config(), *world_, nullptr, options);
-
   std::map<std::uint64_t, std::vector<const JournalEvent*>> chains;
-  const std::vector<JournalEvent> events = journal.events();
+  const std::vector<JournalEvent> events = journal_events(faulted_config());
   for (const JournalEvent& e : events)
     if (e.chain != 0) chains[e.chain].push_back(&e);
   ASSERT_FALSE(chains.empty());
@@ -223,12 +229,7 @@ TEST_F(JournalDeterminismTest, EveryChainReconstructsAnAttachPath) {
 }
 
 TEST_F(JournalDeterminismTest, ScriptedFaultScenarioReconstructs) {
-  par::set_num_threads(2);
-  Journal journal;
-  SimulationRunOptions options;
-  options.journal = &journal;
-  run_simulation(faulted_config(), *world_, nullptr, options);
-  const std::vector<JournalEvent> events = journal.events();
+  const std::vector<JournalEvent> events = journal_events(faulted_config());
 
   // The scripted client disconnect is journalled: fault_applied at
   // interval 4 for client 1, and client 1's open chain records the

@@ -329,13 +329,13 @@ TEST_F(ShardDeterminismTest, ResumeRejectsChainsOfUnknownClients) {
   options.stop_after_interval = 1;
   options.capture_out = &snap;
   run_sharded_simulation(*world_, options);
-  ASSERT_FALSE(snap.shard.client_chains.empty());
+  ASSERT_FALSE(snap.journal.client_chains.empty());
 
   // Ids one past either end: a larger one would, with the check gone,
   // allocate that many chain slots before anything failed.
   for (const ClientId bad : {-1, world_->config.num_clients}) {
     snapshot::SimSnapshot forged = snap;
-    forged.shard.client_chains.emplace_back(bad, 1);
+    forged.journal.client_chains.emplace_back(bad, 1);
     ShardRunOptions resume;
     resume.journal_path = jr_path();
     resume.resume_from = &forged;

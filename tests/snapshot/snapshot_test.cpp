@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -17,7 +19,6 @@
 #include "common/parallel.hpp"
 #include "faults/fault_plan.hpp"
 #include "mobility/trace_gen.hpp"
-#include "obs/journal.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/shard_sim.hpp"
 #include "sim/simulator.hpp"
@@ -131,6 +132,36 @@ class SnapshotTest : public ::testing::Test {
     return {snapshot::metrics_to_json(metrics), csv.str()};
   }
 
+  /// An output file named per test case: ctest runs each case as its own
+  /// process, so one shared name would race under `ctest -j`.
+  static std::string case_path(const char* suffix) {
+    return ::testing::TempDir() + "perdnn_snapshot_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           suffix;
+  }
+
+  static std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  }
+
+  /// checkpoint_at, journaling to `journal_path`.
+  static snapshot::SimSnapshot journaled_checkpoint_at(
+      const SimulationConfig& config, int stop_after,
+      const std::string& journal_path) {
+    par::set_num_threads(2);
+    obs::SimTimeseries timeseries;
+    snapshot::SimSnapshot snap;
+    SimulationRunOptions options;
+    options.journal_path = journal_path;
+    options.stop_after_interval = stop_after;
+    options.capture_out = &snap;
+    run_simulation(config, *world_, &timeseries, options);
+    return snap;
+  }
+
   static SimulationConfig* config_;
   static SimulationWorld* world_;
 };
@@ -216,29 +247,28 @@ TEST_F(SnapshotTest, WireFormatRoundTripsExactly) {
 }
 
 TEST_F(SnapshotTest, JournalStateRoundTripsThroughTheWire) {
-  // A checkpoint taken while journaling carries the journal prefix; the
-  // wire codec must reproduce it exactly (events, chain counter, bindings).
-  par::set_num_threads(2);
-  obs::Journal journal;
-  snapshot::SimSnapshot snap;
-  SimulationRunOptions options;
-  options.journal = &journal;
-  options.stop_after_interval = 3;
-  options.capture_out = &snap;
-  run_simulation(faulted_config(), *world_, nullptr, options);
+  // A checkpoint taken while journaling carries the journal stream's
+  // offset, event count and chain state, not its events; the wire codec
+  // must reproduce them exactly.
+  const std::string path = case_path(".jsonl");
+  const snapshot::SimSnapshot snap =
+      journaled_checkpoint_at(faulted_config(), 3, path);
+  const std::string journal = slurp(path);
+  std::remove(path.c_str());
 
   ASSERT_TRUE(snap.has_journal);
-  ASSERT_GT(snap.journal.events.size(), 0u);
-  EXPECT_EQ(snap.journal.events, journal.events());
+  ASSERT_GT(snap.journal.events, 0u);
+  EXPECT_EQ(snap.journal.bytes, journal.size());
+  EXPECT_EQ(snap.journal.events,
+            static_cast<std::uint64_t>(
+                std::count(journal.begin(), journal.end(), '\n')));
+  EXPECT_GT(snap.journal.next_chain, 1u);
   EXPECT_FALSE(snap.journal.client_chains.empty());
 
   const std::string bytes = snapshot::encode(snap);
   const snapshot::SimSnapshot decoded = snapshot::decode(bytes);
   EXPECT_TRUE(decoded.has_journal);
-  EXPECT_EQ(decoded.journal.events, snap.journal.events);
-  EXPECT_EQ(decoded.journal.next_chain, snap.journal.next_chain);
-  EXPECT_EQ(decoded.journal.dropped, snap.journal.dropped);
-  EXPECT_EQ(decoded.journal.client_chains, snap.journal.client_chains);
+  EXPECT_EQ(decoded.journal, snap.journal);
   EXPECT_EQ(snapshot::encode(decoded), bytes);
 
   // Journal-free snapshots keep the flag off end to end.
@@ -329,8 +359,10 @@ TEST_F(SnapshotTest, GoldenVersion2FixtureStillDecodes) {
   const snapshot::SimSnapshot snap = snapshot::decode(bytes);
   EXPECT_GT(snap.next_interval, 0);
   EXPECT_FALSE(snap.has_shard);
-  EXPECT_TRUE(snap.has_journal);
-  EXPECT_FALSE(snap.journal.events.empty());
+  // The journal was inline: its events are counted, and no stream exists
+  // for a journaling resume to continue.
+  EXPECT_FALSE(snap.has_journal);
+  EXPECT_EQ(snap.journal.events, 2u);
   ASSERT_FALSE(snap.caches.empty());
   // Pre-v5 files carry no per-entry byte counts; they default to zero and
   // are recomputed from the cost model on restore.
@@ -360,7 +392,8 @@ TEST_F(SnapshotTest, GoldenVersion4FixturesStillDecode) {
   const snapshot::SimSnapshot classic = snapshot::decode(classic_bytes);
   EXPECT_GT(classic.next_interval, 0);
   EXPECT_FALSE(classic.has_shard);
-  EXPECT_TRUE(classic.has_journal);
+  EXPECT_FALSE(classic.has_journal);  // inline, counted
+  EXPECT_EQ(classic.journal.events, 54u);
   EXPECT_FALSE(classic.caches.empty());
   // Version 4 predates the budgeted-cache counters: they decode zero.
   EXPECT_EQ(classic.metrics.cache_evictions, 0);
@@ -385,8 +418,8 @@ TEST_F(SnapshotTest, GoldenVersion5FixtureStillDecodes) {
   const snapshot::SimSnapshot snap = snapshot::decode(bytes);
   EXPECT_GT(snap.next_interval, 0);
   EXPECT_FALSE(snap.has_shard);
-  EXPECT_TRUE(snap.has_journal);
-  EXPECT_FALSE(snap.journal.events.empty());
+  EXPECT_FALSE(snap.has_journal);  // inline, counted
+  EXPECT_EQ(snap.journal.events, 57u);
   EXPECT_GT(snap.metrics.cache_partial_stores, 0);
   bool any_entry_bytes = false;
   for (const auto& server_cache : snap.caches)
@@ -419,6 +452,117 @@ TEST_F(SnapshotTest, GoldenVersion6ClassicFixtureResumesExactly) {
   const RunResult resumed = resume_from(faulted_config(), snap, 2);
   EXPECT_EQ(resumed.metrics_json, reference.metrics_json);
   EXPECT_EQ(resumed.timeseries_csv, reference.timeseries_csv);
+}
+
+TEST_F(SnapshotTest, GoldenVersion7ShardFixtureLandsInTheSharedSection) {
+  // Written by the last version-7 writer from a journaled sharded run (the
+  // ShardSnapshotTest world) stopped after interval 3, whose writer then
+  // reported: 71545 bytes, 582 events, next chain 122 and 60 bindings.
+  const std::string bytes = read_fixture("v7_shard.snap");
+  ASSERT_EQ(declared_version(bytes), 7u);
+  const snapshot::SimSnapshot snap = snapshot::decode(bytes);
+  EXPECT_TRUE(snap.has_shard);
+  EXPECT_TRUE(snap.has_journal);
+  EXPECT_EQ(snap.next_interval, 4);
+  EXPECT_EQ(snap.journal.bytes, 71545u);
+  EXPECT_EQ(snap.journal.events, 582u);
+  EXPECT_EQ(snap.journal.next_chain, 122u);
+  ASSERT_EQ(snap.journal.client_chains.size(), 60u);
+  EXPECT_EQ(snap.journal.client_chains.front(),
+            (std::pair<ClientId, std::uint64_t>{0, 82}));
+  EXPECT_EQ(snap.journal.client_chains[3],
+            (std::pair<ClientId, std::uint64_t>{3, 4}));
+  EXPECT_EQ(snap.journal.client_chains.back(),
+            (std::pair<ClientId, std::uint64_t>{59, 60}));
+  // The re-encode is a version-8 file with the same stream state.
+  const std::string reencoded = snapshot::encode(snap);
+  EXPECT_EQ(declared_version(reencoded), snapshot::kSnapshotVersion);
+  EXPECT_EQ(snapshot::decode(reencoded).journal, snap.journal);
+}
+
+TEST_F(SnapshotTest, GoldenVersion7ClassicFixtureResumesOnlyWithoutAJournal) {
+  // Written by the last version-7 writer from a journaled
+  // checkpoint_at(faulted_config(), 6, 1): its 144 events are inline.
+  const std::string bytes = read_fixture("v7_classic.snap");
+  ASSERT_EQ(declared_version(bytes), 7u);
+  const snapshot::SimSnapshot snap = snapshot::decode(bytes);
+  EXPECT_FALSE(snap.has_shard);
+  EXPECT_FALSE(snap.has_journal);
+  EXPECT_EQ(snap.journal.events, 144u);
+  EXPECT_EQ(snap.journal.next_chain, 10u);
+  EXPECT_FALSE(snap.retry_orders.empty());
+
+  const RunResult reference = full_run(faulted_config(), 2);
+  const RunResult resumed = resume_from(faulted_config(), snap, 2);
+  EXPECT_EQ(resumed.metrics_json, reference.metrics_json);
+  EXPECT_EQ(resumed.timeseries_csv, reference.timeseries_csv);
+
+  // No stream exists to continue, so a journaling resume is refused.
+  SimulationRunOptions options;
+  options.resume_from = &snap;
+  options.journal_path = case_path(".jsonl");
+  EXPECT_THROW(run_simulation(faulted_config(), *world_, nullptr, options),
+               snapshot::SnapshotError);
+}
+
+TEST_F(SnapshotTest, JournalingResumeNeedsAStreamedJournal) {
+  // A checkpoint taken without a journal has no prefix to continue: a
+  // journaling resume would write a journal missing it, its chain ids
+  // restarting at 1, so it is refused.
+  const std::string path = case_path(".jsonl");
+  const auto journaling_resume_refused = [&](const snapshot::SimSnapshot& snap) {
+    SimulationRunOptions options;
+    options.resume_from = &snap;
+    options.journal_path = path;
+    try {
+      run_simulation(faulted_config(), *world_, nullptr, options);
+    } catch (const snapshot::SnapshotError&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(journaling_resume_refused(checkpoint_at(faulted_config(), 3, 1)));
+
+  // So is one whose journal file no longer holds the checkpoint's bytes.
+  const snapshot::SimSnapshot journaled =
+      journaled_checkpoint_at(faulted_config(), 3, path);
+  ASSERT_GT(journaled.journal.bytes, 0u);
+  std::filesystem::resize_file(path, journaled.journal.bytes - 1);
+  EXPECT_TRUE(journaling_resume_refused(journaled));
+  std::remove(path.c_str());
+  EXPECT_TRUE(journaling_resume_refused(journaled));
+
+  // A run that does not journal ignores a journaled checkpoint's stream.
+  const RunResult reference = full_run(faulted_config(), 2);
+  const RunResult resumed = resume_from(faulted_config(), journaled, 2);
+  EXPECT_EQ(resumed.metrics_json, reference.metrics_json);
+  EXPECT_EQ(resumed.timeseries_csv, reference.timeseries_csv);
+}
+
+TEST_F(SnapshotTest, ClassicResumeRefusesChainsOutsideTheWorld) {
+  // The journal writer sizes a vector by client id, so a forged binding is
+  // refused before the writer sees it.
+  const std::string path = case_path(".jsonl");
+  const snapshot::SimSnapshot snap =
+      journaled_checkpoint_at(faulted_config(), 3, path);
+  ASSERT_FALSE(snap.journal.client_chains.empty());
+  for (const ClientId bad :
+       {ClientId{-1}, static_cast<ClientId>(world_->test_traces.size())}) {
+    snapshot::SimSnapshot forged = snap;
+    forged.journal.client_chains.emplace_back(bad, 1);
+    SimulationRunOptions options;
+    options.resume_from = &forged;
+    options.journal_path = path;
+    try {
+      run_simulation(faulted_config(), *world_, nullptr, options);
+      ADD_FAILURE() << "client " << bad << " was accepted";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("outside the world's clients"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(SnapshotTest, RestoreRejectsOutOfRangeState) {
@@ -583,19 +727,6 @@ TEST_F(SnapshotTest, FingerprintIgnoresPerformanceKnobs) {
   SimulationConfig tweaked = *config_;
   tweaked.ttl_intervals += 1;
   EXPECT_NE(snapshot::config_fingerprint(tweaked, *world_), fp);
-}
-
-TEST_F(SnapshotTest, MetricsJsonRoundTripsEveryField) {
-  obs::SimTimeseries timeseries;
-  const SimulationMetrics metrics =
-      run_simulation(faulted_config(), *world_, &timeseries, {});
-  const std::string json = snapshot::metrics_to_json(metrics);
-  const SimulationMetrics parsed = snapshot::metrics_from_json(json);
-  EXPECT_EQ(snapshot::metrics_to_json(parsed), json);
-  EXPECT_EQ(parsed.cold_window_queries, metrics.cold_window_queries);
-  EXPECT_EQ(parsed.migrations_deferred, metrics.migrations_deferred);
-  EXPECT_EQ(parsed.server_peak_uplink_mbps, metrics.server_peak_uplink_mbps);
-  EXPECT_THROW(snapshot::metrics_from_json("{}"), snapshot::SnapshotError);
 }
 
 TEST_F(SnapshotTest, PeriodicCheckpointingIsOutputNeutral) {

@@ -22,12 +22,14 @@
 # manifests with out-of-range, fractional and out-of-domain numbers (minutes
 # beyond the same bound among them) and broken JSON, plus one valid
 # manifest, and `perdnn_runner run` a manifest naming a malformed trace
-# file. The tool-argument leg gives `perdnn partition` a load or uplink
-# that is not the whole argument, outside int, not finite, or a --threads
-# count outside int (one that used to wrap to a single thread, one that
-# wrapped negative and aborted), and `perdnn_runner` a --workers count or a
-# worker index/count that is not an int in range (one that wraps through
-# atoi among them), plus one valid `perdnn partition`.
+# file; `perdnn_runner status` must also exit 0 on a done shard whose
+# stats sidecar holds 1e300, which it reads as an absent field. The
+# tool-argument leg gives `perdnn partition` a load or uplink that is not
+# the whole argument, outside int, not finite, or a --threads count outside
+# int (one that used to wrap to a single thread, one that wrapped negative
+# and aborted), and `perdnn_runner` a --workers count or a worker
+# index/count that is not an int in range (one that wraps through atoi
+# among them), plus one valid `perdnn partition`.
 #
 # The budgeted-cache leg rides along: the CacheBudget suites (which include
 # the crash-mid-pressure kill -9 resume byte-identity gate and per-interval
@@ -187,6 +189,15 @@ printf '{"model":"mobilenet","trace":"%s","policies":["perdnn"],"seeds":[1]}\n' 
 expect_exit "manifest with a malformed trace file" 2 \
   "$BUILD_DIR"/tools/perdnn_runner run "$PROBE_DIR/bad-trace.manifest.json" \
   "$PROBE_DIR/bad-trace-sweep" --workers 1
+# The stats sidecar `status` reads back: a number outside long long counts
+# as absent instead of reaching an undefined cast.
+mkdir -p "$PROBE_DIR/stats-sweep"
+printf '{}\n' > "$PROBE_DIR/stats-sweep/shard_000.metrics.json"
+printf '{"peak_rss_bytes":1e300,"timeseries_rows":1e300,"resumed":false}\n' \
+  > "$PROBE_DIR/stats-sweep/shard_000.stats.json"
+expect_exit "runner status with a 1e300 stats sidecar" 0 \
+  "$BUILD_DIR"/tools/perdnn_runner status "$PROBE_DIR/valid.manifest.json" \
+  "$PROBE_DIR/stats-sweep"
 
 # Tool arguments: a number must be the whole argument and in range.
 for args in "4294967297" "1 1e400" "1 nan" "2x" "1 35abc" "0" "1 -35"; do

@@ -4,8 +4,10 @@
 #   * journal/metrics/trace/timeseries/traffic-accountant unit tests and
 #     the journal determinism gate run clean under the sanitizers;
 #   * one seeded faulted simulation journals BYTE-IDENTICAL JSONL across
-#     --threads 1/2/8 and across a checkpoint/resume split;
-#   * the binary (.jnl) encoding decodes to the same event stream;
+#     --threads 1/2/8 and across a checkpoint/resume split (the resume
+#     appends to the file the checkpointed run streamed);
+#   * `perdnn_obs convert`'s binary (.jnl) form decodes to the same event
+#     stream;
 #   * every journal parses through the bundled JSON parser
 #     (perdnn_obs validate) and the scripted-fault chain reconstructs;
 #   * validate exits 2 on integer fields out of range (1e300, chain -1);
@@ -63,9 +65,10 @@ for threads in 1 2 8; do
   fi
 done
 
-# Checkpoint/resume split: stop after interval 4, resume, and the final
-# journal must equal the uninterrupted one byte for byte.
-"$CLI" "${SIM_ARGS[@]}" --threads 2 \
+# Checkpoint/resume split: stop after interval 4, journaling to the file
+# the resume appends to (the checkpoint holds its offset, not its events),
+# and the final journal must equal the uninterrupted one byte for byte.
+"$CLI" "${SIM_ARGS[@]}" --threads 2 --journal-out "$WORK/resumed.jsonl" \
   --snapshot-save "$WORK/ckpt" --snapshot-at 4 > /dev/null
 "$CLI" "${SIM_ARGS[@]}" --threads 8 \
   --snapshot-resume "$WORK/ckpt" --journal-out "$WORK/resumed.jsonl" \
@@ -76,8 +79,8 @@ if ! cmp -s "$WORK/ref.jsonl" "$WORK/resumed.jsonl"; then
   exit 1
 fi
 
-# Binary encoding carries the same stream (diff exits 0 on identical).
-"$CLI" "${SIM_ARGS[@]}" --threads 2 --journal-out "$WORK/ref.jnl" > /dev/null
+# The binary encoding carries the same stream (diff exits 0 on identical).
+"$OBS" convert "$WORK/ref.jsonl" "$WORK/ref.jnl" > /dev/null
 "$OBS" diff "$WORK/ref.jsonl" "$WORK/ref.jnl" > /dev/null
 
 # Every journal parses through the bundled JSON parser, and the scripted

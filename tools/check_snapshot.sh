@@ -7,11 +7,12 @@
 #      byte-for-byte — at 1/2/8 threads, and under a scripted fault plan;
 #   2. a sharded sweep killed mid-flight (SIGKILL to the whole process
 #      group) and re-run produces merged outputs byte-identical to an
-#      uninterrupted sweep;
+#      uninterrupted sweep — its merged journal too, in a second sweep with
+#      "journal": true;
 #   3. truncated/corrupted/garbage snapshots are *rejected* with exit code
 #      2 — never a crash (SIGSEGV/SIGABRT would surface as exit >= 128);
 #   4. `perdnn_runner inspect` reports the version each file declares (the
-#      golden v2 and v4 sharded fixtures, and a fresh checkpoint) and a
+#      golden v2, v4 sharded and v7 fixtures, and a fresh checkpoint) and a
 #      sharded checkpoint's own contents.
 #
 # Usage: tools/check_snapshot.sh <perdnn-binary> <perdnn_runner-binary>
@@ -76,41 +77,62 @@ cmp -s full_clean.json periodic.json || fail "periodic run metrics differ"
 echo "ok: periodic checkpointing is output-neutral"
 
 # --- 2. Sharded sweep: kill -9 mid-flight, resume, merge ------------------
-cat > manifest.json <<'EOF'
+# Twice: as is, and with "journal": true, whose shards stream their journals
+# to disk and checkpoint only the offset, so a resumed shard truncates its
+# journal back to the checkpoint and appends.
+for variant in plain journal; do
+  journal_field=""
+  [ "$variant" = journal ] && journal_field='"journal": true,'
+  cat > "manifest_$variant.json" <<EOF
 {
   "model": "inception",
   "trace": "campus",
   "users": 12,
   "minutes": 20,
   "checkpoint_every": 3,
+  $journal_field
   "policies": ["perdnn", "ionn"],
   "seeds": [1, 2],
   "fault_intensities": [0, 0.02]
 }
 EOF
-mkdir sweep_full sweep_killed
-"$RUNNER" run manifest.json sweep_full --workers 3 > /dev/null \
-  || fail "uninterrupted sweep failed"
+  mkdir "sweep_full_$variant" "sweep_killed_$variant"
+  "$RUNNER" run "manifest_$variant.json" "sweep_full_$variant" --workers 3 \
+    > /dev/null || fail "$variant: uninterrupted sweep failed"
 
-setsid "$RUNNER" run manifest.json sweep_killed --workers 3 \
-  > /dev/null 2>&1 < /dev/null &
-RUNNER_PID=$!
-sleep 3
-PGID="$(ps -o pgid= "$RUNNER_PID" 2> /dev/null | tr -d ' ' || true)"
-if [ -n "$PGID" ]; then
-  kill -9 -- "-$PGID" 2> /dev/null
-else
-  kill -9 "$RUNNER_PID" 2> /dev/null
-fi
-wait "$RUNNER_PID" 2> /dev/null
-"$RUNNER" status manifest.json sweep_killed | tail -1
-"$RUNNER" run manifest.json sweep_killed --workers 3 > /dev/null \
-  || fail "resumed sweep failed"
-cmp -s sweep_full/merged_metrics.json sweep_killed/merged_metrics.json \
-  || fail "merged metrics differ after kill/resume"
-cmp -s sweep_full/merged_timeseries.csv sweep_killed/merged_timeseries.csv \
-  || fail "merged timeseries differ after kill/resume"
-echo "ok: killed sweep resumed to byte-identical merged outputs"
+  setsid "$RUNNER" run "manifest_$variant.json" "sweep_killed_$variant" \
+    --workers 3 > /dev/null 2>&1 < /dev/null &
+  RUNNER_PID=$!
+  # Kill once a shard has checkpointed, so the re-run resumes mid-shard
+  # (and, journaling, truncates that shard's journal to its checkpoint).
+  for _ in $(seq 200); do
+    compgen -G "sweep_killed_$variant/*.ckpt" > /dev/null && break
+    sleep 0.05
+  done
+  PGID="$(ps -o pgid= "$RUNNER_PID" 2> /dev/null | tr -d ' ' || true)"
+  if [ -n "$PGID" ]; then
+    kill -9 -- "-$PGID" 2> /dev/null
+  else
+    kill -9 "$RUNNER_PID" 2> /dev/null
+  fi
+  wait "$RUNNER_PID" 2> /dev/null
+  status="$("$RUNNER" status "manifest_$variant.json" "sweep_killed_$variant" \
+    | tail -1)"
+  echo "$status"
+  grep -q ' [1-9][0-9]* checkpointed' <<< "$status" \
+    || fail "$variant: the kill landed before any shard checkpointed"
+  "$RUNNER" run "manifest_$variant.json" "sweep_killed_$variant" --workers 3 \
+    > /dev/null || fail "$variant: resumed sweep failed"
+  merged=(merged_metrics.json merged_timeseries.csv)
+  [ "$variant" = journal ] && merged+=(merged_journal.jsonl)
+  for file in "${merged[@]}"; do
+    cmp -s "sweep_full_$variant/$file" "sweep_killed_$variant/$file" \
+      || fail "$variant: $file differs after kill/resume"
+  done
+  echo "ok: killed $variant sweep resumed to byte-identical merged outputs"
+done
+test -s sweep_full_journal/merged_journal.jsonl \
+  || fail "journal sweep merged an empty journal"
 
 # --- 3. Corruption fuzz: reject with exit 2, never crash ------------------
 check_rejects() {
@@ -160,7 +182,10 @@ inspect_has() {
 inspect_has "$FIXTURES/v2.snap" 'valid snapshot \(version 2\)'
 inspect_has "$FIXTURES/v4_shard.snap" 'valid snapshot \(version 4\)'
 inspect_has "$FIXTURES/v4_shard.snap" '^  clients: +[1-9][0-9]*$'
-inspect_has clean.ckpt 'valid snapshot \(version 7\)'
+inspect_has "$FIXTURES/v7_classic.snap" 'valid snapshot \(version 7\)'
+inspect_has "$FIXTURES/v7_classic.snap" '^  journal events: +144 \(inline'
+inspect_has "$FIXTURES/v7_shard.snap" '^  journal events: +582$'
+inspect_has clean.ckpt 'valid snapshot \(version 8\)'
 echo "ok: inspect reports declared versions and sharded contents"
 
 if [ "$FAIL" -ne 0 ]; then

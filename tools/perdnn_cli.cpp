@@ -23,9 +23,10 @@
 //       per-server timeseries (CSV, or JSON when FILE ends in .json), the
 //       metric registry (counters/gauges/histograms; JSON, or Prometheus
 //       text format via --metrics-prom-out), the deterministic event
-//       journal (JSONL, or the compact binary form when FILE ends in
-//       .jnl — see tools/perdnn_obs to query it), and a span trace
-//       loadable in chrome://tracing / Perfetto (JSON). Fault flags:
+//       journal (JSONL, streamed to FILE as the run goes; tools/perdnn_obs
+//       queries it and `perdnn_obs convert` makes the compact binary
+//       form), and a span trace loadable in chrome://tracing / Perfetto
+//       (JSON). Fault flags:
 //       --fault-plan loads a scripted JSON fault schedule (see
 //       src/faults/fault_plan.hpp); --failure-rate/--downtime drive the
 //       legacy per-interval random crash model. The two are mutually
@@ -35,8 +36,13 @@
 //       --snapshot-every intervals and/or once after interval
 //       --snapshot-at (which then stops the run);
 //       --snapshot-resume continues a run from a checkpoint — byte-identical
-//       to the uninterrupted run. A corrupt/mismatched snapshot exits 2,
-//       and so does a trace file that fails to parse or validate.
+//       to the uninterrupted run. The checkpoint stores the journal's byte
+//       offset, not its events: to journal a resumed run, journal the
+//       checkpointed run too and pass the same --journal-out FILE to both
+//       (the resume truncates FILE to the checkpoint and appends). A
+//       corrupt/mismatched snapshot exits 2, and so does a journaling resume
+//       from a checkpoint that streamed no journal, and a trace file that
+//       fails to parse or validate.
 //   perdnn profile <model> <out.txt>
 //       Run the concurrency sweep and save estimator-training records.
 //
@@ -56,7 +62,6 @@
 #include "common/table.hpp"
 #include "core/perdnn.hpp"
 #include "mobility/trace_gen.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -252,7 +257,7 @@ struct SimulateArgs {
   std::string timeseries_out;
   std::string metrics_out;
   std::string metrics_prom_out;  // Prometheus text exposition format
-  std::string journal_out;       // JSONL, or binary when it ends in .jnl
+  std::string journal_out;       // streamed JSONL
   std::string trace_out;
   std::string fault_plan_file;
   double failure_rate = 0.0;
@@ -471,20 +476,12 @@ int cmd_simulate(int argc, char** argv) {
           : &timeseries;
   if (recorder != nullptr)
     recorder->set_model(model_name_str(parsed->model));
-  // Like the timeseries: journal whenever a checkpoint may be written, so
-  // the snapshot carries the event prefix for byte-identical resumes.
-  obs::Journal journal;
-  obs::Journal* journal_recorder =
-      parsed->journal_out.empty() && parsed->snapshot_save.empty()
-          ? nullptr
-          : &journal;
-
   SimulationRunOptions run_options;
   if (resuming) run_options.resume_from = &resume_snapshot;
   run_options.checkpoint_every = parsed->snapshot_every;
   run_options.stop_after_interval = parsed->snapshot_at;
   run_options.checkpoint_path = parsed->snapshot_save;
-  run_options.journal = journal_recorder;
+  run_options.journal_path = parsed->journal_out;
 
   SimulationMetrics metrics;
   try {
@@ -547,26 +544,8 @@ int cmd_simulate(int argc, char** argv) {
     std::printf("metrics (prometheus): %s\n",
                 parsed->metrics_prom_out.c_str());
   }
-  if (journal_recorder != nullptr && !parsed->journal_out.empty()) {
-    if (ends_with(parsed->journal_out, ".jnl")) {
-      std::ofstream out(parsed->journal_out, std::ios::binary);
-      if (!out) throw std::runtime_error("cannot open " + parsed->journal_out);
-      const std::string bytes = journal_recorder->encode();
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      if (!out)
-        throw std::runtime_error("error writing " + parsed->journal_out);
-    } else {
-      std::ofstream out(parsed->journal_out);
-      if (!out) throw std::runtime_error("cannot open " + parsed->journal_out);
-      journal_recorder->write_jsonl(out);
-      if (!out)
-        throw std::runtime_error("error writing " + parsed->journal_out);
-    }
-    std::printf("journal: %zu events (%llu dropped) -> %s\n",
-                journal_recorder->size(),
-                static_cast<unsigned long long>(journal_recorder->dropped()),
-                parsed->journal_out.c_str());
-  }
+  if (!parsed->journal_out.empty())
+    std::printf("journal: %s\n", parsed->journal_out.c_str());
   if (!parsed->sim_metrics_out.empty()) {
     write_file(parsed->sim_metrics_out, snapshot::metrics_to_json(metrics));
     std::printf("sim metrics: %s\n", parsed->sim_metrics_out.c_str());

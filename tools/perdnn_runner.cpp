@@ -29,10 +29,13 @@
 //   shard_NNN.metrics.json    deterministic SimulationMetrics (done marker)
 //   shard_NNN.timeseries.csv  per-interval per-server rows
 //   shard_NNN.journal.jsonl   event journal (manifest "journal": true only)
-// All files are written atomically (tmp + rename), so a kill can never
-// leave a half-written done-marker or checkpoint behind. Journal state
-// rides inside the checkpoint, so a killed-and-resumed shard produces a
-// journal byte-identical to an uninterrupted run's.
+//   shard_NNN.stats.json      peak RSS and row count, read by `status`
+// All files but the journal are written atomically (tmp + rename), so a
+// kill can never leave a half-written done-marker or checkpoint behind.
+// The journal streams to its file as the shard runs, and the checkpoint
+// stores its byte offset: a killed-and-resumed shard truncates the file
+// back to the checkpoint and appends, producing a journal byte-identical
+// to an uninterrupted run's.
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -52,7 +55,6 @@
 #include "common/arg_parse.hpp"
 #include "core/perdnn.hpp"
 #include "mobility/trace_gen.hpp"
-#include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/resource.hpp"
 #include "obs/timeseries.hpp"
@@ -356,25 +358,23 @@ void run_shard(const Manifest& m, const Shard& shard,
 
   obs::SimTimeseries timeseries;
   timeseries.set_model(m.model);
-  obs::Journal journal;
   SimulationRunOptions options;
   if (resuming) options.resume_from = &resume;
   options.checkpoint_every = m.checkpoint_every;
   options.checkpoint_path = ckpt;
-  if (m.journal) options.journal = &journal;
+  if (m.journal) options.journal_path = journal_path(out_dir, shard);
 
   SimulationMetrics metrics;
   try {
     metrics = run_simulation(config, world, &timeseries, options);
   } catch (const snapshot::SnapshotError& e) {
-    // Fingerprint mismatch: the checkpoint belongs to a different scenario
-    // (manifest edited between runs). Recompute from scratch.
+    // The checkpoint cannot resume: it belongs to a different scenario
+    // (manifest edited between runs), or its journal file is gone or short.
+    // Recompute from scratch; the fresh run restarts the recorder and
+    // truncates the journal.
     std::fprintf(stderr, "[%s] checkpoint rejected (%s); restarting shard\n",
                  shard.name().c_str(), e.what());
     std::remove(ckpt.c_str());
-    // run_simulation() restarts the recorder via start(), which resets it;
-    // the journal has no equivalent hook, so clear it explicitly.
-    journal.clear();
     resuming = false;  // the stats sidecar reports what actually happened
     SimulationRunOptions fresh = options;
     fresh.resume_from = nullptr;
@@ -388,20 +388,14 @@ void run_shard(const Manifest& m, const Shard& shard,
     csv = out.str();
   }
   write_file_atomic(timeseries_path(out_dir, shard), csv);
-  if (m.journal) {
-    std::ostringstream out;
-    journal.write_jsonl(out);
-    write_file_atomic(journal_path(out_dir, shard), out.str());
-  }
-  // Resource sidecar for `status`: what this shard cost and streamed. The
+  // Resource sidecar for `status`: what this shard cost and recorded. The
   // RSS is the worker process's peak — an upper bound when one worker runs
   // several shards, but exact for the usual one-big-shard-per-worker case.
+  // `status` prints the journal file's size itself.
   std::string stats = "{\"peak_rss_bytes\":" +
                       std::to_string(obs::peak_rss_bytes()) +
                       ",\"timeseries_rows\":" +
                       std::to_string(timeseries.rows().size()) +
-                      ",\"journal_events\":" +
-                      std::to_string(m.journal ? journal.size() : 0) +
                       ",\"resumed\":" + (resuming ? "true" : "false") + "}\n";
   write_file_atomic(stats_path(out_dir, shard), stats);
   // The metrics file is the done-marker, so it lands last.
@@ -579,27 +573,24 @@ int cmd_status(const Manifest& m, const std::string& out_dir) {
     if (file_exists(metrics_path(out_dir, shard))) {
       state = "done";
       ++done;
-      // Resource sidecar written by run_shard: peak RSS and streamed rows.
-      // Older output directories predate it, so its absence is not an error.
+      // Resource sidecar written by run_shard: peak RSS and recorded rows.
+      // Older output directories predate it, so its absence is not an error,
+      // and a field that is not a whole long long counts as absent: casting
+      // such a double would be undefined.
       try {
         const obs::JsonValue stats =
             obs::parse_json(read_file(stats_path(out_dir, shard)));
         const auto field = [&](const char* key) -> long long {
           const obs::JsonValue* v = stats.find(key);
-          return v != nullptr && v->kind() == obs::JsonValue::Kind::kNumber
-                     ? static_cast<long long>(v->as_number())
-                     : -1;
+          if (v == nullptr || v->kind() != obs::JsonValue::Kind::kNumber)
+            return -1;
+          return obs::json_integer<long long>(v->as_number()).value_or(-1);
         };
         const long long rss = field("peak_rss_bytes");
         const long long rows = field("timeseries_rows");
         if (rss >= 0)
           resources += "  rss=" + std::to_string(rss / (1024 * 1024)) + "MiB";
         if (rows >= 0) resources += "  rows=" + std::to_string(rows);
-        if (m.journal) {
-          const long long events = field("journal_events");
-          if (events >= 0)
-            resources += "  journal_events=" + std::to_string(events);
-        }
       } catch (const std::exception&) {
         // no/unreadable sidecar: just omit the resource columns
       }
@@ -655,31 +646,31 @@ int cmd_inspect(const std::string& path) {
       std::printf("  timeseries rows: %llu%s\n",
                   static_cast<unsigned long long>(s.timeseries_rows),
                   snap.has_timeseries ? "" : " (not recorded)");
-      std::printf("  journal events:  %llu%s\n",
-                  static_cast<unsigned long long>(s.journal_events),
-                  snap.has_journal ? "" : " (not recorded)");
-      return 0;
+    } else {
+      std::int64_t cached_entries = 0;
+      for (const auto& server : snap.caches)
+        cached_entries += static_cast<std::int64_t>(server.size());
+      std::printf("  servers:         %zu (%lld cache entries)\n",
+                  snap.caches.size(), static_cast<long long>(cached_entries));
+      std::printf("  clients:         %zu\n", snap.clients.size());
+      std::printf("  load levels:     %zu base, %zu degraded\n",
+                  snap.levels.size(), snap.degraded_levels.size());
+      // Summed in double: a crafted file's byte counts could overflow an
+      // integer sum, and a genuine backlog stays far below 2^53.
+      double backlog = 0.0;
+      for (const LayerRetryOrder& order : snap.retry_orders)
+        backlog += static_cast<double>(order.bytes);
+      std::printf("  deferred queue:  %zu order(s), %.0f bytes backlog\n",
+                  snap.retry_orders.size(), backlog);
+      std::printf("  timeseries rows: %zu%s\n", snap.timeseries_rows.size(),
+                  snap.has_timeseries ? "" : " (not recorded)");
     }
-    std::int64_t cached_entries = 0;
-    for (const auto& server : snap.caches)
-      cached_entries += static_cast<std::int64_t>(server.size());
-    std::printf("  servers:         %zu (%lld cache entries)\n",
-                snap.caches.size(),
-                static_cast<long long>(cached_entries));
-    std::printf("  clients:         %zu\n", snap.clients.size());
-    std::printf("  load levels:     %zu base, %zu degraded\n",
-                snap.levels.size(), snap.degraded_levels.size());
-    // Summed in double: a crafted file's byte counts could overflow an
-    // integer sum, and a genuine backlog stays far below 2^53.
-    double backlog = 0.0;
-    for (const LayerRetryOrder& order : snap.retry_orders)
-      backlog += static_cast<double>(order.bytes);
-    std::printf("  deferred queue:  %zu order(s), %.0f bytes backlog\n",
-                snap.retry_orders.size(), backlog);
-    std::printf("  timeseries rows: %zu%s\n", snap.timeseries_rows.size(),
-                snap.has_timeseries ? "" : " (not recorded)");
-    std::printf("  journal events:  %zu%s\n", snap.journal.events.size(),
-                snap.has_journal ? "" : " (not recorded)");
+    // A version 2-7 classic file counts the events it kept inline.
+    std::printf("  journal events:  %llu%s\n",
+                static_cast<unsigned long long>(snap.journal.events),
+                snap.has_journal           ? ""
+                : snap.journal.events > 0 ? " (inline; resume without a journal)"
+                                          : " (not recorded)");
     return 0;
   } catch (const snapshot::SnapshotError& e) {
     std::fprintf(stderr, "%s: rejected: %s\n", path.c_str(), e.what());
