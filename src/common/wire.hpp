@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/rng.hpp"
+
 namespace perdnn::wire {
 
 /// Decode-side failure: truncation, corruption, version or framing
@@ -28,6 +30,29 @@ inline std::uint64_t fnv1a(const char* data, std::size_t size) {
   }
   return hash;
 }
+
+/// Chained splitmix64 over 64-bit words from a per-engine start state: the
+/// config fingerprint both engines write into their checkpoints.
+class FingerprintHasher {
+ public:
+  explicit FingerprintHasher(std::uint64_t seed) : state_(seed) {}
+
+  void mix(std::uint64_t v) {
+    state_ ^= v;
+    digest_ ^= splitmix64(state_);
+  }
+  void mix_double(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  /// The string's size, then its FNV-1a.
+  void mix_string(const std::string& s) {
+    mix(s.size());
+    mix(fnv1a(s.data(), s.size()));
+  }
+  std::uint64_t digest() const { return digest_; }
+
+ private:
+  std::uint64_t state_;
+  std::uint64_t digest_ = 0;
+};
 
 // -- little-endian fixed-width writer ---------------------------------------
 

@@ -13,6 +13,13 @@
 //   sum(uplink_bytes)                == metrics.total_migrated_bytes
 //   sum(uplink_bytes)                == sum(downlink_bytes)
 //
+// These hold by construction: both engines close each interval through
+// SimulationMetrics::close_interval, which adds every counter that has an
+// integer column as that column's sum and nowhere else. The exception is
+// the local-fallback pair (local_queries, local_latency_sum_s): the metrics
+// keep a running total in client order, and the classic engine fills the
+// rows' local columns only while it records.
+//
 // Export formats:
 //   CSV  — `# schema=N` (and `# model=...` when set) comment lines, one
 //          header line, one line per (interval, server), rows ordered by

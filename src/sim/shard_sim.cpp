@@ -20,6 +20,7 @@
 #include "faults/fault_timeline.hpp"
 #include "geo/point.hpp"
 #include "obs/stream_writer.hpp"
+#include "sim/retry_rule.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace perdnn {
@@ -316,16 +317,14 @@ class ShardEngine {
                int old_prefix, int want);
   void deliver_push(ServerRange& r, ClientId c, ServerId source,
                     ServerId target, int new_prefix, int t);
-  // The retry rule of both engines (DESIGN.md §14).
-  /// A failed first delivery toward prefix `want`: counted as deferred,
-  /// then parked or dropped at once.
-  void defer_push(ClientId c, ServerId source, ServerId target, int want,
-                  Bytes bytes, int t);
-  /// Parks `order` for its next attempt, or drops it when its attempt
-  /// budget is spent or its source queue is full.
-  void park_or_drop(PrefixRetryOrder order, int t);
-  void drop_order(const PrefixRetryOrder& order, int t,
-                  obs::DropReason reason);
+  /// The retry rule over this engine's queue, metrics, rows and journal.
+  RetryRule<std::uint16_t> retry_rule() {
+    return {retry_, metrics_, rows_, jr_.get()};
+  }
+  /// A failed first delivery of the prefixes past `from` up to `want`,
+  /// handed to the retry rule.
+  void defer_push(ClientId c, ServerId source, ServerId target, int from,
+                  int want, int t);
   /// Re-attempts every parked order whose backoff elapsed, in (source,
   /// FIFO) order.
   void retry_deferred(ServerRange& r, int t);
@@ -1192,7 +1191,7 @@ void ShardEngine::push_faulted(ServerRange& r, const Event& e, int t) {
   const double factor = ft_.backhaul_factor(e.server, e.peer);
   if (ft_.server_down(e.peer) || factor <= 0.0) {
     if (bytes_needed > 0)
-      defer_push(e.client, e.server, e.peer, want, bytes_needed, t);
+      defer_push(e.client, e.server, e.peer, old_prefix, want, t);
     return;
   }
   int p = want;
@@ -1200,16 +1199,13 @@ void ShardEngine::push_faulted(ServerRange& r, const Event& e, int t) {
     p = fit_link(e.server, e.peer, factor, old_prefix, want);
     if (p == old_prefix) {
       ++metrics_.migrations_truncated;
-      defer_push(e.client, e.server, e.peer, want, bytes_needed, t);
+      defer_push(e.client, e.server, e.peer, old_prefix, want, t);
       return;
     }
   }
   deliver_push(r, e.client, e.server, e.peer, p, t);
   if (p < want)
-    defer_push(e.client, e.server, e.peer, want,
-               w_.prefix_bytes[static_cast<std::size_t>(want)] -
-                   w_.prefix_bytes[static_cast<std::size_t>(p)],
-               t);
+    defer_push(e.client, e.server, e.peer, p, want, t);
 }
 
 int ShardEngine::fit_link(ServerId source, ServerId target, double factor,
@@ -1257,59 +1253,22 @@ void ShardEngine::deliver_push(ServerRange& r, ClientId c, ServerId source,
 }
 
 void ShardEngine::defer_push(ClientId c, ServerId source, ServerId target,
-                             int want, Bytes bytes, int t) {
-  ++metrics_.migrations_deferred;
-  metrics_.deferred_migration_bytes += bytes;
-  rows_[static_cast<std::size_t>(source)].deferred_bytes += bytes;
-  park_or_drop({.client = c,
-                .source = source,
-                .target = target,
-                .payload = static_cast<std::uint16_t>(want),
-                .bytes = bytes},
-               t);
-}
-
-void ShardEngine::park_or_drop(PrefixRetryOrder order, int t) {
-  if (const auto reason = retry_.try_park(order, t)) {
-    drop_order(order, t, *reason);
-    return;
-  }
-  journal({.interval = t,
-           .kind = obs::JournalEventKind::kMigrationDeferred,
-           .client = order.client,
-           .server = order.source,
-           .peer = order.target,
-           .bytes = order.bytes,
-           .detail = order.attempts,
-           .aux = order.next_attempt_interval});
-}
-
-void ShardEngine::drop_order(const PrefixRetryOrder& order, int t,
-                             obs::DropReason reason) {
-  ++metrics_.migrations_abandoned;
-  metrics_.abandoned_migration_bytes += order.bytes;
-  journal({.interval = t,
-           .kind = obs::JournalEventKind::kMigrationDropped,
-           .client = order.client,
-           .server = order.source,
-           .peer = order.target,
-           .bytes = order.bytes,
-           .detail = order.attempts,
-           .aux = reason});
+                             int from, int want, int t) {
+  retry_rule().defer({.client = c,
+                      .source = source,
+                      .target = target,
+                      .payload = static_cast<std::uint16_t>(want),
+                      .bytes = w_.prefix_bytes[static_cast<std::size_t>(want)] -
+                               w_.prefix_bytes[static_cast<std::size_t>(from)]},
+                     t);
 }
 
 void ShardEngine::retry_deferred(ServerRange& r, int t) {
+  RetryRule<std::uint16_t> rule = retry_rule();
   for (const PrefixRetryOrder& order : retry_.take_due(t)) {
-    ++metrics_.migration_retries;
-    journal({.interval = t,
-             .kind = obs::JournalEventKind::kMigrationRetried,
-             .client = order.client,
-             .server = order.source,
-             .peer = order.target,
-             .bytes = order.bytes,
-             .detail = order.attempts});
+    rule.retried(order, t);
     if (ft_.server_down(order.source) || ft_.server_down(order.target)) {
-      park_or_drop(order, t);
+      rule.park_or_drop(order, t);
       continue;
     }
     const CacheEntry* cur =
@@ -1318,14 +1277,7 @@ void ShardEngine::retry_deferred(ServerRange& r, int t) {
     const int want = order.payload;
     if (want <= old_prefix) {
       // The layers arrived by other means while the order was parked.
-      journal({.interval = t,
-               .kind = obs::JournalEventKind::kMigrationDropped,
-               .client = order.client,
-               .server = order.source,
-               .peer = order.target,
-               .bytes = order.bytes,
-               .detail = order.attempts,
-               .aux = obs::kDropDissolved});
+      rule.dissolved(order, t);
       continue;
     }
     const double factor = ft_.backhaul_factor(order.source, order.target);
@@ -1335,15 +1287,13 @@ void ShardEngine::retry_deferred(ServerRange& r, int t) {
                                   old_prefix, want)
                        : old_prefix;
     if (p == old_prefix) {
-      park_or_drop(order, t);
+      rule.park_or_drop(order, t);
       continue;
     }
     deliver_push(r, order.client, order.source, order.target, p, t);
+    rule.delivered(order);
     if (p < want)
-      defer_push(order.client, order.source, order.target, want,
-                 w_.prefix_bytes[static_cast<std::size_t>(want)] -
-                     w_.prefix_bytes[static_cast<std::size_t>(p)],
-                 t);
+      defer_push(order.client, order.source, order.target, p, want, t);
   }
 }
 
@@ -1392,13 +1342,10 @@ void ShardEngine::finish_interval(int t) {
     metrics_.offline_client_intervals += buf.offline;
   }
 
-  Bytes resident_total = 0;
   for (int s = 0; s < cfg_.num_servers(); ++s) {
     const auto si = static_cast<std::size_t>(s);
-    obs::TimeseriesRow& row = rows_[si];
+    rows_[si].attached = attached_[si];
     if (budget_ > 0) {
-      PERDNN_CHECK_MSG(cache_bytes_[si] <= budget_,
-                       "cache budget invariant violated on server " << s);
       // The resident index is exact: each id names a live entry holding
       // bytes, and together they hold the tile's resident bytes.
       Bytes indexed = 0;
@@ -1413,34 +1360,14 @@ void ShardEngine::finish_interval(int t) {
                        "resident index holds " << indexed << " bytes, cache "
                                                << cache_bytes_[si]
                                                << " on server " << s);
-      resident_total += cache_bytes_[si];
-      row.cache_bytes = cache_bytes_[si];
+      rows_[si].cache_bytes = cache_bytes_[si];
     }
-    row.attached = attached_[si];
-    row.uplink_bytes = traffic_.uplink_bytes(s);
-    row.downlink_bytes = traffic_.downlink_bytes(s);
-    // The counters with a column here are its sums: a Phase B range writes
-    // only its own servers' rows, and integer sums take any order. Every
-    // delivered byte lands on exactly one server's downlink.
-    metrics_.attached_client_intervals += row.attached;
-    metrics_.server_changes += row.hits + row.partials + row.misses;
-    metrics_.hits += row.hits;
-    metrics_.partials += row.partials;
-    metrics_.misses += row.misses;
-    metrics_.cold_window_queries += row.cold_window_queries;
-    metrics_.degraded_attaches += row.degraded;
-    metrics_.cache_evictions += row.cache_evictions;
-    metrics_.cache_partial_stores += row.cache_partial_stores;
-    metrics_.total_migrated_bytes += row.downlink_bytes;
-    if (ts_ != nullptr) ts_->append(row);
   }
-  traffic_.end_interval();
-  if (budget_ > 0)
-    metrics_.peak_cache_bytes =
-        std::max(metrics_.peak_cache_bytes, resident_total);
-  if (!ft_.empty())
-    metrics_.peak_deferred_backlog_bytes = std::max(
-        metrics_.peak_deferred_backlog_bytes, retry_.backlog_bytes());
+  // A Phase B range writes only its own servers' rows, and the fold's
+  // integer sums take any order.
+  metrics_.close_interval(rows_, traffic_, retry_.backlog_bytes(), budget_);
+  if (ts_ != nullptr)
+    for (const obs::TimeseriesRow& row : rows_) ts_->append(row);
 }
 
 void ShardEngine::open_writers_fresh() {
@@ -1732,11 +1659,11 @@ SimulationMetrics ShardEngine::run() {
       opt_.interval_wall_s->push_back(wall.count());
     }
 
-    const bool periodic =
-        opt_.checkpoint_every > 0 && (t + 1) % opt_.checkpoint_every == 0;
-    const bool stopping = opt_.stop_after_interval == t;
-    if (periodic || stopping) checkpoint(t);
-    if (stopping) break;
+    if (snapshot::checkpoint_due(opt_.checkpoint_every,
+                                 opt_.stop_after_interval, t,
+                                 cfg_.num_intervals))
+      checkpoint(t);
+    if (opt_.stop_after_interval == t) break;
   }
 
   if (std::getenv("PERDNN_PHASE_TIMING") != nullptr)

@@ -71,7 +71,8 @@ struct ShardRunOptions {
   /// otherwise. Streamed outputs are truncated to the checkpoint offsets.
   const snapshot::SimSnapshot* resume_from = nullptr;
   /// Capture a checkpoint whenever (interval + 1) is a positive multiple of
-  /// this. 0 disables periodic checkpoints.
+  /// this, except after the last interval, which leaves nothing to resume
+  /// (snapshot::checkpoint_due). 0 disables periodic checkpoints.
   int checkpoint_every = 0;
   /// Stop after completing this interval (capturing a checkpoint); -1 runs
   /// to the end.

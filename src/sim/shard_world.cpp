@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -209,60 +208,45 @@ ShardWorld build_shard_world(const ShardWorldConfig& config) {
 }
 
 std::uint64_t shard_config_fingerprint(const ShardWorldConfig& c) {
-  // Chained splitmix64 over every simulation-affecting knob, mirroring
-  // snapshot::config_fingerprint for the trace-replay engine. Shard and
-  // thread counts are excluded: both are byte-identity-neutral.
-  std::uint64_t state = 0x5ead5ca1eULL;
-  std::uint64_t digest = 0;
-  const auto mix = [&](std::uint64_t v) {
-    state ^= v;
-    digest ^= splitmix64(state);
-  };
-  const auto mix_double = [&](double v) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    mix(bits);
-  };
-  mix(static_cast<std::uint64_t>(c.model));
-  mix(static_cast<std::uint64_t>(c.policy));
-  mix(static_cast<std::uint64_t>(c.tiles_x));
-  mix(static_cast<std::uint64_t>(c.tiles_y));
-  mix_double(c.cell_radius_m);
-  mix(static_cast<std::uint64_t>(c.num_clients));
-  mix(static_cast<std::uint64_t>(c.num_intervals));
-  mix_double(c.interval_s);
-  mix_double(c.query_gap);
-  mix_double(c.wireless.uplink_bytes_per_sec);
-  mix_double(c.wireless.downlink_bytes_per_sec);
-  mix_double(c.wireless.rtt);
-  mix_double(c.migration_radius_m);
-  mix(static_cast<std::uint64_t>(c.ttl_intervals));
-  mix(static_cast<std::uint64_t>(c.max_load_level));
-  mix_double(c.speed_min_mps);
-  mix_double(c.speed_max_mps);
-  mix_double(c.turn_probability);
-  mix_double(c.offline_probability);
-  mix(static_cast<std::uint64_t>(c.offline_intervals));
-  mix(c.seed);
+  // Every simulation-affecting knob, through the hasher of
+  // snapshot::config_fingerprint from its own start state. Shard and thread
+  // counts are excluded: both are byte-identity-neutral.
+  wire::FingerprintHasher h(0x5ead5ca1eULL);
+  h.mix(static_cast<std::uint64_t>(c.model));
+  h.mix(static_cast<std::uint64_t>(c.policy));
+  h.mix(static_cast<std::uint64_t>(c.tiles_x));
+  h.mix(static_cast<std::uint64_t>(c.tiles_y));
+  h.mix_double(c.cell_radius_m);
+  h.mix(static_cast<std::uint64_t>(c.num_clients));
+  h.mix(static_cast<std::uint64_t>(c.num_intervals));
+  h.mix_double(c.interval_s);
+  h.mix_double(c.query_gap);
+  h.mix_double(c.wireless.uplink_bytes_per_sec);
+  h.mix_double(c.wireless.downlink_bytes_per_sec);
+  h.mix_double(c.wireless.rtt);
+  h.mix_double(c.migration_radius_m);
+  h.mix(static_cast<std::uint64_t>(c.ttl_intervals));
+  h.mix(static_cast<std::uint64_t>(c.max_load_level));
+  h.mix_double(c.speed_min_mps);
+  h.mix_double(c.speed_max_mps);
+  h.mix_double(c.turn_probability);
+  h.mix_double(c.offline_probability);
+  h.mix(static_cast<std::uint64_t>(c.offline_intervals));
+  h.mix(c.seed);
   // Fault/robustness knobs, appended so fault-free fingerprints keep their
-  // original mixing order (and value stability is irrelevant — any change
-  // to the digest only tightens the resume check).
-  {
-    const std::string plan_json = c.fault_plan.to_json();
-    mix(plan_json.size());
-    mix(wire::fnv1a(plan_json.data(), plan_json.size()));
-  }
-  mix(static_cast<std::uint64_t>(c.migration_retry.max_attempts));
-  mix(static_cast<std::uint64_t>(c.migration_retry.initial_backoff_intervals));
-  mix(static_cast<std::uint64_t>(c.migration_retry.max_backoff_intervals));
-  mix_double(c.backhaul_bytes_per_sec);
-  mix(static_cast<std::uint64_t>(c.retry_queue_cap));
-  mix(static_cast<std::uint64_t>(c.admission_max_attached));
-  mix(static_cast<std::uint64_t>(c.flash_crowd_tiles));
-  mix_double(c.flash_crowd_multiplier);
-  mix(static_cast<std::uint64_t>(c.cache_budget_bytes));
-  return digest;
+  // original mixing order.
+  h.mix_string(c.fault_plan.to_json());
+  h.mix(static_cast<std::uint64_t>(c.migration_retry.max_attempts));
+  h.mix(static_cast<std::uint64_t>(
+      c.migration_retry.initial_backoff_intervals));
+  h.mix(static_cast<std::uint64_t>(c.migration_retry.max_backoff_intervals));
+  h.mix_double(c.backhaul_bytes_per_sec);
+  h.mix(static_cast<std::uint64_t>(c.retry_queue_cap));
+  h.mix(static_cast<std::uint64_t>(c.admission_max_attached));
+  h.mix(static_cast<std::uint64_t>(c.flash_crowd_tiles));
+  h.mix_double(c.flash_crowd_multiplier);
+  h.mix(static_cast<std::uint64_t>(c.cache_budget_bytes));
+  return h.digest();
 }
 
 }  // namespace perdnn

@@ -15,6 +15,7 @@
 #include "obs/stream_writer.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "sim/retry_rule.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace perdnn {
@@ -48,6 +49,63 @@ void SimulationMetrics::set_backhaul(const TrafficAccountant& traffic) {
   for (ServerId s = 0; s < traffic.num_servers(); ++s)
     server_peak_uplink_mbps[static_cast<std::size_t>(s)] =
         traffic.peak_uplink_mbps(s);
+}
+
+void SimulationMetrics::close_interval(std::vector<obs::TimeseriesRow>& rows,
+                                       TrafficAccountant& traffic,
+                                       Bytes backlog_bytes,
+                                       Bytes budget_bytes) {
+  obs::TimeseriesRow sum;
+  for (obs::TimeseriesRow& row : rows) {
+    row.uplink_bytes = traffic.uplink_bytes(row.server);
+    row.downlink_bytes = traffic.downlink_bytes(row.server);
+    PERDNN_CHECK_MSG(budget_bytes == 0 || row.cache_bytes <= budget_bytes,
+                     "cache budget invariant violated on server "
+                         << row.server);
+    sum.attached += row.attached;
+    sum.hits += row.hits;
+    sum.partials += row.partials;
+    sum.misses += row.misses;
+    sum.cold_window_queries += row.cold_window_queries;
+    sum.downlink_bytes += row.downlink_bytes;
+    sum.migration_orders += row.migration_orders;
+    sum.deferred_bytes += row.deferred_bytes;
+    sum.degraded += row.degraded;
+    sum.cache_bytes += row.cache_bytes;
+    sum.cache_evictions += row.cache_evictions;
+    sum.cache_partial_stores += row.cache_partial_stores;
+  }
+  attached_client_intervals += sum.attached;
+  hits += sum.hits;
+  partials += sum.partials;
+  misses += sum.misses;
+  server_changes += sum.hits + sum.partials + sum.misses;
+  cold_window_queries += sum.cold_window_queries;
+  degraded_attaches += sum.degraded;
+  cache_evictions += sum.cache_evictions;
+  cache_partial_stores += sum.cache_partial_stores;
+  deferred_migration_bytes += sum.deferred_bytes;
+  // Every delivered byte lands on exactly one server's downlink.
+  total_migrated_bytes += sum.downlink_bytes;
+  peak_cache_bytes = std::max(peak_cache_bytes, sum.cache_bytes);
+  peak_deferred_backlog_bytes =
+      std::max(peak_deferred_backlog_bytes, backlog_bytes);
+
+  // The registry mirrors, created once their sum moves. Integer sums below
+  // 2^53 add exactly in a double, so they equal per-event counts.
+  const auto mirror = [](const char* name, double v) {
+    if (v != 0.0) obs::count(name, v);
+  };
+  mirror("sim.attach.hits", sum.hits);
+  mirror("sim.attach.partials", sum.partials);
+  mirror("sim.attach.misses", sum.misses);
+  mirror("sim.attach.degraded", sum.degraded);
+  mirror("sim.migration.bytes", static_cast<double>(sum.downlink_bytes));
+  mirror("sim.migration.orders", sum.migration_orders);
+  mirror("sim.cache.evictions", sum.cache_evictions);
+  mirror("sim.cache.partial_stores", sum.cache_partial_stores);
+  mirror("migration.deferred_bytes", static_cast<double>(sum.deferred_bytes));
+  traffic.end_interval();
 }
 
 void SimulationConfig::validate() const {
@@ -362,16 +420,13 @@ class SimulatorImpl {
   /// the delivered part.
   PushResult push_layers(ClientId c, ServerId source, ServerId target,
                          std::vector<LayerId> layers, int interval_index);
-  // The retry rule of both engines (DESIGN.md §14).
-  /// A failed first delivery of `layers`: counted as deferred, then parked
-  /// or dropped at once.
+  /// The retry rule over this engine's queue, metrics, rows and journal.
+  RetryRule<std::vector<LayerId>> retry_rule() {
+    return {retry_, metrics_, rows_, journal_.get()};
+  }
+  /// A failed first delivery of `layers`, handed to the retry rule.
   void defer_layers(ClientId c, ServerId source, ServerId target,
                     std::vector<LayerId> layers, int interval_index);
-  /// Parks `order` for its next attempt, or drops it when its attempt
-  /// budget is spent or its source queue is full.
-  void park_or_drop(LayerRetryOrder order, int interval_index);
-  void drop_order(const LayerRetryOrder& order, int interval_index,
-                  obs::DropReason reason);
   /// Re-attempts every parked order whose backoff elapsed, in (source,
   /// FIFO) order.
   void retry_deferred_migrations(int interval_index);
@@ -437,10 +492,9 @@ class SimulatorImpl {
   /// (never live at the same time as push_mask_scratch_'s use).
   std::vector<bool> lookup_mask_scratch_;
   std::vector<ColdJob> cold_jobs_;  // this interval's deferred windows
-  /// Cumulative cache counters already folded into metrics_, per server.
-  /// The caches restart their counters at 0 on a resumed process while
-  /// metrics_ comes back from the snapshot, so per-interval deltas compose
-  /// correctly across checkpoint/resume.
+  /// Cumulative cache counters already written to a row, per server. The
+  /// caches restart their counters at 0 on a resumed process, so the rows
+  /// take per-interval deltas, which compose across checkpoint/resume.
   std::vector<long long> cache_evictions_seen_;
   std::vector<long long> cache_partials_seen_;
   SimulationMetrics metrics_;
@@ -639,7 +693,6 @@ void SimulatorImpl::flush_cold_jobs(int interval_index) {
         return cold_window_queries(cold_jobs_[i]);
       });
   for (std::size_t i = 0; i < results.size(); ++i) {
-    metrics_.cold_window_queries += results[i].queries;
     metrics_.routed_queries += results[i].routed;
     obs::TimeseriesRow& r = row(cold_jobs_[i].sid);
     r.cold_window_queries += results[i].queries;
@@ -672,7 +725,6 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
                 std::exp(config_.bandwidth_jitter_sigma * link_rng_.normal()),
                 0.3, 2.0)
           : 1.0;
-  ++metrics_.server_changes;
   if (journal_ != nullptr) {
     if (previous != kNoServer)
       journal_->record({.interval = interval_index,
@@ -703,11 +755,7 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
   const LoadLevelCache& lvl =
       degraded ? degraded_level(attached_[static_cast<std::size_t>(sid)])
                : level(attached_[static_cast<std::size_t>(sid)]);
-  if (degraded) {
-    ++metrics_.degraded_attaches;
-    obs::count("sim.attach.degraded");
-    ++row(sid).degraded;
-  }
+  if (degraded) ++row(sid).degraded;
   const DnnModel& model = world_.model;
 
   std::vector<bool> available =
@@ -730,17 +778,11 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
   const bool is_hit = missing.empty();
   const bool is_miss = !is_hit && present == 0;
   if (is_hit) {
-    ++metrics_.hits;
     ++row(sid).hits;
-    obs::count("sim.attach.hits");
   } else if (is_miss) {
-    ++metrics_.misses;
     ++row(sid).misses;
-    obs::count("sim.attach.misses");
   } else {
-    ++metrics_.partials;
     ++row(sid).partials;
-    obs::count("sim.attach.partials");
   }
 
   client.pending = std::move(missing);
@@ -902,12 +944,7 @@ SimulatorImpl::PushResult SimulatorImpl::push_layers(
                       .peer = target,
                       .bytes = result.sent_bytes,
                       .aux = num_sent});
-  if (result.sent_bytes > 0) {
-    traffic_.record_transfer(source, target, result.sent_bytes);
-    metrics_.total_migrated_bytes += result.sent_bytes;
-    obs::count("sim.migration.bytes",
-               static_cast<double>(result.sent_bytes));
-  }
+  traffic_.record_transfer(source, target, result.sent_bytes);
   return result;
 }
 
@@ -916,69 +953,23 @@ void SimulatorImpl::defer_layers(ClientId c, ServerId source, ServerId target,
                                  int interval_index) {
   Bytes bytes = 0;
   for (LayerId id : layers) bytes += world_.model.layer(id).weight_bytes;
-  ++metrics_.migrations_deferred;
-  metrics_.deferred_migration_bytes += bytes;
-  row(source).deferred_bytes += bytes;
-  obs::count("migration.deferred_orders");
-  obs::count("migration.deferred_bytes", static_cast<double>(bytes));
-  park_or_drop({.client = c,
-                .source = source,
-                .target = target,
-                .payload = std::move(layers),
-                .bytes = bytes},
-               interval_index);
-}
-
-void SimulatorImpl::park_or_drop(LayerRetryOrder order, int interval_index) {
-  if (const auto reason = retry_.try_park(order, interval_index)) {
-    drop_order(order, interval_index, *reason);
-    return;
-  }
-  if (journal_ != nullptr)
-    journal_->record({.interval = interval_index,
-                      .kind = obs::JournalEventKind::kMigrationDeferred,
-                      .client = order.client,
-                      .server = order.source,
-                      .peer = order.target,
-                      .bytes = order.bytes,
-                      .detail = order.attempts,
-                      .aux = order.next_attempt_interval});
-}
-
-void SimulatorImpl::drop_order(const LayerRetryOrder& order,
-                               int interval_index, obs::DropReason reason) {
-  ++metrics_.migrations_abandoned;
-  metrics_.abandoned_migration_bytes += order.bytes;
-  obs::count("migration.abandoned_orders");
-  obs::count("migration.abandoned_bytes", static_cast<double>(order.bytes));
-  if (journal_ != nullptr)
-    journal_->record({.interval = interval_index,
-                      .kind = obs::JournalEventKind::kMigrationDropped,
-                      .client = order.client,
-                      .server = order.source,
-                      .peer = order.target,
-                      .bytes = order.bytes,
-                      .detail = order.attempts,
-                      .aux = reason});
+  retry_rule().defer({.client = c,
+                      .source = source,
+                      .target = target,
+                      .payload = std::move(layers),
+                      .bytes = bytes},
+                     interval_index);
 }
 
 void SimulatorImpl::retry_deferred_migrations(int interval_index) {
+  RetryRule<std::vector<LayerId>> rule = retry_rule();
   for (LayerRetryOrder& order : retry_.take_due(interval_index)) {
-    ++metrics_.migration_retries;
-    obs::count("migration.retries");
-    if (journal_ != nullptr)
-      journal_->record({.interval = interval_index,
-                        .kind = obs::JournalEventKind::kMigrationRetried,
-                        .client = order.client,
-                        .server = order.source,
-                        .peer = order.target,
-                        .bytes = order.bytes,
-                        .detail = order.attempts});
+    rule.retried(order, interval_index);
     // A crashed endpoint can't take part: the target lost its radio, the
     // source lost the cache it was supposed to ship from.
     if (timeline_.server_down(order.source) ||
         timeline_.server_down(order.target)) {
-      park_or_drop(std::move(order), interval_index);
+      rule.park_or_drop(std::move(order), interval_index);
       continue;
     }
     // Only what the source still holds is sendable (TTL expiry or a crash
@@ -990,31 +981,16 @@ void SimulatorImpl::retry_deferred_migrations(int interval_index) {
     for (LayerId id : order.payload)
       if (source_mask[static_cast<std::size_t>(id)]) layers.push_back(id);
     if (layers.empty()) {
-      // Nothing left to send: the order dissolves without a transfer.
-      if (journal_ != nullptr)
-        journal_->record({.interval = interval_index,
-                          .kind = obs::JournalEventKind::kMigrationDropped,
-                          .client = order.client,
-                          .server = order.source,
-                          .peer = order.target,
-                          .bytes = order.bytes,
-                          .detail = order.attempts,
-                          .aux = obs::kDropDissolved});
-      obs::count("migration.retry_success");
-      obs::count("migration.retry_success_bytes",
-                 static_cast<double>(order.bytes));
+      rule.dissolved(order, interval_index);
       continue;
     }
     PushResult result = push_layers(order.client, order.source, order.target,
                                     std::move(layers), interval_index);
     if (!result.delivered) {
-      park_or_drop(std::move(order), interval_index);
+      rule.park_or_drop(std::move(order), interval_index);
       continue;
     }
-    obs::count("migration.retry_success");
-    obs::count("migration.retry_success_bytes",
-               static_cast<double>(order.bytes));
-    obs::count("sim.migration.orders");
+    rule.delivered(order);
     ++row(order.source).migration_orders;
     if (!result.overflow.empty())
       defer_layers(order.client, order.source, order.target,
@@ -1254,7 +1230,6 @@ void SimulatorImpl::proactive_migration(int interval_index) {
       if (!result.overflow.empty())
         defer_layers(c, client.current, target, std::move(result.overflow),
                      interval_index);
-      obs::count("sim.migration.orders");
       // Counted even when fully deduplicated (0 bytes): the order was still
       // issued, only the transfer was suppressed.
       ++row(client.current).migration_orders;
@@ -1486,7 +1461,6 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
         run_local_fallback(c, pos, interval_index);
         continue;
       }
-      ++metrics_.attached_client_intervals;
       if (sid != client.current) handle_attach(c, sid, interval_index);
     }
     // 1b) Evaluate this interval's cold-start windows in parallel; results
@@ -1506,57 +1480,34 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
     // 4) TTL expiry.
     for (auto& cache : caches_) cache.expire(interval_index);
 
-    // 5) Budgeted-cache accounting (skipped entirely for unbudgeted runs,
-    //    which stay byte-identical to builds without the knob).
-    if (config_.cache_budget_bytes > 0) {
-      Bytes resident = 0;
-      for (ServerId s = 0; s < world_.servers.num_servers(); ++s) {
-        LayerCache& cache = caches_[static_cast<std::size_t>(s)];
-        PERDNN_CHECK_MSG(cache.total_bytes() <= config_.cache_budget_bytes,
-                         "cache budget invariant violated on server " << s);
-        resident += cache.total_bytes();
-        const long long dev =
-            cache.evictions() - cache_evictions_seen_[static_cast<std::size_t>(s)];
-        const long long dps =
-            cache.partial_stores() -
-            cache_partials_seen_[static_cast<std::size_t>(s)];
-        cache_evictions_seen_[static_cast<std::size_t>(s)] = cache.evictions();
-        cache_partials_seen_[static_cast<std::size_t>(s)] =
-            cache.partial_stores();
-        metrics_.cache_evictions += dev;
-        metrics_.cache_partial_stores += dps;
-        if (dev > 0)
-          obs::count("sim.cache.evictions", static_cast<double>(dev));
-        if (dps > 0)
-          obs::count("sim.cache.partial_stores", static_cast<double>(dps));
-        row(s).cache_bytes = cache.total_bytes();
-        row(s).cache_evictions = static_cast<int>(dev);
-        row(s).cache_partial_stores = static_cast<int>(dps);
-      }
-      metrics_.peak_cache_bytes =
-          std::max(metrics_.peak_cache_bytes, resident);
-    }
-
-    metrics_.peak_deferred_backlog_bytes = std::max(
-        metrics_.peak_deferred_backlog_bytes, retry_.backlog_bytes());
+    // 5) Close the interval: each row takes its server's attach count and,
+    //    under a budget, its cache columns (unbudgeted runs leave them 0);
+    //    then the fold sums the rows into metrics_.
     for (ServerId s = 0; s < world_.servers.num_servers(); ++s) {
-      row(s).attached = attached_[static_cast<std::size_t>(s)];
-      row(s).uplink_bytes = traffic_.uplink_bytes(s);
-      row(s).downlink_bytes = traffic_.downlink_bytes(s);
+      const auto si = static_cast<std::size_t>(s);
+      row(s).attached = attached_[si];
+      if (config_.cache_budget_bytes == 0) continue;
+      const LayerCache& cache = caches_[si];
+      row(s).cache_bytes = cache.total_bytes();
+      row(s).cache_evictions =
+          static_cast<int>(cache.evictions() - cache_evictions_seen_[si]);
+      row(s).cache_partial_stores = static_cast<int>(
+          cache.partial_stores() - cache_partials_seen_[si]);
+      cache_evictions_seen_[si] = cache.evictions();
+      cache_partials_seen_[si] = cache.partial_stores();
     }
+    metrics_.close_interval(rows_, traffic_, retry_.backlog_bytes(),
+                            config_.cache_budget_bytes);
     if (timeseries_ != nullptr) timeseries_->append_interval(rows_);
-    traffic_.end_interval();
 
     // Interval boundary: the checkpoint hook. Everything transient is
     // settled here (cold_jobs_ flushed, the interval's rows and traffic
     // closed), so a snapshot taken now resumes byte-identically.
-    const int next_interval = interval_index + 1;
     const bool stop_here = options.stop_after_interval == interval_index;
-    const bool periodic = options.checkpoint_every > 0 &&
-                          next_interval % options.checkpoint_every == 0 &&
-                          next_interval < num_intervals_;
-    if (stop_here || periodic) {
-      snapshot::SimSnapshot snap = capture(next_interval);
+    if (snapshot::checkpoint_due(options.checkpoint_every,
+                                 options.stop_after_interval, interval_index,
+                                 num_intervals_)) {
+      snapshot::SimSnapshot snap = capture(interval_index + 1);
       if (!options.checkpoint_path.empty())
         snapshot::save(snap, options.checkpoint_path);
       if (options.capture_out != nullptr)

@@ -43,6 +43,7 @@ namespace perdnn {
 
 namespace obs {
 class SimTimeseries;
+struct TimeseriesRow;
 }  // namespace obs
 
 namespace snapshot {
@@ -182,9 +183,9 @@ struct SimulationMetrics {
   /// engine's overload shedding); the client spent the interval on the
   /// local fallback instead.
   int attaches_shed = 0;
-  // Migration retry/backoff accounting. Both engines count by one rule as
-  // events happen (DESIGN.md §14): every failed first delivery is deferred,
-  // so abandoned orders are a subset of deferred ones.
+  // Migration retry/backoff accounting. Both engines count by one rule
+  // (sim/retry_rule.hpp, DESIGN.md §14): every failed first delivery is
+  // deferred, so abandoned orders are a subset of deferred ones.
   int migrations_deferred = 0;   ///< failed first deliveries
   int migration_retries = 0;     ///< delivery re-attempts popped from the queue
   /// Deferred orders dropped: attempt budget spent or source queue full.
@@ -231,6 +232,14 @@ struct SimulationMetrics {
   /// Fills the backhaul fields above, except total_migrated_bytes, from the
   /// run's accountant.
   void set_backhaul(const TrafficAccountant& traffic);
+  /// The one interval fold of both engines: copies each server's bytes
+  /// from `traffic` into its row, adds every counter that has an integer
+  /// column as that column's sum (nothing else adds to them), raises both
+  /// peaks, checks each row against a positive `budget_bytes`, mirrors the
+  /// non-zero sums into the obs registry and ends the traffic interval.
+  void close_interval(std::vector<obs::TimeseriesRow>& rows,
+                      TrafficAccountant& traffic, Bytes backlog_bytes,
+                      Bytes budget_bytes);
 
   int num_servers = 0;
   int num_clients = 0;
@@ -293,7 +302,8 @@ struct SimulationRunOptions {
   /// re-primed from the snapshot's rows so exports cover the whole run.
   const snapshot::SimSnapshot* resume_from = nullptr;
   /// Capture a checkpoint whenever (interval_index + 1) is a positive
-  /// multiple of this. 0 disables periodic checkpoints.
+  /// multiple of this, except after the last interval, which leaves nothing
+  /// to resume (snapshot::checkpoint_due). 0 disables periodic checkpoints.
   int checkpoint_every = 0;
   /// Stop after completing this interval index (capturing a checkpoint),
   /// returning the partial metrics accumulated so far. -1 runs to the end.

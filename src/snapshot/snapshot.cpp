@@ -1,6 +1,5 @@
 #include "snapshot/snapshot.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +17,6 @@ constexpr char kMagic[8] = {'P', 'D', 'N', 'N', 'S', 'N', 'P', '1'};
 
 // The fixed-width encoding and the magic|version|size|payload|checksum
 // frame live in common/wire.hpp, shared with the event-journal codec.
-using wire::fnv1a;
 using wire::Reader;
 using wire::Writer;
 
@@ -435,28 +433,6 @@ void check_journal_resume(const SimSnapshot& snap,
 
 // -- config fingerprint ------------------------------------------------------
 
-namespace {
-
-class FingerprintHasher {
- public:
-  void mix(std::uint64_t v) {
-    state_ ^= v;
-    digest_ ^= splitmix64(state_);
-  }
-  void mix_double(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix_string(const std::string& s) {
-    mix(s.size());
-    mix(fnv1a(s.data(), s.size()));
-  }
-  std::uint64_t digest() const { return digest_; }
-
- private:
-  std::uint64_t state_ = 0x50e1f1ed5eedULL;
-  std::uint64_t digest_ = 0;
-};
-
-}  // namespace
-
 std::uint64_t config_fingerprint(const SimulationConfig& config,
                                  const SimulationWorld& world) {
   // Chained splitmix64 over every knob that can change the simulation's
@@ -464,7 +440,7 @@ std::uint64_t config_fingerprint(const SimulationConfig& config,
   // SIMD kernel are excluded on purpose: both are proven
   // byte-identity-neutral by the tier-1 determinism gate, so a checkpoint
   // moves freely across them.
-  FingerprintHasher h;
+  wire::FingerprintHasher h(0x50e1f1ed5eedULL);
   h.mix(static_cast<std::uint64_t>(config.model));
   h.mix(static_cast<std::uint64_t>(config.policy));
   h.mix_double(config.migration_radius_m);

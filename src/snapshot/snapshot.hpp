@@ -199,6 +199,17 @@ struct SimSnapshot {
 void check_journal_resume(const SimSnapshot& snap,
                           const std::string& journal_path, int num_clients);
 
+/// The checkpoint rule of both engines: a run captures a checkpoint after
+/// `interval` when it stops there, or when a positive `every` divides
+/// interval + 1, except after the last interval: a finished run leaves
+/// nothing to resume.
+inline bool checkpoint_due(int every, int stop_after, int interval,
+                           int num_intervals) {
+  const int next = interval + 1;
+  return interval == stop_after ||
+         (every > 0 && next % every == 0 && next < num_intervals);
+}
+
 /// Hash of every simulation-affecting config knob plus the world's shape
 /// (server/client/interval counts, model size). Resuming a snapshot whose
 /// fingerprint differs is rejected.

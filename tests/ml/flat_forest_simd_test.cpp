@@ -122,8 +122,9 @@ void expect_bit_identical(const FlatForest& forest, const double* rows,
 
 TEST(FlatForestSimd, ReportsDispatchState) {
   // enabled() can never exceed what the build and CPU provide.
-  if (!simd::compiled_in() || !simd::cpu_supported())
+  if (!simd::compiled_in() || !simd::cpu_supported()) {
     EXPECT_FALSE(simd::enabled());
+  }
   SimdGuard on(true);
   EXPECT_EQ(simd::enabled(), simd::compiled_in() && simd::cpu_supported());
   EXPECT_STREQ(simd::active_kernel(), simd::enabled() ? "avx2" : "scalar");

@@ -27,6 +27,7 @@
 #include "faults/fault_plan.hpp"
 #include "mobility/trace_gen.hpp"
 #include "obs/journal.hpp"
+#include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/shard_sim.hpp"
 #include "sim/shard_world.hpp"
@@ -119,6 +120,40 @@ class ClassicCacheBudgetTest : public ::testing::Test {
     return ::testing::TempDir() +
            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
            "_classic_jr.jsonl";
+  }
+
+  /// A budget that evicts and trims, a crash wiping a server, a degraded
+  /// backhaul window that clips pushes and an outage that parks them for
+  /// retry, and a telemetry dropout that plans blind.
+  static SimulationConfig pressure_config() {
+    SimulationConfig config = *config_;
+    config.cache_budget_bytes = mb_to_bytes(3.0);
+    config.migration_retry = {.max_attempts = 4,
+                              .initial_backoff_intervals = 1,
+                              .max_backoff_intervals = 4};
+    std::vector<FaultEvent> events;
+    events.push_back({.kind = FaultKind::kServerCrash,
+                      .at_interval = 4,
+                      .duration_intervals = 2,
+                      .server = 0});
+    events.push_back({.kind = FaultKind::kTelemetryDropout,
+                      .at_interval = 0,
+                      .duration_intervals = 12,
+                      .server = 1});
+    for (ServerId s = 0; s < world_->servers.num_servers(); ++s) {
+      events.push_back({.kind = FaultKind::kBackhaulDegrade,
+                        .at_interval = 1,
+                        .duration_intervals = 3,
+                        .server = s,
+                        .severity = 0.9});
+      events.push_back({.kind = FaultKind::kBackhaulDegrade,
+                        .at_interval = 7,
+                        .duration_intervals = 2,
+                        .server = s,
+                        .severity = 1.0});
+    }
+    config.fault_plan = FaultPlan(std::move(events));
+    return config;
   }
 
   static SimulationConfig* config_;
@@ -243,33 +278,7 @@ TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
   // The journal digest was re-pinned when parked orders began to drain in
   // (source server, FIFO) order, each `migration_retried` record just
   // before its own outcome; the metrics and timeseries digests held.
-  SimulationConfig config = *config_;
-  config.cache_budget_bytes = mb_to_bytes(3.0);
-  config.migration_retry = {.max_attempts = 4,
-                            .initial_backoff_intervals = 1,
-                            .max_backoff_intervals = 4};
-  std::vector<FaultEvent> events;
-  events.push_back({.kind = FaultKind::kServerCrash,
-                    .at_interval = 4,
-                    .duration_intervals = 2,
-                    .server = 0});
-  events.push_back({.kind = FaultKind::kTelemetryDropout,
-                    .at_interval = 0,
-                    .duration_intervals = 12,
-                    .server = 1});
-  for (ServerId s = 0; s < world_->servers.num_servers(); ++s) {
-    events.push_back({.kind = FaultKind::kBackhaulDegrade,
-                      .at_interval = 1,
-                      .duration_intervals = 3,
-                      .server = s,
-                      .severity = 0.9});
-    events.push_back({.kind = FaultKind::kBackhaulDegrade,
-                      .at_interval = 7,
-                      .duration_intervals = 2,
-                      .server = s,
-                      .severity = 1.0});
-  }
-  config.fault_plan = FaultPlan(std::move(events));
+  const SimulationConfig config = pressure_config();
 
   struct Outputs {
     SimulationMetrics metrics;
@@ -324,6 +333,42 @@ TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
   EXPECT_EQ(digest(resumed.metrics_json), kMetrics);
   EXPECT_EQ(digest(resumed.timeseries), kTimeseries);
   EXPECT_EQ(digest(resumed.journal), kJournal);
+}
+
+TEST_F(ClassicCacheBudgetTest, RegistryMirrorsTheMetrics) {
+  // The pressure scenario with the registry on: each counter that mirrors a
+  // SimulationMetrics field equals it (the sharded engine's twin is
+  // ShardFaultDeterminismTest.RegistryMirrorsTheMetrics).
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  par::set_num_threads(2);
+  const SimulationMetrics m = run_simulation(pressure_config(), *world_);
+  par::set_num_threads(0);
+  obs::set_enabled(false);
+  EXPECT_GT(m.cache_evictions, 0);
+  EXPECT_GT(m.cache_partial_stores, 0);
+  EXPECT_GT(m.degraded_attaches, 0);
+  EXPECT_GT(m.migrations_deferred, 0);
+  EXPECT_GT(m.migration_retries, 0);
+  const std::pair<const char*, double> mirrored[] = {
+      {"sim.attach.hits", m.hits},
+      {"sim.attach.partials", m.partials},
+      {"sim.attach.misses", m.misses},
+      {"sim.attach.degraded", m.degraded_attaches},
+      {"sim.migration.bytes", static_cast<double>(m.total_migrated_bytes)},
+      {"sim.cache.evictions", static_cast<double>(m.cache_evictions)},
+      {"sim.cache.partial_stores",
+       static_cast<double>(m.cache_partial_stores)},
+      {"migration.deferred_orders", m.migrations_deferred},
+      {"migration.deferred_bytes",
+       static_cast<double>(m.deferred_migration_bytes)},
+      {"migration.abandoned_orders", m.migrations_abandoned},
+      {"migration.abandoned_bytes",
+       static_cast<double>(m.abandoned_migration_bytes)},
+      {"migration.retries", m.migration_retries}};
+  for (const auto& [name, value] : mirrored)
+    EXPECT_EQ(obs::Registry::global().counter(name).value(), value) << name;
+  obs::Registry::global().reset();
 }
 
 // ---------------------------------------------------------------------------

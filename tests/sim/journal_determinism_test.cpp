@@ -218,7 +218,9 @@ TEST_F(JournalDeterminismTest, EveryChainReconstructsAnAttachPath) {
     int prev_interval = seq.front()->interval;
     bool planned = false;
     for (const JournalEvent* e : seq) {
-      if (e->client >= 0) EXPECT_EQ(e->client, client) << "chain " << chain;
+      if (e->client >= 0) {
+        EXPECT_EQ(e->client, client) << "chain " << chain;
+      }
       EXPECT_GE(e->interval, prev_interval) << "chain " << chain;
       prev_interval = e->interval;
       planned |= e->kind == JournalEventKind::kPlan ||

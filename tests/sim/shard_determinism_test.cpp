@@ -303,6 +303,30 @@ TEST_F(ShardDeterminismTest, ResumeAfterKillConvergesByteIdentical) {
   EXPECT_EQ(full.journal, slurp(jr_path()));
 }
 
+TEST_F(ShardDeterminismTest, PeriodicCheckpointingIsOutputNeutral) {
+  // The sharded twin of SnapshotTest.PeriodicCheckpointingIsOutputNeutral.
+  // Every 5 of the 10 intervals is due, but only the first checkpoint is
+  // taken: after the last interval nothing is left to resume.
+  const RunResult reference = run_at(*world_, 2, 4);
+  const std::string path = case_path("_shard_periodic.snap");
+  par::set_num_threads(2);
+  ShardRunOptions options;
+  options.num_shards = 4;
+  options.timeseries_path = ts_path();
+  options.journal_path = jr_path();
+  options.checkpoint_every = 5;
+  options.checkpoint_path = path;
+  const SimulationMetrics metrics = run_sharded_simulation(*world_, options);
+  par::set_num_threads(0);
+  EXPECT_EQ(metrics_fingerprint(metrics), reference.metrics);
+  EXPECT_EQ(slurp(ts_path()), reference.timeseries);
+  EXPECT_EQ(slurp(jr_path()), reference.journal);
+  const snapshot::SimSnapshot last = snapshot::load(path);
+  EXPECT_EQ(last.num_intervals, metrics.num_intervals);
+  EXPECT_LT(last.next_interval, last.num_intervals);
+  std::remove(path.c_str());
+}
+
 TEST_F(ShardDeterminismTest, ResumeRejectsForeignConfig) {
   par::set_num_threads(1);
   snapshot::SimSnapshot snap;

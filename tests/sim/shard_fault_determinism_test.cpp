@@ -28,6 +28,7 @@
 #include "common/simd.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/journal.hpp"
+#include "obs/metrics.hpp"
 #include "sim/shard_sim.hpp"
 #include "sim/shard_world.hpp"
 #include "snapshot/snapshot.hpp"
@@ -469,6 +470,44 @@ TEST_F(ShardFaultDeterminismTest, MaxAttemptsOneCountsEveryDeferralAsAbandoned) 
             m.deferred_migration_bytes);
   EXPECT_EQ(m.migration_retries, 0);
   EXPECT_EQ(m.peak_deferred_backlog_bytes, 0);
+}
+
+TEST_F(ShardFaultDeterminismTest, RegistryMirrorsTheMetrics) {
+  // With the registry on, the sharded engine reports the counters the
+  // classic engine reports (ClassicCacheBudgetTest.RegistryMirrorsTheMetrics)
+  // and each equals its SimulationMetrics field: one interval fold and one
+  // retry rule count them for both engines.
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  par::set_num_threads(2);
+  ShardRunOptions options;
+  options.num_shards = 4;
+  const SimulationMetrics m = run_sharded_simulation(*world_, options);
+  par::set_num_threads(0);
+  obs::set_enabled(false);
+  EXPECT_GT(m.hits, 0);
+  EXPECT_GT(m.degraded_attaches, 0);
+  EXPECT_GT(m.migrations_abandoned, 0);
+  EXPECT_GT(m.migration_retries, 0);
+  const std::pair<const char*, double> mirrored[] = {
+      {"sim.attach.hits", m.hits},
+      {"sim.attach.partials", m.partials},
+      {"sim.attach.misses", m.misses},
+      {"sim.attach.degraded", m.degraded_attaches},
+      {"sim.migration.bytes", static_cast<double>(m.total_migrated_bytes)},
+      {"sim.cache.evictions", static_cast<double>(m.cache_evictions)},
+      {"sim.cache.partial_stores",
+       static_cast<double>(m.cache_partial_stores)},
+      {"migration.deferred_orders", m.migrations_deferred},
+      {"migration.deferred_bytes",
+       static_cast<double>(m.deferred_migration_bytes)},
+      {"migration.abandoned_orders", m.migrations_abandoned},
+      {"migration.abandoned_bytes",
+       static_cast<double>(m.abandoned_migration_bytes)},
+      {"migration.retries", m.migration_retries}};
+  for (const auto& [name, value] : mirrored)
+    EXPECT_EQ(obs::Registry::global().counter(name).value(), value) << name;
+  obs::Registry::global().reset();
 }
 
 TEST_F(ShardFaultDeterminismTest, FractionsWithin100MbpsCountBothDirections) {

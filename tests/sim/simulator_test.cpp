@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "mobility/trace_gen.hpp"
+#include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 
 namespace perdnn {
@@ -62,6 +67,111 @@ TEST(SimulationMetricsTest, HitRatioIsZeroWhenNothingClassified) {
   metrics.hits = 1;
   metrics.misses = 1;
   EXPECT_DOUBLE_EQ(metrics.hit_ratio(), 0.5);
+}
+
+TEST(SimulationMetricsTest, CloseIntervalFoldsTheRowsOnce) {
+  // Three servers' hand-built rows and a ledger holding three transfers.
+  // The fold copies each server's bytes into its row, adds each row-backed
+  // counter as its column's sum, raises both peaks, mirrors the non-zero
+  // sums into the registry and ends the traffic interval.
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  TrafficAccountant traffic(3, 20.0);
+  traffic.record_transfer(0, 1, 700);
+  traffic.record_transfer(2, 1, 300);
+  traffic.record_transfer(0, 2, 50);
+  std::vector<obs::TimeseriesRow> rows = {
+      {.server = 0,
+       .attached = 2,
+       .hits = 1,
+       .misses = 2,
+       .cold_window_queries = 30,
+       .migration_orders = 2,
+       .deferred_bytes = 400,
+       .cache_bytes = 100,
+       .cache_evictions = 1},
+      {.server = 1,
+       .attached = 1,
+       .cold_window_queries = 5,
+       .degraded = 1,
+       .cache_bytes = 250,
+       .cache_partial_stores = 2},
+      {.server = 2, .migration_orders = 1}};
+  SimulationMetrics m;
+  m.close_interval(rows, traffic, /*backlog_bytes=*/500,
+                   /*budget_bytes=*/250);
+  obs::set_enabled(false);
+
+  EXPECT_EQ(rows[0].uplink_bytes, 750);
+  EXPECT_EQ(rows[0].downlink_bytes, 0);
+  EXPECT_EQ(rows[1].uplink_bytes, 0);
+  EXPECT_EQ(rows[1].downlink_bytes, 1000);
+  EXPECT_EQ(rows[2].uplink_bytes, 300);
+  EXPECT_EQ(rows[2].downlink_bytes, 50);
+  EXPECT_EQ(m.attached_client_intervals, 3);
+  EXPECT_EQ(m.hits, 1);
+  EXPECT_EQ(m.partials, 0);
+  EXPECT_EQ(m.misses, 2);
+  EXPECT_EQ(m.server_changes, 3);
+  EXPECT_EQ(m.cold_window_queries, 35);
+  EXPECT_EQ(m.degraded_attaches, 1);
+  EXPECT_EQ(m.cache_evictions, 1);
+  EXPECT_EQ(m.cache_partial_stores, 2);
+  EXPECT_EQ(m.deferred_migration_bytes, 400);
+  EXPECT_EQ(m.total_migrated_bytes, 1050);
+  EXPECT_EQ(m.peak_cache_bytes, 350);
+  EXPECT_EQ(m.peak_deferred_backlog_bytes, 500);
+  // The interval ended: the ledger's open interval is empty, and its
+  // summary holds the closed one.
+  for (ServerId s = 0; s < 3; ++s) {
+    EXPECT_EQ(traffic.uplink_bytes(s), 0);
+    EXPECT_EQ(traffic.downlink_bytes(s), 0);
+  }
+  EXPECT_EQ(traffic.state().busiest_total, 1050);
+
+  // No partial, so no partial counter; counter() below would create one.
+  const std::string registry = obs::Registry::global().to_json();
+  EXPECT_EQ(registry.find("\"sim.attach.partials\""), std::string::npos);
+  EXPECT_NE(registry.find("\"sim.attach.hits\""), std::string::npos);
+  const auto counter = [](const char* name) {
+    return obs::Registry::global().counter(name).value();
+  };
+  EXPECT_EQ(counter("sim.attach.hits"), 1.0);
+  EXPECT_EQ(counter("sim.attach.misses"), 2.0);
+  EXPECT_EQ(counter("sim.attach.degraded"), 1.0);
+  EXPECT_EQ(counter("sim.migration.bytes"), 1050.0);
+  EXPECT_EQ(counter("sim.migration.orders"), 3.0);
+  EXPECT_EQ(counter("sim.cache.evictions"), 1.0);
+  EXPECT_EQ(counter("sim.cache.partial_stores"), 2.0);
+  EXPECT_EQ(counter("migration.deferred_bytes"), 400.0);
+  obs::Registry::global().reset();
+
+  // A quieter second interval adds to the sums and leaves both peaks.
+  std::vector<obs::TimeseriesRow> quiet = {
+      {.interval = 1, .server = 0, .attached = 1, .cache_bytes = 40},
+      {.interval = 1, .server = 1, .partials = 1},
+      {.interval = 1, .server = 2}};
+  m.close_interval(quiet, traffic, /*backlog_bytes=*/100,
+                   /*budget_bytes=*/250);
+  EXPECT_EQ(m.attached_client_intervals, 4);
+  EXPECT_EQ(m.partials, 1);
+  EXPECT_EQ(m.server_changes, 4);
+  EXPECT_EQ(m.total_migrated_bytes, 1050);
+  EXPECT_EQ(m.peak_cache_bytes, 350);
+  EXPECT_EQ(m.peak_deferred_backlog_bytes, 500);
+}
+
+TEST(SimulationMetricsTest, CloseIntervalRefusesARowOverTheBudget) {
+  TrafficAccountant traffic(2, 20.0);
+  std::vector<obs::TimeseriesRow> rows = {{.server = 0, .cache_bytes = 100},
+                                          {.server = 1, .cache_bytes = 101}};
+  SimulationMetrics m;
+  EXPECT_THROW(m.close_interval(rows, traffic, 0, /*budget_bytes=*/100),
+               std::logic_error);
+  // Budget 0 means unbudgeted: no row is checked.
+  SimulationMetrics unbudgeted;
+  unbudgeted.close_interval(rows, traffic, 0, /*budget_bytes=*/0);
+  EXPECT_EQ(unbudgeted.peak_cache_bytes, 201);
 }
 
 TEST_F(SimulatorTest, WorldBuildsSaneComponents) {

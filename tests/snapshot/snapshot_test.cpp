@@ -654,7 +654,8 @@ TEST_F(SnapshotTest, RestoreRejectsOutOfRangeState) {
   EXPECT_NO_THROW(run_simulation(config, *world_, &timeseries, options));
 }
 
-TEST(ShardSnapshotTest, PreVersion7AndMisfitTrafficAreRefused) {
+/// The sharded world of ShardSnapshotTest, which v7_shard.snap came from.
+ShardWorldConfig shard_snapshot_config() {
   ShardWorldConfig config;
   config.model = ModelName::kMobileNet;
   config.tiles_x = 4;
@@ -664,7 +665,23 @@ TEST(ShardSnapshotTest, PreVersion7AndMisfitTrafficAreRefused) {
   config.num_intervals = 8;
   config.max_load_level = 6;
   config.seed = 7;
-  const ShardWorld world = build_shard_world(config);
+  return config;
+}
+
+TEST(ShardSnapshotTest, GoldenVersion7FixtureResumesExactly) {
+  // v7_shard.snap stopped after interval 3 of this world. Its fingerprint
+  // still matches, and the resumed run ends where an uninterrupted one does.
+  const ShardWorld world = build_shard_world(shard_snapshot_config());
+  const snapshot::SimSnapshot snap =
+      snapshot::decode(read_fixture("v7_shard.snap"));
+  ShardRunOptions options;
+  options.resume_from = &snap;
+  EXPECT_EQ(snapshot::metrics_to_json(run_sharded_simulation(world, options)),
+            snapshot::metrics_to_json(run_sharded_simulation(world)));
+}
+
+TEST(ShardSnapshotTest, PreVersion7AndMisfitTrafficAreRefused) {
+  const ShardWorld world = build_shard_world(shard_snapshot_config());
   const auto resume_error = [&](const snapshot::SimSnapshot& snap) {
     ShardRunOptions options;
     options.resume_from = &snap;
@@ -727,6 +744,43 @@ TEST_F(SnapshotTest, FingerprintIgnoresPerformanceKnobs) {
   SimulationConfig tweaked = *config_;
   tweaked.ttl_intervals += 1;
   EXPECT_NE(snapshot::config_fingerprint(tweaked, *world_), fp);
+}
+
+TEST_F(SnapshotTest, FingerprintsKeepTheirValues) {
+  // A fingerprint travels in every checkpoint on disk, so the hasher behind
+  // both engines' fingerprints must keep their values: a faulted, budgeted
+  // classic scenario and a faulted, budgeted, crowded shard config, each
+  // pinned, both with a fault plan so the string mix is covered too.
+  SimulationConfig config = faulted_config();
+  config.cache_budget_bytes = 3 << 20;
+  EXPECT_EQ(snapshot::config_fingerprint(config, *world_),
+            0xbaa40b1d9bef3fa4ULL);
+
+  ShardWorldConfig shard;
+  shard.model = ModelName::kMobileNet;
+  shard.tiles_x = 4;
+  shard.tiles_y = 5;
+  shard.num_clients = 60;
+  shard.num_intervals = 10;
+  shard.offline_probability = 0.05;
+  shard.seed = 7;
+  shard.admission_max_attached = 7;
+  shard.flash_crowd_tiles = 2;
+  shard.flash_crowd_multiplier = 8.0;
+  shard.cache_budget_bytes = 1 << 20;
+  shard.fault_plan = FaultPlan({
+      {.kind = FaultKind::kServerCrash,
+       .at_interval = 3,
+       .duration_intervals = 2,
+       .server = 2},
+      {.kind = FaultKind::kBackhaulDegrade,
+       .at_interval = 1,
+       .duration_intervals = 2,
+       .server = 1,
+       .peer = kAllServers,
+       .severity = 0.6},
+  });
+  EXPECT_EQ(shard_config_fingerprint(shard), 0xcd24a9ef64b3d056ULL);
 }
 
 TEST_F(SnapshotTest, PeriodicCheckpointingIsOutputNeutral) {

@@ -166,10 +166,14 @@ echo "ok: corrupted snapshots rejected with exit 2 (no crashes)"
 "$PERDNN" simulate "${SIM_ARGS[@]}" --snapshot-resume noise.ckpt \
   > /dev/null 2>&1
 [ $? -eq 2 ] || fail "CLI resume from corrupt snapshot did not exit 2"
-# A valid snapshot resumed against a different scenario must be refused.
+# A valid snapshot resumed against a different scenario must be refused,
+# with the error's `snapshot:` prefix printed once.
 "$PERDNN" simulate inception campus perdnn --users 14 --minutes 25 --seed 10 \
-  --snapshot-resume clean.ckpt > /dev/null 2>&1
+  --snapshot-resume clean.ckpt > /dev/null 2> wrong_scenario.err
 [ $? -eq 2 ] || fail "CLI resume against wrong scenario did not exit 2"
+[ "$(grep -o 'snapshot:' wrong_scenario.err | wc -l)" -eq 1 ] \
+  || fail "CLI wrong-scenario error does not hold exactly one 'snapshot:':" \
+          "$(cat wrong_scenario.err)"
 echo "ok: CLI maps snapshot failures to exit 2"
 
 # --- 4. inspect reports the version a file declares -----------------------

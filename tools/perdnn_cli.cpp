@@ -487,7 +487,7 @@ int cmd_simulate(int argc, char** argv) {
   try {
     metrics = run_simulation(config, world, recorder, run_options);
   } catch (const snapshot::SnapshotError& e) {
-    std::fprintf(stderr, "error: snapshot: %s\n", e.what());
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 
