@@ -60,6 +60,13 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
 }
 }  // namespace
 
+// GCC pairs each free() below with the replaced operator new it inlined and
+// reports -Wmismatched-new-delete, though every new here is malloc or
+// aligned_alloc. Silenced for the replacements only, so a real mismatch
+// elsewhere still warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
 void* operator new(std::size_t size) {
   if (void* p = counted_alloc(size)) return p;
   throw std::bad_alloc();
@@ -107,6 +114,8 @@ void operator delete(void* p, std::align_val_t, std::size_t) noexcept {
 void operator delete[](void* p, std::align_val_t, std::size_t) noexcept {
   std::free(p);
 }
+
+#pragma GCC diagnostic pop
 
 namespace {
 

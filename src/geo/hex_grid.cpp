@@ -1,5 +1,6 @@
 #include "geo/hex_grid.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -7,19 +8,10 @@
 
 namespace perdnn {
 
-namespace {
-constexpr double kSqrt3 = 1.7320508075688772;
-}
-
 HexGrid::HexGrid(double cell_radius_m) : radius_(cell_radius_m) {
   PERDNN_CHECK(cell_radius_m > 0.0);
-}
-
-Point HexGrid::center(HexCoord cell) const {
-  // Pointy-top axial -> pixel.
-  const double x = radius_ * kSqrt3 * (cell.q + cell.r / 2.0);
-  const double y = radius_ * 1.5 * cell.r;
-  return {x, y};
+  const double incircle = kSqrt3 / 2.0 * cell_radius_m * (1.0 - 1e-6);
+  incircle_sq_ = incircle * incircle;
 }
 
 HexCoord HexGrid::cell_at(Point p) const {
@@ -64,22 +56,21 @@ std::vector<HexCoord> HexGrid::cells_within(Point p, double radius_m) const {
   return out;
 }
 
+int HexGrid::ring_bound(double radius_m) const {
+  PERDNN_CHECK(radius_m >= 0.0);
+  const auto historical =
+      static_cast<int>(std::ceil(radius_m / (kSqrt3 * radius_))) + 1;
+  // The 1e-9 keeps a ring whose bound is an integer up to rounding.
+  const auto rings = static_cast<int>(
+      std::floor((radius_m + radius_) / (1.5 * radius_) + 1e-9));
+  return std::min(historical, rings);
+}
+
 void HexGrid::cells_within_into(Point p, double radius_m,
                                 std::vector<HexCoord>& out) const {
-  PERDNN_CHECK(radius_m >= 0.0);
   out.clear();
-  // Centres are at least sqrt(3)*R apart, so cells within radius_m of p lie
-  // within ceil(radius_m / (sqrt(3)*R)) + 1 hex steps of p's cell.
-  const HexCoord origin = cell_at(p);
-  const auto steps =
-      static_cast<std::int32_t>(std::ceil(radius_m / (kSqrt3 * radius_))) + 1;
-  for (std::int32_t q = -steps; q <= steps; ++q) {
-    for (std::int32_t r = -steps; r <= steps; ++r) {
-      if (std::abs(q + r) > steps) continue;  // outside the hex ball
-      const HexCoord cell{origin.q + q, origin.r + r};
-      if (distance(center(cell), p) <= radius_m) out.push_back(cell);
-    }
-  }
+  for_each_cell_within(p, cell_at(p), radius_m, ring_bound(radius_m),
+                       [&out](HexCoord cell) { out.push_back(cell); });
 }
 
 }  // namespace perdnn

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <vector>
 
@@ -40,8 +41,11 @@ class HexGrid {
 
   double cell_radius() const { return radius_; }
 
-  /// Centre of a cell on the metric plane.
-  Point center(HexCoord cell) const;
+  /// Centre of a cell on the metric plane (pointy-top axial -> pixel).
+  Point center(HexCoord cell) const {
+    return {radius_ * kSqrt3 * (cell.q + cell.r / 2.0),
+            radius_ * 1.5 * cell.r};
+  }
 
   /// Cell containing the given point (cube rounding).
   HexCoord cell_at(Point p) const;
@@ -52,8 +56,45 @@ class HexGrid {
   /// The six neighbours of a cell.
   static std::vector<HexCoord> neighbors(HexCoord cell);
 
-  /// All cells whose centre lies within `radius_m` metres of `p`.
-  /// Enumerates the bounding hex ring rather than scanning the whole grid.
+  /// True when `p` lies strictly inside the inscribed circle (radius
+  /// sqrt(3)/2 R, shrunk by a relative 1e-6) of the cell centred at
+  /// `centre`. cell_at(p) is then that cell: the margin dwarfs cube
+  /// rounding's error anywhere a city fits. Hot loops test it before paying
+  /// for cell_at.
+  bool in_incircle(Point p, Point centre) const {
+    const double dx = p.x - centre.x;
+    const double dy = p.y - centre.y;
+    return dx * dx + dy * dy < incircle_sq_;
+  }
+
+  /// Hex steps from p's cell past which no cell centre lies within
+  /// `radius_m` of p. A ring-k centre is at least 1.5 k R from the origin
+  /// centre, and p is within R of it, so k <= (radius_m + R) / (1.5 R).
+  /// The bound is the smaller of that and the historical
+  /// ceil(radius_m / (sqrt(3) R)) + 1, which is the looser one below
+  /// radius_m ~ 3.7 R and above it cuts off the outermost ring: taking the
+  /// minimum keeps every caller's cells as they were.
+  int ring_bound(double radius_m) const;
+
+  /// Calls visit(cell) for every cell within `steps` hex steps of `origin`
+  /// whose centre lies within `radius_m` of `p`, in (dq, dr) order.
+  /// `origin` is cell_at(p) and `steps` ring_bound(radius_m): hot callers
+  /// hold both already. Allocates nothing.
+  template <typename Visit>
+  void for_each_cell_within(Point p, HexCoord origin, double radius_m,
+                            int steps, Visit&& visit) const {
+    for (std::int32_t dq = -steps; dq <= steps; ++dq) {
+      for (std::int32_t dr = -steps; dr <= steps; ++dr) {
+        if (std::abs(dq + dr) > steps) continue;  // outside the hex ball
+        const HexCoord cell{origin.q + dq, origin.r + dr};
+        if (within_radius(center(cell), p, radius_m)) visit(cell);
+      }
+    }
+  }
+
+  /// All cells whose centre lies within `radius_m` metres of `p` and within
+  /// ring_bound(radius_m) hex steps of p's cell. Enumerates that hex ball
+  /// rather than scanning the whole grid.
   std::vector<HexCoord> cells_within(Point p, double radius_m) const;
 
   /// Allocation-free variant for per-interval hot loops: clears `out` and
@@ -62,7 +103,10 @@ class HexGrid {
                          std::vector<HexCoord>& out) const;
 
  private:
+  static constexpr double kSqrt3 = 1.7320508075688772;
+
   double radius_;
+  double incircle_sq_ = 0.0;
 };
 
 }  // namespace perdnn

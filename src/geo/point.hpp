@@ -23,6 +23,24 @@ struct Point {
 /// Euclidean distance in metres.
 inline double distance(Point a, Point b) { return (a - b).norm(); }
 
+/// Exactly `distance(a, b) <= r` for every input, without the libm call on
+/// all but a sliver of them. Between them, dx² + dy², r² and `hypot` round
+/// by less than 6e-16 relative, so outside the band r²·(1 ∓ 1e-12), over a
+/// thousand times wider, comparing squares decides as `hypot` would. Inside
+/// the band, on a NaN sum, and for an r that is negative, NaN or so small
+/// that its square loses precision, `distance` decides.
+inline bool within_radius(Point a, Point b, double r) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  const double d2 = dx * dx + dy * dy;
+  const double r2 = r * r;
+  if (r >= 0.0 && r2 >= 0x1p-900) {
+    if (d2 < r2 * (1.0 - 1e-12)) return true;
+    if (d2 > r2 * (1.0 + 1e-12)) return false;
+  }
+  return distance(a, b) <= r;
+}
+
 /// Axis-aligned rectangle used to clip traces to the study area.
 struct Rect {
   double min_x = 0.0;

@@ -27,13 +27,10 @@ namespace perdnn {
 
 namespace {
 
-constexpr double kSqrt3 = 1.7320508075688772;
 constexpr double kTwoPi = 6.283185307179586;
 /// Hard bound on queries simulated inside one cold-start window; only
 /// reachable with a pathological (near-zero latency, zero gap) config.
 constexpr long long kMaxColdQueries = 100000;
-
-int floor_mod2(int v) { return ((v % 2) + 2) % 2; }
 
 /// Stateless counter-based draw: one 64-bit hash per (client substream,
 /// purpose tag, interval counter). Phase A randomness must not depend on
@@ -77,7 +74,7 @@ enum : std::uint8_t {
 };
 
 /// One cross-shard exchange record. Phase A emits these in client-id order
-/// per shard; phase B applies them in canonical client-id order.
+/// per block; phase B applies them in canonical client-id order.
 struct Event {
   ClientId client = -1;
   std::uint8_t kind = kEvAttach;
@@ -91,7 +88,7 @@ struct Event {
   double latency_sum = 0.0;
 };
 
-/// Client disposition after the mobility stage of a Phase A block.
+/// Client disposition after the mobility stage of a Phase A chunk.
 enum Disp : std::uint8_t {
   kDispNone = 0,     ///< offline (continuing, or went offline unattached)
   kDispOffline = 1,  ///< went offline while attached: emit kEvOffline
@@ -100,20 +97,26 @@ enum Disp : std::uint8_t {
   kDispLocal = 4,    ///< tile server down: emit kEvLocal
 };
 
-/// Per-shard state: the phase A output buffer and the TTL wheel of the
-/// shard's servers (all reused across intervals).
-struct ShardBuf {
+/// One Phase A block, a contiguous run of client ids: its event buffer, its
+/// tallies and the scratch of its chunk stages (all reused across
+/// intervals). Aligned so that blocks on different threads share no cache
+/// line.
+struct alignas(64) ClientBlock {
   std::vector<Event> events;
   long long offline = 0;        // client-intervals spent offline
   int disconnects = 0;          // offline windows opened
-  // Block-stage scratch: one entry per client of the current block.
+  // Chunk-stage scratch: one entry per client of the current chunk.
   std::vector<std::uint8_t> disp;
   std::vector<ServerId> prev;        // pre-offline server (kDispOffline only)
   std::vector<std::uint16_t> p0;     // cache probe result (kDispAttach only)
-  std::vector<std::uint32_t> attach_idx;  // block indices with kDispAttach
-  // Slot expire % wheel.size() lists the (server, client) pairs due then,
+  std::vector<std::uint32_t> attach_idx;  // chunk indices with kDispAttach
+};
+
+/// The TTL wheel of one tile shard's servers (reused across intervals).
+struct ShardWheel {
+  // Slot expire % slots.size() lists the (server, client) pairs due then,
   // in queueing order, repeats included.
-  std::vector<std::vector<std::pair<ServerId, ClientId>>> wheel;
+  std::vector<std::vector<std::pair<ServerId, ClientId>>> slots;
   // The (server, client, prefix) entries the last expiry erased; filled
   // only while journaling.
   std::vector<std::tuple<ServerId, ClientId, std::uint16_t>> expired;
@@ -139,8 +142,6 @@ struct CrossPush {
 struct alignas(64) ServerRange {
   ServerId lo = 0;
   ServerId hi = 0;
-  // Per shard: the next event to read and the end of the shard's buffer.
-  std::vector<std::pair<const Event*, const Event*>> head;
   std::vector<CrossPush> outbox;
   // admit()'s eviction candidates, (prefix, client).
   std::vector<std::pair<std::uint16_t, ClientId>> victims;
@@ -172,7 +173,6 @@ class ShardEngine {
     carry_.assign(n, 0);
     offline_until_.assign(n, 0);
     tile_.assign(n, 0);
-    owner_.resize(n);
     cache_.resize(s);
     attached_.assign(s, 0);
     rows_.resize(s);
@@ -230,10 +230,11 @@ class ShardEngine {
     for (int sh = 0; sh < num_shards_; ++sh)
       for (ServerId tile = first_tile(sh); tile < first_tile(sh + 1); ++tile)
         tile_shard_[static_cast<std::size_t>(tile)] = sh;
-    bufs_.resize(static_cast<std::size_t>(num_shards_));
-    for (ShardBuf& buf : bufs_)
-      buf.wheel.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
-    buckets_.resize(static_cast<std::size_t>(num_shards_));
+    wheels_.resize(static_cast<std::size_t>(num_shards_));
+    for (ShardWheel& wheel : wheels_)
+      wheel.slots.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
+    blocks_.resize(static_cast<std::size_t>(num_shards_));
+    push_steps_ = w_.grid.ring_bound(cfg_.migration_radius_m);
 
     ft_ = FaultTimeline(cfg_.fault_plan, cfg_.num_servers(), cfg_.num_clients);
     // Local-fallback outcome of one full interval, evaluated once: the
@@ -264,16 +265,22 @@ class ShardEngine {
 
   // -- phase A (parallel, pure w.r.t. shared state) --------------------------
   void build_attach_tables();
-  void run_shard(std::size_t sh, int t);
-  std::uint8_t stage_move(ClientId c, int t, ShardBuf& buf, ServerId& prev);
+  void run_block(std::size_t b, int t);
+  std::uint8_t stage_move(ClientId c, int t, ClientBlock& blk,
+                          ServerId& prev);
   void finish_client(ClientId c, std::uint8_t disp, ServerId offline_prev,
-                     int probed_p0, int t, ShardBuf& buf);
-  void emit_pushes(ClientId c, ServerId sid, int t, ShardBuf& buf);
+                     int probed_p0, ClientBlock& blk);
+  void emit_pushes(ClientId c, ServerId sid, ClientBlock& blk);
 
   /// The first tile of shard `sh`; shard num_shards_ starts past the last.
   ServerId first_tile(int sh) const {
     return static_cast<ServerId>(static_cast<std::int64_t>(sh) *
                                  cfg_.num_servers() / num_shards_);
+  }
+  /// The first client of block `b`; block num_shards_ starts past the last.
+  ClientId first_client(std::size_t b) const {
+    return static_cast<ClientId>(static_cast<std::int64_t>(b) *
+                                 cfg_.num_clients / num_shards_);
   }
 
   // -- phase B (server ranges in parallel, canonical client-id order) --------
@@ -299,11 +306,11 @@ class ShardEngine {
   /// The wheel slot of `sid`'s shard that fires at interval `expire`.
   std::vector<std::pair<ServerId, ClientId>>& wheel_slot(ServerId sid,
                                                          int expire) {
-    auto& wheel =
-        bufs_[static_cast<std::size_t>(
-                  tile_shard_[static_cast<std::size_t>(sid)])]
-            .wheel;
-    return wheel[static_cast<std::size_t>(expire) % wheel.size()];
+    auto& slots =
+        wheels_[static_cast<std::size_t>(
+                    tile_shard_[static_cast<std::size_t>(sid)])]
+            .slots;
+    return slots[static_cast<std::size_t>(expire) % slots.size()];
   }
   void expire_entries(int t);
   void finish_interval(int t);
@@ -379,13 +386,15 @@ class ShardEngine {
   std::vector<std::uint16_t> attach_pe_;  // indexed by p0
   std::vector<Bytes> attach_carry_;
 
-  // Sharding.
+  // Sharding: Phase A runs one client block per shard, the finish step one
+  // TTL wheel per shard, and Phase B one range of whole shards per thread.
   int num_shards_ = 1;
   std::vector<int> tile_shard_;
-  std::vector<std::vector<ClientId>> buckets_;
-  std::vector<int> owner_;  // per client: the shard that ran it this interval
-  std::vector<ShardBuf> bufs_;
-  std::vector<ServerRange> ranges_;  // Phase B's split of the servers
+  std::vector<ClientBlock> blocks_;
+  std::vector<ShardWheel> wheels_;
+  std::vector<ServerRange> ranges_;
+  // Hex steps the push walk scans around a prediction (HexGrid::ring_bound).
+  int push_steps_ = 0;
 
   // Fault machinery (inert unless the config scripts a plan). Phase A reads
   // the timeline's flags, which only fault_step moves.
@@ -475,11 +484,11 @@ void ShardEngine::build_attach_tables() {
   }
 }
 
-std::uint8_t ShardEngine::stage_move(ClientId c, int t, ShardBuf& buf,
+std::uint8_t ShardEngine::stage_move(ClientId c, int t, ClientBlock& blk,
                                      ServerId& prev) {
   const auto ci = static_cast<std::size_t>(c);
   if (offline_until_[ci] > t) {
-    ++buf.offline;
+    ++blk.offline;
     return kDispNone;
   }
   if (ft_.client_offline(c)) {
@@ -487,15 +496,15 @@ std::uint8_t ShardEngine::stage_move(ClientId c, int t, ShardBuf& buf,
     // handled by fault_step when the window opened. No churn/movement draws
     // are consumed, but the counter-based streams resume unshifted when the
     // window closes.
-    ++buf.offline;
+    ++blk.offline;
     return kDispNone;
   }
   const std::uint64_t sub = stream_[ci];
   const auto tick = static_cast<std::uint64_t>(t) + 1;
   if (cfg_.offline_probability > 0.0 &&
       u01(hash3(sub, kTagOffline, tick)) < cfg_.offline_probability) {
-    ++buf.offline;
-    ++buf.disconnects;
+    ++blk.offline;
+    ++blk.disconnects;
     offline_until_[ci] = t + cfg_.offline_intervals;
     prev = server_[ci];
     server_[ci] = kNoServer;
@@ -520,8 +529,11 @@ std::uint8_t ShardEngine::stage_move(ClientId c, int t, ShardBuf& buf,
   }
   x_[ci] = nx;
   y_[ci] = ny;
-  const ServerId sid = w_.tile_at({nx, ny});
-  tile_[ci] = sid;
+  // tile_[c] is always the tile of the client's position, so a move that
+  // ends inside that tile's incircle keeps it without a cell lookup.
+  if (!w_.grid.in_incircle({nx, ny}, w_.tile_center(tile_[ci])))
+    tile_[ci] = w_.tile_at({nx, ny});
+  const ServerId sid = tile_[ci];
   if (ft_.server_down(sid)) {
     // The tile's server is down: the interval runs on the local fallback.
     prev = server_[ci];
@@ -534,18 +546,18 @@ std::uint8_t ShardEngine::stage_move(ClientId c, int t, ShardBuf& buf,
 }
 
 void ShardEngine::finish_client(ClientId c, std::uint8_t disp,
-                                ServerId offline_prev, int probed_p0, int t,
-                                ShardBuf& buf) {
+                                ServerId offline_prev, int probed_p0,
+                                ClientBlock& blk) {
   const auto ci = static_cast<std::size_t>(c);
   if (disp == kDispOffline) {
-    buf.events.push_back({.client = c,
+    blk.events.push_back({.client = c,
                           .kind = kEvOffline,
                           .server = offline_prev});
     return;
   }
   const ServerId sid = tile_[ci];
   if (disp == kDispLocal) {
-    buf.events.push_back({.client = c,
+    blk.events.push_back({.client = c,
                           .kind = kEvLocal,
                           .server = sid,
                           .peer = offline_prev,
@@ -575,7 +587,7 @@ void ShardEngine::finish_client(ClientId c, std::uint8_t disp,
     const ServerId prev = server_[ci];
     server_[ci] = sid;
     prefix_[ci] = static_cast<std::uint16_t>(pe);
-    buf.events.push_back({.client = c,
+    blk.events.push_back({.client = c,
                           .kind = kEvAttach,
                           .cls = cls,
                           .flags = static_cast<std::uint8_t>(
@@ -602,7 +614,7 @@ void ShardEngine::finish_client(ClientId c, std::uint8_t disp,
       ++pe;
     }
     if (pe > prefix_[ci]) {
-      buf.events.push_back({.client = c,
+      blk.events.push_back({.client = c,
                             .kind = kEvUpload,
                             .p0 = prefix_[ci],
                             .p_end = static_cast<std::uint16_t>(pe),
@@ -613,99 +625,93 @@ void ShardEngine::finish_client(ClientId c, std::uint8_t disp,
   }
 
   if (cfg_.policy == MigrationPolicy::kProactive && prefix_[ci] > 0)
-    emit_pushes(c, sid, t, buf);
+    emit_pushes(c, sid, blk);
 }
 
-void ShardEngine::run_shard(std::size_t sh, int t) {
-  // Cache-blocked Phase A: each block runs three stages — mobility for
-  // every client, then the cache probes for the attach candidates (with the
-  // flat-map home slots prefetched a few probes ahead), then an in-order
-  // finish pass that emits events. Events still leave the buffer in strict
-  // client-id order with each client's events contiguous, which the Phase B
-  // walk depends on; only the work between event emissions is re-grouped.
-  constexpr std::size_t kBlock = 256;
+void ShardEngine::run_block(std::size_t b, int t) {
+  // Cache-blocked Phase A: the block's clients run in chunks, and each chunk
+  // runs three stages — mobility for every client, then the cache probes for
+  // the attach candidates (with the flat-map home slots prefetched a few
+  // probes ahead), then an in-order finish pass that emits events. Events
+  // still leave the buffer in strict client-id order with each client's
+  // events contiguous, which the Phase B walk depends on; only the work
+  // between event emissions is re-grouped.
+  constexpr ClientId kChunk = 256;
   constexpr std::size_t kLookahead = 8;
-  ShardBuf& buf = bufs_[sh];
-  const std::vector<ClientId>& bucket = buckets_[sh];
-  for (std::size_t start = 0; start < bucket.size(); start += kBlock) {
-    const std::size_t m = std::min(kBlock, bucket.size() - start);
-    buf.disp.resize(m);
-    buf.prev.assign(m, kNoServer);
-    buf.p0.assign(m, 0);
+  ClientBlock& blk = blocks_[b];
+  const ClientId end = first_client(b + 1);
+  for (ClientId start = first_client(b); start < end; start += kChunk) {
+    const auto m = static_cast<std::size_t>(std::min(kChunk, end - start));
+    blk.disp.resize(m);
+    blk.prev.assign(m, kNoServer);
+    blk.p0.assign(m, 0);
 
     for (std::size_t i = 0; i < m; ++i)
-      buf.disp[i] = stage_move(bucket[start + i], t, buf, buf.prev[i]);
+      blk.disp[i] = stage_move(start + static_cast<ClientId>(i), t, blk,
+                               blk.prev[i]);
 
     if (cfg_.policy == MigrationPolicy::kProactive) {
-      buf.attach_idx.clear();
+      blk.attach_idx.clear();
       for (std::size_t i = 0; i < m; ++i)
-        if (buf.disp[i] == kDispAttach)
-          buf.attach_idx.push_back(static_cast<std::uint32_t>(i));
-      for (std::size_t j = 0; j < buf.attach_idx.size(); ++j) {
-        if (j + kLookahead < buf.attach_idx.size()) {
-          const ClientId pc = bucket[start + buf.attach_idx[j + kLookahead]];
+        if (blk.disp[i] == kDispAttach)
+          blk.attach_idx.push_back(static_cast<std::uint32_t>(i));
+      for (std::size_t j = 0; j < blk.attach_idx.size(); ++j) {
+        if (j + kLookahead < blk.attach_idx.size()) {
+          const ClientId pc =
+              start + static_cast<ClientId>(blk.attach_idx[j + kLookahead]);
           cache_[static_cast<std::size_t>(
                      tile_[static_cast<std::size_t>(pc)])]
               .prefetch(pc);
         }
-        const std::size_t i = buf.attach_idx[j];
-        const ClientId c = bucket[start + i];
+        const std::size_t i = blk.attach_idx[j];
+        const ClientId c = start + static_cast<ClientId>(i);
         const CacheEntry* entry =
             cache_[static_cast<std::size_t>(
                        tile_[static_cast<std::size_t>(c)])]
                 .find(c);
         if (entry != nullptr)
-          buf.p0[i] =
+          blk.p0[i] =
               static_cast<std::uint16_t>(std::min<int>(entry->prefix, K_));
       }
     }
 
     for (std::size_t i = 0; i < m; ++i) {
-      if (buf.disp[i] == kDispNone) continue;
-      finish_client(bucket[start + i], buf.disp[i], buf.prev[i], buf.p0[i],
-                    t, buf);
+      if (blk.disp[i] == kDispNone) continue;
+      finish_client(start + static_cast<ClientId>(i), blk.disp[i],
+                    blk.prev[i], blk.p0[i], blk);
     }
   }
 }
 
-void ShardEngine::emit_pushes(ClientId c, ServerId sid, int /*t*/,
-                              ShardBuf& buf) {
+void ShardEngine::emit_pushes(ClientId c, ServerId sid, ClientBlock& blk) {
   const auto ci = static_cast<std::size_t>(c);
   // Linear dead-reckoning prediction one interval ahead. Pushes only fire
   // when the prediction crosses a tile boundary — staying put means the
-  // current server already holds the layers.
+  // current server already holds the layers. A prediction inside the tile's
+  // incircle stays without a cell lookup; otherwise one cell_at gives both
+  // the tile test and the walk's origin.
   const double step = speed_[ci] * cfg_.interval_s;
   const Point predicted{std::clamp(x_[ci] + dirx_[ci] * step, 0.0, w_.width_m),
                         std::clamp(y_[ci] + diry_[ci] * step, 0.0,
                                    w_.height_m)};
-  if (w_.tile_at(predicted) == sid) return;
-  // Allocation-free equivalent of grid.cells_within(predicted, radius),
-  // restricted to in-rectangle tiles (no wraparound) and excluding the
-  // current server.
+  if (w_.grid.in_incircle(predicted, w_.tile_center(sid))) return;
   const HexCoord origin = w_.grid.cell_at(predicted);
-  const int steps = static_cast<int>(std::ceil(
-                        cfg_.migration_radius_m /
-                        (kSqrt3 * cfg_.cell_radius_m))) +
-                    1;
-  for (int dq = -steps; dq <= steps; ++dq) {
-    for (int dr = -steps; dr <= steps; ++dr) {
-      if (std::abs(dq + dr) > steps) continue;
-      const HexCoord cell{origin.q + dq, origin.r + dr};
-      if (distance(w_.grid.center(cell), predicted) > cfg_.migration_radius_m)
-        continue;
-      const int row = cell.r;
-      const int col = cell.q + (cell.r - floor_mod2(cell.r)) / 2;
-      if (row < 0 || row >= cfg_.tiles_y || col < 0 || col >= cfg_.tiles_x)
-        continue;
-      const ServerId target = static_cast<ServerId>(row) * cfg_.tiles_x + col;
-      if (target == sid) continue;
-      buf.events.push_back({.client = c,
-                            .kind = kEvPush,
-                            .p_end = prefix_[ci],
-                            .server = sid,
-                            .peer = target});
-    }
-  }
+  if (w_.tile_of(origin) == sid) return;
+  // grid.cells_within(predicted, radius), restricted to in-rectangle tiles
+  // (no wraparound) and excluding the current server. Positions are finite
+  // (moves clamp them, and restore rejects any other), and on finite inputs
+  // within_radius is exactly !(distance() > radius).
+  w_.grid.for_each_cell_within(
+      predicted, origin, cfg_.migration_radius_m, push_steps_,
+      [&](HexCoord cell) {
+        const ServerId target = w_.tile_in_rect(cell);
+        if (target == kNoServer || target == sid) return;
+        blk.events.push_back({.client = c,
+                              .kind = kEvPush,
+                              .p_end = prefix_[ci],
+                              .server = sid,
+                              .peer = target});
+      });
 }
 
 void ShardEngine::detach_from(ClientId c, ServerId sid, int t,
@@ -864,7 +870,6 @@ void ShardEngine::phase_b(int t) {
           first_tile(static_cast<int>(i * shards / num_ranges));
       ranges_[i].hi =
           first_tile(static_cast<int>((i + 1) * shards / num_ranges));
-      ranges_[i].head.resize(shards);
     }
   }
   par::parallel_for(num_ranges,
@@ -885,29 +890,27 @@ void ShardEngine::phase_b(int t) {
 void ShardEngine::walk_range(ServerRange& r, int t) {
   for (ServerId s = r.lo; s < r.hi; ++s)
     rows_[static_cast<std::size_t>(s)] = {.interval = t, .server = s};
-  // Canonical client-id order. Each client's events live contiguously in
-  // exactly one shard's buffer, its owner's, so walking clients in id order
-  // and draining the head of owner_[c]'s buffer reconstructs the global
-  // order regardless of how tiles were sharded. Every range walks all of it
-  // and keeps the events with an effect on its own servers, so each server
-  // sees its own effects in the serial order. A push acts on its target, an
-  // attach on its server and its previous server, any other event on its
-  // server.
-  for (std::size_t sh = 0; sh < bufs_.size(); ++sh) {
-    const std::vector<Event>& events = bufs_[sh].events;
-    r.head[sh] = {events.data(), events.data() + events.size()};
-  }
-  std::size_t c = 0;
+  // Canonical client-id order. The blocks are ascending runs of client ids
+  // and each emits its events in id order, so their buffers read one after
+  // another are the global order. Every range walks all of it and keeps the
+  // events with an effect on its own servers, so each server sees its own
+  // effects in the serial order. A push acts on its target, an attach on
+  // its server and its previous server, any other event on its server.
+  std::size_t b = 0;
+  const Event* next = nullptr;
+  const Event* end = nullptr;
   const auto next_event = [&]() -> const Event* {
-    for (; c < owner_.size(); ++c) {
-      auto& [next, end] = r.head[static_cast<std::size_t>(owner_[c])];
-      while (next != end && next->client == static_cast<ClientId>(c)) {
+    for (;;) {
+      while (next != end) {
         const Event& e = *next++;
         if (r.owns(e.peer) || (e.kind != kEvPush && r.owns(e.server)))
           return &e;
       }
+      if (b == blocks_.size()) return nullptr;
+      const std::vector<Event>& events = blocks_[b++].events;
+      next = events.data();
+      end = next + events.size();
     }
-    return nullptr;
   };
   // The next kLookahead events wait in a ring. Each warms the cache-table
   // slots it will probe as it enters, so they have landed by the time it
@@ -1111,8 +1114,8 @@ void ShardEngine::compute_shed() {
     ClientId client;
   };
   std::vector<Cand> cand;
-  for (const ShardBuf& buf : bufs_)
-    for (const Event& e : buf.events)
+  for (const ClientBlock& blk : blocks_)
+    for (const Event& e : blk.events)
       if (e.kind == kEvAttach) cand.push_back({e.server, e.p0, e.client});
   if (cand.empty()) return;
   std::sort(cand.begin(), cand.end(), [](const Cand& a, const Cand& b) {
@@ -1310,24 +1313,24 @@ void ShardEngine::expire_entries(int t) {
   // recording their lists in shard order is the global (server, client)
   // order at any shard or thread count, and after a resume.
   const bool journaling = jr_ != nullptr;
-  par::parallel_for(bufs_.size(), [&](std::size_t sh) {
-    ShardBuf& buf = bufs_[sh];
-    auto& slot = buf.wheel[static_cast<std::size_t>(t) % buf.wheel.size()];
-    buf.expired.clear();
+  par::parallel_for(wheels_.size(), [&](std::size_t sh) {
+    ShardWheel& wheel = wheels_[sh];
+    auto& slot = wheel.slots[static_cast<std::size_t>(t) % wheel.slots.size()];
+    wheel.expired.clear();
     for (const auto& [sid, c] : slot) {
       const CacheEntry* entry = cache_[static_cast<std::size_t>(sid)].find(c);
       if (entry == nullptr) continue;
       if (server_[static_cast<std::size_t>(c)] == sid) continue;  // kept alive
       if (entry->expire > t) continue;  // refreshed since queued
-      if (journaling) buf.expired.emplace_back(sid, c, entry->prefix);
+      if (journaling) wheel.expired.emplace_back(sid, c, entry->prefix);
       erase_entry(sid, c, entry->prefix);
     }
     slot.clear();
-    std::sort(buf.expired.begin(), buf.expired.end());
+    std::sort(wheel.expired.begin(), wheel.expired.end());
   });
   if (!journaling) return;
-  for (const ShardBuf& buf : bufs_)
-    for (const auto& [sid, c, prefix] : buf.expired)
+  for (const ShardWheel& wheel : wheels_)
+    for (const auto& [sid, c, prefix] : wheel.expired)
       jr_->record({.interval = t,
                    .kind = obs::JournalEventKind::kCacheExpire,
                    .client = c,
@@ -1338,9 +1341,8 @@ void ShardEngine::expire_entries(int t) {
 void ShardEngine::finish_interval(int t) {
   expire_entries(t);
 
-  for (const ShardBuf& buf : bufs_) {
-    metrics_.offline_client_intervals += buf.offline;
-  }
+  for (const ClientBlock& blk : blocks_)
+    metrics_.offline_client_intervals += blk.offline;
 
   for (int s = 0; s < cfg_.num_servers(); ++s) {
     const auto si = static_cast<std::size_t>(s);
@@ -1446,8 +1448,8 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
 
   for (auto& entries : cache_) entries.clear();
   for (auto& ids : resident_) ids.clear();
-  for (ShardBuf& buf : bufs_)
-    for (auto& slot : buf.wheel) slot.clear();
+  for (ShardWheel& wheel : wheels_)
+    for (auto& slot : wheel.slots) slot.clear();
   // Resident bytes and the resident index are a pure function of the
   // restored prefixes — rebuilt rather than stored, so pre-v5 checkpoints
   // restore exactly too.
@@ -1612,7 +1614,6 @@ SimulationMetrics ShardEngine::run() {
   const auto secs = [](auto a, auto b) {
     return std::chrono::duration<double>(b - a).count();
   };
-  const auto n = static_cast<std::size_t>(cfg_.num_clients);
   for (int t = start_interval_; t < cfg_.num_intervals; ++t) {
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -1620,32 +1621,23 @@ SimulationMetrics ShardEngine::run() {
     // clients, and the window flags Phase A reads advance to this interval.
     fault_step(t);
 
-    // Ownership: the shard of the tile each client stood on at the
-    // interval start. Buckets stay sorted by client id by construction.
+    // Phase A: pure walks of the client blocks against frozen shared state.
+    // The `bucket` timer keeps the prologue that resets their buffers.
     auto t0 = now();
-    for (auto& bucket : buckets_) bucket.clear();
-    for (std::size_t c = 0; c < n; ++c) {
-      const int sh = tile_shard_[static_cast<std::size_t>(tile_[c])];
-      owner_[c] = sh;
-      buckets_[static_cast<std::size_t>(sh)].push_back(
-          static_cast<ClientId>(c));
-    }
-
-    // Phase A: pure per-shard walks against frozen shared state.
-    for (auto& buf : bufs_) {
-      buf.events.clear();
-      buf.offline = 0;
-      buf.disconnects = 0;
+    for (ClientBlock& blk : blocks_) {
+      blk.events.clear();
+      blk.offline = 0;
+      blk.disconnects = 0;
     }
     auto t1 = now();
     tm_bucket += secs(t0, t1);
-    par::parallel_for(bufs_.size(), [&](std::size_t sh) { run_shard(sh, t); });
+    par::parallel_for(blocks_.size(), [&](std::size_t b) { run_block(b, t); });
     auto t2 = now();
     tm_phase_a += secs(t1, t2);
 
     // Phase B: canonical-order exchange and every shared-state mutation.
-    for (const ShardBuf& buf : bufs_)
-      metrics_.client_disconnect_events += buf.disconnects;
+    for (const ClientBlock& blk : blocks_)
+      metrics_.client_disconnect_events += blk.disconnects;
     compute_shed();
     phase_b(t);
     auto t3 = now();

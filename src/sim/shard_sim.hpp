@@ -2,30 +2,30 @@
 //
 // Every interval runs in two phases:
 //
-//   Phase A (parallel over shards, via par::parallel_for): each shard walks
-//   its owned clients — ownership is the shard of the tile the client stood
-//   on at the interval start — strictly in client-id order. The phase is
-//   pure with respect to shared state: it reads server-side state (attach
-//   counts, cache prefixes) exactly as frozen at the interval start, writes
-//   only the client's own SoA slots, and draws randomness from counter-based
-//   per-(seed, client, interval) hashes, so what a client does is a function
-//   of (frozen state, client id, interval) — never of which shard or thread
-//   processed it. Everything that must touch shared state is emitted as a
-//   compact event (re-attachment, upload progress, dispatcher push, offline
-//   detach) into the shard's buffer, in client-id order.
+//   Phase A (parallel over client blocks, via par::parallel_for): the
+//   clients split into one contiguous run of ids per shard, and each block
+//   walks its clients strictly in id order. The phase is pure with respect
+//   to shared state: it reads server-side state (attach counts, cache
+//   prefixes, fault flags) exactly as frozen at the interval start, writes
+//   only the client's own SoA slots, and draws randomness from
+//   counter-based per-(seed, client, interval) hashes, so what a client
+//   does is a function of (frozen state, client id, interval) — never of
+//   which block or thread processed it. Everything that must touch shared
+//   state is emitted as a compact event (re-attachment, upload progress,
+//   dispatcher push, offline detach) into the block's buffer, in client-id
+//   order.
 //
 //   Phase B (parallel over server ranges): events apply in canonical
-//   client-id order. Clients are walked in id order, each draining the
-//   head of its owner shard's buffer — the same merge-in-submission-order
-//   idea the trace-replay simulator uses for cold-start windows. The
-//   servers split into contiguous ranges of whole shards, one per pool
-//   thread; every range walks the whole order and applies the effects that
-//   land on its own servers (cache prefix maxima, TTL wheel, attach counts,
-//   timeseries rows), so each server sees its own effects in the serial
-//   order, double accumulations included. The few effects that cross
-//   ranges are integer sums, folded after the walk. An interval that
-//   journals, can see a fault or shed an attach walks one range holding
-//   every server, which is the serial order itself.
+//   client-id order. The blocks are ascending id runs, so their buffers
+//   read one after another are that order. The servers split into
+//   contiguous ranges of whole tile shards, one per pool thread; every
+//   range walks the whole order and applies the effects that land on its
+//   own servers (cache prefix maxima, TTL wheel, attach counts, timeseries
+//   rows), so each server sees its own effects in the serial order, double
+//   accumulations included. The few effects that cross ranges are integer
+//   sums, folded after the walk. An interval that journals, can see a
+//   fault or shed an attach walks one range holding every server, which is
+//   the serial order itself.
 //
 //   Finish: each shard keeps the TTL wheel of its own servers, and the
 //   shards expire their due entries in parallel, each writing only its own
@@ -58,7 +58,9 @@ struct SimSnapshot;
 }  // namespace snapshot
 
 struct ShardRunOptions {
-  /// Number of tile shards phase A fans out over. Byte-identity-neutral.
+  /// Number of shards: Phase A's client blocks, the tile shards that keep
+  /// the TTL wheels, and the unit of Phase B's server ranges.
+  /// Byte-identity-neutral.
   int num_shards = 1;
   /// Streamed timeseries CSV destination; empty disables recording.
   std::string timeseries_path;

@@ -20,8 +20,6 @@ constexpr double kSqrt3 = 1.7320508075688772;
   throw std::logic_error("ShardWorldConfig: " + what);
 }
 
-int floor_mod2(int v) { return ((v % 2) + 2) % 2; }
-
 }  // namespace
 
 void ShardWorldConfig::validate() const {
@@ -64,15 +62,6 @@ void ShardWorldConfig::validate() const {
   if (cache_budget_bytes < 0)
     bad_field("cache_budget_bytes must be non-negative");
   fault_plan.check_bounds(num_servers(), num_clients);
-}
-
-ServerId ShardWorld::tile_at(Point p) const {
-  const HexCoord axial = grid.cell_at(p);
-  int row = axial.r;
-  int col = axial.q + (axial.r - floor_mod2(axial.r)) / 2;
-  row = std::clamp(row, 0, config.tiles_y - 1);
-  col = std::clamp(col, 0, config.tiles_x - 1);
-  return static_cast<ServerId>(row) * config.tiles_x + col;
 }
 
 ShardWorld build_shard_world(const ShardWorldConfig& config) {

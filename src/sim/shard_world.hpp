@@ -27,6 +27,7 @@
 //     touches the estimator or the partition DP.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -143,7 +144,25 @@ struct ShardWorld {
   /// Tile (= server id) containing p, with out-of-rectangle cells clamped
   /// to the border tile. No wraparound: the east edge is never adjacent to
   /// the west edge.
-  ServerId tile_at(Point p) const;
+  ServerId tile_at(Point p) const { return tile_of(grid.cell_at(p)); }
+  /// The tile of an axial cell under tile_at's clamping rule.
+  ServerId tile_of(HexCoord cell) const {
+    const int row = std::clamp(cell.r, 0, config.tiles_y - 1);
+    const int col = std::clamp(offset_col(cell), 0, config.tiles_x - 1);
+    return static_cast<ServerId>(row) * config.tiles_x + col;
+  }
+  /// The tile of an axial cell inside the rectangle; kNoServer outside it.
+  ServerId tile_in_rect(HexCoord cell) const {
+    const int col = offset_col(cell);
+    if (cell.r < 0 || cell.r >= config.tiles_y || col < 0 ||
+        col >= config.tiles_x)
+      return kNoServer;
+    return static_cast<ServerId>(cell.r) * config.tiles_x + col;
+  }
+  /// The odd-r offset column of an axial cell (its row is cell.r).
+  static int offset_col(HexCoord cell) {
+    return cell.q + (cell.r - (cell.r & 1)) / 2;
+  }
   Point tile_center(ServerId id) const { return server_centers[static_cast<std::size_t>(id)]; }
 };
 

@@ -114,6 +114,113 @@ TEST(HexGrid, CellsWithinMatchesBruteForce) {
   }
 }
 
+// The loop cells_within_into ran before the ring bound and within_radius:
+// the historical ceil(r / (sqrt(3) R)) + 1 steps and one hypot per cell.
+std::vector<HexCoord> historical_cells_within(const HexGrid& grid, Point p,
+                                              double radius_m) {
+  std::vector<HexCoord> out;
+  const HexCoord origin = grid.cell_at(p);
+  const double pitch = 1.7320508075688772 * grid.cell_radius();
+  const auto steps = static_cast<std::int32_t>(std::ceil(radius_m / pitch)) + 1;
+  for (std::int32_t q = -steps; q <= steps; ++q) {
+    for (std::int32_t r = -steps; r <= steps; ++r) {
+      if (std::abs(q + r) > steps) continue;
+      const HexCoord cell{origin.q + q, origin.r + r};
+      if (distance(grid.center(cell), p) <= radius_m) out.push_back(cell);
+    }
+  }
+  return out;
+}
+
+// Random points, plus points on cell edges and vertices, around a few cells
+// near and far from the origin.
+std::vector<Point> oracle_points(const HexGrid& grid) {
+  const double radius = grid.cell_radius();
+  std::vector<Point> points;
+  Rng rng(47);
+  for (const HexCoord cell : {HexCoord{0, 0}, HexCoord{3, -7},
+                              HexCoord{-40, 25}, HexCoord{1000, 999}}) {
+    const Point c = grid.center(cell);
+    for (int i = 0; i < 200; ++i)
+      points.push_back({c.x + rng.uniform(-radius, radius),
+                        c.y + rng.uniform(-radius, radius)});
+    for (int k = 0; k < 6; ++k) {
+      // Pointy-top vertices sit at 30° + k·60° from the centre.
+      const double a0 = (30.0 + 60.0 * k) * 3.14159265358979323846 / 180.0;
+      const double a1 = a0 + 60.0 * 3.14159265358979323846 / 180.0;
+      const Point v0{c.x + radius * std::cos(a0), c.y + radius * std::sin(a0)};
+      const Point v1{c.x + radius * std::cos(a1), c.y + radius * std::sin(a1)};
+      for (int j = 0; j < 8; ++j) {
+        const double f = j / 8.0;  // j = 0 is the vertex itself
+        points.push_back({v0.x + (v1.x - v0.x) * f, v0.y + (v1.y - v0.y) * f});
+      }
+    }
+    points.push_back(c);
+  }
+  return points;
+}
+
+// cells_within against the loop it replaced, kept here as the oracle, and
+// against a brute-force scan three rings past the geometric bound
+// (r + R) / (1.5 R). The result equals the oracle cell for cell, in order;
+// the scan shows it holds every cell within r except, past r ~ 3.7 R,
+// those beyond the historical step bound, which the oracle cut off too.
+TEST(HexGrid, CellsWithinMatchesTheHistoricalLoopAndABruteForceScan) {
+  const double kR = 50.0;
+  const HexGrid grid(kR);
+  const std::vector<Point> points = oracle_points(grid);
+  int capped = 0;
+  for (const double ratio : {0.0, 0.5, 1.2, 1.7320508075688772, 2.0, 3.5, 8.0,
+                             20.0, 20.5}) {
+    const double r = ratio * kR;
+    const int historical =
+        static_cast<int>(std::ceil(ratio / 1.7320508075688772)) + 1;
+    const int scan = static_cast<int>((r + kR) / (1.5 * kR)) + 3;
+    for (const Point p : points) {
+      const std::vector<HexCoord> got = grid.cells_within(p, r);
+      const std::vector<HexCoord> want = historical_cells_within(grid, p, r);
+      ASSERT_EQ(got.size(), want.size()) << "r/R=" << ratio;
+      for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(got[i] == want[i]) << "r/R=" << ratio << " cell " << i;
+
+      std::set<std::pair<int, int>> found;
+      for (const HexCoord cell : got) found.insert({cell.q, cell.r});
+      const HexCoord origin = grid.cell_at(p);
+      for (std::int32_t dq = -scan; dq <= scan; ++dq) {
+        for (std::int32_t dr = -scan; dr <= scan; ++dr) {
+          const HexCoord cell{origin.q + dq, origin.r + dr};
+          if (HexGrid::hex_distance(origin, cell) > scan) continue;
+          const bool inside = distance(grid.center(cell), p) <= r;
+          const bool listed = found.count({cell.q, cell.r}) > 0;
+          if (inside && !listed) {
+            EXPECT_GT(HexGrid::hex_distance(origin, cell), historical)
+                << "r/R=" << ratio << " cell (" << cell.q << "," << cell.r
+                << ")";
+            ++capped;
+          } else {
+            EXPECT_EQ(listed, inside) << "r/R=" << ratio << " cell ("
+                                      << cell.q << "," << cell.r << ")";
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: the historical bound does cut off cells at r = 20.5 R.
+  EXPECT_GT(capped, 0);
+}
+
+TEST(HexGrid, RingBoundIsTheSmallerBound) {
+  const HexGrid grid(50.0);
+  EXPECT_EQ(grid.ring_bound(0.0), 0);     // historical 1
+  EXPECT_EQ(grid.ring_bound(60.0), 1);    // historical 2
+  EXPECT_EQ(grid.ring_bound(100.0), 2);   // historical 3
+  EXPECT_EQ(grid.ring_bound(1000.0), 13); // rings 14
+  EXPECT_EQ(grid.ring_bound(1025.0), 13); // rings 14
+  // (r + R) / (1.5 R) = 3 up to rounding keeps its third ring.
+  EXPECT_EQ(grid.ring_bound(175.0), 3);
+  EXPECT_THROW(grid.ring_bound(-1.0), std::logic_error);
+}
+
 TEST(HexGrid, ZeroRadiusReturnsAtMostOwnCell) {
   HexGrid grid(50.0);
   const auto cells = grid.cells_within({1.0, 1.0}, 0.0);

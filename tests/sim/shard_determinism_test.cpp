@@ -494,6 +494,71 @@ TEST_F(ShardDeterminismTest, UnbudgetedRunMatchesPinnedDigests) {
   EXPECT_EQ(digest(slurp(jr_path())), kJournal);
 }
 
+TEST_F(ShardDeterminismTest, ClientBlockEdgeCasesMatchPinnedDigests) {
+  // Phase A runs one contiguous block of client ids per shard. These worlds
+  // pin its edge cases to digests of the engine that ran each tile shard's
+  // clients instead: fewer clients than shards (empty blocks), a client
+  // count that neither 3 nor 16 divides, and a flash crowd, which packs
+  // clients onto the hot tiles and so left tile shards at their most
+  // uneven. Journal off, so threads past the first walk Phase B by range;
+  // each world also runs through a stop/resume split that changes both
+  // counts.
+  struct Case {
+    const char* name;
+    int clients;
+    int crowd_tiles;
+    const char* metrics;
+    const char* timeseries;
+  };
+  const Case cases[] = {
+      {"two clients", 2, 0, "b6146003fab3538d", "3799b7ad6c034551"},
+      {"61 clients", 61, 0, "ada01acbcd66c5f1", "de05c995c1d81514"},
+      {"flash crowd", 97, 2, "28f85830684e94a3", "5f9c3f943a26bb94"},
+  };
+  for (const Case& c : cases) {
+    ShardWorldConfig config = small_config();
+    config.num_clients = c.clients;
+    config.flash_crowd_tiles = c.crowd_tiles;
+    config.flash_crowd_multiplier = c.crowd_tiles > 0 ? 8.0 : 1.0;
+    const ShardWorld world = build_shard_world(config);
+    const auto run = [&](int threads, int shards, int stop_after,
+                         const snapshot::SimSnapshot* resume_from,
+                         snapshot::SimSnapshot* capture_out) {
+      par::set_num_threads(threads);
+      ShardRunOptions options;
+      options.num_shards = shards;
+      options.timeseries_path = ts_path();
+      options.stop_after_interval = stop_after;
+      options.resume_from = resume_from;
+      options.capture_out = capture_out;
+      const SimulationMetrics metrics = run_sharded_simulation(world, options);
+      par::set_num_threads(0);
+      return metrics;
+    };
+    for (const int shards : {1, 3, 16}) {
+      for (const int threads : {1, 2, 8}) {
+        const SimulationMetrics metrics =
+            run(threads, shards, -1, nullptr, nullptr);
+        EXPECT_EQ(digest(snapshot::metrics_to_json(metrics)), c.metrics)
+            << c.name << " threads=" << threads << " shards=" << shards;
+        EXPECT_EQ(digest(slurp(ts_path())), c.timeseries)
+            << c.name << " threads=" << threads << " shards=" << shards;
+        // Not vacuous: clients attached and moved between tiles.
+        EXPECT_GT(metrics.server_changes, metrics.num_clients) << c.name;
+      }
+    }
+    snapshot::SimSnapshot snap;
+    run(1, 16, 4, nullptr, &snap);
+    const snapshot::SimSnapshot decoded =
+        snapshot::decode(snapshot::encode(snap));
+    EXPECT_EQ(
+        digest(snapshot::metrics_to_json(run(2, 3, -1, &decoded, nullptr))),
+        c.metrics)
+        << c.name;
+    EXPECT_EQ(digest(slurp(ts_path())), c.timeseries) << c.name;
+  }
+}
+
 TEST_F(ShardDeterminismTest, EmptyTileShardsStillEmitDenseRows) {
   // 20 tiles, 3 clients: most tiles (and with 16 shards, most shards) own
   // no client at all. The merged output must still be the dense
