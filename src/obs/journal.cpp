@@ -62,10 +62,6 @@ std::string_view kind_name(JournalEventKind kind) {
   return i < std::size(kKindNames) ? kKindNames[i].name : "unknown";
 }
 
-// Room one JSONL line can need: 95 bytes of key literals, eight integers of
-// at most 20 characters, the longest kind name and one number.
-constexpr std::size_t kMaxJsonlLine = 95 + 8 * 20 + 18 + kJsonNumberMaxChars;
-
 template <std::size_t N>
 char* put(char* p, const char (&literal)[N]) {
   std::memcpy(p, literal, N - 1);
@@ -88,7 +84,7 @@ void append_journal_event_jsonl(std::string& out, const JournalEvent& e) {
   // One resize, then a cursor: every key is a memcpy of a literal and every
   // integer one to_chars, with no per-field append.
   const std::size_t start = out.size();
-  out.resize(start + kMaxJsonlLine);
+  out.resize(start + kMaxJournalJsonlLine);
   char* p = out.data() + start;
   p = put(p, "{\"interval\":");
   p = put_int(p, e.interval);

@@ -8,8 +8,10 @@
 // Events stream to a JSONL file through obs::JournalStreamWriter
 // (obs/stream_writer.hpp), which numbers the chains; this header holds the
 // event record and its codecs. Determinism contract: every record sits on
-// the serial control path of the simulation (worker threads never record),
-// so the journal is byte-identical across thread counts and SIMD settings.
+// the serial control path of the simulation (worker threads never record;
+// they may format batches of recorded events, which reach the file in
+// record order), so the journal is byte-identical across thread counts and
+// SIMD settings.
 // A checkpoint stores the stream's byte offset and chain state, not its
 // events, so a resumed run truncates the file back to the checkpoint and
 // reproduces the uninterrupted journal exactly.
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/json.hpp"
 
 namespace perdnn::obs {
 
@@ -112,6 +115,12 @@ class JournalError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Room one JSONL line can need (no trailing newline): 95 bytes of key
+/// literals, eight integers of at most 20 characters, the longest kind name
+/// and one number.
+inline constexpr std::size_t kMaxJournalJsonlLine =
+    95 + 8 * 20 + 18 + kJsonNumberMaxChars;
 
 /// Appends the JSONL encoding of one event (no trailing newline) to `out`.
 /// This is the single formatter behind journal_to_jsonl and the streaming

@@ -32,8 +32,7 @@ void json_escape(std::string& out, const std::string& s) {
 }
 
 char* format_json_number(char* out, double value) {
-  if (!std::isfinite(value))
-    throw std::invalid_argument("JSON cannot represent NaN/Inf");
+  check_json_number(value);
   char* const last = out + kJsonNumberMaxChars;
   // The magnitude test goes first: casting a double outside the int64 range
   // is undefined behaviour.

@@ -16,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,13 @@ std::string json_number(double value);
 /// Room format_json_number needs at `out`: json_number's longest text is 24
 /// characters (`-d.dddddddddddddddde-308`).
 inline constexpr std::size_t kJsonNumberMaxChars = 32;
+
+/// Throws std::invalid_argument on NaN/Inf, as json_number does: a caller
+/// that formats `value` later, or on another thread, can reject it now.
+inline void check_json_number(double value) {
+  if (!std::isfinite(value))
+    throw std::invalid_argument("JSON cannot represent NaN/Inf");
+}
 
 /// Writes json_number(value)'s text at `out`, which must have room for
 /// kJsonNumberMaxChars, and returns the end. Throws like json_number.

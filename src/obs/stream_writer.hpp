@@ -3,10 +3,10 @@
 // timeseries exporter (SimTimeseries::write_csv) holds every row in memory
 // until the run ends, which is O(intervals * servers) resident state —
 // untenable for the city-scale sharded runs. These writers format each
-// row/event into a pending block as it is produced, using the exact shared
-// formatters (append_timeseries_row_csv, append_journal_event_jsonl), so a
-// streamed CSV is byte-identical to the buffered export of the same run and
-// a streamed journal to journal_to_jsonl of its events. The file gets the
+// row/event with the exact shared formatters (append_timeseries_row_csv,
+// append_journal_event_jsonl), so a streamed CSV is byte-identical to the
+// buffered export of the same run and a streamed journal to journal_to_jsonl
+// of its events. The text collects in a pending block, and the file gets the
 // block once it holds kOutputBlockBytes (1 MiB): a few large writes instead
 // of one per line. Both engines journal only through JournalStreamWriter.
 //
@@ -22,12 +22,19 @@
 // flush(), say while an exception unwinds the engine, still writes its
 // pending block.
 //
-// Not thread-safe: both simulators call them only from their serial control
-// path (which is what makes the output deterministic in the first place).
+// Threads: both simulators call the writers only from their serial control
+// path (which is what makes the output deterministic in the first place), and
+// a writer's methods must not be called from two threads at once. The
+// journal writer formats on pool workers behind that path: see
+// JournalStreamWriter.
 #pragma once
 
+#include <array>
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -128,35 +135,109 @@ struct JournalStreamState {
 /// binding, which survives detach so fallback events still link to the last
 /// attach. Bindings live in a vector indexed by client, grown on demand;
 /// negative client ids are never bound.
+///
+/// A two-stage pipeline. record() runs on the calling thread: it keeps the
+/// chain book and appends the resolved event to an open batch of
+/// kBatchEvents. A full batch is formatted on an idle pool worker
+/// (par::ThreadPool::submit) while the caller records the next one. At most
+/// num_threads() - 1 tasks are on workers at once; past that the caller
+/// formats the batch itself, so the busy threads never outnumber the thread
+/// count. The thread that finishes the oldest batch copies every finished
+/// batch, in record order, into the pending block and hands the file each
+/// full block; when that is the caller, it passes the copy to a task if a
+/// worker is idle. No task ever waits for another. At one thread, or when
+/// called on a pool worker, the caller formats every batch straight into
+/// the pending block and the pool is never touched. bytes_written(),
+/// state(), flush() and the destructor first wait until every recorded
+/// event is in the pending block.
 class JournalStreamWriter {
  public:
+  /// Events per batch handed to a worker.
+  static constexpr std::size_t kBatchEvents = 1024;
+
   /// Fresh run: truncates `path`.
   explicit JournalStreamWriter(const std::string& path);
   /// Resumed run: truncates `path` back to `state.bytes` and appends,
   /// restoring the event count, chain counter and bindings. Throws
   /// std::runtime_error if the file is shorter than the checkpoint offset.
   JournalStreamWriter(const std::string& path, const JournalStreamState& state);
+  /// Waits for the batches in flight; the pending block then reaches the
+  /// file. Never throws.
+  ~JournalStreamWriter();
+  JournalStreamWriter(const JournalStreamWriter&) = delete;
+  JournalStreamWriter& operator=(const JournalStreamWriter&) = delete;
 
   std::uint64_t begin_chain(ClientId client);
   std::uint64_t chain_of(ClientId client) const;
+  /// Throws std::invalid_argument, and records nothing, if `event.value` is
+  /// NaN or infinite.
   void record(JournalEvent event);
   void flush();
 
-  std::uint64_t bytes_written() const { return file_.bytes(); }
+  std::uint64_t bytes_written() {
+    drain();
+    return file_.bytes();
+  }
   std::uint64_t events_written() const { return events_; }
   std::uint64_t next_chain() const { return next_chain_; }
   /// Client -> current chain bindings, sorted by client.
   std::vector<std::pair<ClientId, std::uint64_t>> client_chains() const;
   /// Position and chain state so far; call after flush() for a checkpoint.
-  JournalStreamState state() const;
+  JournalStreamState state();
 
  private:
+  /// One batch between record() and the pending block. The thread that
+  /// formats it owns it until `formatted` is set; the committer after that.
+  struct Slot {
+    std::vector<JournalEvent> events;
+    std::string text;
+    bool formatted = false;  // guarded by mu_
+  };
+  /// Batches recorded but not yet in the pending block, at most.
+  static constexpr std::size_t kSlots = 4;
+  /// Room one batch's text can need.
+  static constexpr std::size_t kSlotText =
+      kBatchEvents * (kMaxJournalJsonlLine + 1);
+
+  /// Slots a writer uses: one per thread (the caller's batch and one per
+  /// worker), at most kSlots, so at two threads only two slots' buffers
+  /// are ever touched.
+  static std::size_t ring_slots();
+  /// Reserves the open batch and the pending block on the calling thread.
+  void reserve();
   void bind(ClientId client, std::uint64_t chain);
+  /// Hands the open batch to a worker or formats it on the caller.
+  void dispatch();
+  /// Appends the JSONL lines of `events` to `out` and empties `events`.
+  static void format(std::vector<JournalEvent>& events, std::string& out);
+  /// Under mu_: marks batch `seq` formatted. True when the caller now holds
+  /// the commit role: `seq` is the oldest batch and nobody is committing.
+  bool finished(std::uint64_t seq);
+  /// Under mu_, holding the commit role: copies every formatted batch, in
+  /// record order, into the pending block, then gives the role up.
+  void commit(std::unique_lock<std::mutex>& lock);
+  /// Pool tasks: format batch `seq` (and commit if it is the oldest), or
+  /// commit on the caller's behalf.
+  void format_task(std::uint64_t seq);
+  void commit_task();
+  /// Formats the open batch and waits until every batch is committed.
+  void drain();
 
   BlockFile file_;
   std::uint64_t events_ = 0;
   std::uint64_t next_chain_ = 1;
   std::vector<std::uint64_t> chains_;  // by client; 0 = unbound
+  std::vector<JournalEvent> open_;     // the batch being recorded
+
+  std::mutex mu_;
+  std::condition_variable cv_;      // a batch committed or a task returned
+  const std::size_t ring_;          // ring_slots() at construction
+  std::array<Slot, kSlots> slots_;  // batch `seq` uses slots_[seq % ring_]
+  // Guarded by mu_:
+  std::uint64_t next_seq_ = 0;     // batches handed to slots so far
+  std::uint64_t next_commit_ = 0;  // batches in the pending block so far
+  int worker_tasks_ = 0;           // submitted tasks not yet returned
+  bool committing_ = false;        // a thread holds the commit role
 };
 
 }  // namespace perdnn::obs

@@ -1660,8 +1660,8 @@ SimulationMetrics ShardEngine::run() {
 
   if (std::getenv("PERDNN_PHASE_TIMING") != nullptr)
     std::fprintf(stderr,
-                 "phase timing: bucket=%.2fs phase_a=%.2fs apply=%.2fs "
-                 "finish=%.2fs\n",
+                 "phase timing: bucket=%.4fs phase_a=%.4fs apply=%.4fs "
+                 "finish=%.4fs\n",
                  tm_bucket, tm_phase_a, tm_apply, tm_finish);
 
   metrics_.set_backhaul(traffic_);

@@ -1,7 +1,9 @@
 // The streamed journal and timeseries writers against the buffered
 // encoders. The journals here run to several MiB so the block path — a
 // write only once 1 MiB is pending — runs many times; the simulator tests
-// stream far less than one block.
+// stream far less than one block. The multi-block journal cases run at 1,
+// 2 and 4 threads: inline formatting, then batches formatted on pool
+// workers and committed in record order.
 #include "obs/stream_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -9,13 +11,17 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/timeseries.hpp"
@@ -122,19 +128,44 @@ std::string buffered_jsonl(const std::vector<Step>& steps) {
 }
 
 constexpr std::size_t kEvents = 40'000;  // ~5 MiB of JSONL
+// Neither a whole number of batches: the last one is partial.
+static_assert(kEvents % JournalStreamWriter::kBatchEvents != 0);
+
+/// The thread counts the multi-block cases run at: the caller formats every
+/// batch at 1; at 2 one batch and at 4 up to three are on workers at once.
+constexpr int kThreadLegs[] = {1, 2, 4};
+
+/// Fixes the pool size for one leg and restores automatic sizing after it.
+/// Declare it before the writer, so the writer is gone first.
+class ThreadLeg {
+ public:
+  explicit ThreadLeg(int threads) { par::set_num_threads(threads); }
+  ~ThreadLeg() { par::set_num_threads(0); }
+  ThreadLeg(const ThreadLeg&) = delete;
+  ThreadLeg& operator=(const ThreadLeg&) = delete;
+};
 
 TEST(JournalStreamWriterTest, MultiBlockStreamEqualsBufferedExport) {
   const std::vector<Step> steps = seeded_steps(kEvents, 11);
   const std::string want = buffered_jsonl(steps);
   ASSERT_GT(want.size(), 4u * kOutputBlockBytes);
 
-  const std::string path = case_path(".jsonl");
-  JournalStreamWriter writer(path);
-  play(steps, 0, steps.size(), writer);
-  writer.flush();
-  EXPECT_EQ(writer.events_written(), steps.size());
-  EXPECT_EQ(writer.bytes_written(), std::filesystem::file_size(path));
-  EXPECT_TRUE(same_text(slurp(path), want));
+  std::optional<JournalStreamState> first_leg;
+  for (const int threads : kThreadLegs) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const ThreadLeg leg(threads);
+    const std::string path = case_path(".jsonl");
+    JournalStreamWriter writer(path);
+    play(steps, 0, steps.size(), writer);
+    writer.flush();
+    EXPECT_EQ(writer.events_written(), steps.size());
+    EXPECT_EQ(writer.bytes_written(), want.size());
+    EXPECT_EQ(writer.bytes_written(), std::filesystem::file_size(path));
+    EXPECT_TRUE(same_text(slurp(path), want));
+    const JournalStreamState state = writer.state();
+    if (!first_leg) first_leg = state;
+    EXPECT_EQ(state, *first_leg);
+  }
 }
 
 TEST(JournalStreamWriterTest, BytesWrittenCountsThePendingBlock) {
@@ -153,58 +184,103 @@ TEST(JournalStreamWriterTest, BytesWrittenCountsThePendingBlock) {
 }
 
 TEST(JournalStreamWriterTest, DestructionWithoutFlushLosesNothing) {
-  for (const std::size_t n : {std::size_t{1'500}, kEvents}) {
-    const std::vector<Step> steps = seeded_steps(n, 13);
-    const std::string path = case_path(".jsonl");
-    {
-      JournalStreamWriter writer(path);
-      play(steps, 0, steps.size(), writer);
+  for (const int threads : kThreadLegs) {
+    for (const std::size_t n : {std::size_t{1'500}, kEvents}) {
+      const std::vector<Step> steps = seeded_steps(n, 13);
+      const std::string path = case_path(".jsonl");
+      {
+        const ThreadLeg leg(threads);
+        JournalStreamWriter writer(path);
+        play(steps, 0, steps.size(), writer);
+        // Destroyed at once: with workers, the last full batch is still
+        // being formatted and the partial one was never handed off.
+      }
+      EXPECT_TRUE(same_text(slurp(path), buffered_jsonl(steps)))
+          << n << " events, " << threads << " threads";
     }
-    EXPECT_TRUE(same_text(slurp(path), buffered_jsonl(steps)))
-        << n << " events";
   }
 }
 
 TEST(JournalStreamWriterTest, ResumeAtMidFileOffsetReproducesStraightFile) {
   const std::vector<Step> steps = seeded_steps(kEvents, 14);
   const std::size_t split = steps.size() / 2 + 123;
-  const std::string path = case_path(".jsonl");
+  // The checkpoint falls inside a batch.
+  ASSERT_NE(split % JournalStreamWriter::kBatchEvents, 0u);
+  const std::string want = buffered_jsonl(steps);
 
-  JournalStreamState checkpoint;
-  {
+  std::optional<JournalStreamState> first_leg;
+  for (const int threads : kThreadLegs) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const ThreadLeg leg(threads);
+    const std::string path = case_path(".jsonl");
+
+    JournalStreamState checkpoint;
+    {
+      JournalStreamWriter writer(path);
+      play(steps, 0, split, writer);
+      writer.flush();  // the checkpoint
+      checkpoint = writer.state();
+      EXPECT_EQ(checkpoint.bytes, writer.bytes_written());
+      EXPECT_EQ(checkpoint.events, split);
+      EXPECT_EQ(checkpoint.next_chain, writer.next_chain());
+      EXPECT_EQ(checkpoint.client_chains, writer.client_chains());
+      if (!first_leg) first_leg = checkpoint;
+      EXPECT_EQ(checkpoint, *first_leg);
+      // The killed run got further: more than one block past the checkpoint.
+      play(steps, split, steps.size() - 100, writer);
+    }
+    {
+      // ...and was cut off inside a line.
+      std::ofstream torn(path, std::ios::binary | std::ios::app);
+      torn << "{\"interval\":999,\"kind\":\"atta";
+    }
+    ASSERT_GT(std::filesystem::file_size(path),
+              checkpoint.bytes + kOutputBlockBytes);
+
+    {
+      JournalStreamWriter resumed(path, checkpoint);
+      EXPECT_EQ(resumed.state(), checkpoint);
+      play(steps, split, steps.size(), resumed);
+      resumed.flush();
+      EXPECT_EQ(resumed.events_written(), steps.size());
+      EXPECT_EQ(resumed.bytes_written(), want.size());
+      EXPECT_EQ(resumed.bytes_written(), std::filesystem::file_size(path));
+    }
+    EXPECT_TRUE(same_text(slurp(path), want));
+
+    // A checkpoint offset past the end of the file is refused.
+    JournalStreamState past_end;
+    past_end.bytes = 1u << 30;
+    EXPECT_THROW(JournalStreamWriter(path, past_end), std::runtime_error);
+  }
+}
+
+TEST(JournalStreamWriterTest, NonFiniteValueThrowsOnTheCaller) {
+  const std::vector<Step> steps =
+      seeded_steps(2 * JournalStreamWriter::kBatchEvents + 300, 15);
+  const std::string want = buffered_jsonl(steps);
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const ThreadLeg leg(threads);
+    const std::string path = case_path(".jsonl");
     JournalStreamWriter writer(path);
-    play(steps, 0, split, writer);
-    writer.flush();  // the checkpoint
-    checkpoint = writer.state();
-    EXPECT_EQ(checkpoint.bytes, writer.bytes_written());
-    EXPECT_EQ(checkpoint.events, split);
-    EXPECT_EQ(checkpoint.next_chain, writer.next_chain());
-    EXPECT_EQ(checkpoint.client_chains, writer.client_chains());
-    // The killed run got further: more than one block past the checkpoint.
-    play(steps, split, steps.size() - 100, writer);
+    play(steps, 0, steps.size(), writer);
+    // Every batch so far is in the pending block, so the flush below hands
+    // the next batch to an idle worker: a value that got past record() would
+    // throw there and terminate the process.
+    const std::uint64_t bytes = writer.bytes_written();
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      JournalEvent event = steps.front().event;
+      event.value = bad;
+      EXPECT_THROW(writer.record(event), std::invalid_argument) << bad;
+      EXPECT_EQ(writer.events_written(), steps.size()) << bad;
+    }
+    writer.flush();
+    EXPECT_EQ(writer.bytes_written(), bytes);
+    EXPECT_TRUE(same_text(slurp(path), want));
   }
-  {
-    // ...and was cut off inside a line.
-    std::ofstream torn(path, std::ios::binary | std::ios::app);
-    torn << "{\"interval\":999,\"kind\":\"atta";
-  }
-  ASSERT_GT(std::filesystem::file_size(path),
-            checkpoint.bytes + kOutputBlockBytes);
-
-  {
-    JournalStreamWriter resumed(path, checkpoint);
-    EXPECT_EQ(resumed.state(), checkpoint);
-    play(steps, split, steps.size(), resumed);
-    resumed.flush();
-    EXPECT_EQ(resumed.events_written(), steps.size());
-    EXPECT_EQ(resumed.bytes_written(), std::filesystem::file_size(path));
-  }
-  EXPECT_TRUE(same_text(slurp(path), buffered_jsonl(steps)));
-
-  // A checkpoint offset past the end of the file is refused.
-  JournalStreamState past_end;
-  past_end.bytes = 1u << 30;
-  EXPECT_THROW(JournalStreamWriter(path, past_end), std::runtime_error);
 }
 
 TEST(JournalStreamWriterTest, ClientChainsAreSortedForSparseAndNegativeIds) {

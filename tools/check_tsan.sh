@@ -2,14 +2,22 @@
 # Builds the repo with ThreadSanitizer (-DPERDNN_SANITIZE=thread) and runs
 # the tests that exercise the parallel runtime under a real thread pool:
 # the parallel_for/parallel_map unit tests, the simulator (including the
-# 1/2/8-thread determinism gate), the multi-threaded metrics tests, and the
-# sharded engine's suites. The sharded engine runs Phase A and the TTL
-# expiry of finish_interval on pool workers, each shard writing only its own
-# clients' and servers' state, and Phase B by server range, each range
-# writing only its own servers' state; its determinism, fault, cache-budget
-# and snapshot suites drive all three under TSan. Phase B walks more than
-# one range only with the journal off, so the journal-off legs of the
-# determinism and cache-budget suites are the ones that race-check it.
+# 1/2/8-thread determinism gate), the multi-threaded metrics tests, the
+# journal writer and the sharded engine's suites. The sharded engine runs
+# Phase A and the TTL expiry of finish_interval on pool workers, each shard
+# writing only its own clients' and servers' state, and Phase B by server
+# range, each range writing only its own servers' state; its determinism,
+# fault, cache-budget and snapshot suites drive all three under TSan. Phase
+# B walks more than one range only with the journal off, so the journal-off
+# legs of the determinism and cache-budget suites are the ones that
+# race-check it.
+#
+# The journal writer formats record batches on pool workers and commits
+# them to its pending block in record order, on whichever thread finishes
+# the oldest batch. The `Journal|StreamWriter` suites race-check that
+# hand-off directly: JournalStreamWriterTest at 1, 2 and 4 threads and the
+# classic engine's JournalDeterminismTest at 1, 2 and 8. The journaled legs
+# of the sharded suites drive the same pipeline through real runs.
 #
 # A second configuration with -DPERDNN_SIMD=OFF keeps the scalar fallback
 # of the batched forest kernels sanitizer-tested: that build contains no
@@ -34,14 +42,14 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 SHARD_SUITES='ShardDeterminism|ShardFaultDeterminism|ShardCacheBudget|ShardSnapshot'
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R "Parallel|Simulator|Metrics|$SHARD_SUITES"
+  -R "Parallel|Simulator|Metrics|Journal|StreamWriter|$SHARD_SUITES"
 
 # Scalar-fallback leg: same sanitizer, SIMD compiled out.
 SCALAR_DIR="${BUILD_DIR}-scalar"
 cmake -B "$SCALAR_DIR" -S . -DPERDNN_SANITIZE=thread -DPERDNN_SIMD=OFF
 cmake --build "$SCALAR_DIR" -j"$(nproc)" \
-  --target test_ml test_estimation test_sim test_snapshot
+  --target test_ml test_estimation test_obs test_sim test_snapshot
 ctest --test-dir "$SCALAR_DIR" --output-on-failure \
-  -R "FlatForest|Estimator|$SHARD_SUITES"
+  -R "FlatForest|Estimator|Journal|StreamWriter|$SHARD_SUITES"
 
 echo "TSan check passed (build dirs: $BUILD_DIR, $SCALAR_DIR)"
