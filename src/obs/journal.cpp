@@ -1,6 +1,7 @@
 #include "obs/journal.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstring>
 #include <iterator>
@@ -57,10 +58,33 @@ constexpr bool kind_table_is_indexed() {
 }
 static_assert(kind_table_is_indexed());
 
-std::string_view kind_name(JournalEventKind kind) {
+constexpr std::string_view kind_name(JournalEventKind kind) {
   const auto i = static_cast<std::size_t>(kind);
   return i < std::size(kKindNames) ? kKindNames[i].name : "unknown";
 }
+
+/// `,"kind":"<name>","chain":` as one literal, padded to a fixed width so
+/// the line formatter copies it with a constant-size memcpy (a name too
+/// long for it fails the constant evaluation below).
+struct KindField {
+  char text[40];
+  std::size_t size;
+};
+
+/// One field per kind, indexed like kKindNames, and a last one for a kind
+/// outside the table ("unknown", as kind_name prints it).
+constexpr auto kKindFields = [] {
+  std::array<KindField, std::size(kKindNames) + 1> fields{};
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    KindField& f = fields[i];
+    for (const std::string_view part :
+         {std::string_view(",\"kind\":\""),
+          kind_name(static_cast<JournalEventKind>(i)),
+          std::string_view("\",\"chain\":")})
+      for (const char c : part) f.text[f.size++] = c;
+  }
+  return fields;
+}();
 
 template <std::size_t N>
 char* put(char* p, const char (&literal)[N]) {
@@ -75,22 +99,15 @@ char* put_int(char* p, Int v) {
 
 }  // namespace
 
-void append_journal_event_jsonl(std::string& out, const JournalEvent& e) {
-  // The value is formatted first: a NaN throws before `out` changes.
-  char value[kJsonNumberMaxChars];
-  const char* const value_end = format_json_number(value, e.value);
-  const std::string_view kind = kind_name(e.kind);
-
-  // One resize, then a cursor: every key is a memcpy of a literal and every
-  // integer one to_chars, with no per-field append.
-  const std::size_t start = out.size();
-  out.resize(start + kMaxJournalJsonlLine);
-  char* p = out.data() + start;
+char* format_journal_line(char* p, const JournalEvent& e) {
+  // Every key is a fixed-size memcpy of a literal, the kind and its
+  // neighbouring keys one, and every integer one to_chars.
   p = put(p, "{\"interval\":");
   p = put_int(p, e.interval);
-  p = put(p, ",\"kind\":\"");
-  p = std::copy(kind.begin(), kind.end(), p);
-  p = put(p, "\",\"chain\":");
+  const KindField& kind = kKindFields[std::min(
+      static_cast<std::size_t>(e.kind), std::size(kKindNames))];
+  std::memcpy(p, kind.text, sizeof kind.text);
+  p += kind.size;
   p = put_int(p, e.chain);
   p = put(p, ",\"client\":");
   p = put_int(p, e.client);
@@ -105,9 +122,17 @@ void append_journal_event_jsonl(std::string& out, const JournalEvent& e) {
   p = put(p, ",\"aux\":");
   p = put_int(p, e.aux);
   p = put(p, ",\"value\":");
-  p = std::copy(static_cast<const char*>(value), value_end, p);
+  p = format_json_number(p, e.value);
   *p++ = '}';
-  out.resize(static_cast<std::size_t>(p - out.data()));
+  return p;
+}
+
+void append_journal_event_jsonl(std::string& out, const JournalEvent& e) {
+  check_json_number(e.value);  // a NaN throws before `out` changes
+  const std::size_t start = out.size();
+  out.resize(start + kMaxJournalJsonlLine);
+  char* const end = format_journal_line(out.data() + start, e);
+  out.resize(static_cast<std::size_t>(end - out.data()));
 }
 
 namespace {

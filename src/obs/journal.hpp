@@ -7,11 +7,12 @@
 //
 // Events stream to a JSONL file through obs::JournalStreamWriter
 // (obs/stream_writer.hpp), which numbers the chains; this header holds the
-// event record and its codecs. Determinism contract: every record sits on
-// the serial control path of the simulation (worker threads never record;
-// they may format batches of recorded events, which reach the file in
-// record order), so the journal is byte-identical across thread counts and
-// SIMD settings.
+// event record, its codecs and format_journal_line, the one line formatter
+// every JSONL encoding goes through. Determinism contract: every record
+// sits on the serial control path of the simulation (worker threads never
+// record; they may format batches of recorded events, which reach the file
+// in record order), so the journal is byte-identical across thread counts
+// and SIMD settings.
 // A checkpoint stores the stream's byte offset and chain state, not its
 // events, so a resumed run truncates the file back to the checkpoint and
 // reproduces the uninterrupted journal exactly.
@@ -122,9 +123,17 @@ class JournalError : public std::runtime_error {
 inline constexpr std::size_t kMaxJournalJsonlLine =
     95 + 8 * 20 + 18 + kJsonNumberMaxChars;
 
-/// Appends the JSONL encoding of one event (no trailing newline) to `out`.
-/// This is the single formatter behind journal_to_jsonl and the streaming
-/// journal writer, so both encodings are byte-identical by construction.
+/// Writes the JSONL encoding of one event (no trailing newline) at `p`,
+/// which must have room for kMaxJournalJsonlLine bytes, and returns the end
+/// of the line; bytes of that room past the end may be overwritten. This is
+/// the single line formatter behind append_journal_event_jsonl (and so
+/// journal_to_jsonl) and the streaming journal writer, so every encoding is
+/// byte-identical by construction. Throws like json_number on a NaN or
+/// infinite `value`, leaving a partial line at `p`.
+char* format_journal_line(char* p, const JournalEvent& event);
+
+/// Appends format_journal_line's text to `out`. A NaN or infinite `value`
+/// throws before `out` changes.
 void append_journal_event_jsonl(std::string& out, const JournalEvent& event);
 
 /// Serializes `events` as JSONL (the exact format the stream writer writes).

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -31,6 +32,22 @@ void json_escape(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+namespace {
+
+/// Significant digits of the shortest text that parses back to `value`.
+/// to_chars without a precision prints that text ([charconv.to.chars]);
+/// in scientific form it is an optional sign, the digits with at most one
+/// point, then the exponent. Uses [out, last) as scratch.
+int shortest_digits(char* out, char* last, double value) {
+  char* const end =
+      std::to_chars(out, last, value, std::chars_format::scientific).ptr;
+  return static_cast<int>(
+      std::count_if(out, std::find(out, end, 'e'),
+                    [](char c) { return c != '-' && c != '.'; }));
+}
+
+}  // namespace
+
 char* format_json_number(char* out, double value) {
   check_json_number(value);
   char* const last = out + kJsonNumberMaxChars;
@@ -43,8 +60,12 @@ char* format_json_number(char* out, double value) {
   // which always does. [charconv] defines to_chars with a precision as
   // printf("%.*g") in the C locale and from_chars as correctly rounded, as
   // strtod is, so these are exactly the bytes an snprintf/sscanf loop
-  // prints, at a fraction of the cost.
-  for (int precision = 15; precision <= 16; ++precision) {
+  // prints, at a fraction of the cost. No text with fewer significant
+  // digits than the shortest round-trip form parses back to `value`, so
+  // every precision below that count is one this loop would reject: it
+  // starts there, and at 17 digits goes straight to %.17g.
+  for (int precision = std::max(15, shortest_digits(out, last, value));
+       precision <= 16; ++precision) {
     char* const end = std::to_chars(out, last, value,
                                     std::chars_format::general, precision)
                           .ptr;

@@ -95,12 +95,8 @@ void TimeseriesStreamWriter::flush() {
   file_.flush("timeseries stream write failed");
 }
 
-std::size_t JournalStreamWriter::ring_slots() {
-  return std::min(static_cast<std::size_t>(par::num_threads()), kSlots);
-}
-
 JournalStreamWriter::JournalStreamWriter(const std::string& path)
-    : file_(path), ring_(ring_slots()) {
+    : file_(path) {
   reserve();
 }
 
@@ -108,8 +104,7 @@ JournalStreamWriter::JournalStreamWriter(const std::string& path,
                                          const JournalStreamState& state)
     : file_(path, Resume{state.bytes}),
       events_(state.events),
-      next_chain_(state.next_chain),
-      ring_(ring_slots()) {
+      next_chain_(state.next_chain) {
   for (const auto& [client, chain] : state.client_chains) bind(client, chain);
   reserve();
 }
@@ -122,8 +117,12 @@ void JournalStreamWriter::reserve() {
 }
 
 // Formatting cannot throw for a recorded event (record() checked its value),
-// so drain() only formats and waits.
-JournalStreamWriter::~JournalStreamWriter() { drain(); }
+// so drain() only formats, commits and waits.
+JournalStreamWriter::~JournalStreamWriter() {
+  drain();
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return drain_tasks_ == 0; });
+}
 
 void JournalStreamWriter::bind(ClientId client, std::uint64_t chain) {
   if (client < 0) return;
@@ -157,73 +156,61 @@ void JournalStreamWriter::record(JournalEvent event) {
 void JournalStreamWriter::dispatch() {
   const int threads = par::num_threads();
   const bool pool = threads > 1 && !par::ThreadPool::on_worker_thread();
-  const auto worker_idle = [&] { return pool && worker_tasks_ < threads - 1; };
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return next_seq_ - next_commit_ < ring_; });
-  if (!worker_idle() && next_commit_ == next_seq_ && !committing_) {
-    // Nothing is ahead of this batch: format it straight into the block.
-    committing_ = true;
+  while (next_seq_ - next_commit_ == kSlots) help(lock);
+  Slot& s = slot(next_seq_);
+  if (!s.text) {
+    // Allocated here, on the recording thread, so no worker arena grows.
+    // Left uninitialised: pages a batch never reaches stay out of RSS.
+    s.text = std::make_unique_for_overwrite<char[]>(kSlotText);
+    s.events.reserve(kBatchEvents);
+  }
+  if (!pool && next_commit_ == next_seq_) {
+    // No worker to queue it for and nothing queued ahead of it: format it
+    // here, through the free slot, and copy it into the block.
     lock.unlock();
-    format(open_, file_.pending());
+    format(open_, s);
+    file_.pending().append(s.text.get(), s.size);
     file_.maybe_write();
-    lock.lock();
-    committing_ = false;
     return;
   }
-
-  const std::uint64_t seq = next_seq_++;
-  Slot& slot = slots_[seq % ring_];
-  // Reserved once, here: a worker never grows a slot, so no worker arena
-  // grows either.
-  if (slot.text.capacity() < kSlotText) {
-    slot.text.reserve(kSlotText);
-    slot.events.reserve(kBatchEvents);
-  }
-  slot.events.swap(open_);
-  if (worker_idle()) {
-    ++worker_tasks_;
-    lock.unlock();
-    par::ThreadPool::global().submit([this, seq] { format_task(seq); });
-    return;
-  }
-  // Every worker the thread budget allows is busy: format it here.
+  s.events.swap(open_);
+  ++next_seq_;
+  if (!pool || drain_tasks_ >= threads - 1) return;
+  ++drain_tasks_;
   lock.unlock();
-  format(slot.events, slot.text);
-  lock.lock();
-  if (!finished(seq)) return;
-  // This batch is the oldest: its copy and block write go to an idle
-  // worker if there is one.
-  if (worker_idle()) {
-    ++worker_tasks_;
-    lock.unlock();
-    par::ThreadPool::global().submit([this] { commit_task(); });
-    return;
-  }
-  commit(lock);
+  par::ThreadPool::global().submit([this] { drain_task(); });
 }
 
 void JournalStreamWriter::format(std::vector<JournalEvent>& events,
-                                 std::string& out) {
+                                 Slot& slot) {
+  char* p = slot.text.get();
   for (const JournalEvent& e : events) {
-    append_journal_event_jsonl(out, e);
-    out += '\n';
+    p = format_journal_line(p, e);
+    *p++ = '\n';
   }
+  slot.size = static_cast<std::size_t>(p - slot.text.get());
   events.clear();
 }
 
-bool JournalStreamWriter::finished(std::uint64_t seq) {
-  slots_[seq % ring_].formatted = true;
-  if (committing_ || seq != next_commit_) return false;
-  committing_ = true;
-  return true;
+bool JournalStreamWriter::step(std::unique_lock<std::mutex>& lock) {
+  const bool claimed = next_claim_ < next_seq_;
+  if (claimed) {
+    Slot& s = slot(next_claim_++);
+    lock.unlock();
+    format(s.events, s);
+    lock.lock();
+    s.formatted = true;
+  }
+  return try_commit(lock) || claimed;
 }
 
-void JournalStreamWriter::commit(std::unique_lock<std::mutex>& lock) {
-  for (Slot* s = &slots_[next_commit_ % ring_]; s->formatted;
-       s = &slots_[next_commit_ % ring_]) {
+bool JournalStreamWriter::try_commit(std::unique_lock<std::mutex>& lock) {
+  if (committing_ || !slot(next_commit_).formatted) return false;
+  committing_ = true;
+  for (Slot* s = &slot(next_commit_); s->formatted; s = &slot(next_commit_)) {
     lock.unlock();
-    file_.pending() += s->text;
-    s->text.clear();
+    file_.pending().append(s->text.get(), s->size);
     file_.maybe_write();
     lock.lock();
     s->formatted = false;
@@ -231,30 +218,29 @@ void JournalStreamWriter::commit(std::unique_lock<std::mutex>& lock) {
     cv_.notify_all();
   }
   committing_ = false;
+  return true;
 }
 
-void JournalStreamWriter::format_task(std::uint64_t seq) {
-  Slot& slot = slots_[seq % ring_];
-  format(slot.events, slot.text);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (finished(seq)) commit(lock);
-  --worker_tasks_;
-  cv_.notify_all();
+void JournalStreamWriter::help(std::unique_lock<std::mutex>& lock) {
+  if (step(lock)) return;
+  // Every queued batch is claimed, and each one not yet formatted is on a
+  // running task, which commits it (or hands it to the thread committing)
+  // when done: this never waits for a task that has not started.
+  cv_.wait(lock, [this, seen = next_commit_] { return next_commit_ != seen; });
 }
 
-void JournalStreamWriter::commit_task() {
+void JournalStreamWriter::drain_task() {
   std::unique_lock<std::mutex> lock(mu_);
-  commit(lock);
-  --worker_tasks_;
+  while (step(lock)) {
+  }
+  --drain_tasks_;
   cv_.notify_all();
 }
 
 void JournalStreamWriter::drain() {
   if (!open_.empty()) dispatch();
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] {
-    return next_commit_ == next_seq_ && worker_tasks_ == 0;
-  });
+  while (next_commit_ != next_seq_) help(lock);
 }
 
 void JournalStreamWriter::flush() {

@@ -4,9 +4,9 @@
 // until the run ends, which is O(intervals * servers) resident state —
 // untenable for the city-scale sharded runs. These writers format each
 // row/event with the exact shared formatters (append_timeseries_row_csv,
-// append_journal_event_jsonl), so a streamed CSV is byte-identical to the
-// buffered export of the same run and a streamed journal to journal_to_jsonl
-// of its events. The text collects in a pending block, and the file gets the
+// format_journal_line), so a streamed CSV is byte-identical to the buffered
+// export of the same run and a streamed journal to journal_to_jsonl of its
+// events. The text collects in a pending block, and the file gets the
 // block once it holds kOutputBlockBytes (1 MiB): a few large writes instead
 // of one per line. Both engines journal only through JournalStreamWriter.
 //
@@ -25,7 +25,7 @@
 // Threads: both simulators call the writers only from their serial control
 // path (which is what makes the output deterministic in the first place), and
 // a writer's methods must not be called from two threads at once. The
-// journal writer formats on pool workers behind that path: see
+// journal writer formats on drain tasks behind that path: see
 // JournalStreamWriter.
 #pragma once
 
@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -136,20 +137,24 @@ struct JournalStreamState {
 /// attach. Bindings live in a vector indexed by client, grown on demand;
 /// negative client ids are never bound.
 ///
-/// A two-stage pipeline. record() runs on the calling thread: it keeps the
-/// chain book and appends the resolved event to an open batch of
-/// kBatchEvents. A full batch is formatted on an idle pool worker
-/// (par::ThreadPool::submit) while the caller records the next one. At most
-/// num_threads() - 1 tasks are on workers at once; past that the caller
-/// formats the batch itself, so the busy threads never outnumber the thread
-/// count. The thread that finishes the oldest batch copies every finished
-/// batch, in record order, into the pending block and hands the file each
-/// full block; when that is the caller, it passes the copy to a task if a
-/// worker is idle. No task ever waits for another. At one thread, or when
-/// called on a pool worker, the caller formats every batch straight into
-/// the pending block and the pool is never touched. bytes_written(),
-/// state(), flush() and the destructor first wait until every recorded
-/// event is in the pending block.
+/// A two-stage pipeline. record() runs on the calling thread (the recording
+/// thread): it keeps the chain book and appends the resolved event to an
+/// open batch of kBatchEvents. A full batch joins a ring of kSlots queued
+/// batches, and while fewer than num_threads() - 1 drain tasks are running
+/// the recording thread submits one (par::ThreadPool::submit). A drain task
+/// claims the oldest unclaimed batch and formats it, commits every
+/// formatted batch at the head of the ring, in record order, into the
+/// pending block (which hands the file each full block), and returns once
+/// nothing is left to claim or commit. The recording thread formats only
+/// when the ring is full: it then claims the oldest unclaimed batch itself,
+/// or, when every batch is claimed, waits for one a running task is
+/// formatting, and it commits whenever nobody else is. It never waits for
+/// a task that has not started, so a pool busy with other work cannot stall
+/// it, and the busy threads never outnumber the thread count. At one
+/// thread, or when called on a pool worker, the caller formats every batch
+/// itself, through one free slot, into the pending block, and the pool is
+/// never touched. bytes_written(), state(), flush() and the destructor
+/// first format and commit every recorded event the same way.
 class JournalStreamWriter {
  public:
   /// Events per batch handed to a worker.
@@ -161,8 +166,9 @@ class JournalStreamWriter {
   /// restoring the event count, chain counter and bindings. Throws
   /// std::runtime_error if the file is shorter than the checkpoint offset.
   JournalStreamWriter(const std::string& path, const JournalStreamState& state);
-  /// Waits for the batches in flight; the pending block then reaches the
-  /// file. Never throws.
+  /// Commits every recorded event, so the pending block reaches the file,
+  /// then waits for the drain tasks it submitted to return (with nothing
+  /// left, each returns as soon as it starts). Never throws.
   ~JournalStreamWriter();
   JournalStreamWriter(const JournalStreamWriter&) = delete;
   JournalStreamWriter& operator=(const JournalStreamWriter&) = delete;
@@ -186,41 +192,49 @@ class JournalStreamWriter {
   JournalStreamState state();
 
  private:
-  /// One batch between record() and the pending block. The thread that
-  /// formats it owns it until `formatted` is set; the committer after that.
+  /// One queued batch. The recording thread fills `events`; the thread that
+  /// claims the batch formats it into `text` and owns it until `formatted`
+  /// is set, and the committer after that.
   struct Slot {
     std::vector<JournalEvent> events;
-    std::string text;
-    bool formatted = false;  // guarded by mu_
+    std::unique_ptr<char[]> text;  // kSlotText bytes, left uninitialised
+    std::size_t size = 0;          // bytes of `text` formatted
+    bool formatted = false;        // guarded by mu_
   };
-  /// Batches recorded but not yet in the pending block, at most.
+  /// Batches queued but not yet in the pending block, at most. On
+  /// city_pressure at two threads a ring of two left the recording thread
+  /// more batches to format, and one of eight cost RSS for no measurable
+  /// gain.
   static constexpr std::size_t kSlots = 4;
   /// Room one batch's text can need.
   static constexpr std::size_t kSlotText =
       kBatchEvents * (kMaxJournalJsonlLine + 1);
 
-  /// Slots a writer uses: one per thread (the caller's batch and one per
-  /// worker), at most kSlots, so at two threads only two slots' buffers
-  /// are ever touched.
-  static std::size_t ring_slots();
   /// Reserves the open batch and the pending block on the calling thread.
   void reserve();
   void bind(ClientId client, std::uint64_t chain);
-  /// Hands the open batch to a worker or formats it on the caller.
+  /// Queues the open batch (or formats it inline), helping first while the
+  /// ring is full.
   void dispatch();
-  /// Appends the JSONL lines of `events` to `out` and empties `events`.
-  static void format(std::vector<JournalEvent>& events, std::string& out);
-  /// Under mu_: marks batch `seq` formatted. True when the caller now holds
-  /// the commit role: `seq` is the oldest batch and nobody is committing.
-  bool finished(std::uint64_t seq);
-  /// Under mu_, holding the commit role: copies every formatted batch, in
-  /// record order, into the pending block, then gives the role up.
-  void commit(std::unique_lock<std::mutex>& lock);
-  /// Pool tasks: format batch `seq` (and commit if it is the oldest), or
-  /// commit on the caller's behalf.
-  void format_task(std::uint64_t seq);
-  void commit_task();
-  /// Formats the open batch and waits until every batch is committed.
+  /// Writes the JSONL lines of `events` into `slot.text`, through its
+  /// buffer's one cursor, and empties `events`.
+  static void format(std::vector<JournalEvent>& events, Slot& slot);
+  Slot& slot(std::uint64_t seq) { return slots_[seq % kSlots]; }
+  /// Under mu_: when nobody holds the commit role and the oldest batch is
+  /// formatted, takes the role, copies every formatted batch at the head of
+  /// the ring, in record order, into the pending block, gives the role up
+  /// and returns true.
+  bool try_commit(std::unique_lock<std::mutex>& lock);
+  /// Under mu_: claims the oldest unclaimed batch, if any, and formats it
+  /// with mu_ released, then try_commit(). False when it did neither.
+  bool step(std::unique_lock<std::mutex>& lock);
+  /// Under mu_, on the recording thread: one step(), or, with every batch
+  /// claimed and nothing to commit, a wait until a batch in progress is
+  /// committed.
+  void help(std::unique_lock<std::mutex>& lock);
+  /// A pool task: steps until nothing is left to claim or commit.
+  void drain_task();
+  /// Queues the open batch and formats and commits every queued batch.
   void drain();
 
   BlockFile file_;
@@ -231,12 +245,12 @@ class JournalStreamWriter {
 
   std::mutex mu_;
   std::condition_variable cv_;      // a batch committed or a task returned
-  const std::size_t ring_;          // ring_slots() at construction
-  std::array<Slot, kSlots> slots_;  // batch `seq` uses slots_[seq % ring_]
+  std::array<Slot, kSlots> slots_;  // batch `seq` uses slot(seq)
   // Guarded by mu_:
-  std::uint64_t next_seq_ = 0;     // batches handed to slots so far
+  std::uint64_t next_seq_ = 0;     // batches queued so far
+  std::uint64_t next_claim_ = 0;   // batches claimed for formatting so far
   std::uint64_t next_commit_ = 0;  // batches in the pending block so far
-  int worker_tasks_ = 0;           // submitted tasks not yet returned
+  int drain_tasks_ = 0;            // submitted tasks not yet returned
   bool committing_ = false;        // a thread holds the commit role
 };
 

@@ -15,6 +15,13 @@ namespace {
 // with its separator.
 constexpr std::size_t kMaxCsvRow = 20 * kJsonNumberMaxChars;
 
+/// Rows of a run of `num_intervals` intervals over `num_servers` servers.
+std::size_t run_rows(int num_servers, int num_intervals) {
+  PERDNN_CHECK(num_intervals >= 0);
+  return static_cast<std::size_t>(num_servers) *
+         static_cast<std::size_t>(num_intervals);
+}
+
 }  // namespace
 
 void append_timeseries_row_csv(std::string& out, const TimeseriesRow& r,
@@ -67,18 +74,20 @@ void append_timeseries_row_csv(std::string& out, const TimeseriesRow& r,
   out.resize(static_cast<std::size_t>(p - 1 - out.data()));
 }
 
-void SimTimeseries::start(int num_servers, double interval_length_s) {
+void SimTimeseries::start(int num_servers, double interval_length_s,
+                          int num_intervals) {
   PERDNN_CHECK(num_servers >= 0);
   std::lock_guard<std::mutex> lock(mu_);
   num_servers_ = num_servers;
   interval_length_s_ = interval_length_s;
   next_interval_ = 0;
   rows_.clear();
+  rows_.reserve(run_rows(num_servers, num_intervals));
 }
 
 void SimTimeseries::restore(int num_servers, double interval_length_s,
                             std::vector<TimeseriesRow> rows,
-                            int next_interval) {
+                            int next_interval, int num_intervals) {
   PERDNN_CHECK(num_servers >= 0);
   PERDNN_CHECK(next_interval >= 0);
   PERDNN_CHECK_MSG(
@@ -89,6 +98,7 @@ void SimTimeseries::restore(int num_servers, double interval_length_s,
   interval_length_s_ = interval_length_s;
   next_interval_ = next_interval;
   rows_ = std::move(rows);
+  rows_.reserve(run_rows(num_servers, num_intervals));
 }
 
 void SimTimeseries::set_model(std::string model_name) {

@@ -104,7 +104,11 @@ class SimTimeseries {
   static constexpr int kCsvCacheSchemaVersion = 3;
 
   /// Must be called before the first interval. Resets prior state.
-  void start(int num_servers, double interval_length_s);
+  /// `num_intervals`, when the caller knows it, is how many intervals the
+  /// run will append: their rows are reserved here, so the row store never
+  /// grows by copying itself while the run goes on.
+  void start(int num_servers, double interval_length_s,
+             int num_intervals = 0);
 
   /// Optional metadata: the DNN model name the run simulated. Survives
   /// start()/restore() so it can be set once before the run; exported as a
@@ -116,9 +120,11 @@ class SimTimeseries {
   /// can append interval `next_interval` as if the run never stopped.
   /// `rows` must hold complete intervals only (size divisible by
   /// num_servers); pass an empty vector when the original run recorded no
-  /// timeseries up to the checkpoint.
+  /// timeseries up to the checkpoint. `num_intervals` reserves the rows of
+  /// the whole run, as in start().
   void restore(int num_servers, double interval_length_s,
-               std::vector<TimeseriesRow> rows, int next_interval);
+               std::vector<TimeseriesRow> rows, int next_interval,
+               int num_intervals = 0);
 
   /// Appends one finished interval: `rows` holds one row per server, in
   /// server order, all stamped with the interval after the last one

@@ -1389,9 +1389,10 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
     if (timeseries_ != nullptr)
       timeseries_->restore(world_.servers.num_servers(), world_.interval,
                            options.resume_from->timeseries_rows,
-                           start_interval_);
+                           start_interval_, num_intervals_);
   } else if (timeseries_ != nullptr) {
-    timeseries_->start(world_.servers.num_servers(), world_.interval);
+    timeseries_->start(world_.servers.num_servers(), world_.interval,
+                       num_intervals_);
   }
   // A resumed journal truncates its file back to the checkpoint's offset.
   if (!options.journal_path.empty()) {

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -132,6 +141,182 @@ TEST(JournalCodec, JsonlRoundTripsEveryKind) {
 
   const std::string text = journal_to_jsonl(events);
   EXPECT_EQ(journal_from_jsonl(text), events);
+}
+
+// The per-field formatter format_journal_line replaced, kept as its
+// oracle: the value formatted first, one resize per line, then every key a
+// literal and every field its own copy or to_chars.
+void oracle_jsonl_line(std::string& out, const JournalEvent& e) {
+  char value[kJsonNumberMaxChars];
+  const char* const value_end = format_json_number(value, e.value);
+  const std::string_view kind = journal_kind_name(e.kind);
+  const auto put = [](char* p, std::string_view literal) {
+    return std::copy(literal.begin(), literal.end(), p);
+  };
+  const auto put_int = [](char* p, auto v) {
+    return std::to_chars(p, p + 20, v).ptr;
+  };
+  const std::size_t start = out.size();
+  out.resize(start + kMaxJournalJsonlLine);
+  char* p = out.data() + start;
+  p = put(p, "{\"interval\":");
+  p = put_int(p, e.interval);
+  p = put(p, ",\"kind\":\"");
+  p = std::copy(kind.begin(), kind.end(), p);
+  p = put(p, "\",\"chain\":");
+  p = put_int(p, e.chain);
+  p = put(p, ",\"client\":");
+  p = put_int(p, e.client);
+  p = put(p, ",\"server\":");
+  p = put_int(p, e.server);
+  p = put(p, ",\"peer\":");
+  p = put_int(p, e.peer);
+  p = put(p, ",\"bytes\":");
+  p = put_int(p, e.bytes);
+  p = put(p, ",\"detail\":");
+  p = put_int(p, e.detail);
+  p = put(p, ",\"aux\":");
+  p = put_int(p, e.aux);
+  p = put(p, ",\"value\":");
+  p = std::copy(static_cast<const char*>(value), value_end, p);
+  *p++ = '}';
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
+/// Half the draws an edge of Int's range (its minimum, maximum, -1, 0 or
+/// 1), the rest small or any bit pattern.
+template <typename Int>
+Int edgy_int(std::mt19937_64& rng) {
+  using Limits = std::numeric_limits<Int>;
+  switch (rng() % 10) {
+    case 0: return Limits::min();
+    case 1: return Limits::max();
+    case 2: return static_cast<Int>(-1);
+    case 3: return 0;
+    case 4: return 1;
+    case 5: return static_cast<Int>(rng() % 1000);
+    case 6: return static_cast<Int>(-static_cast<Int>(rng() % 1000));
+    default: return static_cast<Int>(rng());
+  }
+}
+
+/// A value from the classes the number formatter branches on: zeros, the
+/// integer range's edges (+-2^53, +-9e18) and their neighbours, fractions
+/// whose shortest form has 15, 16 or 17 significant digits, subnormals,
+/// and any finite bit pattern.
+double edgy_value(std::mt19937_64& rng) {
+  static const double kEdges[] = {0.0, -0.0, 0x1p53, -0x1p53, 9.0e18,
+                                  -9.0e18};
+  std::uniform_real_distribution<double> latency(0.0, 2.0);
+  const double sign = rng() % 2 == 0 ? 1.0 : -1.0;
+  switch (rng() % 6) {
+    case 0: {
+      const double edge = kEdges[rng() % std::size(kEdges)];
+      switch (rng() % 3) {
+        case 0: return edge;
+        case 1: return std::nextafter(edge, HUGE_VAL);
+        default: return std::nextafter(edge, -HUGE_VAL);
+      }
+    }
+    case 1: {
+      // Printed at 15 or 16 digits and parsed back: at most that many.
+      char text[32];
+      std::snprintf(text, sizeof text, "%.*g", 15 + static_cast<int>(rng() % 2),
+                    latency(rng));
+      return sign * std::strtod(text, nullptr);
+    }
+    case 2: return sign * latency(rng);  // mostly 16 or 17 digits
+    case 3:
+      return std::bit_cast<double>(rng() & 0x800f'ffff'ffff'ffffULL);
+    default: {
+      double v = 0.0;
+      do v = std::bit_cast<double>(rng()); while (!std::isfinite(v));
+      return v;
+    }
+  }
+}
+
+TEST(JournalLineFormatter, MatchesThePerFieldOracle) {
+  constexpr std::size_t kChunk = 1024;
+  constexpr std::size_t kChunks = 1024;  // 1,048,576 events in all
+  // Every kind, and two values outside the table, which print "unknown".
+  constexpr int kKinds = static_cast<int>(JournalEventKind::kCachePartial) + 1;
+  std::mt19937_64 rng(31);
+  std::unique_ptr<char[]> cursor_text(
+      new char[kChunk * (kMaxJournalJsonlLine + 1)]);
+  std::vector<JournalEvent> events(kChunk);
+  std::vector<int> kinds_seen(kKinds + 2, 0);
+  std::size_t mismatches = 0;
+  for (std::size_t chunk = 0; chunk < kChunks; ++chunk) {
+    std::string want;
+    for (JournalEvent& e : events) {
+      const int k = static_cast<int>(rng() % (kKinds + 2));
+      ++kinds_seen[static_cast<std::size_t>(k)];
+      e.kind = static_cast<JournalEventKind>(
+          k < kKinds ? k : k == kKinds ? kKinds : 255);
+      e.interval = edgy_int<int>(rng);
+      e.chain = edgy_int<std::uint64_t>(rng);
+      e.client = edgy_int<ClientId>(rng);
+      e.server = edgy_int<ServerId>(rng);
+      e.peer = edgy_int<ServerId>(rng);
+      e.bytes = edgy_int<Bytes>(rng);
+      e.detail = edgy_int<std::int32_t>(rng);
+      e.aux = edgy_int<std::int32_t>(rng);
+      e.value = edgy_value(rng);
+      oracle_jsonl_line(want, e);
+      want += '\n';
+    }
+    // Through one cursor, as the stream writer formats a batch...
+    char* const begin = cursor_text.get();
+    char* p = begin;
+    for (const JournalEvent& e : events) {
+      p = format_journal_line(p, e);
+      *p++ = '\n';
+    }
+    const std::string_view cursor(begin, static_cast<std::size_t>(p - begin));
+    // ...and line by line into a string, as journal_to_jsonl does.
+    const std::string appended = journal_to_jsonl(events);
+    if (cursor == want && appended == want) continue;
+    if (++mismatches > 4) continue;
+    const auto at = static_cast<std::size_t>(
+        std::mismatch(want.begin(), want.end(), cursor.begin(), cursor.end())
+            .first -
+        want.begin());
+    const std::size_t line_start = want.rfind('\n', at) + 1;  // npos + 1 = 0
+    ADD_FAILURE() << "chunk " << chunk << ": want "
+                  << want.substr(line_start, want.find('\n', at) - line_start)
+                  << "\ncursor: " << cursor.substr(line_start, 300)
+                  << "\nappended matches: " << (appended == want);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  for (const int seen : kinds_seen) EXPECT_GT(seen, 0);
+}
+
+TEST(JournalLineFormatter, WorstCaseLineFitsTheBound) {
+  // The longest kind name, every integer at its longest text, and a value
+  // with a 17-digit mantissa and a three-digit negative exponent.
+  JournalEvent e;
+  e.interval = std::numeric_limits<int>::min();
+  e.kind = JournalEventKind::kMigrationDeferred;
+  e.chain = std::numeric_limits<std::uint64_t>::max();
+  e.client = std::numeric_limits<ClientId>::min();
+  e.server = std::numeric_limits<ServerId>::min();
+  e.peer = std::numeric_limits<ServerId>::min();
+  e.bytes = std::numeric_limits<Bytes>::min();
+  e.detail = std::numeric_limits<std::int32_t>::min();
+  e.aux = std::numeric_limits<std::int32_t>::min();
+  e.value = -std::numeric_limits<double>::min();  // -2.2250738585072014e-308
+  ASSERT_EQ(std::strlen(journal_kind_name(e.kind)), 18u);
+  std::string want;
+  oracle_jsonl_line(want, e);
+  // Exactly the bound's room, on the heap: a sanitizer build reports any
+  // write past it.
+  const std::unique_ptr<char[]> line(new char[kMaxJournalJsonlLine]);
+  const char* const end = format_journal_line(line.get(), e);
+  EXPECT_EQ(std::string_view(line.get(),
+                             static_cast<std::size_t>(end - line.get())),
+            want);
+  EXPECT_LE(want.size(), kMaxJournalJsonlLine);
 }
 
 TEST(JournalCodec, JsonlSkipsBlankAndCommentLines) {

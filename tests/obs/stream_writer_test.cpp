@@ -2,8 +2,9 @@
 // encoders. The journals here run to several MiB so the block path — a
 // write only once 1 MiB is pending — runs many times; the simulator tests
 // stream far less than one block. The multi-block journal cases run at 1,
-// 2 and 4 threads: inline formatting, then batches formatted on pool
-// workers and committed in record order.
+// 2 and 4 threads: inline formatting, then batches formatted by drain tasks
+// on pool workers (and by the recording thread when its ring is full) and
+// committed in record order.
 #include "obs/stream_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -185,7 +188,11 @@ TEST(JournalStreamWriterTest, BytesWrittenCountsThePendingBlock) {
 
 TEST(JournalStreamWriterTest, DestructionWithoutFlushLosesNothing) {
   for (const int threads : kThreadLegs) {
-    for (const std::size_t n : {std::size_t{1'500}, kEvents}) {
+    // The last count is 64 full batches and a partial one, recorded back to
+    // back: with workers, the writer is destroyed with its ring full.
+    for (const std::size_t n :
+         {std::size_t{1'500}, kEvents,
+          64 * JournalStreamWriter::kBatchEvents + 500}) {
       const std::vector<Step> steps = seeded_steps(n, 13);
       const std::string path = case_path(".jsonl");
       {
@@ -199,6 +206,46 @@ TEST(JournalStreamWriterTest, DestructionWithoutFlushLosesNothing) {
           << n << " events, " << threads << " threads";
     }
   }
+}
+
+TEST(JournalStreamWriterTest, BusyPoolLeavesTheRecordingThreadToDrain) {
+  const std::vector<Step> steps = seeded_steps(kEvents, 16);
+  const std::string want = buffered_jsonl(steps);
+  const ThreadLeg leg(2);
+  // Every pool worker blocks on a latch, so the drain tasks the writer
+  // submits wait in the queue behind them.
+  struct Gate {
+    explicit Gate(int workers) : started(workers) {}
+    std::latch started;
+    std::latch release{1};
+  };
+  par::ThreadPool& pool = par::ThreadPool::global();
+  const auto gate = std::make_shared<Gate>(pool.size());
+  for (int w = 0; w < pool.size(); ++w)
+    pool.submit([gate] {
+      gate->started.count_down();
+      gate->release.wait();
+    });
+  gate->started.wait();
+
+  const std::string path = case_path(".jsonl");
+  {
+    JournalStreamWriter writer(path);
+    // Far more batches than the ring holds: once it is full, the recording
+    // thread formats and commits on its own, so whole blocks reach the file.
+    play(steps, 0, steps.size(), writer);
+    // The ring and the pending block hold less than two blocks between
+    // them.
+    EXPECT_GE(std::filesystem::file_size(path) + 2 * kOutputBlockBytes,
+              want.size());
+    // Draining does not wait for the queued tasks either.
+    EXPECT_EQ(writer.bytes_written(), want.size());
+    gate->release.count_down();
+    writer.flush();
+    EXPECT_EQ(writer.events_written(), steps.size());
+    EXPECT_EQ(writer.bytes_written(), std::filesystem::file_size(path));
+  }
+  EXPECT_TRUE(same_text(slurp(path), want));
 }
 
 TEST(JournalStreamWriterTest, ResumeAtMidFileOffsetReproducesStraightFile) {

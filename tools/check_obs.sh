@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the repo with ASan+UBSan (-DPERDNN_SANITIZE=address) and proves the
 # observability contract end-to-end:
-#   * journal/metrics/trace/timeseries/traffic-accountant unit tests and
-#     the journal determinism gate run clean under the sanitizers;
+#   * journal/metrics/trace/timeseries/traffic-accountant unit tests, the
+#     number formatter against its snprintf oracle (JsonNumber*) and the
+#     journal determinism gate run clean under the sanitizers;
 #   * one seeded faulted simulation journals BYTE-IDENTICAL JSONL across
 #     --threads 1/2/8 and across a checkpoint/resume split (the resume
 #     appends to the file the checkpointed run streamed);
@@ -29,7 +30,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Journal|StreamWriter|MetricsTest|TraceTest|SimTimeseries|TimeseriesSim|SnapshotTest|Traffic'
+  -R 'Journal|StreamWriter|JsonNumber|MetricsTest|TraceTest|SimTimeseries|TimeseriesSim|SnapshotTest|Traffic'
 
 CLI="$BUILD_DIR/tools/perdnn"
 OBS="$BUILD_DIR/tools/perdnn_obs"

@@ -12,10 +12,12 @@
 # legs of the determinism and cache-budget suites are the ones that
 # race-check it.
 #
-# The journal writer formats record batches on pool workers and commits
-# them to its pending block in record order, on whichever thread finishes
-# the oldest batch. The `Journal|StreamWriter` suites race-check that
-# hand-off directly: JournalStreamWriterTest at 1, 2 and 4 threads and the
+# The journal writer queues record batches in a ring that drain tasks on
+# pool workers format and commit to its pending block in record order; the
+# recording thread formats and commits too once the ring is full. The
+# `Journal|StreamWriter` suites race-check that hand-off directly:
+# JournalStreamWriterTest at 1, 2 and 4 threads (one leg with every pool
+# worker blocked, so the recording thread drains the ring alone) and the
 # classic engine's JournalDeterminismTest at 1, 2 and 8. The journaled legs
 # of the sharded suites drive the same pipeline through real runs.
 #
