@@ -28,9 +28,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,16 +99,12 @@ bool parse_args(int argc, char** argv, Args* args) {
         std::fprintf(stderr, "error: --model needs a value\n");
         return false;
       }
-      if (std::strcmp(value, "mobilenet") == 0)
-        args->model = ModelName::kMobileNet;
-      else if (std::strcmp(value, "inception") == 0)
-        args->model = ModelName::kInception;
-      else if (std::strcmp(value, "resnet") == 0)
-        args->model = ModelName::kResNet;
-      else {
+      const std::optional<ModelName> model = model_from_flag(value);
+      if (!model) {
         std::fprintf(stderr, "error: unknown model '%s'\n", value);
         return false;
       }
+      args->model = *model;
     } else if (name == "--seed") {
       const char* value = next_value();
       if (value == nullptr || !parse_int(value, &args->seed)) {

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -115,13 +116,6 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-ModelName model_from_name(const std::string& name) {
-  if (name == "mobilenet") return ModelName::kMobileNet;
-  if (name == "inception") return ModelName::kInception;
-  if (name == "resnet") return ModelName::kResNet;
-  usage_error("unknown --model");
-}
-
 const char* compiler() {
 #if defined(__clang__)
   return "clang " __clang_version__;
@@ -153,8 +147,10 @@ int main(int argc, char** argv) {
       args.threads.empty() ? std::vector<int>{0} : args.threads;
   par::set_num_threads(counts.front());  // 0: automatic
 
+  const std::optional<ModelName> model = model_from_flag(args.model);
+  if (!model) usage_error("unknown --model");
   ShardWorldConfig config;
-  config.model = model_from_name(args.model);
+  config.model = *model;
   config.tiles_x = args.tiles_x;
   config.tiles_y = args.tiles_y;
   config.num_clients = args.clients;

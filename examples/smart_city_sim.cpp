@@ -11,20 +11,12 @@
 #include "mobility/trace_gen.hpp"
 #include "sim/simulator.hpp"
 
-namespace {
-
 using namespace perdnn;
 
-ModelName parse_model(const char* arg) {
-  if (std::strcmp(arg, "mobilenet") == 0) return ModelName::kMobileNet;
-  if (std::strcmp(arg, "resnet") == 0) return ModelName::kResNet;
-  return ModelName::kInception;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const ModelName model = parse_model(argc > 1 ? argv[1] : "inception");
+  // Any name but mobilenet or resnet runs Inception.
+  const ModelName model =
+      model_from_flag(argc > 1 ? argv[1] : "").value_or(ModelName::kInception);
   const bool urban = argc > 2 && std::strcmp(argv[2], "urban") == 0;
 
   // Trace cohorts: one to train the mobility predictor, one to replay.

@@ -89,7 +89,7 @@ void LayerCache::make_room(ClientId incoming, Bytes need_bytes,
     total_bytes_ -= it->second.bytes;
     const auto num_layers = static_cast<std::int32_t>(it->second.layers.size());
     entries_.erase(it);
-    ++evictions_;
+    ++budget_counts_.evictions;
     if (journal_ != nullptr)
       journal_->record({.interval = now_interval,
                         .kind = obs::JournalEventKind::kCacheEvict,
@@ -171,7 +171,7 @@ std::vector<LayerId> LayerCache::store(ClientId client,
       }
       const auto refused =
           static_cast<std::int32_t>(admitted.size() - keep);
-      ++partial_stores_;
+      ++budget_counts_.partial_stores;
       if (journal_ != nullptr)
         journal_->record({.interval = now_interval,
                           .kind = obs::JournalEventKind::kCachePartial,

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -104,11 +105,18 @@ class LayerCache {
   /// set_cost_model is called).
   Bytes total_bytes() const { return total_bytes_; }
 
-  /// Cumulative budget evictions / budget-trimmed stores since construction
-  /// (or the last wipe-free restore; counters are not checkpointed — the
-  /// simulator folds deltas into its metrics each interval).
-  long long evictions() const { return evictions_; }
-  long long partial_stores() const { return partial_stores_; }
+  /// Budget evictions and budget-trimmed stores since the last
+  /// take_budget_counts() (or construction).
+  struct BudgetCounts {
+    int evictions = 0;       ///< entries displaced by the budget
+    int partial_stores = 0;  ///< stores trimmed to a prefix
+  };
+  /// Hands over the counts and resets them to zero, so each interval close
+  /// takes only its own. They are not checkpointed: a restored cache starts
+  /// at zero, as one does right after an interval close.
+  BudgetCounts take_budget_counts() {
+    return std::exchange(budget_counts_, {});
+  }
 
   /// One cache entry in checkpoint form.
   struct EntrySnapshot {
@@ -152,8 +160,7 @@ class LayerCache {
   std::vector<Bytes> layer_bytes_;
   std::vector<double> layer_saved_;
   Bytes total_bytes_ = 0;
-  long long evictions_ = 0;
-  long long partial_stores_ = 0;
+  BudgetCounts budget_counts_;
   std::unordered_map<ClientId, Entry> entries_;
 };
 

@@ -36,6 +36,15 @@ inline __m256i compress_masks(__m256d lo, __m256d hi) {
   return _mm256_set_m128i(hi32, lo32);
 }
 
+// _mm256_i32gather_pd over 8-byte doubles, as the masked gather with a
+// zeroed source and every lane enabled. The unmasked intrinsic passes GCC
+// an undefined source, which -Wmaybe-uninitialized reports on every call.
+inline __m256d gather_pd(const double* base, __m128i index) {
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, index, all_lanes,
+                                  8);
+}
+
 }  // namespace
 
 void predict_batch_avx2(const ForestKernelView& view, const double* rows,
@@ -86,18 +95,16 @@ void predict_batch_avx2(const ForestKernelView& view, const double* rows,
           }
           const __m128i node_lo = _mm256_castsi256_si128(node[k]);
           const __m128i node_hi = _mm256_extracti128_si256(node[k], 1);
-          const __m256d thr_lo =
-              _mm256_i32gather_pd(view.threshold, node_lo, 8);
-          const __m256d thr_hi =
-              _mm256_i32gather_pd(view.threshold, node_hi, 8);
+          const __m256d thr_lo = gather_pd(view.threshold, node_lo);
+          const __m256d thr_hi = gather_pd(view.threshold, node_hi);
           // Parked lanes have feat == -1; clamp to 0 so their (discarded)
           // feature gather stays in bounds.
           const __m256i fidx =
               _mm256_add_epi32(row_offsets, _mm256_max_epi32(feat[k], zero));
           const __m256d val_lo =
-              _mm256_i32gather_pd(block, _mm256_castsi256_si128(fidx), 8);
+              gather_pd(block, _mm256_castsi256_si128(fidx));
           const __m256d val_hi =
-              _mm256_i32gather_pd(block, _mm256_extracti128_si256(fidx, 1), 8);
+              gather_pd(block, _mm256_extracti128_si256(fidx, 1));
           const __m256d le_lo = _mm256_cmp_pd(val_lo, thr_lo, _CMP_LE_OQ);
           const __m256d le_hi = _mm256_cmp_pd(val_hi, thr_hi, _CMP_LE_OQ);
           // BFS layout puts the right child at left + 1, so go-right is
@@ -111,10 +118,10 @@ void predict_batch_avx2(const ForestKernelView& view, const double* rows,
         }
       }
       for (std::size_t k = 0; k < g; ++k) {
-        const __m256d leaf_lo = _mm256_i32gather_pd(
-            view.threshold, _mm256_castsi256_si128(node[k]), 8);
-        const __m256d leaf_hi = _mm256_i32gather_pd(
-            view.threshold, _mm256_extracti128_si256(node[k], 1), 8);
+        const __m256d leaf_lo =
+            gather_pd(view.threshold, _mm256_castsi256_si128(node[k]));
+        const __m256d leaf_hi =
+            gather_pd(view.threshold, _mm256_extracti128_si256(node[k], 1));
         if (boosted) {
           acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(shrinkage, leaf_lo));
           acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(shrinkage, leaf_hi));

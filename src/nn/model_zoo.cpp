@@ -261,6 +261,13 @@ const char* model_name_str(ModelName name) {
   return "unknown";
 }
 
+std::optional<ModelName> model_from_flag(std::string_view flag) {
+  if (flag == "mobilenet") return ModelName::kMobileNet;
+  if (flag == "inception") return ModelName::kInception;
+  if (flag == "resnet") return ModelName::kResNet;
+  return std::nullopt;
+}
+
 DnnModel build_mobilenet_v1() {
   ModelBuilder b("MobileNet", 224, 3);
   LayerId x = b.conv_bn_relu(b.input_id(), 32, 3, 2, "conv1");

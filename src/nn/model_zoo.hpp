@@ -16,6 +16,9 @@
 // structure and drives the paper's fractional-migration result.
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 #include "nn/model.hpp"
 
 namespace perdnn {
@@ -23,6 +26,9 @@ namespace perdnn {
 enum class ModelName { kMobileNet, kInception, kResNet };
 
 const char* model_name_str(ModelName name);
+/// The model a lowercase command-line flag names: `mobilenet`, `inception`
+/// or `resnet`. Any other name gives nullopt.
+std::optional<ModelName> model_from_flag(std::string_view flag);
 
 DnnModel build_mobilenet_v1();
 DnnModel build_inception21k();

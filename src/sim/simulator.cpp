@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "device/device_profile.hpp"
 #include "faults/fault_timeline.hpp"
 #include "obs/journal.hpp"
@@ -325,10 +324,6 @@ class SimulatorImpl {
         cache.set_cost_model(layer_bytes, layer_saved);
       }
     }
-    cache_evictions_seen_.assign(
-        static_cast<std::size_t>(world.servers.num_servers()), 0);
-    cache_partials_seen_.assign(
-        static_cast<std::size_t>(world.servers.num_servers()), 0);
     attached_.assign(static_cast<std::size_t>(world.servers.num_servers()),
                      0);
     rows_.resize(static_cast<std::size_t>(world.servers.num_servers()));
@@ -358,24 +353,6 @@ class SimulatorImpl {
   SimulationMetrics run(const SimulationRunOptions& options);
 
  private:
-  /// One deferred cold-start window: every input is frozen at attach time,
-  /// the (expensive, pure) query-loop evaluation runs later in a parallel
-  /// region, and its results merge back in attach order.
-  struct ColdJob {
-    ClientId client = -1;
-    ServerId sid = kNoServer;
-    const LoadLevelCache* lvl = nullptr;  // stable: map values never move
-    std::vector<bool> initial_mask;
-    std::vector<LayerId> pending;
-    Seconds routed_latency = kInfSeconds;
-    double link_factor = 1.0;
-  };
-  struct ColdResult {
-    long long queries = 0;
-    long long routed = 0;
-    Seconds latency_sum = 0.0;
-  };
-
   const LoadLevelCache& level(int load);
   /// Like level(), but planned as the master sees it under a telemetry
   /// dropout: the load-free fallback estimator over the stale snapshot.
@@ -384,6 +361,14 @@ class SimulatorImpl {
   /// Rebuilds one levels_ entry from checkpointed GPU statistics — the same
   /// fill as level() minus the RNG draw (the stats ARE the draw).
   void rebuild_level(int load, const GpuStats& stats);
+  /// Fills true_time at `load` and plans a level whose `stats` are set;
+  /// level() and rebuild_level() share it, so both are bit-identical for
+  /// equal stats.
+  void fill_level(LoadLevelCache& lvl, int load) const;
+  /// The plan step of a level: `estimator`'s layer times over lvl.stats,
+  /// the best plan for them and its server-side layers in canonical order.
+  void plan_level(LoadLevelCache& lvl,
+                  const LayerTimeEstimator& estimator) const;
   /// Re-primes every mutable field from a checkpoint; throws
   /// snapshot::SnapshotError on fingerprint/shape mismatch, or when a run
   /// journaling to `journal_path` finds no journal stream to continue.
@@ -394,12 +379,13 @@ class SimulatorImpl {
   /// journal so its offset is the file size.
   snapshot::SimSnapshot capture(int next_interval);
   void handle_attach(ClientId c, ServerId sid, int interval_index);
-  /// Evaluates every ColdJob queued by this interval's attach pass in
-  /// parallel and folds the results into metrics_/timeseries_/journal_ in
-  /// submission (client) order — bit-identical to the serial interleaving.
-  /// Journal events are emitted here, in the serial fold, never from the
-  /// worker threads.
-  void flush_cold_jobs(int interval_index);
+  /// Replays client `c`'s cold-start window on `sid`: the queries it runs
+  /// in its first interval there while its pending layers upload, starting
+  /// from the cached layers in `mask`. Adds them to the server's row and
+  /// the routed count and journals one cold_serve.
+  void serve_cold_window(ClientId c, ServerId sid, const LoadLevelCache& lvl,
+                         std::vector<bool> mask, Seconds routed_latency,
+                         int interval_index);
   void advance_uploads(int interval_index);
   void proactive_migration(int interval_index);
   /// Moves the fault timeline to this interval and opens its scripted
@@ -442,10 +428,6 @@ class SimulatorImpl {
   std::optional<Point> predict_next(const ClientState& client,
                                     std::size_t history,
                                     std::size_t interval_index) const;
-  /// Queries completed inside one cold-start window. Pure given the job
-  /// (reads only immutable world/config state), so it is safe to evaluate
-  /// from worker threads.
-  ColdResult cold_window_queries(const ColdJob& job) const;
   /// Per-query latency of offloading to the previous server through the
   /// backhaul; kInfSeconds when unavailable.
   Seconds routed_path_latency(ClientId c, ServerId previous);
@@ -472,8 +454,7 @@ class SimulatorImpl {
   std::vector<obs::TimeseriesRow> rows_;
   std::vector<ClientState> clients_;
   std::unordered_map<int, LoadLevelCache> levels_;
-  /// Degraded twins of levels_ (telemetry-dropout planning); same stability
-  /// guarantees (ColdJob keeps pointers into the map values).
+  /// Degraded twins of levels_ (telemetry-dropout planning).
   std::unordered_map<int, LoadLevelCache> degraded_levels_;
   /// Lazily computed per-query latency of fully local execution (< 0 until
   /// first needed; fault-only path, so clean runs never compute it).
@@ -491,12 +472,6 @@ class SimulatorImpl {
   /// Source-cache mask in routed_path_latency / retry_deferred_migrations
   /// (never live at the same time as push_mask_scratch_'s use).
   std::vector<bool> lookup_mask_scratch_;
-  std::vector<ColdJob> cold_jobs_;  // this interval's deferred windows
-  /// Cumulative cache counters already written to a row, per server. The
-  /// caches restart their counters at 0 on a resumed process, so the rows
-  /// take per-interval deltas, which compose across checkpoint/resume.
-  std::vector<long long> cache_evictions_seen_;
-  std::vector<long long> cache_partials_seen_;
   SimulationMetrics metrics_;
   /// First interval run() executes; nonzero only after restore_from().
   int start_interval_ = 0;
@@ -521,38 +496,29 @@ std::vector<LayerId> canonical_server_layers(const PartitionPlan& plan,
       out.push_back(static_cast<LayerId>(i));
   return out;
 }
-
-/// Fills estimated/true_time/plan/needed for a level whose `stats` are
-/// already set — shared by the normal fill (stats freshly drawn) and the
-/// checkpoint-restore rebuild (stats read back from the snapshot). Both
-/// paths are bit-identical for equal stats.
-struct LevelFiller {
-  const SimulationConfig& config;
-  const SimulationWorld& world;
-
-  void fill(LoadLevelCache& lvl, int load) const {
-    const DnnModel& model = world.model;
-    // The ground-truth layers are independent, so their fill fans out. Each
-    // index writes only its own slot, so the cache is identical at any
-    // thread count.
-    const auto n = static_cast<std::size_t>(model.num_layers());
-    lvl.estimated = world.estimator->estimate_model(model, lvl.stats);
-    lvl.true_time.resize(n);
-    par::parallel_for(n, [&](std::size_t i) {
-      const auto id = static_cast<LayerId>(i);
-      lvl.true_time[i] = world.gpu->expected_layer_time(
-          model.layer(id), model.input_bytes(id), static_cast<double>(load));
-    });
-    PartitionContext context;
-    context.model = &model;
-    context.client_profile = &world.client_profile;
-    context.server_time = lvl.estimated;
-    context.net = config.wireless;
-    lvl.plan = compute_best_plan(context);
-    lvl.needed = canonical_server_layers(lvl.plan, world.canonical_schedule);
-  }
-};
 }  // namespace
+
+void SimulatorImpl::plan_level(LoadLevelCache& lvl,
+                               const LayerTimeEstimator& estimator) const {
+  lvl.estimated = estimator.estimate_model(world_.model, lvl.stats);
+  PartitionContext context;
+  context.model = &world_.model;
+  context.client_profile = &world_.client_profile;
+  context.server_time = lvl.estimated;
+  context.net = config_.wireless;
+  lvl.plan = compute_best_plan(context);
+  lvl.needed = canonical_server_layers(lvl.plan, world_.canonical_schedule);
+}
+
+void SimulatorImpl::fill_level(LoadLevelCache& lvl, int load) const {
+  const DnnModel& model = world_.model;
+  lvl.true_time.resize(static_cast<std::size_t>(model.num_layers()));
+  for (LayerId id = 0; id < model.num_layers(); ++id)
+    lvl.true_time[static_cast<std::size_t>(id)] =
+        world_.gpu->expected_layer_time(model.layer(id), model.input_bytes(id),
+                                        static_cast<double>(load));
+  plan_level(lvl, *world_.estimator);
+}
 
 const LoadLevelCache& SimulatorImpl::level(int load) {
   load = std::max(1, load);
@@ -562,14 +528,14 @@ const LoadLevelCache& SimulatorImpl::level(int load) {
   LoadLevelCache lvl;
   lvl.stats = world_.gpu->stats_for_load(
       load, static_cast<double>(load), rng_);
-  LevelFiller{config_, world_}.fill(lvl, load);
+  fill_level(lvl, load);
   return levels_.emplace(load, std::move(lvl)).first->second;
 }
 
 void SimulatorImpl::rebuild_level(int load, const GpuStats& stats) {
   LoadLevelCache lvl;
   lvl.stats = stats;
-  LevelFiller{config_, world_}.fill(lvl, load);
+  fill_level(lvl, load);
   levels_.emplace(load, std::move(lvl));
 }
 
@@ -586,19 +552,9 @@ const LoadLevelCache& SimulatorImpl::degraded_level(int load) {
   lvl.stats = base.stats;
   lvl.stats.age_intervals = 1;  // telemetry stopped arriving: snapshot stale
   lvl.true_time = base.true_time;
-  const LayerTimeEstimator& fallback =
-      world_.fallback_estimator != nullptr
-          ? static_cast<const LayerTimeEstimator&>(*world_.fallback_estimator)
-          : static_cast<const LayerTimeEstimator&>(*world_.estimator);
-  const DnnModel& model = world_.model;
-  lvl.estimated = fallback.estimate_model(model, lvl.stats);
-  PartitionContext context;
-  context.model = &model;
-  context.client_profile = &world_.client_profile;
-  context.server_time = lvl.estimated;
-  context.net = config_.wireless;
-  lvl.plan = compute_best_plan(context);
-  lvl.needed = canonical_server_layers(lvl.plan, world_.canonical_schedule);
+  const LayerTimeEstimator* fallback = world_.fallback_estimator.get();
+  if (fallback == nullptr) fallback = world_.estimator.get();
+  plan_level(lvl, *fallback);
   return degraded_levels_.emplace(load, std::move(lvl)).first->second;
 }
 
@@ -629,41 +585,43 @@ Seconds SimulatorImpl::routed_path_latency(ClientId c, ServerId previous) {
   return plan_latency(routed, prev_mask);
 }
 
-SimulatorImpl::ColdResult SimulatorImpl::cold_window_queries(
-    const ColdJob& job) const {
+void SimulatorImpl::serve_cold_window(ClientId c, ServerId sid,
+                                      const LoadLevelCache& lvl,
+                                      std::vector<bool> mask,
+                                      Seconds routed_latency,
+                                      int interval_index) {
+  const ClientState& client = clients_[static_cast<std::size_t>(c)];
   const DnnModel& model = world_.model;
   // Execution sees the *actual* wireless rate of this attachment; the
   // master's plan was made against the nominal one.
   PartitionContext context;
   context.model = &model;
   context.client_profile = &world_.client_profile;
-  context.server_time = job.lvl->true_time;
+  context.server_time = lvl.true_time;
   context.net = config_.wireless;
-  context.net.uplink_bytes_per_sec *= job.link_factor;
-  context.net.downlink_bytes_per_sec *= job.link_factor;
-  // Cumulative bytes of the pending upload sequence.
-  std::vector<Bytes> cumulative;
-  cumulative.reserve(job.pending.size());
-  Bytes acc = 0;
-  for (LayerId id : job.pending) {
-    acc += model.layer(id).weight_bytes;
-    cumulative.push_back(acc);
-  }
+  context.net.uplink_bytes_per_sec *= client.link_factor;
+  context.net.downlink_bytes_per_sec *= client.link_factor;
 
-  ColdResult result;
+  long long queries = 0;
+  long long routed = 0;
+  Seconds latency_sum = 0.0;
   Seconds now = 0.0;
-  std::vector<bool> mask = job.initial_mask;
+  // pending[arrived] lands once `landed_at`, the cumulative bytes of the
+  // upload sequence through it, have crossed the uplink.
+  const std::vector<LayerId>& pending = client.pending;
   std::size_t arrived = 0;
-  // plan_latency is a pure function of the frozen context and the mask, so
-  // the DP runs for the first query and again only after a layer lands.
+  Bytes landed_at = pending.empty() ? 0 : model.layer(pending[0]).weight_bytes;
+  // plan_latency is a pure function of the context and the mask, so the DP
+  // runs for the first query and again only after a layer lands.
   Seconds planned = 0.0;
   bool replan = true;
   while (true) {
     const Bytes uploaded = static_cast<Bytes>(
         now * context.net.uplink_bytes_per_sec);
-    while (arrived < job.pending.size() && cumulative[arrived] <= uploaded) {
-      mask[static_cast<std::size_t>(job.pending[arrived])] = true;
-      ++arrived;
+    while (arrived < pending.size() && landed_at <= uploaded) {
+      mask[static_cast<std::size_t>(pending[arrived])] = true;
+      if (++arrived < pending.size())
+        landed_at += model.layer(pending[arrived]).weight_bytes;
       replan = true;
     }
     if (replan) {
@@ -673,40 +631,29 @@ SimulatorImpl::ColdResult SimulatorImpl::cold_window_queries(
     Seconds latency = planned;
     // Routing fallback: take the backhaul path to the previous server when
     // it is faster than what the (still warming) new server offers.
-    if (job.routed_latency < latency) {
-      latency = job.routed_latency;
-      if (now + latency <= world_.interval) ++result.routed;
+    if (routed_latency < latency) {
+      latency = routed_latency;
+      if (now + latency <= world_.interval) ++routed;
     }
     if (now + latency > world_.interval) break;
-    ++result.queries;
-    result.latency_sum += latency;
+    ++queries;
+    latency_sum += latency;
     obs::observe("sim.cold_window.query_latency_s", latency);
     now += latency + config_.query_gap;
   }
-  return result;
-}
 
-void SimulatorImpl::flush_cold_jobs(int interval_index) {
-  if (cold_jobs_.empty()) return;
-  const auto results =
-      par::parallel_map(cold_jobs_.size(), [&](std::size_t i) {
-        return cold_window_queries(cold_jobs_[i]);
-      });
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    metrics_.routed_queries += results[i].routed;
-    obs::TimeseriesRow& r = row(cold_jobs_[i].sid);
-    r.cold_window_queries += results[i].queries;
-    r.cold_latency_sum_s += results[i].latency_sum;
-    if (journal_ != nullptr)
-      journal_->record({.interval = interval_index,
-                        .kind = obs::JournalEventKind::kColdServe,
-                        .client = cold_jobs_[i].client,
-                        .server = cold_jobs_[i].sid,
-                        .detail = static_cast<std::int32_t>(results[i].routed),
-                        .aux = static_cast<std::int32_t>(results[i].queries),
-                        .value = results[i].latency_sum});
-  }
-  cold_jobs_.clear();
+  metrics_.routed_queries += routed;
+  obs::TimeseriesRow& r = row(sid);
+  r.cold_window_queries += queries;
+  r.cold_latency_sum_s += latency_sum;
+  if (journal_ != nullptr)
+    journal_->record({.interval = interval_index,
+                      .kind = obs::JournalEventKind::kColdServe,
+                      .client = c,
+                      .server = sid,
+                      .detail = static_cast<std::int32_t>(routed),
+                      .aux = static_cast<std::int32_t>(queries),
+                      .value = latency_sum});
 }
 
 void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
@@ -803,16 +750,10 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
                       .aux = static_cast<std::int32_t>(client.pending.size())});
   }
   // Mask the execution sees initially: any cached layer may be used, the
-  // plan decides. The routed path (if enabled) competes per query. The
-  // query-window evaluation itself is deferred: it is pure given the state
-  // frozen here, so flush_cold_jobs() fans it out after the attach pass.
-  cold_jobs_.push_back({.client = c,
-                        .sid = sid,
-                        .lvl = &lvl,
-                        .initial_mask = std::move(available),
-                        .pending = client.pending,
-                        .routed_latency = routed_path_latency(c, previous),
-                        .link_factor = client.link_factor});
+  // plan decides. The routed path (if enabled) competes per query.
+  const Seconds routed_latency = routed_path_latency(c, previous);
+  serve_cold_window(c, sid, lvl, std::move(available), routed_latency,
+                    interval_index);
 }
 
 void SimulatorImpl::advance_uploads(int interval_index) {
@@ -1464,9 +1405,6 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
       }
       if (sid != client.current) handle_attach(c, sid, interval_index);
     }
-    // 1b) Evaluate this interval's cold-start windows in parallel; results
-    //     merge in attach order.
-    flush_cold_jobs(interval_index);
 
     // 2) Incremental uploads progress; attached entries stay fresh.
     advance_uploads(interval_index);
@@ -1488,21 +1426,18 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
       const auto si = static_cast<std::size_t>(s);
       row(s).attached = attached_[si];
       if (config_.cache_budget_bytes == 0) continue;
-      const LayerCache& cache = caches_[si];
+      LayerCache& cache = caches_[si];
       row(s).cache_bytes = cache.total_bytes();
-      row(s).cache_evictions =
-          static_cast<int>(cache.evictions() - cache_evictions_seen_[si]);
-      row(s).cache_partial_stores = static_cast<int>(
-          cache.partial_stores() - cache_partials_seen_[si]);
-      cache_evictions_seen_[si] = cache.evictions();
-      cache_partials_seen_[si] = cache.partial_stores();
+      const LayerCache::BudgetCounts counts = cache.take_budget_counts();
+      row(s).cache_evictions = counts.evictions;
+      row(s).cache_partial_stores = counts.partial_stores;
     }
     metrics_.close_interval(rows_, traffic_, retry_.backlog_bytes(),
                             config_.cache_budget_bytes);
     if (timeseries_ != nullptr) timeseries_->append_interval(rows_);
 
     // Interval boundary: the checkpoint hook. Everything transient is
-    // settled here (cold_jobs_ flushed, the interval's rows and traffic
+    // settled here (the interval's rows, traffic and cache counters
     // closed), so a snapshot taken now resumes byte-identically.
     const bool stop_here = options.stop_after_interval == interval_index;
     if (snapshot::checkpoint_due(options.checkpoint_every,

@@ -17,7 +17,9 @@
 //
 // Time inside a cold-start window advances continuously (query latency +
 // 0.5 s gap, upload progressing at the wireless uplink rate), matching the
-// paper's workload.
+// paper's workload. The interval is one serial pass: each re-attaching
+// client replays its window at its attach, so the journal's cold_serve
+// record directly follows the client's plan (or degraded_plan) record.
 #pragma once
 
 #include <memory>
@@ -315,7 +317,7 @@ struct SimulationRunOptions {
   snapshot::SimSnapshot* capture_out = nullptr;
   /// Streamed event-journal JSONL destination (obs/journal.hpp); empty
   /// disables journaling, and the run is byte-identical either way. Every
-  /// event is recorded on the serial control path, so the file is
+  /// event is recorded on the serial interval pass, so the file is
   /// byte-identical across thread counts. A resumed run that journals
   /// truncates this file back to the checkpoint's offset and appends, so it
   /// needs a checkpoint that streamed its journal to this same file

@@ -295,8 +295,9 @@ TEST(LayerCache, OnePassStoreMatchesTheSearchDedupe) {
     }
     if (budgeted) {
       // Not vacuous: the budget both evicted entries and trimmed stores.
-      EXPECT_GT(cache.evictions(), 0);
-      EXPECT_GT(cache.partial_stores(), 0);
+      const LayerCache::BudgetCounts counts = cache.take_budget_counts();
+      EXPECT_GT(counts.evictions, 0);
+      EXPECT_GT(counts.partial_stores, 0);
     }
   }
 }
@@ -335,8 +336,9 @@ TEST(LayerCacheBudget, EvictsLowestEfficiencyPerByteFirst) {
   EXPECT_TRUE(cache.has_entry(2));
   EXPECT_TRUE(cache.has_entry(3));
   EXPECT_EQ(cache.total_bytes(), 400);
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_EQ(cache.partial_stores(), 0);
+  const LayerCache::BudgetCounts counts = cache.take_budget_counts();
+  EXPECT_EQ(counts.evictions, 1);
+  EXPECT_EQ(counts.partial_stores, 0);
 }
 
 TEST(LayerCacheBudget, NeverDisplacesMoreEfficientResidents) {
@@ -351,8 +353,9 @@ TEST(LayerCacheBudget, NeverDisplacesMoreEfficientResidents) {
   EXPECT_FALSE(cache.has_entry(3));
   EXPECT_TRUE(cache.has_entry(1));
   EXPECT_TRUE(cache.has_entry(2));
-  EXPECT_EQ(cache.evictions(), 0);
-  EXPECT_EQ(cache.partial_stores(), 1);
+  const LayerCache::BudgetCounts counts = cache.take_budget_counts();
+  EXPECT_EQ(counts.evictions, 0);
+  EXPECT_EQ(counts.partial_stores, 1);
   EXPECT_EQ(cache.total_bytes(), 400);
 }
 
@@ -364,12 +367,12 @@ TEST(LayerCacheBudget, PartialResidencyAdmitsTheLongestFittingPrefix) {
   EXPECT_EQ(added, (std::vector<LayerId>{0, 1}));
   EXPECT_EQ(cache.layers(1), (std::vector<LayerId>{0, 1}));
   EXPECT_EQ(cache.total_bytes(), 200);
-  EXPECT_EQ(cache.partial_stores(), 1);
+  EXPECT_EQ(cache.take_budget_counts().partial_stores, 1);
   // The refused suffix can still arrive later once the budget allows.
   LayerCache roomy = budgeted_cache(600);
   roomy.store(1, {0, 1, 2}, 0);
   EXPECT_EQ(roomy.layers(1), (std::vector<LayerId>{0, 1, 2}));
-  EXPECT_EQ(roomy.partial_stores(), 0);
+  EXPECT_EQ(roomy.take_budget_counts().partial_stores, 0);
 }
 
 TEST(LayerCacheBudget, TotalBytesNeverExceedsBudgetUnderChurn) {
@@ -391,7 +394,9 @@ TEST(LayerCacheBudget, EvictionFreesRoomTrackedByTotalBytes) {
   // 0.60+0.50 over 200 B beats every resident; two victims must go.
   cache.store(4, {0, 1}, 1);
   EXPECT_EQ(cache.total_bytes(), 300);
-  EXPECT_EQ(cache.evictions(), 2);
+  EXPECT_EQ(cache.take_budget_counts().evictions, 2);
+  // The counts are handed over once: the next call starts from zero.
+  EXPECT_EQ(cache.take_budget_counts().evictions, 0);
   EXPECT_FALSE(cache.has_entry(1));
   EXPECT_FALSE(cache.has_entry(2));
   EXPECT_TRUE(cache.has_entry(3));

@@ -80,6 +80,15 @@ INSTANTIATE_TEST_SUITE_P(
       return model_name_str(info.param.name);
     });
 
+TEST(ModelZoo, ModelFromFlagInvertsTheLowercaseName) {
+  EXPECT_EQ(model_from_flag("mobilenet"), ModelName::kMobileNet);
+  EXPECT_EQ(model_from_flag("inception"), ModelName::kInception);
+  EXPECT_EQ(model_from_flag("resnet"), ModelName::kResNet);
+  // Only the three simulated models, spelled exactly.
+  for (const char* other : {"", "alexnet", "vgg16", "Inception", "resnet "})
+    EXPECT_EQ(model_from_flag(other), std::nullopt) << "'" << other << "'";
+}
+
 TEST(ModelZoo, InceptionFcHeadDominatesBytes) {
   // The 21k-way classifier holds most of the weights but little compute —
   // the structural property behind the paper's fractional-migration win.

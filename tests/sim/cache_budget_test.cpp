@@ -277,7 +277,10 @@ TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
   // the per-query partition DP, for a straight run and a stop/resume split.
   // The journal digest was re-pinned when parked orders began to drain in
   // (source server, FIFO) order, each `migration_retried` record just
-  // before its own outcome; the metrics and timeseries digests held.
+  // before its own outcome, and again when each `cold_serve` moved from the
+  // end of its interval's attach pass to just after its client's plan
+  // record (the journal's sorted lines held); the metrics and timeseries
+  // digests held both times.
   const SimulationConfig config = pressure_config();
 
   struct Outputs {
@@ -320,7 +323,7 @@ TEST_F(ClassicCacheBudgetTest, PressureRunMatchesPinnedDigestsThroughResume) {
 
   constexpr const char* kMetrics = "e9fe4229b0beca0d";
   constexpr const char* kTimeseries = "859c079a3e4119e4";
-  constexpr const char* kJournal = "1d84edd1dd0f5f84";
+  constexpr const char* kJournal = "a1cc32d39ef03d70";
   EXPECT_EQ(digest(straight.metrics_json), kMetrics);
   EXPECT_EQ(digest(straight.timeseries), kTimeseries);
   EXPECT_EQ(digest(straight.journal), kJournal);

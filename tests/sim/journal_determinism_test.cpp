@@ -181,6 +181,54 @@ TEST_F(JournalDeterminismTest, ResumeSplitJournalEqualsUninterrupted) {
   EXPECT_EQ(reference.find("checkpoint_"), std::string::npos);
 }
 
+TEST_F(JournalDeterminismTest, ColdServeDirectlyFollowsItsOwnPlan) {
+  // Each attach journals its plan and then, with no record between them,
+  // the cold-start window its client runs on the new server.
+  const auto check = [](const std::string& jsonl, const std::string& run) {
+    const std::vector<JournalEvent> events = obs::journal_from_jsonl(jsonl);
+    std::size_t plans = 0;
+    std::size_t degraded_plans = 0;
+    std::size_t serves = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const JournalEvent& e = events[i];
+      plans += e.kind == JournalEventKind::kPlan ||
+               e.kind == JournalEventKind::kDegradedPlan;
+      degraded_plans += e.kind == JournalEventKind::kDegradedPlan;
+      if (e.kind != JournalEventKind::kColdServe) continue;
+      ++serves;
+      ASSERT_GT(i, 0u) << run;
+      const JournalEvent& plan = events[i - 1];
+      EXPECT_TRUE(plan.kind == JournalEventKind::kPlan ||
+                  plan.kind == JournalEventKind::kDegradedPlan)
+          << run << ", line " << i + 1;
+      EXPECT_EQ(plan.client, e.client) << run << ", line " << i + 1;
+      EXPECT_EQ(plan.server, e.server) << run << ", line " << i + 1;
+      EXPECT_EQ(plan.interval, e.interval) << run << ", line " << i + 1;
+    }
+    // Not vacuous, and every plan has its window.
+    EXPECT_GT(serves, 0u) << run;
+    EXPECT_GT(degraded_plans, 0u) << run;
+    EXPECT_EQ(serves, plans) << run;
+  };
+  const SimulationConfig config = faulted_config();
+  for (const int threads : {1, 8})
+    check(journal_jsonl(config, threads),
+          "threads=" + std::to_string(threads));
+
+  par::set_num_threads(8);
+  snapshot::SimSnapshot snap;
+  SimulationRunOptions first;
+  first.journal_path = jr_path();
+  first.stop_after_interval = 4;
+  first.capture_out = &snap;
+  run_simulation(config, *world_, nullptr, first);
+  SimulationRunOptions second;
+  second.journal_path = jr_path();
+  second.resume_from = &snap;
+  run_simulation(config, *world_, nullptr, second);
+  check(slurp_journal(), "resumed");
+}
+
 TEST_F(JournalDeterminismTest, JournalingDoesNotPerturbTheSimulation) {
   par::set_num_threads(2);
   obs::SimTimeseries with_ts, without_ts;

@@ -61,6 +61,7 @@
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/perdnn.hpp"
+#include "generated_traces.hpp"
 #include "mobility/trace_gen.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -98,9 +99,8 @@ int usage() {
 }
 
 DnnModel model_by_name(const std::string& name) {
-  if (name == "mobilenet") return build_mobilenet_v1();
-  if (name == "inception") return build_inception21k();
-  if (name == "resnet") return build_resnet50();
+  if (const std::optional<ModelName> model = model_from_flag(name))
+    return build_model(*model);
   if (name == "alexnet") return build_alexnet();
   if (name == "vgg16") return build_vgg16();
   throw std::runtime_error("unknown model '" + name + "'");
@@ -177,9 +177,6 @@ int cmd_partition(int argc, char** argv) {
   return 0;
 }
 
-/// Sampling period of the campus and urban traces the CLI generates.
-constexpr Seconds kSampleIntervalS = 20.0;
-
 /// Whether `minutes` of generated trace stays inside the generators'
 /// points-per-trajectory bound (trace_points); prints why not.
 bool minutes_ok(double minutes) {
@@ -194,22 +191,8 @@ bool minutes_ok(double minutes) {
 
 std::vector<Trajectory> make_traces(const std::string& kind, int users,
                                     double minutes, std::uint64_t seed) {
-  if (kind == "campus") {
-    CampusTraceConfig config;
-    if (users > 0) config.num_users = users;
-    config.duration = minutes * 60.0;
-    config.sample_interval = kSampleIntervalS;
-    config.seed = seed;
-    return generate_campus_traces(config);
-  }
-  if (kind == "urban") {
-    UrbanTraceConfig config;
-    if (users > 0) config.num_users = users;
-    config.duration = minutes * 60.0;
-    config.sample_interval = kSampleIntervalS;
-    config.seed = seed;
-    return generate_urban_traces(config);
-  }
+  if (auto traces = generate_traces(kind, users, minutes, seed))
+    return std::move(*traces);
   return load_traces_file(kind);  // treat as a file path
 }
 
@@ -348,17 +331,15 @@ std::optional<SimulateArgs> parse_simulate_args(int argc, char** argv) {
                  "error: simulate needs <model> <traces> [policy]\n");
     return std::nullopt;
   }
-  const std::string& model = positional[0];
-  if (model == "mobilenet") args.model = ModelName::kMobileNet;
-  else if (model == "inception") args.model = ModelName::kInception;
-  else if (model == "resnet") args.model = ModelName::kResNet;
-  else {
+  const std::optional<ModelName> model = model_from_flag(positional[0]);
+  if (!model) {
     std::fprintf(stderr,
                  "error: unknown model '%s' (simulate supports "
                  "mobilenet|inception|resnet)\n",
-                 model.c_str());
+                 positional[0].c_str());
     return std::nullopt;
   }
+  args.model = *model;
   args.traces = positional[1];
   if (positional.size() > 2) {
     const std::string& policy = positional[2];

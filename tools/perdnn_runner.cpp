@@ -54,6 +54,7 @@
 
 #include "common/arg_parse.hpp"
 #include "core/perdnn.hpp"
+#include "generated_traces.hpp"
 #include "mobility/trace_gen.hpp"
 #include "obs/json.hpp"
 #include "obs/resource.hpp"
@@ -79,9 +80,6 @@ int usage() {
 
 // ---------------------------------------------------------------------------
 // Manifest
-
-/// Sampling period of the campus and urban traces a sweep generates.
-constexpr Seconds kSampleIntervalS = 20.0;
 
 struct Manifest {
   std::string model = "inception";
@@ -118,13 +116,6 @@ struct Shard {
     return buf;
   }
 };
-
-ModelName model_by_name(const std::string& name) {
-  if (name == "mobilenet") return ModelName::kMobileNet;
-  if (name == "inception") return ModelName::kInception;
-  if (name == "resnet") return ModelName::kResNet;
-  throw std::runtime_error("unknown model '" + name + "'");
-}
 
 MigrationPolicy policy_by_name(const std::string& name) {
   if (name == "ionn") return MigrationPolicy::kNone;
@@ -242,7 +233,8 @@ Manifest decode_manifest(const std::string& text) {
     }
   }
   if (m.fault_intensities.empty()) m.fault_intensities.push_back(0.0);
-  model_by_name(m.model);  // validate early
+  if (!model_from_flag(m.model))
+    throw std::runtime_error("unknown model '" + m.model + "'");
   return m;
 }
 
@@ -304,23 +296,9 @@ void load_trace_file(Manifest& m) {
 }
 
 std::vector<Trajectory> make_traces(const Manifest& m, std::uint64_t seed) {
-  if (m.trace == "campus") {
-    CampusTraceConfig config;
-    if (m.users > 0) config.num_users = m.users;
-    config.duration = m.minutes * 60.0;
-    config.sample_interval = kSampleIntervalS;
-    config.seed = seed;
-    return generate_campus_traces(config);
-  }
-  if (m.trace == "urban") {
-    UrbanTraceConfig config;
-    if (m.users > 0) config.num_users = m.users;
-    config.duration = m.minutes * 60.0;
-    config.sample_interval = kSampleIntervalS;
-    config.seed = seed;
-    return generate_urban_traces(config);
-  }
-  return m.trace_file;  // parsed by load_trace_file
+  // A file-backed trace was parsed by load_trace_file.
+  return generate_traces(m.trace, m.users, m.minutes, seed)
+      .value_or(m.trace_file);
 }
 
 void run_shard(const Manifest& m, const Shard& shard,
@@ -328,7 +306,7 @@ void run_shard(const Manifest& m, const Shard& shard,
   const std::string ckpt = ckpt_path(out_dir, shard);
 
   SimulationConfig config;
-  config.model = model_by_name(m.model);
+  config.model = *model_from_flag(m.model);  // decode_manifest checked it
   config.policy = policy_by_name(shard.policy);
   config.migration_radius_m = 100.0;
   config.seed = static_cast<std::uint64_t>(shard.seed);
