@@ -272,17 +272,8 @@ bool LayerCache::has_entry(ClientId client) const {
 }
 
 std::vector<LayerId> LayerCache::layers(ClientId client) const {
-  std::vector<LayerId> out;
-  layers_into(client, out);
-  return out;
-}
-
-void LayerCache::layers_into(ClientId client,
-                             std::vector<LayerId>& out) const {
-  out.clear();
   const auto it = entries_.find(client);
-  if (it == entries_.end()) return;
-  out.assign(it->second.layers.begin(), it->second.layers.end());
+  return it == entries_.end() ? std::vector<LayerId>{} : it->second.layers;
 }
 
 std::vector<bool> LayerCache::mask(ClientId client,

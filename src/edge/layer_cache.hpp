@@ -46,7 +46,6 @@ class LayerCache {
   /// enforcement entirely, leaving behaviour identical to an unbudgeted
   /// cache. Enforcing a budget requires a cost model (set_cost_model).
   void set_budget(Bytes budget_bytes);
-  Bytes budget() const { return budget_; }
 
   /// Per-layer weight bytes and latency saved when the layer is resident
   /// (the upload schedule's per-layer benefit apportionment). Both vectors
@@ -83,10 +82,6 @@ class LayerCache {
 
   /// Cached layer ids for the client (empty if none).
   std::vector<LayerId> layers(ClientId client) const;
-
-  /// Allocation-free variant for hot loops: re-assigns `out` in place
-  /// (capacity is reused across calls).
-  void layers_into(ClientId client, std::vector<LayerId>& out) const;
 
   /// Availability mask sized to the model.
   std::vector<bool> mask(ClientId client, const DnnModel& model) const;

@@ -73,8 +73,8 @@ std::optional<Int> json_integer(double v) {
   return static_cast<Int>(v);
 }
 
-/// The exporters hand their output stream blocks of whole lines at least
-/// this large instead of one write per line.
+/// SimTimeseries::write_csv hands its output stream blocks of whole lines
+/// at least this large instead of one write per line.
 inline constexpr std::size_t kOutputBlockBytes = std::size_t{1} << 20;
 
 /// Parsed JSON value. Objects preserve key order.

@@ -1,11 +1,11 @@
 #include "obs/stream_writer.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "obs/json.hpp"
 
 namespace perdnn::obs {
 
@@ -37,27 +37,16 @@ std::ofstream open_file(const std::string& path, std::ios::openmode mode) {
 
 }  // namespace
 
-BlockFile::BlockFile(const std::string& path)
+AppendFile::AppendFile(const std::string& path)
     : out_(open_file(path, std::ios::trunc)) {}
 
-BlockFile::BlockFile(const std::string& path, Resume resume)
-    : written_(resume.bytes) {
+AppendFile::AppendFile(const std::string& path, Resume resume)
+    : bytes_(resume.bytes) {
   truncate_to(path, resume.bytes);
   out_ = open_file(path, std::ios::app);
 }
 
-// The ofstream reports failures through its state bits, not exceptions, so
-// this cannot throw.
-BlockFile::~BlockFile() { write_pending(); }
-
-void BlockFile::write_pending() {
-  out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
-  written_ += pending_.size();
-  pending_.clear();
-}
-
-void BlockFile::flush(const char* error) {
-  write_pending();
+void AppendFile::flush(const char* error) {
   out_.flush();
   PERDNN_CHECK_MSG(out_.good(), error);
 }
@@ -66,15 +55,8 @@ TimeseriesStreamWriter::TimeseriesStreamWriter(const std::string& path,
                                                const std::string& model,
                                                bool cache_columns)
     : file_(path), cache_columns_(cache_columns) {
-  std::string& out = file_.pending();
-  out += "# schema=";
-  append_json_int(out, cache_columns_ ? SimTimeseries::kCsvCacheSchemaVersion
-                                      : SimTimeseries::kCsvSchemaVersion);
-  out += '\n';
-  if (!model.empty())
-    out += "# model=" + SimTimeseries::csv_quote(model) + '\n';
-  out += SimTimeseries::csv_header(cache_columns_);
-  out += '\n';
+  append_timeseries_csv_preamble(text_, model, cache_columns_);
+  file_.write(text_.data(), text_.size());
 }
 
 TimeseriesStreamWriter::TimeseriesStreamWriter(const std::string& path,
@@ -83,12 +65,15 @@ TimeseriesStreamWriter::TimeseriesStreamWriter(const std::string& path,
                                                bool cache_columns)
     : file_(path, resume), rows_(rows), cache_columns_(cache_columns) {}
 
-void TimeseriesStreamWriter::append(const TimeseriesRow& row) {
-  std::string& out = file_.pending();
-  append_timeseries_row_csv(out, row, cache_columns_);
-  out += '\n';
-  file_.maybe_write();
-  ++rows_;
+void TimeseriesStreamWriter::append_interval(
+    const std::vector<TimeseriesRow>& rows) {
+  text_.clear();
+  for (const TimeseriesRow& row : rows) {
+    append_timeseries_row_csv(text_, row, cache_columns_);
+    text_ += '\n';
+  }
+  file_.write(text_.data(), text_.size());
+  rows_ += rows.size();
 }
 
 void TimeseriesStreamWriter::flush() {
@@ -97,7 +82,7 @@ void TimeseriesStreamWriter::flush() {
 
 JournalStreamWriter::JournalStreamWriter(const std::string& path)
     : file_(path) {
-  reserve();
+  open_.reserve(kBatchEvents);
 }
 
 JournalStreamWriter::JournalStreamWriter(const std::string& path,
@@ -106,14 +91,7 @@ JournalStreamWriter::JournalStreamWriter(const std::string& path,
       events_(state.events),
       next_chain_(state.next_chain) {
   for (const auto& [client, chain] : state.client_chains) bind(client, chain);
-  reserve();
-}
-
-void JournalStreamWriter::reserve() {
   open_.reserve(kBatchEvents);
-  // Short of a block plus one batch: the most a commit leaves pending.
-  // Reserved here, it never grows on a worker.
-  file_.pending().reserve(kOutputBlockBytes + kSlotText);
 }
 
 // Formatting cannot throw for a recorded event (record() checked its value),
@@ -167,11 +145,10 @@ void JournalStreamWriter::dispatch() {
   }
   if (!pool && next_commit_ == next_seq_) {
     // No worker to queue it for and nothing queued ahead of it: format it
-    // here, through the free slot, and copy it into the block.
+    // here, through the free slot, and write it.
     lock.unlock();
     format(open_, s);
-    file_.pending().append(s.text.get(), s.size);
-    file_.maybe_write();
+    file_.write(s.text.get(), s.size);
     return;
   }
   s.events.swap(open_);
@@ -210,8 +187,7 @@ bool JournalStreamWriter::try_commit(std::unique_lock<std::mutex>& lock) {
   committing_ = true;
   for (Slot* s = &slot(next_commit_); s->formatted; s = &slot(next_commit_)) {
     lock.unlock();
-    file_.pending().append(s->text.get(), s->size);
-    file_.maybe_write();
+    file_.write(s->text.get(), s->size);
     lock.lock();
     s->formatted = false;
     ++next_commit_;

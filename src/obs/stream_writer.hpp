@@ -3,24 +3,25 @@
 // timeseries exporter (SimTimeseries::write_csv) holds every row in memory
 // until the run ends, which is O(intervals * servers) resident state —
 // untenable for the city-scale sharded runs. These writers format each
-// row/event with the exact shared formatters (append_timeseries_row_csv,
-// format_journal_line), so a streamed CSV is byte-identical to the buffered
-// export of the same run and a streamed journal to journal_to_jsonl of its
-// events. The text collects in a pending block, and the file gets the
-// block once it holds kOutputBlockBytes (1 MiB): a few large writes instead
-// of one per line. Both engines journal only through JournalStreamWriter.
+// row/event with the exact shared formatters (append_timeseries_csv_preamble,
+// append_timeseries_row_csv, format_journal_line), so a streamed CSV is
+// byte-identical to the buffered export of the same run and a streamed
+// journal to journal_to_jsonl of its events. Each writer hands the file the
+// text it formatted once, in large writes: the timeseries writer one whole
+// interval, the journal writer one batch of kBatchEvents lines. Both engines
+// journal only through JournalStreamWriter.
 //
-// Checkpoint/resume contract: both writers count the bytes they have written
-// (the CSV preamble and the pending block included), and flush() writes the
-// pending block, so after a flush the count is the file size. A checkpoint
-// flushes and stores those offsets; a resumed run reopens the file with
+// Checkpoint/resume contract: both writers count the bytes they have handed
+// to the file (the CSV preamble included), and flush() flushes the file's
+// stream, so after a flush the count is the file size. A checkpoint flushes
+// and stores those offsets; a resumed run reopens the file with
 // `Resume{offset}`, which truncates it back to the checkpoint boundary and
-// appends from there. Whatever a killed run wrote after the checkpoint — up
-// to one block, possibly ending in a partial line cut off mid-write by
-// kill -9 — is discarded by the truncation, so the resumed file ends up
-// byte-identical to an uninterrupted run's. A writer destroyed without
-// flush(), say while an exception unwinds the engine, still writes its
-// pending block.
+// appends from there. Whatever a killed run wrote after the checkpoint —
+// possibly ending in a partial line cut off mid-write by kill -9 — is
+// discarded by the truncation, so the resumed file ends up byte-identical
+// to an uninterrupted run's. A writer destroyed without flush(), say while
+// an exception unwinds the engine, still leaves every line it was handed
+// in the file.
 //
 // Threads: both simulators call the writers only from their serial control
 // path (which is what makes the output deterministic in the first place), and
@@ -42,7 +43,6 @@
 
 #include "common/types.hpp"
 #include "obs/journal.hpp"
-#include "obs/json.hpp"
 #include "obs/timeseries.hpp"
 
 namespace perdnn::obs {
@@ -52,44 +52,34 @@ struct Resume {
   std::uint64_t bytes = 0;
 };
 
-/// An append-only file written in blocks, shared by both stream writers.
-/// Callers append whole lines to pending() and then call maybe_write(),
-/// which hands the file the pending block once it holds kOutputBlockBytes.
-class BlockFile {
+/// An append-only file that counts the bytes handed to it, shared by both
+/// stream writers.
+class AppendFile {
  public:
   /// Fresh file: truncates `path`.
-  explicit BlockFile(const std::string& path);
+  explicit AppendFile(const std::string& path);
   /// Resumed file: truncates `path` back to `resume.bytes` and appends.
   /// Throws std::runtime_error if the file is shorter than that.
-  BlockFile(const std::string& path, Resume resume);
-  /// Writes the pending block. Never throws: a failed write shows up only
-  /// in a flush().
-  ~BlockFile();
-  BlockFile(const BlockFile&) = delete;
-  BlockFile& operator=(const BlockFile&) = delete;
+  AppendFile(const std::string& path, Resume resume);
 
-  std::string& pending() { return pending_; }
-  void maybe_write() {
-    if (pending_.size() >= kOutputBlockBytes) write_pending();
+  void write(const char* data, std::size_t size) {
+    out_.write(data, static_cast<std::streamsize>(size));
+    bytes_ += size;
   }
-  /// Writes the pending block and flushes the file; throws std::logic_error
-  /// with `error` if any write since the last flush failed.
+  /// Flushes the file; throws std::logic_error with `error` if any write
+  /// since the last flush failed.
   void flush(const char* error);
 
-  /// File bytes so far, the pending block included.
-  std::uint64_t bytes() const { return written_ + pending_.size(); }
+  /// Bytes handed to the file so far.
+  std::uint64_t bytes() const { return bytes_; }
 
  private:
-  void write_pending();
-
   std::ofstream out_;
-  std::string pending_;
-  std::uint64_t written_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
-/// Streams TimeseriesRow lines into a CSV file with the same preamble
-/// (`# schema=N`, optional `# model=...`, header line) and row encoding as
-/// SimTimeseries::write_csv.
+/// Streams TimeseriesRow lines into a CSV file with the same preamble and
+/// row encoding as SimTimeseries::write_csv, one interval per write.
 class TimeseriesStreamWriter {
  public:
   /// Fresh run: truncates `path` and writes the preamble.
@@ -104,17 +94,21 @@ class TimeseriesStreamWriter {
   TimeseriesStreamWriter(const std::string& path, Resume resume,
                          std::uint64_t rows, bool cache_columns = false);
 
-  void append(const TimeseriesRow& row);
+  /// Appends one finished interval, as SimTimeseries::append_interval
+  /// takes it: formats its rows into one buffer, reused across intervals,
+  /// and hands the file that buffer.
+  void append_interval(const std::vector<TimeseriesRow>& rows);
   void flush();
 
-  /// Total file bytes written so far (preamble and pending block included).
+  /// Total file bytes written so far (preamble included).
   std::uint64_t bytes_written() const { return file_.bytes(); }
   std::uint64_t rows_written() const { return rows_; }
 
  private:
-  BlockFile file_;
+  AppendFile file_;
   std::uint64_t rows_ = 0;
   bool cache_columns_ = false;
+  std::string text_;  // the interval being written
 };
 
 /// A journal stream's position and chain state at a checkpoint: what a
@@ -143,18 +137,18 @@ struct JournalStreamState {
 /// batches, and while fewer than num_threads() - 1 drain tasks are running
 /// the recording thread submits one (par::ThreadPool::submit). A drain task
 /// claims the oldest unclaimed batch and formats it, commits every
-/// formatted batch at the head of the ring, in record order, into the
-/// pending block (which hands the file each full block), and returns once
-/// nothing is left to claim or commit. The recording thread formats only
-/// when the ring is full: it then claims the oldest unclaimed batch itself,
-/// or, when every batch is claimed, waits for one a running task is
-/// formatting, and it commits whenever nobody else is. It never waits for
-/// a task that has not started, so a pool busy with other work cannot stall
-/// it, and the busy threads never outnumber the thread count. At one
-/// thread, or when called on a pool worker, the caller formats every batch
-/// itself, through one free slot, into the pending block, and the pool is
-/// never touched. bytes_written(), state(), flush() and the destructor
-/// first format and commit every recorded event the same way.
+/// formatted batch at the head of the ring, in record order, by writing its
+/// text to the file, and returns once nothing is left to claim or commit.
+/// The recording thread formats only when the ring is full: it then claims
+/// the oldest unclaimed batch itself, or, when every batch is claimed,
+/// waits for one a running task is formatting, and it commits whenever
+/// nobody else is. It never waits for a task that has not started, so a
+/// pool busy with other work cannot stall it, and the busy threads never
+/// outnumber the thread count. At one thread, or when called on a pool
+/// worker, the caller formats every batch itself, through one free slot,
+/// and writes it to the file, and the pool is never touched.
+/// bytes_written(), state(), flush() and the destructor first format and
+/// commit every recorded event the same way.
 class JournalStreamWriter {
  public:
   /// Events per batch handed to a worker.
@@ -166,9 +160,9 @@ class JournalStreamWriter {
   /// restoring the event count, chain counter and bindings. Throws
   /// std::runtime_error if the file is shorter than the checkpoint offset.
   JournalStreamWriter(const std::string& path, const JournalStreamState& state);
-  /// Commits every recorded event, so the pending block reaches the file,
-  /// then waits for the drain tasks it submitted to return (with nothing
-  /// left, each returns as soon as it starts). Never throws.
+  /// Commits every recorded event to the file, then waits for the drain
+  /// tasks it submitted to return (with nothing left, each returns as soon
+  /// as it starts). Never throws.
   ~JournalStreamWriter();
   JournalStreamWriter(const JournalStreamWriter&) = delete;
   JournalStreamWriter& operator=(const JournalStreamWriter&) = delete;
@@ -201,17 +195,14 @@ class JournalStreamWriter {
     std::size_t size = 0;          // bytes of `text` formatted
     bool formatted = false;        // guarded by mu_
   };
-  /// Batches queued but not yet in the pending block, at most. On
-  /// city_pressure at two threads a ring of two left the recording thread
-  /// more batches to format, and one of eight cost RSS for no measurable
-  /// gain.
+  /// Batches queued but not yet written, at most. On city_pressure at two
+  /// threads a ring of two left the recording thread more batches to
+  /// format, and one of eight cost RSS for no measurable gain.
   static constexpr std::size_t kSlots = 4;
   /// Room one batch's text can need.
   static constexpr std::size_t kSlotText =
       kBatchEvents * (kMaxJournalJsonlLine + 1);
 
-  /// Reserves the open batch and the pending block on the calling thread.
-  void reserve();
   void bind(ClientId client, std::uint64_t chain);
   /// Queues the open batch (or formats it inline), helping first while the
   /// ring is full.
@@ -221,9 +212,9 @@ class JournalStreamWriter {
   static void format(std::vector<JournalEvent>& events, Slot& slot);
   Slot& slot(std::uint64_t seq) { return slots_[seq % kSlots]; }
   /// Under mu_: when nobody holds the commit role and the oldest batch is
-  /// formatted, takes the role, copies every formatted batch at the head of
-  /// the ring, in record order, into the pending block, gives the role up
-  /// and returns true.
+  /// formatted, takes the role, writes every formatted batch at the head of
+  /// the ring, in record order, to the file, gives the role up and returns
+  /// true.
   bool try_commit(std::unique_lock<std::mutex>& lock);
   /// Under mu_: claims the oldest unclaimed batch, if any, and formats it
   /// with mu_ released, then try_commit(). False when it did neither.
@@ -237,7 +228,7 @@ class JournalStreamWriter {
   /// Queues the open batch and formats and commits every queued batch.
   void drain();
 
-  BlockFile file_;
+  AppendFile file_;
   std::uint64_t events_ = 0;
   std::uint64_t next_chain_ = 1;
   std::vector<std::uint64_t> chains_;  // by client; 0 = unbound
@@ -249,7 +240,7 @@ class JournalStreamWriter {
   // Guarded by mu_:
   std::uint64_t next_seq_ = 0;     // batches queued so far
   std::uint64_t next_claim_ = 0;   // batches claimed for formatting so far
-  std::uint64_t next_commit_ = 0;  // batches in the pending block so far
+  std::uint64_t next_commit_ = 0;  // batches written so far
   int drain_tasks_ = 0;            // submitted tasks not yet returned
   bool committing_ = false;        // a thread holds the commit role
 };

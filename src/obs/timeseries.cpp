@@ -24,6 +24,19 @@ std::size_t run_rows(int num_servers, int num_intervals) {
 
 }  // namespace
 
+void append_timeseries_csv_preamble(std::string& out, const std::string& model,
+                                    bool with_cache_columns) {
+  out += "# schema=";
+  append_json_int(out, with_cache_columns
+                           ? SimTimeseries::kCsvCacheSchemaVersion
+                           : SimTimeseries::kCsvSchemaVersion);
+  out += '\n';
+  if (!model.empty())
+    out += "# model=" + SimTimeseries::csv_quote(model) + '\n';
+  out += SimTimeseries::csv_header(with_cache_columns);
+  out += '\n';
+}
+
 void append_timeseries_row_csv(std::string& out, const TimeseriesRow& r,
                                bool with_cache_columns) {
   // The doubles are formatted first: a NaN throws before `out` changes.
@@ -219,13 +232,8 @@ void SimTimeseries::write_csv(std::ostream& out) const {
   // Formatted under the lock straight from rows_: a copy of the store would
   // double the exporter's memory on long runs.
   std::lock_guard<std::mutex> lock(mu_);
-  std::string block = "# schema=";
-  append_json_int(block, cache_columns_ ? kCsvCacheSchemaVersion
-                                        : kCsvSchemaVersion);
-  block += '\n';
-  if (!model_.empty()) block += "# model=" + csv_quote(model_) + '\n';
-  block += csv_header(cache_columns_);
-  block += '\n';
+  std::string block;
+  append_timeseries_csv_preamble(block, model_, cache_columns_);
   for (const TimeseriesRow& r : rows_) {
     append_timeseries_row_csv(block, r, cache_columns_);
     block += '\n';

@@ -84,6 +84,14 @@ struct TimeseriesRow {
   int cache_partial_stores = 0;
 };
 
+/// Appends the CSV preamble to `out`: the `# schema=N` line, a quoted
+/// `# model=...` line unless `model` is empty, and the header line, each
+/// ending in a newline. With append_timeseries_row_csv, the one formatter
+/// behind SimTimeseries::write_csv and the streaming timeseries writer.
+/// `with_cache_columns` selects the schema-3 layout.
+void append_timeseries_csv_preamble(std::string& out, const std::string& model,
+                                    bool with_cache_columns = false);
+
 /// Appends the CSV encoding of one row (no trailing newline) to `out`,
 /// column order exactly as SimTimeseries::csv_header(). The single formatter
 /// behind SimTimeseries::write_csv and the streaming timeseries writer, so

@@ -1368,8 +1368,7 @@ void ShardEngine::finish_interval(int t) {
   // A Phase B range writes only its own servers' rows, and the fold's
   // integer sums take any order.
   metrics_.close_interval(rows_, traffic_, retry_.backlog_bytes(), budget_);
-  if (ts_ != nullptr)
-    for (const obs::TimeseriesRow& row : rows_) ts_->append(row);
+  if (ts_ != nullptr) ts_->append_interval(rows_);
 }
 
 void ShardEngine::open_writers_fresh() {

@@ -1464,17 +1464,6 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
 }  // namespace
 
 SimulationMetrics run_simulation(const SimulationConfig& config,
-                                 const SimulationWorld& world) {
-  return run_simulation(config, world, nullptr, {});
-}
-
-SimulationMetrics run_simulation(const SimulationConfig& config,
-                                 const SimulationWorld& world,
-                                 obs::SimTimeseries* timeseries) {
-  return run_simulation(config, world, timeseries, {});
-}
-
-SimulationMetrics run_simulation(const SimulationConfig& config,
                                  const SimulationWorld& world,
                                  obs::SimTimeseries* timeseries,
                                  const SimulationRunOptions& options) {

@@ -280,19 +280,6 @@ SimulationWorld build_world(const SimulationConfig& config,
                             const std::vector<Trajectory>& train_traces,
                             const std::vector<Trajectory>& test_traces);
 
-/// Runs one policy over a prebuilt world.
-SimulationMetrics run_simulation(const SimulationConfig& config,
-                                 const SimulationWorld& world);
-
-/// Same, additionally streaming per-interval, per-server rows (cold-start
-/// classifications, cold-window query counts and latencies, backhaul bytes,
-/// migration orders, predictor error meters) into `timeseries` — the data
-/// behind the Fig 9/10 curves. Pass nullptr to disable recording; the
-/// simulation itself is identical either way.
-SimulationMetrics run_simulation(const SimulationConfig& config,
-                                 const SimulationWorld& world,
-                                 obs::SimTimeseries* timeseries);
-
 /// Checkpoint/resume controls for run_simulation. Snapshots are captured at
 /// interval boundaries (after interval k fully finishes, before k+1 starts)
 /// and a resumed run is byte-identical — metrics, timeseries, traffic — to
@@ -325,10 +312,15 @@ struct SimulationRunOptions {
   std::string journal_path;
 };
 
-/// Full-control variant: recording plus checkpoint/resume.
+/// Runs one policy over a prebuilt world. A non-null `timeseries` records
+/// per-interval, per-server rows (cold-start classifications, cold-window
+/// query counts and latencies, backhaul bytes, migration orders, predictor
+/// error meters), the data behind the Fig 9/10 curves; the simulation itself
+/// is identical either way. `options` adds checkpoint/resume and the
+/// journal.
 SimulationMetrics run_simulation(const SimulationConfig& config,
                                  const SimulationWorld& world,
-                                 obs::SimTimeseries* timeseries,
-                                 const SimulationRunOptions& options);
+                                 obs::SimTimeseries* timeseries = nullptr,
+                                 const SimulationRunOptions& options = {});
 
 }  // namespace perdnn

@@ -1,10 +1,10 @@
 // The streamed journal and timeseries writers against the buffered
-// encoders. The journals here run to several MiB so the block path — a
-// write only once 1 MiB is pending — runs many times; the simulator tests
-// stream far less than one block. The multi-block journal cases run at 1,
-// 2 and 4 threads: inline formatting, then batches formatted by drain tasks
-// on pool workers (and by the recording thread when its ring is full) and
-// committed in record order.
+// encoders. The journals here run to several MiB, dozens of batches, so the
+// ring of queued batches fills and drains many times; the simulator tests
+// stream far less. The multi-batch journal cases run at 1, 2 and 4 threads:
+// inline formatting, then batches formatted by drain tasks on pool workers
+// (and by the recording thread when its ring is full) and written in record
+// order.
 #include "obs/stream_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -171,19 +171,21 @@ TEST(JournalStreamWriterTest, MultiBlockStreamEqualsBufferedExport) {
   }
 }
 
-TEST(JournalStreamWriterTest, BytesWrittenCountsThePendingBlock) {
+TEST(JournalStreamWriterTest, BytesWrittenCountsEveryRecordedLine) {
   const std::vector<Step> steps = seeded_steps(2'000, 12);
-  const std::string path = case_path(".jsonl");
-  JournalStreamWriter writer(path);
-  play(steps, 0, steps.size(), writer);
-  // Less than one block: nothing has reached the file yet, but the count
-  // already covers every line.
   const std::string want = buffered_jsonl(steps);
-  ASSERT_LT(want.size(), kOutputBlockBytes);
-  EXPECT_EQ(writer.bytes_written(), want.size());
-  EXPECT_EQ(std::filesystem::file_size(path), 0u);
-  writer.flush();
-  EXPECT_EQ(std::filesystem::file_size(path), want.size());
+  for (const int threads : kThreadLegs) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const ThreadLeg leg(threads);
+    const std::string path = case_path(".jsonl");
+    JournalStreamWriter writer(path);
+    play(steps, 0, steps.size(), writer);
+    // Before a flush the count already covers every line, the open
+    // partial batch included.
+    EXPECT_EQ(writer.bytes_written(), want.size());
+    writer.flush();
+    EXPECT_TRUE(same_text(slurp(path), want));
+  }
 }
 
 TEST(JournalStreamWriterTest, DestructionWithoutFlushLosesNothing) {
@@ -232,11 +234,12 @@ TEST(JournalStreamWriterTest, BusyPoolLeavesTheRecordingThreadToDrain) {
   {
     JournalStreamWriter writer(path);
     // Far more batches than the ring holds: once it is full, the recording
-    // thread formats and commits on its own, so whole blocks reach the file.
+    // thread formats and commits on its own, so whole batches reach the
+    // file.
     play(steps, 0, steps.size(), writer);
-    // The ring and the pending block hold less than two blocks between
-    // them.
-    EXPECT_GE(std::filesystem::file_size(path) + 2 * kOutputBlockBytes,
+    // What has not reached the file, the ring's batches, the open one and
+    // the file stream's own buffer, is less than 1 MiB.
+    EXPECT_GE(std::filesystem::file_size(path) + kOutputBlockBytes,
               want.size());
     // Draining does not wait for the queued tasks either.
     EXPECT_EQ(writer.bytes_written(), want.size());
@@ -273,16 +276,22 @@ TEST(JournalStreamWriterTest, ResumeAtMidFileOffsetReproducesStraightFile) {
       EXPECT_EQ(checkpoint.client_chains, writer.client_chains());
       if (!first_leg) first_leg = checkpoint;
       EXPECT_EQ(checkpoint, *first_leg);
-      // The killed run got further: more than one block past the checkpoint.
+      // The killed run got further: more than 1 MiB past the checkpoint.
       play(steps, split, steps.size() - 100, writer);
     }
+    const std::string torn_line = "{\"interval\":999,\"kind\":\"atta";
     {
       // ...and was cut off inside a line.
       std::ofstream torn(path, std::ios::binary | std::ios::app);
-      torn << "{\"interval\":999,\"kind\":\"atta";
+      torn << torn_line;
     }
-    ASSERT_GT(std::filesystem::file_size(path),
-              checkpoint.bytes + kOutputBlockBytes);
+    // Every line the killed run recorded reached the file before the torn
+    // one.
+    const std::string killed = buffered_jsonl(
+        std::vector<Step>(steps.begin(), steps.end() - 100));
+    ASSERT_GT(killed.size(), checkpoint.bytes + kOutputBlockBytes);
+    ASSERT_EQ(std::filesystem::file_size(path),
+              killed.size() + torn_line.size());
 
     {
       JournalStreamWriter resumed(path, checkpoint);
@@ -312,9 +321,9 @@ TEST(JournalStreamWriterTest, NonFiniteValueThrowsOnTheCaller) {
     const std::string path = case_path(".jsonl");
     JournalStreamWriter writer(path);
     play(steps, 0, steps.size(), writer);
-    // Every batch so far is in the pending block, so the flush below hands
-    // the next batch to an idle worker: a value that got past record() would
-    // throw there and terminate the process.
+    // Every batch so far is in the file, so the flush below hands the next
+    // batch to an idle worker: a value that got past record() would throw
+    // there and terminate the process.
     const std::uint64_t bytes = writer.bytes_written();
     for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
@@ -402,17 +411,21 @@ std::vector<TimeseriesRow> seeded_rows(int servers, int intervals,
 
 TEST(TimeseriesStreamWriterTest, StreamEqualsWriteCsv) {
   constexpr int kServers = 400;
-  constexpr int kIntervals = 40;  // ~1.6 MiB of CSV: more than one block
+  // ~1.6 MiB of CSV: more than one of write_csv's 1 MiB blocks.
+  constexpr int kIntervals = 40;
   const std::vector<TimeseriesRow> rows =
       seeded_rows(kServers, kIntervals, 21);
+  std::vector<std::vector<TimeseriesRow>> intervals;
+  for (int t = 0; t < kIntervals; ++t)
+    intervals.emplace_back(rows.begin() + t * kServers,
+                           rows.begin() + (t + 1) * kServers);
   for (const bool cache_columns : {false, true}) {
     SimTimeseries ts;
     ts.set_model("mobile,net \"v2\"");
     ts.start(kServers, 20.0);
     if (cache_columns) ts.enable_cache_columns();
-    for (int t = 0; t < kIntervals; ++t)
-      ts.append_interval(std::vector<TimeseriesRow>(
-          rows.begin() + t * kServers, rows.begin() + (t + 1) * kServers));
+    for (const std::vector<TimeseriesRow>& interval : intervals)
+      ts.append_interval(interval);
     std::ostringstream buffered;
     ts.write_csv(buffered);
     ASSERT_GT(buffered.str().size(), kOutputBlockBytes);
@@ -420,7 +433,8 @@ TEST(TimeseriesStreamWriterTest, StreamEqualsWriteCsv) {
     const std::string path = case_path(".csv");
     {
       TimeseriesStreamWriter writer(path, ts.model(), cache_columns);
-      for (const TimeseriesRow& r : rows) writer.append(r);
+      for (const std::vector<TimeseriesRow>& interval : intervals)
+        writer.append_interval(interval);
       writer.flush();
       EXPECT_EQ(writer.rows_written(), rows.size());
       EXPECT_EQ(writer.bytes_written(), std::filesystem::file_size(path));
@@ -429,22 +443,26 @@ TEST(TimeseriesStreamWriterTest, StreamEqualsWriteCsv) {
         << "cache columns " << cache_columns;
 
     // Resume from the middle, past a torn row, then destroy unflushed.
-    const std::size_t split = rows.size() / 3;
+    const std::size_t split = intervals.size() / 3;
     std::uint64_t bytes = 0;
     {
       TimeseriesStreamWriter writer(path, ts.model(), cache_columns);
-      for (std::size_t i = 0; i < split; ++i) writer.append(rows[i]);
+      for (std::size_t t = 0; t < split; ++t)
+        writer.append_interval(intervals[t]);
       writer.flush();
       bytes = writer.bytes_written();
-      for (std::size_t i = split; i < rows.size(); ++i) writer.append(rows[i]);
+      for (std::size_t t = split; t < intervals.size(); ++t)
+        writer.append_interval(intervals[t]);
     }
     {
       std::ofstream torn(path, std::ios::binary | std::ios::app);
       torn << "9,9,9,garbage";
     }
     {
-      TimeseriesStreamWriter writer(path, Resume{bytes}, split, cache_columns);
-      for (std::size_t i = split; i < rows.size(); ++i) writer.append(rows[i]);
+      TimeseriesStreamWriter writer(path, Resume{bytes}, split * kServers,
+                                    cache_columns);
+      for (std::size_t t = split; t < intervals.size(); ++t)
+        writer.append_interval(intervals[t]);
       EXPECT_EQ(writer.rows_written(), rows.size());
     }
     EXPECT_TRUE(same_text(slurp(path), buffered.str()))

@@ -27,9 +27,10 @@
 # tool-argument leg gives `perdnn partition` a load or uplink that is not
 # the whole argument, outside int, not finite, or a --threads count outside
 # int (one that used to wrap to a single thread, one that wrapped negative
-# and aborted), and `perdnn_runner` a --workers count or a worker
-# index/count that is not an int in range (one that wraps through atoi
-# among them), plus one valid `perdnn partition`.
+# and aborted), `perdnn partition` and `perdnn profile` a model outside the
+# zoo, and `perdnn_runner` a --workers count or a worker index/count that
+# is not an int in range (one that wraps through atoi among them), plus one
+# valid `perdnn partition`.
 #
 # The budgeted-cache leg rides along: the CacheBudget suites (which include
 # the crash-mid-pressure kill -9 resume byte-identity gate and per-interval
@@ -207,6 +208,10 @@ for args in "4294967297" "1 1e400" "1 nan" "2x" "1 35abc" "0" "1 -35"; do
 done
 expect_exit "partition within range" 0 "$BUILD_DIR"/tools/perdnn partition \
   mobilenet 2 35
+expect_exit "partition unknown model" 2 "$BUILD_DIR"/tools/perdnn partition \
+  lenet
+expect_exit "profile unknown model" 2 "$BUILD_DIR"/tools/perdnn profile \
+  lenet "$PROBE_DIR/lenet-profile.txt"
 for threads in 4294967297 2147483648; do
   expect_exit "partition --threads $threads" 2 "$BUILD_DIR"/tools/perdnn \
     partition mobilenet 2 35 --threads "$threads"

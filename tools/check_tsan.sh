@@ -13,8 +13,9 @@
 # race-check it.
 #
 # The journal writer queues record batches in a ring that drain tasks on
-# pool workers format and commit to its pending block in record order; the
-# recording thread formats and commits too once the ring is full. The
+# pool workers format and commit, each batch written from its slot to the
+# file in record order; the recording thread formats and commits too once
+# the ring is full. The
 # `Journal|StreamWriter` suites race-check that hand-off directly:
 # JournalStreamWriterTest at 1, 2 and 4 threads (one leg with every pool
 # worker blocked, so the recording thread drains the ring alone) and the

@@ -47,13 +47,14 @@
 //       Run the concurrency sweep and save estimator-training records.
 //
 // Unknown commands, flags, model names and policy names are hard errors:
-// they print to stderr and exit non-zero instead of silently falling back
-// to defaults.
+// they print to stderr and exit 2 instead of silently falling back to
+// defaults.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,12 +99,17 @@ int usage() {
   return 2;
 }
 
+/// A model name outside the zoo: main prints it and exits 2.
+struct UnknownModel : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 DnnModel model_by_name(const std::string& name) {
   if (const std::optional<ModelName> model = model_from_flag(name))
     return build_model(*model);
   if (name == "alexnet") return build_alexnet();
   if (name == "vgg16") return build_vgg16();
-  throw std::runtime_error("unknown model '" + name + "'");
+  throw UnknownModel("unknown model '" + name + "'");
 }
 
 int cmd_models() {
@@ -575,6 +581,9 @@ int main(int argc, char** argv) {
     if (command == "profile") return cmd_profile(argc - 2, argv + 2);
   } catch (const TraceFormatError& e) {
     std::fprintf(stderr, "error: bad trace file: %s\n", e.what());
+    return 2;
+  } catch (const UnknownModel& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
